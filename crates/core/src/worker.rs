@@ -243,13 +243,16 @@ impl Worker {
             self.parked.entry(cell).or_default().push(envelope);
             return;
         }
-        match &envelope.payload {
-            StreamRecord::Object(o) => {
+        // the timestamp outlives the payload, which an insert moves into the
+        // index
+        let stamp = envelope.derive(());
+        match envelope.payload {
+            StreamRecord::Object(ref o) => {
                 self.period_load.objects += 1;
                 let matches = self.index.match_object_into(o, &mut self.scratch);
                 if matches.is_empty() {
                     // tuple finished here
-                    self.metrics.latency.record(envelope.latency());
+                    self.metrics.latency.record(stamp.latency());
                     self.metrics.throughput.record(1);
                 } else {
                     let matches = matches.to_vec();
@@ -258,14 +261,14 @@ impl Worker {
             }
             StreamRecord::Update(QueryUpdate::Insert(q)) => {
                 self.period_load.insertions += 1;
-                self.index.insert(q.clone());
-                self.metrics.latency.record(envelope.latency());
+                self.index.insert(q);
+                self.metrics.latency.record(stamp.latency());
                 self.metrics.throughput.record(1);
             }
-            StreamRecord::Update(QueryUpdate::Delete(q)) => {
+            StreamRecord::Update(QueryUpdate::Delete(ref q)) => {
                 self.period_load.deletions += 1;
                 self.index.delete(q);
-                self.metrics.latency.record(envelope.latency());
+                self.metrics.latency.record(stamp.latency());
                 self.metrics.throughput.record(1);
             }
         }

@@ -6,20 +6,177 @@
 //!
 //! Posting lists carry dense [`SlotId`]s into the owning index's query slab
 //! (see [`crate::slab`]), so candidate verification during matching is an
-//! array index — no per-candidate hash probe. All purge entry points write
-//! removed slots into a **caller-provided buffer** (recycled via
-//! [`crate::MatchScratch`]) instead of allocating a fresh `Vec` per
-//! traversal.
+//! array index — no per-candidate hash probe. Each (cell, term) pair owns one
+//! `PostingEntry`: the term's object-hit counter plus its posting list,
+//! stored in place while it is short. Most lists are (rare keywords are the
+//! common case), so posting a query usually allocates nothing and tearing an
+//! index down frees one table per cell, not one block per list. All purge
+//! entry points write removed slots into a **caller-provided buffer**
+//! (recycled via [`crate::MatchScratch`]) instead of allocating a fresh `Vec`
+//! per traversal.
 
 use crate::slab::SlotId;
 use ps2stream_text::TermId;
 use std::collections::HashMap;
 
-/// Inverted index of one grid cell: for each posting term, the list of slab
-/// slots posted under that term.
+/// Slots a posting list holds in place before it spills to the heap.
+const INLINE_SLOTS: usize = 4;
+
+/// Everything a cell keeps for one posting term: how many recent objects of
+/// the cell contained the term (feeds the Phase-I text-split decision of the
+/// local load adjustment) and the non-empty list of slots posted under it.
+///
+/// 24 bytes — no larger than the `Vec` header it replaces: both variants
+/// carry the hit counter so it packs next to the discriminant, and a spilled
+/// list sits behind one thin pointer.
+#[derive(Debug, Clone)]
+pub(crate) enum PostingEntry {
+    /// Up to [`INLINE_SLOTS`] slots, `slots[..len]`, in place.
+    Inline {
+        len: u8,
+        hits: u32,
+        slots: [SlotId; INLINE_SLOTS],
+    },
+    /// More than [`INLINE_SLOTS`] slots.
+    #[allow(clippy::box_collection)] // a bare `Vec` would make every entry 32 bytes
+    Spilled { hits: u32, list: Box<Vec<SlotId>> },
+}
+
+impl PostingEntry {
+    /// An entry whose list holds `slot` alone.
+    fn new(slot: SlotId) -> Self {
+        let mut slots = [SlotId(0); INLINE_SLOTS];
+        slots[0] = slot;
+        PostingEntry::Inline {
+            len: 1,
+            hits: 0,
+            slots,
+        }
+    }
+
+    /// Appends a slot, spilling the list once it outgrows the entry.
+    fn push(&mut self, slot: SlotId) {
+        match self {
+            PostingEntry::Inline { len, slots, .. } if (*len as usize) < INLINE_SLOTS => {
+                slots[*len as usize] = slot;
+                *len += 1;
+            }
+            PostingEntry::Inline { hits, slots, .. } => {
+                let mut list = Vec::with_capacity(2 * INLINE_SLOTS);
+                list.extend_from_slice(slots);
+                list.push(slot);
+                *self = PostingEntry::Spilled {
+                    hits: *hits,
+                    list: Box::new(list),
+                };
+            }
+            PostingEntry::Spilled { list, .. } => list.push(slot),
+        }
+    }
+
+    /// The posted slots.
+    #[inline]
+    pub(crate) fn slots(&self) -> &[SlotId] {
+        match self {
+            PostingEntry::Inline { len, slots, .. } => &slots[..*len as usize],
+            PostingEntry::Spilled { list, .. } => list,
+        }
+    }
+
+    /// The posted slots, mutable — the matching hot loop compacts live
+    /// entries to the front while it scans, then calls
+    /// [`PostingEntry::truncate`].
+    #[inline]
+    pub(crate) fn slots_mut(&mut self) -> &mut [SlotId] {
+        match self {
+            PostingEntry::Inline { len, slots, .. } => &mut slots[..*len as usize],
+            PostingEntry::Spilled { list, .. } => list,
+        }
+    }
+
+    /// Keeps the first `new_len` slots; a spilled list that fits in place
+    /// again moves back and frees its block.
+    #[inline]
+    pub(crate) fn truncate(&mut self, new_len: usize) {
+        match self {
+            PostingEntry::Inline { len, .. } => {
+                if new_len < *len as usize {
+                    *len = new_len as u8;
+                }
+            }
+            PostingEntry::Spilled { list, .. } if new_len > INLINE_SLOTS => list.truncate(new_len),
+            PostingEntry::Spilled { hits, list } => {
+                let mut slots = [SlotId(0); INLINE_SLOTS];
+                slots[..new_len].copy_from_slice(&list[..new_len]);
+                *self = PostingEntry::Inline {
+                    len: new_len as u8,
+                    hits: *hits,
+                    slots,
+                };
+            }
+        }
+    }
+
+    /// Drops every slot `keep` rejects, preserving the order of the rest.
+    fn retain<F: FnMut(SlotId) -> bool>(&mut self, mut keep: F) {
+        let list = self.slots_mut();
+        let mut write = 0;
+        for read in 0..list.len() {
+            let s = list[read];
+            if keep(s) {
+                list[write] = s;
+                write += 1;
+            }
+        }
+        self.truncate(write);
+    }
+
+    /// Drops every slot `is_deleted` accepts, appending each to `removed`.
+    fn purge_into<F: Fn(SlotId) -> bool>(&mut self, is_deleted: F, removed: &mut Vec<SlotId>) {
+        self.retain(|s| {
+            let deleted = is_deleted(s);
+            if deleted {
+                removed.push(s);
+            }
+            !deleted
+        });
+    }
+
+    /// Records that a recent object of the cell contained the term (only
+    /// called when live postings survived the traversal, so a term whose
+    /// postings were all tombstoned accrues no phantom hits).
+    #[inline]
+    pub(crate) fn note_object_hit(&mut self) {
+        let hits = self.hits_mut();
+        *hits = hits.saturating_add(1);
+    }
+
+    #[inline]
+    fn hits_mut(&mut self) -> &mut u32 {
+        let (PostingEntry::Inline { hits, .. } | PostingEntry::Spilled { hits, .. }) = self;
+        hits
+    }
+
+    fn object_hits(&self) -> u32 {
+        let (PostingEntry::Inline { hits, .. } | PostingEntry::Spilled { hits, .. }) = self;
+        *hits
+    }
+
+    /// Bytes the entry owns outside itself.
+    fn spilled_bytes(&self) -> usize {
+        match self {
+            PostingEntry::Inline { .. } => 0,
+            PostingEntry::Spilled { list, .. } => {
+                std::mem::size_of::<Vec<SlotId>>() + std::mem::size_of_val::<[SlotId]>(list)
+            }
+        }
+    }
+}
+
+/// Inverted index of one grid cell: one `PostingEntry` per posting term.
 #[derive(Debug, Default, Clone)]
 pub struct CellIndex {
-    postings: HashMap<TermId, Vec<SlotId>>,
+    postings: HashMap<TermId, PostingEntry>,
     /// Number of distinct queries currently posted in this cell
     /// (a query posted under several terms is counted once).
     num_queries: usize,
@@ -29,10 +186,6 @@ pub struct CellIndex {
     /// Number of objects that fell into this cell since the last counter
     /// reset (the `n_o` quantity of Definition 3).
     objects_seen: u64,
-    /// For each posting term, how many recent objects of this cell contained
-    /// the term (feeds the Phase-I text-split decision of the local load
-    /// adjustment).
-    object_hits: HashMap<TermId, u64>,
 }
 
 /// Per-term statistics of one cell, consumed by the dynamic load adjustment.
@@ -59,7 +212,10 @@ impl CellIndex {
             return;
         }
         for &t in terms {
-            self.postings.entry(t).or_default().push(slot);
+            self.postings
+                .entry(t)
+                .and_modify(|e| e.push(slot))
+                .or_insert_with(|| PostingEntry::new(slot));
         }
         self.num_queries += 1;
         self.query_bytes += query_bytes;
@@ -68,33 +224,36 @@ impl CellIndex {
     /// The posting list for a term, if any.
     #[inline]
     pub fn postings(&self, term: TermId) -> Option<&[SlotId]> {
-        self.postings.get(&term).map(Vec::as_slice)
+        self.postings.get(&term).map(PostingEntry::slots)
     }
 
-    /// The mutable posting list of a term — the matching hot loop's entry
-    /// point per object term (the caller compacts the list in place while
-    /// traversing it, then calls [`CellIndex::remove_if_empty`], and records
-    /// the object hit via [`CellIndex::note_object_hit`] only when live
-    /// postings survived the compaction, matching the pre-compaction
-    /// semantics of purge-then-record).
+    /// The entry of a term — the matching hot loop's one probe per object
+    /// term, serving traversal, purge and hit accounting: the caller compacts
+    /// [`PostingEntry::slots_mut`] in place while scanning it, then either
+    /// truncates the entry and records the hit
+    /// ([`PostingEntry::note_object_hit`], only when live postings survived,
+    /// matching the purge-then-record order) or, when nothing survived,
+    /// drops it via [`CellIndex::remove_term`].
     #[inline]
-    pub(crate) fn traverse(&mut self, term: TermId) -> Option<&mut Vec<SlotId>> {
+    pub(crate) fn traverse(&mut self, term: TermId) -> Option<&mut PostingEntry> {
         self.postings.get_mut(&term)
     }
 
-    /// Records that a recent object of this cell contained `term` (only
-    /// called for terms whose posting list survived the traversal, so a term
-    /// whose postings were all tombstoned accrues no phantom hits).
+    /// Drops a term's entry after the in-place compaction of
+    /// [`CellIndex::traverse`] left it no posting.
     #[inline]
-    pub(crate) fn note_object_hit(&mut self, term: TermId) {
-        *self.object_hits.entry(term).or_insert(0) += 1;
+    pub(crate) fn remove_term(&mut self, term: TermId) {
+        self.postings.remove(&term);
     }
 
-    /// Drops a term's posting list entry if the in-place compaction of
-    /// [`CellIndex::traverse`] emptied it.
-    #[inline]
-    pub(crate) fn remove_if_empty(&mut self, term: TermId) {
-        if self.postings.get(&term).is_some_and(Vec::is_empty) {
+    /// Edits the entry of `term` through `edit`, dropping it when its list
+    /// empties.
+    fn edit_postings(&mut self, term: TermId, edit: impl FnOnce(&mut PostingEntry)) {
+        let Some(entry) = self.postings.get_mut(&term) else {
+            return;
+        };
+        edit(entry);
+        if entry.slots().is_empty() {
             self.postings.remove(&term);
         }
     }
@@ -109,33 +268,14 @@ impl CellIndex {
         is_deleted: F,
         removed: &mut Vec<SlotId>,
     ) {
-        let Some(list) = self.postings.get_mut(&term) else {
-            return;
-        };
-        list.retain(|s| {
-            if is_deleted(*s) {
-                removed.push(*s);
-                false
-            } else {
-                true
-            }
-        });
-        if list.is_empty() {
-            self.postings.remove(&term);
-        }
+        self.edit_postings(term, |entry| entry.purge_into(is_deleted, removed));
     }
 
     /// Removes every posting of one specific slot under `term` (the eager
     /// unpost path of insert-replacement and cell extraction; the removal
     /// count is implied, so no buffer is needed).
     pub(crate) fn unpost(&mut self, term: TermId, slot: SlotId) {
-        let Some(list) = self.postings.get_mut(&term) else {
-            return;
-        };
-        list.retain(|s| *s != slot);
-        if list.is_empty() {
-            self.postings.remove(&term);
-        }
+        self.edit_postings(term, |entry| entry.retain(|s| s != slot));
     }
 
     /// Removes every posting whose slot satisfies `is_deleted`, across
@@ -149,16 +289,9 @@ impl CellIndex {
         is_deleted: F,
         removed: &mut Vec<SlotId>,
     ) {
-        self.postings.retain(|_, list| {
-            list.retain(|s| {
-                if is_deleted(*s) {
-                    removed.push(*s);
-                    false
-                } else {
-                    true
-                }
-            });
-            !list.is_empty()
+        self.postings.retain(|_, entry| {
+            entry.purge_into(&is_deleted, removed);
+            !entry.slots().is_empty()
         });
     }
 
@@ -179,11 +312,11 @@ impl CellIndex {
     /// per posting term), streamed to `f` without building an intermediate
     /// collection.
     pub fn for_each_term_stat<F: FnMut(CellTermStat)>(&self, mut f: F) {
-        for (t, slots) in &self.postings {
+        for (t, entry) in &self.postings {
             f(CellTermStat {
                 term: *t,
-                queries: slots.len() as u64,
-                object_hits: self.object_hits.get(t).copied().unwrap_or(0),
+                queries: entry.slots().len() as u64,
+                object_hits: u64::from(entry.object_hits()),
             });
         }
     }
@@ -205,7 +338,9 @@ impl CellIndex {
     /// period).
     pub fn reset_object_counter(&mut self) {
         self.objects_seen = 0;
-        self.object_hits.clear();
+        for entry in self.postings.values_mut() {
+            *entry.hits_mut() = 0;
+        }
     }
 
     /// Number of distinct queries posted in this cell (`n_q`).
@@ -222,8 +357,8 @@ impl CellIndex {
     /// deduplicated; the buffer is caller-provided so the migration paths
     /// can recycle it instead of flatten-collecting a fresh `Vec`).
     pub fn distinct_queries_into(&self, out: &mut Vec<SlotId>) {
-        for list in self.postings.values() {
-            out.extend_from_slice(list);
+        for entry in self.postings.values() {
+            out.extend_from_slice(entry.slots());
         }
         out.sort_unstable();
         out.dedup();
@@ -245,23 +380,25 @@ impl CellIndex {
     pub fn drain(&mut self) -> Vec<SlotId> {
         let out = self.all_queries();
         self.postings.clear();
-        self.object_hits.clear();
         self.num_queries = 0;
         self.query_bytes = 0;
         out
     }
 
-    /// Approximate memory footprint of the cell's posting lists in bytes.
+    /// Approximate memory footprint of the cell in bytes, every byte counted
+    /// once: the struct, then per posting term its table bucket (key, entry
+    /// and 16 bytes of hash-table overhead) plus whatever the entry spilled
+    /// to the heap.
     pub fn memory_usage(&self) -> usize {
         std::mem::size_of::<Self>()
             + self
                 .postings
                 .values()
-                .map(|v| {
+                .map(|entry| {
                     std::mem::size_of::<TermId>()
-                        + std::mem::size_of::<Vec<SlotId>>()
-                        + v.len() * std::mem::size_of::<SlotId>()
+                        + std::mem::size_of::<PostingEntry>()
                         + 16
+                        + entry.spilled_bytes()
                 })
                 .sum::<usize>()
     }
@@ -334,18 +471,18 @@ mod tests {
         c.post(s(1), &[t(1)], 10);
         c.post(s(2), &[t(1)], 10);
         {
-            let list = c.traverse(t(1)).unwrap();
-            list.retain(|x| *x != s(1));
+            let entry = c.traverse(t(1)).unwrap();
+            entry.retain(|x| x != s(1));
+            entry.note_object_hit(); // a live posting survived
         }
-        c.remove_if_empty(t(1));
-        c.note_object_hit(t(1)); // a live posting survived
         assert_eq!(c.postings(t(1)).unwrap(), &[s(2)]);
         {
-            let list = c.traverse(t(1)).unwrap();
-            list.clear();
+            let entry = c.traverse(t(1)).unwrap();
+            entry.truncate(0);
+            // no note_object_hit: the whole list was compacted away
+            assert!(entry.slots().is_empty());
         }
-        c.remove_if_empty(t(1));
-        // no note_object_hit: the whole list was compacted away
+        c.remove_term(t(1));
         assert!(c.postings(t(1)).is_none());
         let stats = c.term_stats();
         assert!(stats.is_empty(), "term entry removed with its postings");
@@ -409,8 +546,8 @@ mod tests {
         c.post(s(1), &[t(1)], 10);
         c.post(s(2), &[t(1)], 10);
         c.post(s(3), &[t(2)], 10);
-        c.note_object_hit(t(1));
-        c.note_object_hit(t(1));
+        c.traverse(t(1)).unwrap().note_object_hit();
+        c.traverse(t(1)).unwrap().note_object_hit();
         assert!(c.traverse(t(9)).is_none()); // no posting list -> nothing to hit
         let mut stats = c.term_stats();
         stats.sort_by_key(|s| s.term);
@@ -445,5 +582,86 @@ mod tests {
             c.post(s(i), &[t(i % 5)], 10);
         }
         assert!(c.memory_usage() > base);
+    }
+
+    #[test]
+    fn entry_is_no_larger_than_the_vec_header_it_replaced() {
+        assert_eq!(std::mem::size_of::<PostingEntry>(), 24);
+        assert_eq!(std::mem::size_of::<Vec<SlotId>>(), 24);
+    }
+
+    #[test]
+    fn list_spills_past_the_inline_capacity_and_moves_back() {
+        let mut c = CellIndex::new();
+        let n = INLINE_SLOTS as u32;
+        for i in 0..n {
+            c.post(s(i), &[t(1)], 10);
+        }
+        assert!(matches!(
+            c.traverse(t(1)),
+            Some(PostingEntry::Inline { .. })
+        ));
+        c.traverse(t(1)).unwrap().note_object_hit();
+        c.post(s(n), &[t(1)], 10);
+        c.post(s(n + 1), &[t(1)], 10);
+        assert!(matches!(
+            c.traverse(t(1)),
+            Some(PostingEntry::Spilled { .. })
+        ));
+        let all: Vec<SlotId> = (0..n + 2).map(s).collect();
+        assert_eq!(
+            c.postings(t(1)).unwrap(),
+            &all[..],
+            "order survives the spill"
+        );
+        // still above the capacity: stays spilled
+        c.unpost(t(1), s(0));
+        assert!(matches!(
+            c.traverse(t(1)),
+            Some(PostingEntry::Spilled { .. })
+        ));
+        assert_eq!(c.postings(t(1)).unwrap(), &all[1..]);
+        // back within it: stored in place again, order and hits intact
+        c.unpost(t(1), s(2));
+        assert!(matches!(
+            c.traverse(t(1)),
+            Some(PostingEntry::Inline { .. })
+        ));
+        assert_eq!(c.postings(t(1)).unwrap(), &[s(1), s(3), s(4), s(5)]);
+        assert_eq!(c.term_stats()[0].object_hits, 1);
+        assert_eq!(c.term_stats()[0].queries, 4);
+        // a purge that empties a spilled list drops the entry
+        for i in 10..20 {
+            c.post(s(i), &[t(2)], 10);
+        }
+        let mut removed = Vec::new();
+        c.purge_postings_into(t(2), |_| true, &mut removed);
+        assert_eq!(removed.len(), 10);
+        assert!(c.postings(t(2)).is_none());
+    }
+
+    #[test]
+    fn memory_usage_counts_entry_and_spilled_slots_once() {
+        let bucket = std::mem::size_of::<TermId>() + std::mem::size_of::<PostingEntry>() + 16;
+        assert_eq!(bucket, 44);
+        let mut c = CellIndex::new();
+        let empty = std::mem::size_of::<CellIndex>();
+        assert_eq!(c.memory_usage(), empty);
+        // three terms whose lists stay in place: one bucket each, whatever
+        // their length, and recording hits costs nothing
+        c.post(s(1), &[t(1), t(2)], 10);
+        c.post(s(2), &[t(2), t(3)], 10);
+        for i in 3..3 + INLINE_SLOTS as u32 - 1 {
+            c.post(s(i), &[t(3)], 10);
+        }
+        c.traverse(t(2)).unwrap().note_object_hit();
+        assert_eq!(c.memory_usage(), empty + 3 * bucket);
+        // one more slot spills t(3): a Vec header plus 4 bytes per slot
+        c.post(s(9), &[t(3)], 10);
+        let spilled = std::mem::size_of::<Vec<SlotId>>() + (INLINE_SLOTS + 1) * 4;
+        assert_eq!(c.memory_usage(), empty + 3 * bucket + spilled);
+        // shrinking it back returns the spilled bytes
+        c.unpost(t(3), s(9));
+        assert_eq!(c.memory_usage(), empty + 3 * bucket);
     }
 }

@@ -389,11 +389,11 @@ impl Gi2Index {
         let slots = slab.slots();
         let cell_index = &mut cells[idx];
         for &term in &object.terms {
-            let Some(list) = cell_index.traverse(term) else {
+            let Some(entry) = cell_index.traverse(term) else {
                 continue;
             };
+            let list = entry.slots_mut();
             let mut write = 0usize;
-            let mut purged_any = false;
             for read in 0..list.len() {
                 let s = list[read];
                 let si = s.index();
@@ -403,7 +403,6 @@ impl Gi2Index {
                     // queue the settlement.
                     debug_assert!(matches!(slots[si], Slot::Tombstoned { .. }));
                     scratch.purged.push(s);
-                    purged_any = true;
                     continue;
                 }
                 if write != read {
@@ -430,16 +429,15 @@ impl Gi2Index {
                     ));
                 }
             }
-            if purged_any {
-                list.truncate(write);
-                cell_index.remove_if_empty(term);
+            if write == 0 {
+                // every posting was tombstoned: the term accrues no hit
+                // (same as the pre-slab purge-then-record order) and its
+                // entry goes
+                cell_index.remove_term(term);
+                continue;
             }
-            if write > 0 {
-                // live postings survived: the term counts as hit (a term
-                // whose entries were all tombstoned accrues no hits, same as
-                // the pre-slab purge-then-record order)
-                cell_index.note_object_hit(term);
-            }
+            entry.truncate(write);
+            entry.note_object_hit();
         }
     }
 

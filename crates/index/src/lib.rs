@@ -156,6 +156,35 @@ mod proptests {
         /// Replicate a cell's queries containing a term into the peer index
         /// (the text-split hand-off; the merger would deduplicate).
         Replicate(u32, u32, u32),
+        /// Register a run of single-keyword queries that share one keyword
+        /// and one region, so the (cell, term) posting lists they land in
+        /// grow past the in-place capacity; later deletes, matches and
+        /// migrations tombstone, purge and move them back below it.
+        HotTerm(Vec<GenQuery>),
+    }
+
+    /// 5–9 queries with consecutive ids (wrapping inside the id range the
+    /// other ops delete from), all `term` over the same square.
+    fn arb_hot_term() -> impl Strategy<Value = Vec<GenQuery>> {
+        (
+            0u32..25,
+            0u64..30,
+            5u64..10,
+            0.0f64..64.0,
+            0.0f64..64.0,
+            0.5f64..30.0,
+        )
+            .prop_map(|(term, first, n, cx, cy, side)| {
+                (0..n)
+                    .map(|i| GenQuery {
+                        id: (first + i) % 30,
+                        clauses: vec![vec![term]],
+                        cx,
+                        cy,
+                        side,
+                    })
+                    .collect()
+            })
     }
 
     fn arb_op() -> impl Strategy<Value = Op> {
@@ -168,6 +197,7 @@ mod proptests {
                 .prop_map(Op::Interleaved),
             1 => (0u32..16, 0u32..16).prop_map(|(c, r)| Op::Migrate(c, r)),
             1 => (0u32..16, 0u32..16, 0u32..25).prop_map(|(c, r, t)| Op::Replicate(c, r, t)),
+            1 => arb_hot_term().prop_map(Op::HotTerm),
         ]
     }
 
@@ -301,6 +331,15 @@ mod proptests {
                         b.delete_by_id(q.id);
                         model.insert(q.id.0, q.clone());
                         a.insert(q);
+                    }
+                    Op::HotTerm(run) => {
+                        for gq in &run {
+                            let q = build_query(gq);
+                            a.delete_by_id(q.id);
+                            b.delete_by_id(q.id);
+                            model.insert(q.id.0, q.clone());
+                            a.insert(q);
+                        }
                     }
                     Op::Delete(id) => {
                         a.delete_by_id(QueryId(id));

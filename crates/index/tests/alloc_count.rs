@@ -1,0 +1,148 @@
+//! Allocation-count regression tests for the flat subscription storage.
+//!
+//! A (cell, term) posting list lives inside its table entry while it is
+//! short, and a paper-shaped keyword expression inside its query, so:
+//!
+//! * inserting a query costs a bounded number of heap allocations however
+//!   many cells it overlaps (it used to cost one `Vec` per overlapped cell
+//!   and posting term);
+//! * matching a batch against the stored queries allocates nothing at all.
+//!
+//! Own test binary: the counting `#[global_allocator]` must not leak into
+//! the crate's other tests. Counts are per thread, so the tests do not see
+//! each other or the harness.
+
+use ps2stream_geo::{Point, Rect};
+use ps2stream_index::{Gi2Config, Gi2Index, MatchScratch};
+use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId};
+use ps2stream_text::{BooleanExpr, TermId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a bump of a
+// const-initialized, destructor-free thread-local `Cell`, which neither
+// allocates nor unwinds (`try_with` declines instead of panicking once the
+// thread's locals are gone).
+unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: the caller's `layout` obligations are exactly `System.alloc`'s.
+    // (`alloc_zeroed` and `realloc` use the trait's defaults, which come
+    // through here, so a growing `Vec` is counted too.)
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    // SAFETY: `ptr` was returned by `alloc` above, i.e. by `System.alloc`
+    // with the same `layout`, as `System.dealloc` requires.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Allocations this thread makes while running `f`.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// 16 × 16 cells of side 4 over a 64 × 64 space.
+fn index() -> Gi2Index {
+    Gi2Index::new(Gi2Config::new(Rect::from_coords(0.0, 0.0, 64.0, 64.0)).with_granularity_exp(4))
+}
+
+const QUERIES: u64 = 512;
+const TERMS: u64 = 128;
+/// Every query covers the same 8 × 8 block of cells.
+const CELLS_PER_QUERY: u64 = 64;
+
+/// `QUERIES` two-keyword queries over `TERMS` distinct posting terms (term
+/// `i % TERMS`, the rarer of the two under empty statistics by id order), so
+/// every (cell, term) list ends up holding `QUERIES / TERMS` = 4 slots — the
+/// most an entry stores in place.
+fn queries() -> Vec<StsQuery> {
+    (0..QUERIES)
+        .map(|i| {
+            StsQuery::new(
+                QueryId(i),
+                SubscriberId(i),
+                BooleanExpr::and_of([TermId((i % TERMS) as u32), TermId(1_000 + i as u32)]),
+                Rect::from_coords(0.5, 0.5, 31.5, 31.5),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn inserting_costs_allocations_per_query_not_per_overlapped_cell() {
+    let mut idx = index();
+    let queries = queries();
+    let allocations = allocations_during(|| {
+        for q in queries {
+            idx.insert(q);
+        }
+    });
+    assert_eq!(idx.num_queries(), QUERIES as usize);
+    // What is left per query: its cell list, its posting terms, and the
+    // amortized growth of the slab's arrays and of 64 cell tables — 3.0 when
+    // this was written. One block per (cell, term) list costs
+    // 64 * TERMS / QUERIES = 16 per query on top.
+    let per_query = allocations as f64 / QUERIES as f64;
+    assert!(
+        per_query <= 6.0,
+        "{allocations} allocations for {QUERIES} inserts = {per_query:.1} per query \
+         (each overlaps {CELLS_PER_QUERY} cells)"
+    );
+}
+
+#[test]
+fn matching_a_batch_allocates_nothing() {
+    let mut idx = index();
+    for q in queries() {
+        idx.insert(q);
+    }
+    // tombstones in the lists make the batch compact while it scans
+    for i in (0..QUERIES).step_by(7) {
+        idx.delete_by_id(QueryId(i));
+    }
+    // every object hits four posting lists of its cell and matches the
+    // queries whose second keyword it carries
+    let objects: Vec<SpatioTextualObject> = (0..256u64)
+        .map(|i| {
+            let mut terms: Vec<TermId> = (0..4)
+                .map(|k| TermId(((i + 32 * k) % TERMS) as u32))
+                .collect();
+            terms.push(TermId(1_000 + i as u32));
+            terms.sort_unstable();
+            SpatioTextualObject::new(
+                ObjectId(i),
+                terms,
+                Point::new(1.0 + (i % 30) as f64, 1.0 + (i / 30) as f64),
+            )
+        })
+        .collect();
+    let mut scratch = MatchScratch::new();
+    let mut delivered = 0usize;
+    // the first pass sizes the scratch buffers and the term statistics (and
+    // purges the tombstones it meets; the second meets the rest of the lists
+    // already compacted)
+    idx.match_batch(objects.iter(), &mut scratch, |_, _, r| delivered += r.len());
+    assert!(delivered > 0, "the batch must actually match something");
+    let mut again = 0usize;
+    let allocations = allocations_during(|| {
+        idx.match_batch(objects.iter(), &mut scratch, |_, _, r| again += r.len());
+    });
+    assert_eq!(again, delivered);
+    assert_eq!(allocations, 0, "match_batch allocated in steady state");
+}

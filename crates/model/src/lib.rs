@@ -37,6 +37,34 @@ mod proptests {
 
     proptest! {
         #[test]
+        fn expr_wire_bytes_are_the_clause_list_and_roundtrip(
+            // up to 4 clauses of 1–4 keywords: both sides of the in-place limit
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0u32..40).prop_map(TermId), 1..5),
+                1..5,
+            ),
+        ) {
+            let expr = BooleanExpr::from_dnf(raw.clone());
+            let mut expected = Vec::new();
+            wire::put_u32(&mut expected, raw.len() as u32);
+            for clause in &raw {
+                let mut clause = clause.clone();
+                clause.sort_unstable();
+                clause.dedup();
+                wire::put_u32(&mut expected, clause.len() as u32);
+                for t in clause {
+                    wire::put_u32(&mut expected, t.0);
+                }
+            }
+            let mut encoded = Vec::new();
+            wire::encode_expr(&mut encoded, &expr);
+            prop_assert_eq!(&encoded, &expected);
+            let mut reader = wire::WireReader::new(&encoded);
+            prop_assert_eq!(wire::decode_expr(&mut reader), Ok(expr));
+            prop_assert_eq!(reader.remaining(), 0);
+        }
+
+        #[test]
         fn query_matches_iff_region_and_expr(
             terms in arb_terms(),
             expr in arb_expr(),

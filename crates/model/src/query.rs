@@ -53,10 +53,13 @@ impl StsQuery {
         self.region.contains_point(&object.location) && self.keywords.matches_sorted(&object.terms)
     }
 
-    /// Approximate heap footprint in bytes. This is the per-query size `S_g`
-    /// contribution used by the Minimum Cost Migration problem.
+    /// Approximate footprint in bytes, every byte counted once: the struct
+    /// (which holds the expression in place) plus whatever the expression
+    /// keeps on the heap. This is the per-query size `S_g` contribution used
+    /// by the Minimum Cost Migration problem.
     pub fn memory_usage(&self) -> usize {
-        std::mem::size_of::<Self>() + self.keywords.memory_usage()
+        std::mem::size_of::<Self>() - std::mem::size_of::<BooleanExpr>()
+            + self.keywords.memory_usage()
     }
 }
 
@@ -172,13 +175,25 @@ mod tests {
     }
 
     #[test]
-    fn memory_usage_positive() {
-        let q = StsQuery::new(
-            QueryId(1),
-            SubscriberId(1),
-            BooleanExpr::and_of([t(1), t(2), t(3)]),
-            Rect::from_coords(0.0, 0.0, 1.0, 1.0),
+    fn memory_usage_counts_every_byte_once() {
+        let query = |keywords| {
+            StsQuery::new(
+                QueryId(1),
+                SubscriberId(1),
+                keywords,
+                Rect::from_coords(0.0, 0.0, 1.0, 1.0),
+            )
+        };
+        // a paper-shaped query owns nothing outside the struct, whose
+        // `size_of` already holds the expression
+        let small = query(BooleanExpr::and_of([t(1), t(2), t(3)]));
+        assert_eq!(small.memory_usage(), std::mem::size_of::<StsQuery>());
+        // a long one adds exactly its boxed words: clause count, clause
+        // length, eight keywords
+        let big = query(BooleanExpr::and_of((0..8).map(t)));
+        assert_eq!(
+            big.memory_usage(),
+            std::mem::size_of::<StsQuery>() + 10 * std::mem::size_of::<TermId>()
         );
-        assert!(q.memory_usage() >= std::mem::size_of::<StsQuery>());
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::query::{QueryId, QueryUpdate, StsQuery, SubscriberId};
 use ps2stream_geo::{Point, Rect};
-use ps2stream_text::{BooleanExpr, TermId};
+use ps2stream_text::{BooleanExpr, DnfBuilder, TermId};
 
 /// Upper bound accepted for any decoded element count. Real queries have a
 /// handful of clauses; a count beyond this is torn-write garbage and must be
@@ -167,16 +167,17 @@ pub fn encode_expr(out: &mut Vec<u8>, expr: &BooleanExpr) {
 /// Decodes a [`BooleanExpr`].
 pub fn decode_expr(r: &mut WireReader<'_>) -> Result<BooleanExpr, WireError> {
     let nclauses = r.count()?;
-    let mut clauses = Vec::with_capacity(nclauses as usize);
+    let mut expr = DnfBuilder::new();
+    let mut clause = Vec::new();
     for _ in 0..nclauses {
         let nterms = r.count()?;
-        let mut clause = Vec::with_capacity(nterms as usize);
+        clause.clear();
         for _ in 0..nterms {
             clause.push(TermId(r.u32()?));
         }
-        clauses.push(clause);
+        expr.clause(clause.iter().copied());
     }
-    Ok(BooleanExpr::from_dnf(clauses))
+    Ok(expr.build())
 }
 
 /// Encodes an [`StsQuery`].
@@ -302,6 +303,67 @@ mod tests {
         encode_update(&mut buf, &QueryUpdate::Delete(sample_query(9)));
         buf.push(0);
         assert_eq!(decode_update_exact(&buf), Err(WireError::TrailingBytes(1)));
+    }
+
+    #[test]
+    fn encoded_bytes_are_those_of_the_clause_per_vec_representation() {
+        // Golden strings printed by the commit before `BooleanExpr` went
+        // flat: op logs and snapshots written then must still replay.
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let t = TermId;
+        let cases = [
+            (BooleanExpr::single(t(7)), "010000000100000007000000"),
+            (
+                BooleanExpr::and_of([t(9), t(3), t(3)]),
+                "01000000020000000300000009000000",
+            ),
+            (
+                BooleanExpr::or_of([t(5), t(1), t(4)]),
+                "03000000010000000100000001000000040000000100000005000000",
+            ),
+            (
+                BooleanExpr::from_dnf([vec![t(3), t(9)], vec![t(7)], vec![], vec![t(2), t(1)]]),
+                "030000000200000003000000090000000100000007000000020000000100000002000000",
+            ),
+            // past the in-place limit
+            (
+                BooleanExpr::from_dnf([vec![t(1), t(2), t(3)], vec![t(4), t(5), t(6)]]),
+                "020000000300000001000000020000000300000003000000040000000500000006000000",
+            ),
+            (
+                BooleanExpr::and_of((10..18).map(t)),
+                "01000000080000000a0000000b0000000c0000000d0000000e0000000f0000001000000011000000",
+            ),
+            (
+                BooleanExpr::or_of((20..29).map(t)),
+                "09000000010000001400000001000000150000000100000016000000010000001700000001000000\
+                 180000000100000019000000010000001a000000010000001b000000010000001c000000",
+            ),
+        ];
+        for (expr, golden) in &cases {
+            let mut buf = Vec::new();
+            encode_expr(&mut buf, expr);
+            assert_eq!(hex(&buf), *golden, "{expr:?}");
+            let mut r = WireReader::new(&buf);
+            assert_eq!(decode_expr(&mut r).as_ref(), Ok(expr));
+            assert_eq!(r.remaining(), 0);
+        }
+        let query = StsQuery::new(
+            QueryId(42),
+            SubscriberId(7),
+            cases[3].0.clone(),
+            Rect::from_coords(-1.25, 0.5, 3.75, 9.0),
+        );
+        let mut buf = Vec::new();
+        encode_update(&mut buf, &QueryUpdate::Insert(query));
+        assert_eq!(
+            hex(&buf),
+            "012a000000000000000700000000000000000000000000f4bf000000000000e03f0000000000000e40\
+             0000000000002240030000000200000003000000090000000100000007000000020000000100000002\
+             000000"
+        );
     }
 
     #[test]

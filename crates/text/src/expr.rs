@@ -14,21 +14,201 @@
 use crate::vocab::TermId;
 use serde::{Deserialize, Serialize};
 
+/// Keywords an expression stores in place. Paper-shaped queries (1–3
+/// keywords joined by AND or OR) always fit; a longer expression lives in
+/// one boxed slice.
+const INLINE_TERMS: usize = 5;
+
 /// A boolean keyword expression in disjunctive normal form.
 ///
 /// Invariants maintained by the constructors:
 /// * every conjunction is non-empty, sorted and deduplicated;
 /// * the expression contains at least one conjunction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The DNF is stored flat — the conjunctions' keywords back to back plus
+/// their boundaries — and in place for up to `INLINE_TERMS` keywords, so
+/// evaluating, cloning and dropping a paper-shaped query touches no heap.
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BooleanExpr {
-    dnf: Vec<Vec<TermId>>,
+    repr: Repr,
+}
+
+/// One logical expression has exactly one representation (in place iff it
+/// fits, unused slots zeroed), so the derived equality and hash are the
+/// logical ones.
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+enum Repr {
+    /// `terms[..len]` are the conjunctions' keywords back to back; bit `i` of
+    /// `ends` is set iff `terms[i]` closes its conjunction (bit `len - 1`
+    /// always is). Unused slots hold `TermId(0)`.
+    Inline {
+        len: u8,
+        ends: u8,
+        terms: [TermId; INLINE_TERMS],
+    },
+    /// `[nclauses, n₁, t…, n₂, t…]`: the conjunction count, then every
+    /// conjunction prefixed by its length. Counts are stored as `TermId`
+    /// words so conjunctions are borrowed straight out of the buffer.
+    Heap(Box<[TermId]>),
+}
+
+/// The conjunctions of a [`BooleanExpr`], each a sorted keyword slice
+/// borrowed from the expression.
+#[derive(Debug, Clone)]
+pub struct Conjunctions<'a> {
+    /// Words not yet handed out.
+    rest: &'a [TermId],
+    /// Conjunctions not yet handed out.
+    remaining: usize,
+    /// In-place layout: the `ends` mask, shifted down to the next keyword.
+    /// `None` in the length-prefixed layout.
+    ends: Option<u8>,
+}
+
+impl<'a> Conjunctions<'a> {
+    /// Walks `[n₁, t…, n₂, t…]`, the boxed layout past its count word.
+    fn prefixed(words: &'a [TermId]) -> Self {
+        Self {
+            rest: &words[1..],
+            remaining: words[0].index(),
+            ends: None,
+        }
+    }
+}
+
+impl<'a> Iterator for Conjunctions<'a> {
+    type Item = &'a [TermId];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [TermId]> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let n = match &mut self.ends {
+            Some(ends) => {
+                let n = ends.trailing_zeros() as usize + 1;
+                *ends >>= n;
+                n
+            }
+            None => {
+                let n = self.rest[0].index();
+                self.rest = &self.rest[1..];
+                n
+            }
+        };
+        let (clause, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Some(clause)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Conjunctions<'_> {}
+
+/// Assembles a [`BooleanExpr`] conjunction by conjunction, without a
+/// collection per conjunction (the wire decoder's entry point; the
+/// `BooleanExpr` constructors are built on it).
+#[derive(Debug)]
+pub struct DnfBuilder {
+    /// The expression so far, in the boxed layout.
+    words: Vec<TermId>,
+    /// Keywords kept so far, over all conjunctions.
+    terms: usize,
+}
+
+impl Default for DnfBuilder {
+    fn default() -> Self {
+        Self {
+            words: vec![TermId(0)],
+            terms: 0,
+        }
+    }
+}
+
+impl DnfBuilder {
+    /// A builder holding no conjunction yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one conjunction, sorted and deduplicated. An empty one is
+    /// dropped.
+    pub fn clause(&mut self, terms: impl IntoIterator<Item = TermId>) {
+        let count_at = self.words.len();
+        self.words.push(TermId(0));
+        self.words.extend(terms);
+        let clause = &mut self.words[count_at + 1..];
+        clause.sort_unstable();
+        let mut kept = 0;
+        for i in 0..clause.len() {
+            if kept == 0 || clause[i] != clause[kept - 1] {
+                clause[kept] = clause[i];
+                kept += 1;
+            }
+        }
+        if kept == 0 {
+            self.words.truncate(count_at);
+            return;
+        }
+        self.words.truncate(count_at + 1 + kept);
+        self.words[count_at] = TermId(kept as u32);
+        self.words[0].0 += 1;
+        self.terms += kept;
+    }
+
+    /// The assembled expression.
+    ///
+    /// # Panics
+    /// Panics if no non-empty conjunction was appended.
+    pub fn build(self) -> BooleanExpr {
+        assert!(
+            self.terms > 0,
+            "a BooleanExpr requires at least one non-empty conjunction"
+        );
+        if self.terms > INLINE_TERMS {
+            return BooleanExpr {
+                repr: Repr::Heap(self.words.into_boxed_slice()),
+            };
+        }
+        let mut terms = [TermId(0); INLINE_TERMS];
+        let mut ends = 0u8;
+        let mut len = 0;
+        for clause in Conjunctions::prefixed(&self.words) {
+            terms[len..len + clause.len()].copy_from_slice(clause);
+            len += clause.len();
+            ends |= 1 << (len - 1);
+        }
+        BooleanExpr {
+            repr: Repr::Inline {
+                len: len as u8,
+                ends,
+                terms,
+            },
+        }
+    }
+}
+
+impl std::fmt::Debug for BooleanExpr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.conjunctions()).finish()
+    }
 }
 
 impl BooleanExpr {
     /// An expression with a single keyword.
     pub fn single(term: TermId) -> Self {
+        let mut terms = [TermId(0); INLINE_TERMS];
+        terms[0] = term;
         Self {
-            dnf: vec![vec![term]],
+            repr: Repr::Inline {
+                len: 1,
+                ends: 1,
+                terms,
+            },
         }
     }
 
@@ -37,12 +217,13 @@ impl BooleanExpr {
     /// # Panics
     /// Panics if `terms` is empty.
     pub fn and_of(terms: impl IntoIterator<Item = TermId>) -> Self {
-        let clause = normalize_clause(terms.into_iter().collect());
+        let mut builder = DnfBuilder::new();
+        builder.clause(terms);
         assert!(
-            !clause.is_empty(),
+            builder.terms > 0,
             "BooleanExpr::and_of requires at least one keyword"
         );
-        Self { dnf: vec![clause] }
+        builder.build()
     }
 
     /// A pure disjunction: `k1 OR k2 OR ...`.
@@ -57,9 +238,7 @@ impl BooleanExpr {
         );
         terms.sort_unstable();
         terms.dedup();
-        Self {
-            dnf: terms.into_iter().map(|t| vec![t]).collect(),
-        }
+        Self::from_dnf(terms.into_iter().map(|t| [t]))
     }
 
     /// Builds an expression from an explicit DNF (disjunction of
@@ -67,32 +246,38 @@ impl BooleanExpr {
     ///
     /// # Panics
     /// Panics if no non-empty conjunction remains.
-    pub fn from_dnf(clauses: impl IntoIterator<Item = Vec<TermId>>) -> Self {
-        let dnf: Vec<Vec<TermId>> = clauses
-            .into_iter()
-            .map(normalize_clause)
-            .filter(|c| !c.is_empty())
-            .collect();
-        assert!(
-            !dnf.is_empty(),
-            "BooleanExpr::from_dnf requires at least one non-empty conjunction"
-        );
-        Self { dnf }
+    pub fn from_dnf<C>(clauses: impl IntoIterator<Item = C>) -> Self
+    where
+        C: IntoIterator<Item = TermId>,
+    {
+        let mut builder = DnfBuilder::new();
+        for clause in clauses {
+            builder.clause(clause);
+        }
+        builder.build()
     }
 
-    /// The conjunctions of the DNF.
-    pub fn conjunctions(&self) -> &[Vec<TermId>] {
-        &self.dnf
+    /// The conjunctions of the DNF, in the order they were given.
+    #[inline]
+    pub fn conjunctions(&self) -> Conjunctions<'_> {
+        match &self.repr {
+            Repr::Inline { len, ends, terms } => Conjunctions {
+                rest: &terms[..*len as usize],
+                remaining: ends.count_ones() as usize,
+                ends: Some(*ends),
+            },
+            Repr::Heap(words) => Conjunctions::prefixed(words),
+        }
     }
 
     /// True if the expression is a single conjunction (AND-only query).
     pub fn is_conjunctive(&self) -> bool {
-        self.dnf.len() == 1
+        self.conjunctions().len() == 1
     }
 
     /// All distinct keywords appearing anywhere in the expression, sorted.
     pub fn all_terms(&self) -> Vec<TermId> {
-        let mut out: Vec<TermId> = self.dnf.iter().flatten().copied().collect();
+        let mut out: Vec<TermId> = self.conjunctions().flatten().copied().collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -105,15 +290,15 @@ impl BooleanExpr {
 
     /// Returns true if the keyword occurs anywhere in the expression.
     pub fn contains_term(&self, term: TermId) -> bool {
-        self.dnf.iter().any(|c| c.binary_search(&term).is_ok())
+        self.conjunctions().any(|c| c.binary_search(&term).is_ok())
     }
 
     /// Evaluates the expression against a **sorted, deduplicated** object
     /// term list (as produced by the tokenizer).
+    #[inline]
     pub fn matches_sorted(&self, object_terms: &[TermId]) -> bool {
         debug_assert!(object_terms.windows(2).all(|w| w[0] < w[1]));
-        self.dnf
-            .iter()
+        self.conjunctions()
             .any(|conj| conj.iter().all(|t| object_terms.binary_search(t).is_ok()))
     }
 
@@ -122,8 +307,7 @@ impl BooleanExpr {
     /// is posted / routed under.
     pub fn representative_terms<F: Fn(TermId) -> u64>(&self, frequency: F) -> Vec<TermId> {
         let mut out: Vec<TermId> = self
-            .dnf
-            .iter()
+            .conjunctions()
             .map(|conj| {
                 *conj
                     .iter()
@@ -150,30 +334,21 @@ impl BooleanExpr {
     /// degrades gracefully towards 0 (accept-all), never rejecting a true
     /// match.
     pub fn signature(&self) -> u64 {
-        self.dnf
-            .iter()
-            .map(|conj| crate::terms_signature(conj))
+        self.conjunctions()
+            .map(crate::terms_signature)
             .fold(!0u64, |acc, s| acc & s)
     }
 
-    /// Approximate heap size of the expression in bytes (used by the memory
-    /// accounting of worker/dispatcher indexes).
+    /// Approximate size of the expression in bytes: the value itself plus,
+    /// for an expression too long to be stored in place, its boxed words. A
+    /// containing struct's `size_of` already covers the first part.
     pub fn memory_usage(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self
-                .dnf
-                .iter()
-                .map(|c| {
-                    std::mem::size_of::<Vec<TermId>>() + c.len() * std::mem::size_of::<TermId>()
-                })
-                .sum::<usize>()
+            + match &self.repr {
+                Repr::Inline { .. } => 0,
+                Repr::Heap(words) => std::mem::size_of_val::<[TermId]>(words),
+            }
     }
-}
-
-fn normalize_clause(mut clause: Vec<TermId>) -> Vec<TermId> {
-    clause.sort_unstable();
-    clause.dedup();
-    clause
 }
 
 #[cfg(test)]
@@ -182,6 +357,10 @@ mod tests {
 
     fn t(i: u32) -> TermId {
         TermId(i)
+    }
+
+    fn clauses(e: &BooleanExpr) -> Vec<Vec<TermId>> {
+        e.conjunctions().map(<[TermId]>::to_vec).collect()
     }
 
     #[test]
@@ -227,11 +406,11 @@ mod tests {
     #[test]
     fn constructors_dedupe_and_sort() {
         let e = BooleanExpr::and_of([t(5), t(1), t(5)]);
-        assert_eq!(e.conjunctions(), &[vec![t(1), t(5)]]);
+        assert_eq!(clauses(&e), [vec![t(1), t(5)]]);
         let e = BooleanExpr::or_of([t(5), t(1), t(5)]);
         assert_eq!(e.conjunctions().len(), 2);
         let e = BooleanExpr::from_dnf([vec![], vec![t(2), t(2)]]);
-        assert_eq!(e.conjunctions(), &[vec![t(2)]]);
+        assert_eq!(clauses(&e), [vec![t(2)]]);
     }
 
     #[test]
@@ -342,6 +521,29 @@ mod tests {
         // so no query bit is covered by the object
         let obj_sig = terms_signature(&[t(20), t(21)]);
         assert_ne!(e.signature() & !obj_sig, 0);
+    }
+
+    #[test]
+    fn short_expressions_are_stored_in_place() {
+        // 24 bytes with 4-byte-aligned keywords: `StsQuery` keeps its size
+        assert_eq!(std::mem::size_of::<BooleanExpr>(), 24);
+        let header = std::mem::size_of::<BooleanExpr>();
+        let word = std::mem::size_of::<TermId>();
+        for n in 1..=INLINE_TERMS as u32 {
+            assert_eq!(BooleanExpr::and_of((0..n).map(t)).memory_usage(), header);
+            assert_eq!(BooleanExpr::or_of((0..n).map(t)).memory_usage(), header);
+        }
+        // one keyword more: the boxed words are the clause count, every
+        // clause's length and the keywords
+        let n = INLINE_TERMS + 1;
+        let and = BooleanExpr::and_of((0..n as u32).map(t));
+        assert_eq!(and.memory_usage(), header + (1 + 1 + n) * word);
+        let or = BooleanExpr::or_of((0..n as u32).map(t));
+        assert_eq!(or.memory_usage(), header + (1 + 2 * n) * word);
+        assert_eq!(
+            clauses(&or),
+            (0..n as u32).map(|i| vec![t(i)]).collect::<Vec<_>>()
+        );
     }
 
     #[test]
