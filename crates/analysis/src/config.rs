@@ -157,7 +157,7 @@ mod tests {
     fn parses_every_directive() {
         let cfg = Config::parse(
             "# comment\n\
-             hot crates/index/src/gi2.rs match_batch match_object_into\n\
+             hot crates/index/src/gi2.rs match_batch match_in_cell\n\
              lock-order crates/partition/src/registry.rs\n\
              operator-path crates/core/src\n\
              allow sim-determinism crates/core/src/worker.rs Instant::now :: timing metrics only\n",
@@ -165,7 +165,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             cfg.hot_fns_for("crates/index/src/gi2.rs").unwrap(),
-            ["match_batch", "match_object_into"]
+            ["match_batch", "match_in_cell"]
         );
         assert!(cfg.is_operator_path("crates/core/src/worker.rs"));
         assert!(!cfg.is_operator_path("crates/bench/src/lib.rs"));

@@ -7,8 +7,8 @@
 
 use ps2stream::prelude::*;
 use ps2stream_bench::{
-    dataset_tag, datasets, fmt_ms, headline_report_batched, headline_strategies, json_arg,
-    print_table, write_json_file, JsonValue, RunKnobs, Scale,
+    dataset_tag, datasets, fmt_ms, headline_report, headline_strategies, json_arg, print_table,
+    write_json_file, JsonValue, RunKnobs, Scale,
 };
 
 fn run_panel(
@@ -22,7 +22,7 @@ fn run_panel(
     let mut rows = Vec::new();
     for dataset in datasets() {
         for strategy in headline_strategies() {
-            let report = headline_report_batched(dataset.clone(), class, strategy, scale, 8, knobs);
+            let report = headline_report(dataset.clone(), class, strategy, scale, 8, knobs);
             let workload = format!("STS-{}-{}", dataset_tag(&dataset), class.name());
             rows.push(vec![
                 workload.clone(),

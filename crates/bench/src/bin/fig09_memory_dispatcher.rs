@@ -8,14 +8,16 @@
 
 use ps2stream::prelude::*;
 use ps2stream_bench::{
-    dataset_tag, datasets, fmt_mib, headline_report, headline_strategies, print_table, Scale,
+    dataset_tag, datasets, fmt_mib, headline_report, headline_strategies, print_table, RunKnobs,
+    Scale,
 };
 
 fn run_panel(title: &str, class: QueryClass, scale: Scale) {
+    let knobs = RunKnobs::default();
     let mut rows = Vec::new();
     for dataset in datasets() {
         for strategy in headline_strategies() {
-            let report = headline_report(dataset.clone(), class, strategy, scale, 8);
+            let report = headline_report(dataset.clone(), class, strategy, scale, 8, &knobs);
             rows.push(vec![
                 format!("STS-{}-{}", dataset_tag(&dataset), class.name()),
                 strategy.to_string(),

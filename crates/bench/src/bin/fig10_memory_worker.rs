@@ -8,14 +8,16 @@
 
 use ps2stream::prelude::*;
 use ps2stream_bench::{
-    dataset_tag, datasets, fmt_mib, headline_report, headline_strategies, print_table, Scale,
+    dataset_tag, datasets, fmt_mib, headline_report, headline_strategies, print_table, RunKnobs,
+    Scale,
 };
 
 fn run_panel(title: &str, class: QueryClass, scale: Scale) {
+    let knobs = RunKnobs::default();
     let mut rows = Vec::new();
     for dataset in datasets() {
         for strategy in headline_strategies() {
-            let report = headline_report(dataset.clone(), class, strategy, scale, 8);
+            let report = headline_report(dataset.clone(), class, strategy, scale, 8, &knobs);
             let total: usize = report.worker_memory.iter().sum();
             let avg = total / report.worker_memory.len().max(1);
             let max = report.worker_memory.iter().copied().max().unwrap_or(0);

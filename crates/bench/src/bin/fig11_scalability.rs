@@ -5,13 +5,22 @@
 //! (a) Q1 with µ=10M, (b) Q2 with µ=20M, (c) Q3 with µ=20M.
 
 use ps2stream::prelude::*;
-use ps2stream_bench::{fmt_tps, headline_report, headline_strategies, print_table, Scale};
+use ps2stream_bench::{
+    fmt_tps, headline_report, headline_strategies, print_table, RunKnobs, Scale,
+};
 
 fn run_panel(title: &str, class: QueryClass, scale: Scale, worker_counts: &[usize]) {
     let mut rows = Vec::new();
     for &workers in worker_counts {
         for strategy in headline_strategies() {
-            let report = headline_report(DatasetSpec::tweets_uk(), class, strategy, scale, workers);
+            let report = headline_report(
+                DatasetSpec::tweets_uk(),
+                class,
+                strategy,
+                scale,
+                workers,
+                &RunKnobs::default(),
+            );
             rows.push(vec![
                 format!("{workers}"),
                 strategy.to_string(),

@@ -385,25 +385,6 @@ pub fn dataset_tag(spec: &DatasetSpec) -> &'static str {
     }
 }
 
-/// Runs one headline experiment (Figures 7–11): the given dataset, query
-/// class and strategy on `workers` workers.
-pub fn headline_report(
-    dataset: DatasetSpec,
-    class: QueryClass,
-    strategy: &str,
-    scale: Scale,
-    workers: usize,
-) -> RunReport {
-    headline_report_batched(
-        dataset,
-        class,
-        strategy,
-        scale,
-        workers,
-        &RunKnobs::default(),
-    )
-}
-
 /// The optional command-line knobs shared by the fig07/fig08 binaries
 /// (`None` everywhere = system defaults, which honour `PS2_RUNTIME` and
 /// `PS2_PIN`).
@@ -470,9 +451,10 @@ impl RunKnobs {
     }
 }
 
-/// [`headline_report`] with the explicit batch / runtime / pinning knobs of
-/// the fig07/fig08 binaries.
-pub fn headline_report_batched(
+/// Runs one headline experiment (Figures 7–11): the given dataset, query
+/// class and strategy on `workers` workers, under the command-line knobs of
+/// the fig07/fig08 binaries (`&RunKnobs::default()` = system defaults).
+pub fn headline_report(
     dataset: DatasetSpec,
     class: QueryClass,
     strategy: &str,
@@ -545,22 +527,28 @@ fn fresh_durability_dir() -> std::path::PathBuf {
     dir
 }
 
+/// The value of a `--flag value` / `--flag=value` argument on the process
+/// command line, `None` when the flag is absent. Panics when the flag ends
+/// the line without a value.
+fn flag_value(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter().enumerate().find_map(|(i, arg)| {
+        if arg == flag {
+            let value = args.get(i + 1).cloned();
+            Some(value.unwrap_or_else(|| panic!("{flag} expects a value")))
+        } else {
+            arg.strip_prefix(flag)?.strip_prefix('=').map(str::to_owned)
+        }
+    })
+}
+
 /// Parses a `--batch N` argument from the process command line (the batching
 /// knob shared by the fig07/fig08 binaries). Returns `None` when absent;
 /// panics on a malformed value so a typo does not silently benchmark the
 /// default.
 pub fn batch_arg() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(value) = arg.strip_prefix("--batch=") {
-            return Some(value.parse().expect("--batch expects a positive integer"));
-        }
-        if arg == "--batch" {
-            let value = args.get(i + 1).expect("--batch expects a value");
-            return Some(value.parse().expect("--batch expects a positive integer"));
-        }
-    }
-    None
+    let value = flag_value("--batch")?;
+    Some(value.parse().expect("--batch expects a positive integer"))
 }
 
 /// Parses a `--runtime {threads,coop,coop:<threads>,sim,sim:<seed>}` argument
@@ -568,15 +556,7 @@ pub fn batch_arg() -> Option<usize> {
 /// `None` when absent; panics on an unknown backend so a typo does not
 /// silently benchmark the default.
 pub fn runtime_arg() -> Option<RuntimeBackend> {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = args.iter().enumerate().find_map(|(i, arg)| {
-        arg.strip_prefix("--runtime=")
-            .map(str::to_owned)
-            .or_else(|| {
-                (arg == "--runtime")
-                    .then(|| args.get(i + 1).expect("--runtime expects a value").clone())
-            })
-    })?;
+    let spec = flag_value("--runtime")?;
     Some(RuntimeBackend::parse(&spec).unwrap_or_else(|| {
         panic!("--runtime {spec:?}: expected threads|coop|coop:<threads>|sim|sim:<seed>")
     }))
@@ -604,15 +584,7 @@ pub fn durable_arg() -> bool {
 /// Returns `None` when absent; panics on a malformed schedule so a typo does
 /// not silently benchmark a fault-free run.
 pub fn faults_arg() -> Option<FaultPlan> {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = args.iter().enumerate().find_map(|(i, arg)| {
-        arg.strip_prefix("--faults=")
-            .map(str::to_owned)
-            .or_else(|| {
-                (arg == "--faults")
-                    .then(|| args.get(i + 1).expect("--faults expects a value").clone())
-            })
-    })?;
+    let spec = flag_value("--faults")?;
     Some(FaultPlan::parse(&spec).unwrap_or_else(|err| panic!("--faults {spec:?}: {err}")))
 }
 
@@ -621,15 +593,7 @@ pub fn faults_arg() -> Option<FaultPlan> {
 /// unknown scenario name, listing the valid ones, so a typo does not
 /// silently benchmark the steady-state mix.
 pub fn scenario_arg() -> Option<Scenario> {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args.iter().enumerate().find_map(|(i, arg)| {
-        arg.strip_prefix("--scenario=")
-            .map(str::to_owned)
-            .or_else(|| {
-                (arg == "--scenario")
-                    .then(|| args.get(i + 1).expect("--scenario expects a value").clone())
-            })
-    })?;
+    let name = flag_value("--scenario")?;
     Some(Scenario::parse(&name).unwrap_or_else(|| {
         let valid: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
         panic!("--scenario {name:?}: expected one of {}", valid.join(", "))
@@ -640,16 +604,7 @@ pub fn scenario_arg() -> Option<Scenario> {
 /// result tables to `path` in machine-readable form (the perf-trajectory
 /// artifact consumed by CI). Returns `None` when absent.
 pub fn json_arg() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(value) = arg.strip_prefix("--json=") {
-            return Some(value.to_string());
-        }
-        if arg == "--json" {
-            return Some(args.get(i + 1).expect("--json expects a path").clone());
-        }
-    }
-    None
+    flag_value("--json")
 }
 
 /// A JSON scalar for the hand-rolled report writer (the workspace

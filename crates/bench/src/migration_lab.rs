@@ -9,7 +9,7 @@
 
 use ps2stream::prelude::*;
 use ps2stream_balance::{MigrationCell, MigrationSelection, MigrationSelector};
-use ps2stream_index::{Gi2Config, Gi2Index};
+use ps2stream_index::{Gi2Config, Gi2Index, MatchScratch};
 use std::time::{Duration, Instant};
 
 /// An "overloaded worker" laboratory: a populated GI² index plus the per-cell
@@ -38,9 +38,11 @@ impl MigrationLab {
         for q in generator.generate(num_queries) {
             index.insert(q);
         }
-        for o in sample.iter().take(num_objects) {
-            let _ = index.match_object(o);
-        }
+        index.match_batch(
+            sample.iter().take(num_objects),
+            &mut MatchScratch::new(),
+            |_, _, _| {},
+        );
         let cells = index
             .cell_loads()
             .into_iter()

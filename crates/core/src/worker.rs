@@ -30,7 +30,7 @@ use parking_lot::RwLock;
 use ps2stream_balance::{CellLoadInfo, TermLoad};
 use ps2stream_geo::CellId;
 use ps2stream_index::{Gi2Index, MatchScratch};
-use ps2stream_model::{MatchResult, QueryUpdate, StreamRecord, WorkerId};
+use ps2stream_model::{MatchResult, QueryUpdate, SpatioTextualObject, StreamRecord, WorkerId};
 use ps2stream_partition::{RoutingTable, WorkerLoad};
 use ps2stream_stream::{
     Batch, BatchBuffer, Emitter, Envelope, Operator, QueueDepth, Receiver, Sender,
@@ -221,57 +221,62 @@ impl Worker {
         }
     }
 
-    /// Whether an object must be parked because its cell's hand-off is still
+    /// The cell an object must park behind because its hand-off is still
     /// pending.
-    fn parking_cell(&self, record: &StreamRecord) -> Option<CellId> {
+    fn parking_cell(&self, object: &SpatioTextualObject) -> Option<CellId> {
         if self.pending_cells.is_empty() {
             return None;
         }
-        let StreamRecord::Object(o) = record else {
-            return None;
-        };
         self.index
             .grid()
-            .cell_of(&o.location)
+            .cell_of(&object.location)
             .filter(|cell| self.pending_cells.contains_key(cell))
     }
 
-    /// Processes one routed record. Objects whose cell has a pending
-    /// hand-off are parked until the migrated queries arrive.
-    fn process_record(&mut self, envelope: Envelope<StreamRecord>) {
-        if let Some(cell) = self.parking_cell(&envelope.payload) {
-            self.parked.entry(cell).or_default().push(envelope);
-            return;
-        }
-        // the timestamp outlives the payload, which an insert moves into the
-        // index
-        let stamp = envelope.derive(());
+    /// Admits one routed record — the only way a record, live or replayed,
+    /// reaches the index. An object joins the run that
+    /// [`Worker::flush_object_run`] matches as one batch, unless its cell has
+    /// a pending hand-off: then it parks until the migrated queries arrive.
+    /// An update is applied at once, but the run so far is matched first, so
+    /// an insert/delete cannot affect objects that arrived before it.
+    fn admit(&mut self, envelope: Envelope<StreamRecord>) {
+        // the ingest instant outlives the payload, which an insert moves into
+        // the index
+        let ingested_at = envelope.ingested_at;
         match envelope.payload {
-            StreamRecord::Object(ref o) => {
-                self.period_load.objects += 1;
-                let matches = self.index.match_object_into(o, &mut self.scratch);
-                if matches.is_empty() {
-                    // tuple finished here
-                    self.metrics.latency.record(stamp.latency());
-                    self.metrics.throughput.record(1);
-                } else {
-                    let matches = matches.to_vec();
-                    self.push_matches(&envelope, matches);
+            StreamRecord::Object(ref o) => match self.parking_cell(o) {
+                None => self.object_run.push(envelope),
+                Some(cell) => {
+                    self.flush_object_run();
+                    self.parked.entry(cell).or_default().push(envelope);
                 }
-            }
-            StreamRecord::Update(QueryUpdate::Insert(q)) => {
-                self.period_load.insertions += 1;
-                self.index.insert(q);
-                self.metrics.latency.record(stamp.latency());
-                self.metrics.throughput.record(1);
-            }
-            StreamRecord::Update(QueryUpdate::Delete(ref q)) => {
-                self.period_load.deletions += 1;
-                self.index.delete(q);
-                self.metrics.latency.record(stamp.latency());
+            },
+            StreamRecord::Update(update) => {
+                self.flush_object_run();
+                match update {
+                    QueryUpdate::Insert(q) => {
+                        self.period_load.insertions += 1;
+                        self.index.insert(q);
+                    }
+                    QueryUpdate::Delete(q) => {
+                        self.period_load.deletions += 1;
+                        self.index.delete(&q);
+                    }
+                }
+                // tuple finished here
+                self.metrics.latency.record(ingested_at.elapsed());
                 self.metrics.throughput.record(1);
             }
         }
+    }
+
+    /// Re-admits parked records in arrival order and sends their results on.
+    fn replay(&mut self, parked: Vec<Envelope<StreamRecord>>) {
+        for envelope in parked {
+            self.admit(envelope);
+        }
+        self.flush_object_run();
+        self.flush_matches();
     }
 
     /// Flushes the partial match batches so no result waits for future input.
@@ -281,9 +286,8 @@ impl Worker {
         }
     }
 
-    /// Matches the buffered run of consecutive object records through the
-    /// batched GI² kernel ([`Gi2Index::match_batch`] amortizes term-stats
-    /// observation and tombstone settlement across the run).
+    /// Matches the buffered run of consecutive object records as one
+    /// [`Gi2Index::match_batch`] — the only place the worker matches objects.
     fn flush_object_run(&mut self) {
         if self.object_run.is_empty() {
             return;
@@ -407,10 +411,7 @@ impl Worker {
             .faults
             .replayed_records
             .fetch_add(parked.len() as u64, Ordering::Relaxed);
-        for envelope in parked {
-            self.process_record(envelope);
-        }
-        self.flush_matches();
+        self.replay(parked);
     }
 
     /// Restores a crashed worker's index: replays the shadow-log prefix
@@ -494,21 +495,8 @@ impl Worker {
 
     fn handle_records(&mut self, records: Batch<StreamRecord>) {
         for envelope in records {
-            let Some(envelope) = self.fault_admit(envelope) else {
-                continue;
-            };
-            match &envelope.payload {
-                StreamRecord::Object(_) if self.parking_cell(&envelope.payload).is_none() => {
-                    self.object_run.push(envelope);
-                }
-                // updates (and objects that must park) leave the batched
-                // path: the run so far is matched first so a later
-                // insert/delete in the same batch cannot affect earlier
-                // objects
-                _ => {
-                    self.flush_object_run();
-                    self.process_record(envelope);
-                }
+            if let Some(envelope) = self.fault_admit(envelope) {
+                self.admit(envelope);
             }
         }
         self.flush_object_run();
@@ -570,10 +558,8 @@ impl Worker {
             *owed -= 1;
             if *owed == 0 {
                 self.pending_cells.remove(&cell);
-                for envelope in self.parked.remove(&cell).unwrap_or_default() {
-                    self.process_record(envelope);
-                }
-                self.flush_matches();
+                let parked = self.parked.remove(&cell).unwrap_or_default();
+                self.replay(parked);
                 if self.shutdown_requested && self.pending_cells.is_empty() {
                     self.stopped = true;
                 }
@@ -1016,6 +1002,88 @@ mod tests {
         assert_eq!(metrics.faults.wedge_parks.load(Ordering::Relaxed), 2);
         assert_eq!(metrics.faults.worker_crashes.load(Ordering::Relaxed), 0);
         assert_eq!(metrics.faults.worker_respawns.load(Ordering::Relaxed), 0);
+    }
+
+    /// Runs one input batch `obj1 obj2 obj3 <update> obj5` (every object
+    /// matching `q`) through a worker whose wedge window opens at `obj3` and
+    /// closes at the update, i.e. inside the batch, and returns the
+    /// sequence numbers of the objects delivered with a match.
+    fn wedge_inside_a_batch(index: Gi2Index, update: fn(StsQuery) -> QueryUpdate) -> Vec<u64> {
+        let metrics = SystemMetrics::new(1);
+        let (worker_tx, worker_rx) = unbounded::<WorkerMessage>();
+        let (merger_tx, merger_rx) = bounded::<MergerMessage>(64);
+        let faults = WorkerFaults {
+            crash_at: None,
+            wedge: Some((3, 2)),
+            recovery_lag: 0,
+        };
+        let worker = Worker::new(
+            WorkerId(0),
+            index,
+            vec![worker_tx.clone()],
+            vec![merger_tx],
+            Arc::clone(&metrics),
+            16,
+        )
+        .with_supervision(
+            Supervisor::new(1, false),
+            routing_one_worker(),
+            Box::new(gi2),
+            faults,
+        );
+
+        let mut batch = Batch::new();
+        for seq in 1..=5u64 {
+            batch.push(Envelope::now(
+                seq,
+                if seq == 4 {
+                    StreamRecord::Update(update(wedge_query()))
+                } else {
+                    StreamRecord::Object(object(seq, 7, 2.0, 2.0))
+                },
+            ));
+        }
+        worker_tx.send(WorkerMessage::Records(batch)).unwrap();
+        worker_tx.send(WorkerMessage::Shutdown).unwrap();
+        worker.run(worker_rx);
+        assert_eq!(metrics.faults.wedge_parks.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.faults.replayed_records.load(Ordering::Relaxed), 2);
+
+        let mut sequences = Vec::new();
+        while let Ok(MergerMessage::Matches(batch)) = merger_rx.try_recv() {
+            for record in batch.records() {
+                assert_eq!(record.payload.len(), 1);
+                sequences.push(record.sequence);
+            }
+        }
+        sequences.sort_unstable();
+        sequences
+    }
+
+    fn wedge_query() -> StsQuery {
+        query(1, 7, Rect::from_coords(0.0, 0.0, 8.0, 8.0))
+    }
+
+    #[test]
+    fn wedge_closing_inside_a_batch_keeps_update_order() {
+        // The parked insert replays while obj1 and obj2 still wait in the
+        // object run: they arrived before it and must not see the query.
+        let delivered = wedge_inside_a_batch(gi2(), QueryUpdate::Insert);
+        assert_eq!(
+            delivered,
+            vec![5],
+            "only the object after the insert matches"
+        );
+    }
+
+    #[test]
+    fn wedge_closing_inside_a_batch_keeps_delete_order() {
+        // Mirrored: every object that arrived before the parked delete —
+        // waiting in the run or parked with it — must still match.
+        let mut index = gi2();
+        index.insert(wedge_query());
+        let delivered = wedge_inside_a_batch(index, QueryUpdate::Delete);
+        assert_eq!(delivered, vec![1, 2, 3], "the delete only hides obj5");
     }
 
     #[test]

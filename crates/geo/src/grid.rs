@@ -8,11 +8,10 @@
 
 use crate::point::Point;
 use crate::rect::Rect;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a grid cell: `(column, row)` with the origin in the
 /// lower-left corner of the grid's bounding rectangle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId {
     /// Column index (x direction), `0 .. nx`.
     pub col: u32,
@@ -29,7 +28,7 @@ impl CellId {
 }
 
 /// A uniform grid dividing a bounding rectangle into `nx × ny` cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UniformGrid {
     bounds: Rect,
     nx: u32,

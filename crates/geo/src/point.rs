@@ -4,8 +4,6 @@
 //! `x` axis corresponds to longitude and the `y` axis to latitude, matching
 //! the paper's `o.loc` (latitude/longitude pair) of a spatio-textual object.
 
-use serde::{Deserialize, Serialize};
-
 /// Approximate number of kilometres per degree of latitude.
 ///
 /// Used by the query generators to convert the paper's "side length between
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub const KM_PER_DEGREE_LAT: f64 = 111.0;
 
 /// A two-dimensional point (`x` = longitude, `y` = latitude).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Longitude (or generic x coordinate).
     pub x: f64,

@@ -5,11 +5,10 @@
 //! shared representation, stored as an inclusive min/max corner pair.
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangle defined by its lower-left (`min`) and
 /// upper-right (`max`) corners. Boundaries are inclusive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

@@ -30,8 +30,7 @@
 //!   the work counters across a whole batch of objects; term-statistics
 //!   observation stays inside the per-object loop (a separate up-front pass
 //!   over the batch would walk every term slice twice and trash the cache
-//!   before matching starts — the very regression that made the batch API
-//!   slower than single-object matching).
+//!   before matching starts).
 
 use crate::cell::{CellIndex, CellTermStat};
 use crate::scratch::MatchScratch;
@@ -102,9 +101,6 @@ pub struct Gi2Index {
     objects_processed: u64,
     /// Candidates rejected by the 64-bit signature prefilter alone.
     signature_rejections: u64,
-    /// Internal scratch backing the allocating [`Gi2Index::match_object`]
-    /// compatibility wrapper (the batched paths thread an external one).
-    scratch: MatchScratch,
 }
 
 impl Gi2Index {
@@ -120,7 +116,6 @@ impl Gi2Index {
             matches_checked: 0,
             objects_processed: 0,
             signature_rejections: 0,
-            scratch: MatchScratch::new(),
         }
     }
 
@@ -130,8 +125,8 @@ impl Gi2Index {
         self.stats = stats;
     }
 
-    /// The term statistics accumulated from every matched object (exposed so
-    /// tests can pin the batched and unbatched observation paths identical).
+    /// The term statistics accumulated from every matched object (exposed for
+    /// snapshots, and so tests can pin them independent of the batch size).
     pub fn term_stats(&self) -> &TermStats {
         &self.stats
     }
@@ -270,64 +265,20 @@ impl Gi2Index {
         true
     }
 
-    /// Matches a spatio-textual object against the indexed queries, returning
-    /// one [`MatchResult`] per satisfied query (deduplicated). Posting lists
-    /// traversed along the way are purged of tombstoned entries.
-    ///
-    /// Compatibility wrapper over [`Gi2Index::match_object_into`] that
-    /// allocates the returned `Vec`; hot paths should thread a
-    /// [`MatchScratch`] instead.
-    pub fn match_object(&mut self, object: &SpatioTextualObject) -> Vec<MatchResult> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let results = self.match_object_into(object, &mut scratch).to_vec();
-        self.scratch = scratch;
-        results
-    }
-
-    /// Matches one object using caller-provided scratch state; the returned
-    /// slice lives in the scratch and is valid until its next use. Steady
-    /// state performs **no allocation**.
-    pub fn match_object_into<'s>(
-        &mut self,
-        object: &SpatioTextualObject,
-        scratch: &'s mut MatchScratch,
-    ) -> &'s [MatchResult] {
-        self.objects_processed += 1;
-        self.stats.observe(&object.terms);
-        scratch.results.clear();
-        scratch.purged.clear();
-        if let Some(cell) = self.grid.cell_of(&object.location) {
-            let idx = self.grid.cell_index(cell);
-            self.cells[idx].record_object();
-            let osig = terms_signature(&object.terms);
-            scratch.begin_object(self.slab.capacity());
-            Self::match_in_cell(
-                &mut self.cells,
-                &self.slab,
-                idx,
-                object,
-                osig,
-                scratch,
-                &mut self.matches_checked,
-                &mut self.signature_rejections,
-            );
-            Self::settle(&mut self.slab, &mut scratch.purged);
-        }
-        &scratch.results
-    }
-
-    /// Matches a whole batch of objects, calling `sink(position, object,
-    /// results)` once per object in order. Amortized across the batch:
-    /// lazy-deletion settlement (once at the end — no query mutation can
-    /// occur mid-batch) and the work counters.
+    /// Matches a batch of objects (of any size, one included) against the
+    /// indexed queries, calling `sink(position, object, results)` once per
+    /// object in order with one deduplicated [`MatchResult`] per satisfied
+    /// query. Posting lists traversed along the way are purged of tombstoned
+    /// entries. Steady state performs **no allocation**. Amortized across
+    /// the batch: lazy-deletion settlement (once at the end — no query
+    /// mutation can occur mid-batch) and the work counters.
     ///
     /// Term statistics are observed **inside** the per-object loop, not in a
     /// separate up-front pass: walking every object's term slice before
     /// matching even starts would evict the posting lists from cache and walk
-    /// the batch twice. The observation order is identical to calling
-    /// [`Gi2Index::match_object_into`] per object, so the resulting
-    /// [`TermStats`] are bit-identical to the unbatched path (pinned by
-    /// `match_batch_term_stats_equal_per_object_observe`).
+    /// the batch twice. Objects are observed in batch order, so the resulting
+    /// [`TermStats`] do not depend on how a stream is cut into batches
+    /// (pinned by `term_stats_do_not_depend_on_batch_size`).
     pub fn match_batch<'a, I, F>(&mut self, objects: I, scratch: &mut MatchScratch, mut sink: F)
     where
         I: Iterator<Item = &'a SpatioTextualObject>,
@@ -521,17 +472,12 @@ impl Gi2Index {
         // the pending counts, exactly like the matching sweep would. When
         // nothing is tombstoned anywhere, the whole pass is skipped.
         if self.slab.num_tombstoned() > 0 {
-            let mut purged = std::mem::take(&mut self.scratch.purged);
-            purged.clear();
-            {
-                let Gi2Index { slab, cells, .. } = &mut *self;
-                cells[idx].purge_all_postings_into(|s| !slab.is_live(s), &mut purged);
-            }
-            Self::settle(&mut self.slab, &mut purged);
-            self.scratch.purged = purged;
+            let mut purged = Vec::new();
+            let Gi2Index { slab, cells, .. } = &mut *self;
+            cells[idx].purge_all_postings_into(|s| !slab.is_live(s), &mut purged);
+            Self::settle(slab, &mut purged);
         }
-        let mut slots = std::mem::take(&mut self.scratch.slots);
-        slots.clear();
+        let mut slots = Vec::new();
         self.cells[idx].distinct_queries_into(&mut slots);
         let mut extracted = Vec::new();
         for &slot in &slots {
@@ -558,8 +504,6 @@ impl Gi2Index {
                 let _ = self.slab.free_live(slot);
             }
         }
-        slots.clear();
-        self.scratch.slots = slots;
         extracted.sort_by_key(|q| q.id);
         extracted
     }
@@ -611,6 +555,21 @@ impl Gi2Index {
 }
 
 #[cfg(test)]
+impl Gi2Index {
+    /// Matches a batch of one with a throw-away scratch — shorthand for the
+    /// unit tests of this crate.
+    pub(crate) fn match_one(&mut self, object: &SpatioTextualObject) -> Vec<MatchResult> {
+        let mut results = Vec::new();
+        self.match_batch(
+            std::iter::once(object),
+            &mut MatchScratch::new(),
+            |_, _, r| results.extend_from_slice(r),
+        );
+        results
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use ps2stream_geo::Point;
@@ -654,85 +613,144 @@ mod tests {
         idx.insert(query(2, &[3], Rect::from_coords(0.0, 0.0, 10.0, 10.0)));
         assert_eq!(idx.num_queries(), 2);
 
-        let results = idx.match_object(&object(100, &[1, 2, 9], 5.0, 5.0));
+        let results = idx.match_one(&object(100, &[1, 2, 9], 5.0, 5.0));
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].query_id, QueryId(1));
         assert_eq!(results[0].object_id, ObjectId(100));
 
         // missing one AND term -> no match
-        let results = idx.match_object(&object(101, &[1, 9], 5.0, 5.0));
+        let results = idx.match_one(&object(101, &[1, 9], 5.0, 5.0));
         assert!(results.is_empty());
 
         // outside the region -> no match
-        let results = idx.match_object(&object(102, &[1, 2], 50.0, 50.0));
+        let results = idx.match_one(&object(102, &[1, 2], 50.0, 50.0));
         assert!(results.is_empty());
     }
 
-    #[test]
-    fn match_object_into_reuses_scratch() {
-        let mut idx = Gi2Index::new(config());
-        idx.insert(query(1, &[1], Rect::from_coords(0.0, 0.0, 10.0, 10.0)));
-        let mut scratch = MatchScratch::new();
-        let r = idx.match_object_into(&object(1, &[1], 5.0, 5.0), &mut scratch);
-        assert_eq!(r.len(), 1);
-        let r = idx.match_object_into(&object(2, &[2], 5.0, 5.0), &mut scratch);
-        assert!(r.is_empty());
-        let r = idx.match_object_into(&object(3, &[1], 5.0, 5.0), &mut scratch);
-        assert_eq!(r.len(), 1);
-        assert_eq!(scratch.results().len(), 1);
+    /// Matches `objects` in batches of `size`, returning each object's
+    /// matched query ids (sorted) in stream order.
+    fn match_chunked(
+        idx: &mut Gi2Index,
+        scratch: &mut MatchScratch,
+        objects: &[SpatioTextualObject],
+        size: usize,
+    ) -> Vec<Vec<QueryId>> {
+        let mut out = Vec::new();
+        for chunk in objects.chunks(size) {
+            let base = out.len();
+            idx.match_batch(chunk.iter(), scratch, |i, o, r| {
+                assert_eq!(base + i, out.len(), "sink positions count up in order");
+                assert!(r.iter().all(|m| m.object_id == o.id));
+                let mut ids: Vec<QueryId> = r.iter().map(|m| m.query_id).collect();
+                ids.sort_unstable();
+                out.push(ids);
+            });
+        }
+        out
+    }
+
+    /// Everything matching leaves behind in the index, for comparing two
+    /// indexes that must have done bit-identical work.
+    fn work_done(idx: &Gi2Index) -> (TermStats, [u64; 3], usize, usize) {
+        (
+            idx.term_stats().clone(),
+            [
+                idx.objects_processed(),
+                idx.matches_checked(),
+                idx.signature_rejections(),
+            ],
+            idx.pending_tombstones(),
+            idx.memory_usage(),
+        )
     }
 
     #[test]
-    fn match_batch_equals_sequential_matching() {
-        let mut a = Gi2Index::new(config());
-        let mut b = Gi2Index::new(config());
+    fn scratch_is_reused_across_batches_and_indexes() {
+        let mut small = Gi2Index::new(config());
+        small.insert(query(1, &[1], Rect::from_coords(0.0, 0.0, 10.0, 10.0)));
+        let mut large = Gi2Index::new(config());
+        for i in 0..50u64 {
+            large.insert(query(i, &[1], Rect::from_coords(0.0, 0.0, 10.0, 10.0)));
+        }
+        let hit = object(1, &[1], 5.0, 5.0);
+        let miss = object(2, &[2], 5.0, 5.0);
+        // one scratch serves batches of any size against slabs of any size:
+        // no batch sees the results, visit stamps or purge list of the last
+        let mut scratch = MatchScratch::new();
+        let objects = [hit.clone(), miss, hit];
+        for size in [1, 3] {
+            let got = match_chunked(&mut small, &mut scratch, &objects, size);
+            assert_eq!(got, [vec![QueryId(1)], vec![], vec![QueryId(1)]]);
+            let got = match_chunked(&mut large, &mut scratch, &objects, size);
+            assert_eq!(got[0].len(), 50);
+            assert!(got[1].is_empty());
+            assert_eq!(got[2].len(), 50);
+        }
+    }
+
+    #[test]
+    fn match_batch_is_batch_size_invariant() {
+        let mut queries = Vec::new();
         for i in 0..20u64 {
-            let q = query(
+            queries.push(query(
                 i,
                 &[(i % 5) as u32],
                 Rect::from_coords(0.0, 0.0, 30.0, 30.0),
-            );
-            a.insert(q.clone());
-            b.insert(q);
+            ));
         }
-        // delete a few so the batch also sweeps tombstones
+        let mut whole = Gi2Index::new(config());
+        for q in &queries {
+            whole.insert(q.clone());
+        }
+        // delete a few so matching also sweeps tombstones
         for i in [3u64, 7, 11] {
-            a.delete_by_id(QueryId(i));
-            b.delete_by_id(QueryId(i));
+            whole.delete_by_id(QueryId(i));
         }
+        queries.retain(|q| ![3, 7, 11].contains(&q.id.0));
+        let mut chunks = whole.clone();
+        let mut singles = whole.clone();
         let objects: Vec<SpatioTextualObject> = (0..40u64)
             .map(|i| object(i, &[(i % 6) as u32], (i % 32) as f64, ((i * 7) % 32) as f64))
             .collect();
+        let brute_force: Vec<Vec<QueryId>> = objects
+            .iter()
+            .map(|o| {
+                let mut ids: Vec<QueryId> = queries
+                    .iter()
+                    .filter(|q| q.matches(o))
+                    .map(|q| q.id)
+                    .collect();
+                ids.sort_unstable();
+                ids
+            })
+            .collect();
+        assert!(brute_force.iter().any(|ids| !ids.is_empty()));
         let mut scratch = MatchScratch::new();
-        let mut batched: Vec<Vec<QueryId>> = Vec::new();
-        b.match_batch(objects.iter(), &mut scratch, |i, _, r| {
-            assert_eq!(i, batched.len());
-            batched.push(r.iter().map(|m| m.query_id).collect());
-        });
-        for (i, o) in objects.iter().enumerate() {
-            let mut expected: Vec<QueryId> = a.match_object(o).iter().map(|m| m.query_id).collect();
-            expected.sort_unstable();
-            let mut got = batched[i].clone();
-            got.sort_unstable();
-            assert_eq!(got, expected, "object {i}");
+        // one batch of N ≡ batches of 7 ≡ N batches of one ≡ brute force
+        for (idx, size) in [(&mut whole, 40), (&mut chunks, 7), (&mut singles, 1)] {
+            let got = match_chunked(idx, &mut scratch, &objects, size);
+            assert_eq!(got, brute_force, "batch size {size}");
         }
-        assert_eq!(a.objects_processed(), b.objects_processed());
-        assert_eq!(a.pending_tombstones(), b.pending_tombstones());
+        assert_eq!(work_done(&whole), work_done(&singles));
+        assert_eq!(work_done(&chunks), work_done(&singles));
+        assert_eq!(singles.objects_processed(), 40);
     }
 
     #[test]
-    fn match_batch_term_stats_equal_per_object_observe() {
-        // The batched path must leave TermStats bit-identical to observing
-        // every object one by one (the single-pass design folds observation
+    fn term_stats_do_not_depend_on_batch_size() {
+        // However a stream is cut into batches, the index observes every
+        // object exactly once and in stream order (observation is folded
         // into the match loop — this pins that no object is observed twice,
         // skipped, or observed out of order).
         let mut batched = Gi2Index::new(config());
-        let mut singles = Gi2Index::new(config());
         for i in 0..10u64 {
-            let q = query(i, &[(i % 4) as u32], Rect::from_coords(0.0, 0.0, 8.0, 8.0));
-            batched.insert(q.clone());
-            singles.insert(q);
+            batched.insert(query(
+                i,
+                &[(i % 4) as u32],
+                Rect::from_coords(0.0, 0.0, 8.0, 8.0),
+            ));
         }
+        let mut singles = batched.clone();
         let objects: Vec<SpatioTextualObject> = (0..30u64)
             .map(|i| {
                 object(
@@ -744,51 +762,47 @@ mod tests {
             })
             .collect();
         let mut scratch = MatchScratch::new();
-        for chunk in objects.chunks(8) {
-            batched.match_batch(chunk.iter(), &mut scratch, |_, _, _| {});
-        }
+        match_chunked(&mut batched, &mut scratch, &objects, 8);
+        match_chunked(&mut singles, &mut scratch, &objects, 1);
+        let mut observed = TermStats::new();
         for o in &objects {
-            let _ = singles.match_object_into(o, &mut scratch);
+            observed.observe(&o.terms);
         }
-        assert_eq!(batched.term_stats(), singles.term_stats());
+        assert_eq!(batched.term_stats(), &observed);
+        assert_eq!(singles.term_stats(), &observed);
         assert_eq!(batched.term_stats().num_docs(), objects.len() as u64);
 
         // an empty batch observes nothing and changes nothing
-        let before = batched.term_stats().clone();
         batched.match_batch([].iter(), &mut scratch, |_, _, _| unreachable!());
-        assert_eq!(batched.term_stats(), &before);
-        assert_eq!(batched.objects_processed(), singles.objects_processed());
+        assert_eq!(work_done(&batched), work_done(&singles));
     }
 
     #[test]
     fn match_batch_observes_objects_in_all_tombstoned_cells() {
         // A cell whose posting entries are all tombstoned still has its
-        // objects observed (and its tombstones settled) by the batched path,
-        // exactly like the per-object path.
+        // objects observed and its tombstones settled, at any batch size.
         let mut batched = Gi2Index::new(config());
-        let mut singles = Gi2Index::new(config());
-        for idx in [&mut batched, &mut singles] {
-            for i in 0..4u64 {
-                idx.insert(query(i, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5)));
-            }
-            for i in 0..4u64 {
-                idx.delete_by_id(QueryId(i));
-            }
-            assert_eq!(idx.pending_tombstones(), 4);
+        for i in 0..4u64 {
+            batched.insert(query(i, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5)));
         }
+        for i in 0..4u64 {
+            batched.delete_by_id(QueryId(i));
+        }
+        assert_eq!(batched.pending_tombstones(), 4);
+        let mut singles = batched.clone();
         let objects: Vec<SpatioTextualObject> =
             (0..6u64).map(|i| object(i, &[1, 2], 1.0, 1.0)).collect();
         let mut scratch = MatchScratch::new();
-        batched.match_batch(objects.iter(), &mut scratch, |_, _, r| {
-            assert!(r.is_empty(), "tombstoned query must not match");
-        });
-        for o in &objects {
-            assert!(singles.match_object_into(o, &mut scratch).is_empty());
+        for (idx, size) in [(&mut batched, 6), (&mut singles, 1)] {
+            let got = match_chunked(idx, &mut scratch, &objects, size);
+            assert!(
+                got.iter().all(Vec::is_empty),
+                "tombstoned query must not match"
+            );
+            assert_eq!(idx.term_stats().num_docs(), objects.len() as u64);
+            assert_eq!(idx.pending_tombstones(), 0);
         }
-        assert_eq!(batched.term_stats(), singles.term_stats());
-        assert_eq!(batched.term_stats().num_docs(), objects.len() as u64);
-        assert_eq!(batched.pending_tombstones(), 0);
-        assert_eq!(singles.pending_tombstones(), 0);
+        assert_eq!(work_done(&batched), work_done(&singles));
     }
 
     #[test]
@@ -799,11 +813,11 @@ mod tests {
             &[5, 6],
             Rect::from_coords(0.0, 0.0, 64.0, 64.0),
         ));
-        assert_eq!(idx.match_object(&object(1, &[5], 1.0, 1.0)).len(), 1);
-        assert_eq!(idx.match_object(&object(2, &[6], 60.0, 60.0)).len(), 1);
-        assert_eq!(idx.match_object(&object(3, &[7], 1.0, 1.0)).len(), 0);
+        assert_eq!(idx.match_one(&object(1, &[5], 1.0, 1.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(2, &[6], 60.0, 60.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(3, &[7], 1.0, 1.0)).len(), 0);
         // both keywords present must still produce exactly one result
-        assert_eq!(idx.match_object(&object(4, &[5, 6], 1.0, 1.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(4, &[5, 6], 1.0, 1.0)).len(), 1);
     }
 
     #[test]
@@ -811,7 +825,7 @@ mod tests {
         let mut idx = Gi2Index::new(config());
         idx.insert(query(1, &[1], Rect::from_coords(0.0, 0.0, 64.0, 64.0)));
         for (i, (x, y)) in [(1.0, 1.0), (30.0, 30.0), (63.0, 63.0)].iter().enumerate() {
-            let res = idx.match_object(&object(i as u64, &[1], *x, *y));
+            let res = idx.match_one(&object(i as u64, &[1], *x, *y));
             assert_eq!(res.len(), 1, "location ({x},{y})");
         }
     }
@@ -821,10 +835,10 @@ mod tests {
         let mut idx = Gi2Index::new(config());
         let q = query(1, &[1], Rect::from_coords(0.0, 0.0, 10.0, 10.0));
         idx.insert(q.clone());
-        assert_eq!(idx.match_object(&object(1, &[1], 5.0, 5.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(1, &[1], 5.0, 5.0)).len(), 1);
         assert!(idx.delete(&q));
         assert_eq!(idx.num_queries(), 0);
-        assert_eq!(idx.match_object(&object(2, &[1], 5.0, 5.0)).len(), 0);
+        assert_eq!(idx.match_one(&object(2, &[1], 5.0, 5.0)).len(), 0);
         // deleting again is a no-op
         assert!(!idx.delete(&q));
     }
@@ -837,7 +851,7 @@ mod tests {
         idx.delete(&q);
         assert_eq!(idx.pending_tombstones(), 1);
         // traversing the posting list purges the tombstone
-        let _ = idx.match_object(&object(1, &[1], 1.0, 1.0));
+        let _ = idx.match_one(&object(1, &[1], 1.0, 1.0));
         assert_eq!(idx.pending_tombstones(), 0);
     }
 
@@ -848,7 +862,7 @@ mod tests {
         idx.insert(q.clone());
         idx.delete(&q);
         idx.insert(q);
-        assert_eq!(idx.match_object(&object(1, &[1], 5.0, 5.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(1, &[1], 5.0, 5.0)).len(), 1);
     }
 
     #[test]
@@ -857,8 +871,8 @@ mod tests {
         idx.insert(query(1, &[1], Rect::from_coords(0.0, 0.0, 10.0, 10.0)));
         idx.insert(query(1, &[2], Rect::from_coords(0.0, 0.0, 10.0, 10.0)));
         assert_eq!(idx.num_queries(), 1);
-        assert_eq!(idx.match_object(&object(1, &[1], 5.0, 5.0)).len(), 0);
-        assert_eq!(idx.match_object(&object(2, &[2], 5.0, 5.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(1, &[1], 5.0, 5.0)).len(), 0);
+        assert_eq!(idx.match_one(&object(2, &[2], 5.0, 5.0)).len(), 1);
     }
 
     #[test]
@@ -870,7 +884,7 @@ mod tests {
         let (slot1, gen1) = idx.slot_of(QueryId(1)).unwrap();
         idx.delete(&q1);
         // settle the tombstone by traversing the list, freeing the slot
-        assert!(idx.match_object(&object(1, &[1], 1.0, 1.0)).is_empty());
+        assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
         assert_eq!(idx.pending_tombstones(), 0);
         assert!(idx.slot_of(QueryId(1)).is_none());
 
@@ -884,9 +898,9 @@ mod tests {
         assert_eq!(idx.slab_capacity(), 1, "no slab growth on reuse");
 
         // an object that matched q1 must not match the reused slot's query
-        assert!(idx.match_object(&object(2, &[1], 1.0, 1.0)).is_empty());
+        assert!(idx.match_one(&object(2, &[1], 1.0, 1.0)).is_empty());
         // and q2 matches where it actually lives
-        assert_eq!(idx.match_object(&object(3, &[2], 45.0, 45.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(3, &[2], 45.0, 45.0)).len(), 1);
     }
 
     #[test]
@@ -902,7 +916,7 @@ mod tests {
         let (slot2, _) = idx.slot_of(QueryId(2)).unwrap();
         assert_ne!(slot2, slot1, "pending tombstone must keep its slot");
         // settling the tombstone frees the slot for the next insert
-        assert!(idx.match_object(&object(1, &[1], 1.0, 1.0)).is_empty());
+        assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
         idx.insert(query(3, &[3], Rect::from_coords(4.5, 4.5, 5.5, 5.5)));
         let (slot3, _) = idx.slot_of(QueryId(3)).unwrap();
         assert_eq!(slot3, slot1);
@@ -924,7 +938,7 @@ mod tests {
         // the object carries term 1 plus one of the pair terms: every query
         // is a candidate via term 1's posting list, but the signature
         // prefilter rejects (almost) all of the 31 non-matching ones.
-        let _ = idx.match_object(&object(1, &[1, 100], 1.0, 1.0));
+        let _ = idx.match_one(&object(1, &[1, 100], 1.0, 1.0));
         assert!(
             idx.signature_rejections() > 0,
             "prefilter never fired on disjoint conjunctions"
@@ -936,8 +950,8 @@ mod tests {
     fn cell_loads_reflect_objects_and_queries() {
         let mut idx = Gi2Index::new(config());
         idx.insert(query(1, &[1], Rect::from_coords(0.0, 0.0, 3.0, 3.0)));
-        let _ = idx.match_object(&object(1, &[1], 1.0, 1.0));
-        let _ = idx.match_object(&object(2, &[2], 1.0, 1.0));
+        let _ = idx.match_one(&object(1, &[1], 1.0, 1.0));
+        let _ = idx.match_one(&object(2, &[2], 1.0, 1.0));
         let loads = idx.cell_loads();
         assert_eq!(loads.len(), 1);
         assert_eq!(loads[0].objects, 2);
@@ -975,9 +989,9 @@ mod tests {
         assert!(!idx.contains_query(QueryId(1)));
         assert!(idx.contains_query(QueryId(2)));
         // objects in that cell no longer match anything here
-        assert_eq!(idx.match_object(&object(1, &[1], 1.0, 1.0)).len(), 0);
+        assert_eq!(idx.match_one(&object(1, &[1], 1.0, 1.0)).len(), 0);
         // but the spanning query still matches elsewhere
-        assert_eq!(idx.match_object(&object(2, &[1], 40.0, 40.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(2, &[1], 40.0, 40.0)).len(), 1);
     }
 
     #[test]
@@ -1024,7 +1038,7 @@ mod tests {
         // and must not even reach a candidate check against a resurrected
         // stale posting
         let checked_before = idx.matches_checked();
-        let results = idx.match_object(&object(7, &[1], 1.0, 1.0));
+        let results = idx.match_one(&object(7, &[1], 1.0, 1.0));
         assert!(results.is_empty(), "stale posting resurrected a match");
         assert_eq!(
             idx.matches_checked(),
@@ -1037,7 +1051,7 @@ mod tests {
         assert!(re_extracted.is_empty());
         assert!(idx.contains_query(QueryId(1)));
         // the re-inserted query still works where it actually lives
-        assert_eq!(idx.match_object(&object(8, &[2], 45.0, 45.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(8, &[2], 45.0, 45.0)).len(), 1);
     }
 
     #[test]
@@ -1056,7 +1070,7 @@ mod tests {
 
         // nothing of the old generation is traversed in the old cell
         let checked_before = idx.matches_checked();
-        assert!(idx.match_object(&object(1, &[1], 1.0, 1.0)).is_empty());
+        assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
         assert_eq!(idx.matches_checked(), checked_before);
 
         // the old cell ships nothing when migrated out
@@ -1073,7 +1087,7 @@ mod tests {
             idx.insert(q.clone());
         }
         assert_eq!(idx.memory_usage(), mem_once);
-        assert_eq!(idx.match_object(&object(2, &[3], 5.0, 5.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(2, &[3], 5.0, 5.0)).len(), 1);
     }
 
     #[test]
@@ -1089,12 +1103,12 @@ mod tests {
         assert_eq!(idx.pending_tombstones(), 0);
         // the old cell holds nothing any more
         let checked_before = idx.matches_checked();
-        assert!(idx.match_object(&object(1, &[1], 1.0, 1.0)).is_empty());
+        assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
         assert_eq!(idx.matches_checked(), checked_before);
         let old_cell = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
         assert!(idx.extract_cell(old_cell).is_empty());
         // the new generation works where it lives
-        assert_eq!(idx.match_object(&object(2, &[1], 45.0, 45.0)).len(), 1);
+        assert_eq!(idx.match_one(&object(2, &[1], 45.0, 45.0)).len(), 1);
     }
 
     #[test]
@@ -1112,7 +1126,7 @@ mod tests {
         assert!(idx.extract_cell(left).is_empty());
         // still pending: the right cell's posting is not purged yet
         assert_eq!(idx.pending_tombstones(), 1);
-        let _ = idx.match_object(&object(1, &[1], 5.0, 1.0));
+        let _ = idx.match_one(&object(1, &[1], 5.0, 1.0));
         assert_eq!(idx.pending_tombstones(), 0);
     }
 
@@ -1125,8 +1139,8 @@ mod tests {
         for q in source.extract_cell(cell) {
             target.insert(q);
         }
-        assert_eq!(source.match_object(&object(1, &[1], 1.0, 1.0)).len(), 0);
-        assert_eq!(target.match_object(&object(1, &[1], 1.0, 1.0)).len(), 1);
+        assert_eq!(source.match_one(&object(1, &[1], 1.0, 1.0)).len(), 0);
+        assert_eq!(target.match_one(&object(1, &[1], 1.0, 1.0)).len(), 1);
     }
 
     #[test]
@@ -1147,7 +1161,7 @@ mod tests {
     fn counters_track_work() {
         let mut idx = Gi2Index::new(config());
         idx.insert(query(1, &[1], Rect::from_coords(0.0, 0.0, 10.0, 10.0)));
-        let _ = idx.match_object(&object(1, &[1], 5.0, 5.0));
+        let _ = idx.match_one(&object(1, &[1], 5.0, 5.0));
         assert_eq!(idx.objects_processed(), 1);
         assert_eq!(idx.matches_checked(), 1);
     }

@@ -10,7 +10,7 @@
 //!
 //! ```
 //! use ps2stream_geo::{Point, Rect};
-//! use ps2stream_index::{Gi2Config, Gi2Index};
+//! use ps2stream_index::{Gi2Config, Gi2Index, MatchScratch};
 //! use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId};
 //! use ps2stream_text::{BooleanExpr, TermId};
 //!
@@ -21,13 +21,18 @@
 //!     BooleanExpr::and_of([TermId(3)]),
 //!     Rect::from_coords(0.0, 0.0, 4.0, 4.0),
 //! ));
-//! let matches = index.match_object(&SpatioTextualObject::new(
+//! // the worker owns one scratch and matches its input in batches
+//! let objects = [SpatioTextualObject::new(
 //!     ObjectId(9),
 //!     vec![TermId(3)],
 //!     Point::new(1.0, 1.0),
-//! ));
-//! assert_eq!(matches.len(), 1);
-//! assert_eq!(matches[0].query_id, QueryId(1));
+//! )];
+//! let mut scratch = MatchScratch::new();
+//! let mut delivered = Vec::new();
+//! index.match_batch(objects.iter(), &mut scratch, |_, object, matches| {
+//!     delivered.extend(matches.iter().map(|m| (object.id, m.query_id)));
+//! });
+//! assert_eq!(delivered, [(ObjectId(9), QueryId(1))]);
 //! ```
 
 #![warn(missing_docs)]
@@ -149,7 +154,7 @@ mod proptests {
         /// A worker input batch interleaving objects with query updates:
         /// consecutive objects form a run matched through the batched
         /// kernel, and every update flushes the run first (the worker's
-        /// run-splitting logic in `Worker::handle_records`).
+        /// run-splitting logic in `Worker::admit`).
         Interleaved(Vec<BatchItem>),
         /// Migrate one grid cell between the indexes (direction from parity).
         Migrate(u32, u32),
@@ -201,9 +206,41 @@ mod proptests {
         ]
     }
 
-    /// Matches `objects` through the batched kernel on `a` and the
-    /// scratch-threaded singles on `b`, and pins the combined, deduplicated
-    /// result to a brute-force scan of the model.
+    /// Matches `objects` as one batch on a copy of `index` and as batches of
+    /// one on `index` itself, pins the two bit-identical (per-object results,
+    /// term statistics, work counters, tombstone settlement) and appends the
+    /// `(object, query)` matches to `got`.
+    fn match_any_batch_size(
+        index: &mut Gi2Index,
+        scratch: &mut MatchScratch,
+        objects: &[SpatioTextualObject],
+        got: &mut Vec<(u64, QueryId)>,
+    ) -> Result<(), TestCaseError> {
+        let mut whole = index.clone();
+        let mut batched: Vec<(u64, QueryId)> = Vec::new();
+        whole.match_batch(objects.iter(), scratch, |_, o, r| {
+            batched.extend(r.iter().map(|m| (o.id.0, m.query_id)));
+        });
+        let mut singles: Vec<(u64, QueryId)> = Vec::new();
+        for o in objects {
+            index.match_batch(std::iter::once(o), scratch, |_, o, r| {
+                singles.extend(r.iter().map(|m| (o.id.0, m.query_id)));
+            });
+        }
+        prop_assert_eq!(&batched, &singles);
+        prop_assert_eq!(whole.term_stats(), index.term_stats());
+        prop_assert_eq!(whole.objects_processed(), index.objects_processed());
+        prop_assert_eq!(whole.matches_checked(), index.matches_checked());
+        prop_assert_eq!(whole.signature_rejections(), index.signature_rejections());
+        prop_assert_eq!(whole.pending_tombstones(), index.pending_tombstones());
+        prop_assert_eq!(whole.memory_usage(), index.memory_usage());
+        got.extend(singles);
+        Ok(())
+    }
+
+    /// Matches `objects` against both indexes at either batch size (see
+    /// [`match_any_batch_size`]) and pins the combined, deduplicated result
+    /// to a brute-force scan of the model.
     fn check_batch(
         a: &mut Gi2Index,
         b: &mut Gi2Index,
@@ -212,13 +249,8 @@ mod proptests {
         objects: &[SpatioTextualObject],
     ) -> Result<(), TestCaseError> {
         let mut got: Vec<(u64, QueryId)> = Vec::new();
-        a.match_batch(objects.iter(), scratch, |_, o, r| {
-            got.extend(r.iter().map(|m| (o.id.0, m.query_id)));
-        });
-        for o in objects {
-            let r = b.match_object_into(o, scratch);
-            got.extend(r.iter().map(|m| (o.id.0, m.query_id)));
-        }
+        match_any_batch_size(a, scratch, objects, &mut got)?;
+        match_any_batch_size(b, scratch, objects, &mut got)?;
         got.sort_unstable();
         got.dedup(); // replicas match on both sides (merger dedups)
         let mut expected: Vec<(u64, QueryId)> = Vec::new();
@@ -257,7 +289,7 @@ mod proptests {
             for go in &objects {
                 let o = build_object(go);
                 let mut got: Vec<QueryId> =
-                    idx.match_object(&o).iter().map(|m| m.query_id).collect();
+                    idx.match_one(&o).iter().map(|m| m.query_id).collect();
                 got.sort_unstable();
                 got.dedup();
                 let mut expected: Vec<QueryId> = reference
@@ -294,7 +326,7 @@ mod proptests {
             for go in &objects {
                 let o = build_object(go);
                 let mut got: Vec<QueryId> =
-                    idx.match_object(&o).iter().map(|m| m.query_id).collect();
+                    idx.match_one(&o).iter().map(|m| m.query_id).collect();
                 got.sort_unstable();
                 let mut expected: Vec<QueryId> =
                     live.iter().filter(|q| q.matches(&o)).map(|q| q.id).collect();
@@ -308,7 +340,7 @@ mod proptests {
         /// the live query set, under an arbitrary interleaving of inserts,
         /// deletes, cell migrations and replications **mid-stream** —
         /// including updates arriving *inside* a worker input batch, which
-        /// exercise the run-splitting flush of `Worker::handle_records`.
+        /// exercise the run-splitting flush of `Worker::admit`.
         #[test]
         fn gi2_ops_sequence_matches_brute_force(
             ops in proptest::collection::vec(arb_op(), 1..40),
@@ -356,14 +388,12 @@ mod proptests {
                                 o
                             })
                             .collect();
-                        // batched API on A, scratch-threaded singles on B:
-                        // both entry points stay pinned to brute force
                         check_batch(&mut a, &mut b, &model, &mut scratch, &objects)?;
                     }
                     Op::Interleaved(items) => {
-                        // mirrors `Worker::handle_records`: consecutive
-                        // objects accumulate into a run matched through the
-                        // batched kernel; an insert/delete flushes the run
+                        // mirrors `Worker::admit`: consecutive objects
+                        // accumulate into a run matched as one batch; an
+                        // insert/delete flushes the run
                         // first, so the update cannot affect objects that
                         // arrived before it in the same batch
                         let mut run: Vec<SpatioTextualObject> = Vec::new();
@@ -451,9 +481,9 @@ mod proptests {
             for go in &objects {
                 let o = build_object(go);
                 let mut got: Vec<QueryId> = a
-                    .match_object(&o)
+                    .match_one(&o)
                     .iter()
-                    .chain(b.match_object(&o).iter())
+                    .chain(b.match_one(&o).iter())
                     .map(|m| m.query_id)
                     .collect();
                 got.sort_unstable();

@@ -1,11 +1,10 @@
 //! Reusable scratch state of the GI² matching kernel.
 //!
-//! The original `match_object` allocated a fresh `HashSet` (candidate
-//! deduplication) and two `Vec`s (results, purged postings) per object.
-//! [`MatchScratch`] replaces all three with buffers that live across
-//! objects — the worker owns one and threads it through
-//! [`crate::Gi2Index::match_object_into`] / [`crate::Gi2Index::match_batch`],
-//! making steady-state matching allocation-free:
+//! Matching one object needs a candidate-deduplication set and two lists
+//! (results, purged postings). [`MatchScratch`] holds all three as buffers
+//! that live across objects and batches — the worker owns one and threads it
+//! through [`crate::Gi2Index::match_batch`], making steady-state matching
+//! allocation-free:
 //!
 //! * deduplication is an **epoch-stamped visit array** indexed by slot id —
 //!   "seen this object" is `visited[slot] == epoch`, and clearing between
@@ -25,7 +24,7 @@ pub struct MatchScratch {
     /// checked for this object.
     epoch: u64,
     /// Last epoch each slot was visited in. Sized to the slab capacity on
-    /// [`MatchScratch::begin_object`]. A `u64` epoch never wraps in
+    /// [`MatchScratch::begin_batch`]. A `u64` epoch never wraps in
     /// practice, so stale stamps can never alias a current epoch.
     visited: Vec<u64>,
     /// Match results of the current object (recycled).
@@ -34,9 +33,6 @@ pub struct MatchScratch {
     /// lazy-deletion settlement (recycled; in batch mode settled once per
     /// batch).
     pub(crate) purged: Vec<SlotId>,
-    /// Distinct-slot buffer for the extraction/replication cold paths
-    /// (recycled).
-    pub(crate) slots: Vec<SlotId>,
 }
 
 impl MatchScratch {
@@ -45,15 +41,9 @@ impl MatchScratch {
         Self::default()
     }
 
-    /// The match results of the most recent object.
-    pub fn results(&self) -> &[MatchResult] {
-        &self.results
-    }
-
     /// Sizes the visit array for a slab of `slots` slots. Called once per
-    /// batch by the batched path (the slab cannot grow mid-batch, so the
-    /// per-object work reduces to the epoch bump of
-    /// [`MatchScratch::next_epoch`]).
+    /// batch (the slab cannot grow mid-batch, so the per-object work reduces
+    /// to the epoch bump of [`MatchScratch::next_epoch`]).
     #[inline]
     pub(crate) fn begin_batch(&mut self, slots: usize) {
         if self.visited.len() < slots {
@@ -66,14 +56,6 @@ impl MatchScratch {
     #[inline]
     pub(crate) fn next_epoch(&mut self) {
         self.epoch += 1;
-    }
-
-    /// Starts a new object: bumps the dedup epoch and sizes the visit array
-    /// for a slab of `slots` slots.
-    #[inline]
-    pub(crate) fn begin_object(&mut self, slots: usize) {
-        self.begin_batch(slots);
-        self.next_epoch();
     }
 
     /// Marks a slot as visited for the current object; returns `true` on the
@@ -94,7 +76,7 @@ impl MatchScratch {
         std::mem::size_of::<Self>()
             + self.visited.capacity() * std::mem::size_of::<u64>()
             + self.results.capacity() * std::mem::size_of::<MatchResult>()
-            + (self.purged.capacity() + self.slots.capacity()) * std::mem::size_of::<SlotId>()
+            + self.purged.capacity() * std::mem::size_of::<SlotId>()
     }
 }
 
@@ -105,14 +87,16 @@ mod tests {
     #[test]
     fn epoch_dedup_resets_between_objects() {
         let mut s = MatchScratch::new();
-        s.begin_object(4);
+        s.begin_batch(4);
+        s.next_epoch();
         assert!(s.first_visit(SlotId(2)));
         assert!(!s.first_visit(SlotId(2)));
         assert!(s.first_visit(SlotId(3)));
-        s.begin_object(4);
+        s.next_epoch();
         assert!(s.first_visit(SlotId(2)), "a new epoch forgets old visits");
         // growing the slab grows the visit array
-        s.begin_object(16);
+        s.begin_batch(16);
+        s.next_epoch();
         assert!(s.first_visit(SlotId(15)));
         assert!(!s.first_visit(SlotId(15)));
     }

@@ -136,7 +136,7 @@ mod tests {
             idx.delete_by_id(QueryId(i));
         }
         for i in 0..20u64 {
-            let _ = idx.match_object(&object(i, &[(i % 6) as u32], (i % 30) as f64, 3.0));
+            let _ = idx.match_one(&object(i, &[(i % 6) as u32], (i % 30) as f64, 3.0));
         }
         let restored = Gi2Index::from_snapshot_bytes(&idx.snapshot_bytes()).unwrap();
         assert_eq!(restored.num_queries(), idx.num_queries());
@@ -148,10 +148,10 @@ mod tests {
                 (i % 40) as f64,
                 (i % 9) as f64,
             );
-            let mut a: Vec<QueryId> = idx.match_object(&o).iter().map(|m| m.query_id).collect();
+            let mut a: Vec<QueryId> = idx.match_one(&o).iter().map(|m| m.query_id).collect();
             let mut b: Vec<QueryId> = restored
                 .clone()
-                .match_object(&o)
+                .match_one(&o)
                 .iter()
                 .map(|m| m.query_id)
                 .collect();
@@ -185,7 +185,7 @@ mod tests {
         }
         b.insert(query(99, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5)));
         b.delete_by_id(QueryId(99));
-        let _ = b.match_object(&object(0, &[1], 1.0, 1.0));
+        let _ = b.match_one(&object(0, &[1], 1.0, 1.0));
         b.delete_by_id(QueryId(3));
         b.insert(qs[3].clone());
         // settle any remaining tombstones so live sets agree

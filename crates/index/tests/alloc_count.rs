@@ -145,4 +145,15 @@ fn matching_a_batch_allocates_nothing() {
     });
     assert_eq!(again, delivered);
     assert_eq!(allocations, 0, "match_batch allocated in steady state");
+    // a batch of one is the same kernel: no per-call set-up allocates either
+    let mut singly = 0usize;
+    let allocations = allocations_during(|| {
+        for o in &objects {
+            idx.match_batch(std::iter::once(o), &mut scratch, |_, _, r| {
+                singly += r.len()
+            });
+        }
+    });
+    assert_eq!(singly, delivered);
+    assert_eq!(allocations, 0, "a batch of one allocated in steady state");
 }

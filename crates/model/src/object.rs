@@ -2,10 +2,9 @@
 
 use ps2stream_geo::Point;
 use ps2stream_text::{TermId, Tokenizer};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a spatio-textual object, unique within one stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u64);
 
 impl ObjectId {
@@ -21,7 +20,7 @@ impl ObjectId {
 /// The textual content is stored pre-tokenized as a sorted, deduplicated list
 /// of interned [`TermId`]s, which is the representation every index operates
 /// on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpatioTextualObject {
     /// Unique object id.
     pub id: ObjectId,

@@ -3,10 +3,9 @@
 use crate::object::SpatioTextualObject;
 use ps2stream_geo::Rect;
 use ps2stream_text::BooleanExpr;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an STS query, unique within one system instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u64);
 
 impl QueryId {
@@ -18,12 +17,12 @@ impl QueryId {
 }
 
 /// Identifier of the subscriber who registered a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubscriberId(pub u64);
 
 /// A Spatio-Textual Subscription query `q = <K, R>` (Section III-A):
 /// a boolean keyword expression plus a rectangular region of interest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StsQuery {
     /// Unique query id.
     pub id: QueryId,
@@ -67,7 +66,7 @@ impl StsQuery {
 /// subscriptions or drop existing ones (Section III-B). Deletion requests
 /// carry the complete query description — Section IV-C relies on this so the
 /// dispatcher can route the deletion exactly like the original insertion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryUpdate {
     /// Register a new STS query.
     Insert(StsQuery),

@@ -6,10 +6,9 @@
 
 use crate::object::{ObjectId, SpatioTextualObject};
 use crate::query::{QueryId, QueryUpdate, SubscriberId};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a worker in the cluster (dense, `0 .. num_workers`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId(pub u32);
 
 impl WorkerId {
@@ -21,12 +20,12 @@ impl WorkerId {
 }
 
 /// Identifier of a dispatcher in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DispatcherId(pub u32);
 
 /// One tuple of the input stream: either a spatio-textual object to match or
 /// an update (insert/delete) of an STS query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StreamRecord {
     /// A spatio-textual object to be matched against registered queries.
     Object(SpatioTextualObject),
@@ -53,7 +52,7 @@ impl StreamRecord {
 
 /// A single match produced by a worker: object `object_id` satisfies query
 /// `query_id` registered by `subscriber`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatchResult {
     /// The matching query.
     pub query_id: QueryId,

@@ -12,10 +12,8 @@
 //! costs of a match check, of handling one object, one insertion and one
 //! deletion respectively.
 
-use serde::{Deserialize, Serialize};
-
 /// The cost constants `c1..c4` of Definition 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConstants {
     /// Average cost of checking whether one object matches one STS query.
     pub c1: f64,
@@ -42,7 +40,7 @@ impl Default for CostConstants {
 }
 
 /// The measured workload components of one worker over a period.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerLoad {
     /// `|O_i|`: number of objects routed to the worker.
     pub objects: u64,
@@ -84,7 +82,7 @@ impl WorkerLoad {
 }
 
 /// Summary of a complete workload distribution across `m` workers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributionSummary {
     /// Per-worker load components.
     pub per_worker: Vec<WorkerLoad>,

@@ -12,7 +12,6 @@
 //! object probes at least one list containing the query.
 
 use crate::vocab::TermId;
-use serde::{Deserialize, Serialize};
 
 /// Keywords an expression stores in place. Paper-shaped queries (1–3
 /// keywords joined by AND or OR) always fit; a longer expression lives in
@@ -28,7 +27,7 @@ const INLINE_TERMS: usize = 5;
 /// The DNF is stored flat — the conjunctions' keywords back to back plus
 /// their boundaries — and in place for up to `INLINE_TERMS` keywords, so
 /// evaluating, cloning and dropping a paper-shaped query touches no heap.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BooleanExpr {
     repr: Repr,
 }
@@ -36,7 +35,7 @@ pub struct BooleanExpr {
 /// One logical expression has exactly one representation (in place iff it
 /// fits, unused slots zeroed), so the derived equality and hash are the
 /// logical ones.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 enum Repr {
     /// `terms[..len]` are the conjunctions' keywords back to back; bit `i` of
     /// `ends` is set iff `terms[i]` closes its conjunction (bit `len - 1`

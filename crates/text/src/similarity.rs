@@ -7,11 +7,10 @@
 //! sparse term-frequency vector supporting exactly that computation.
 
 use crate::vocab::TermId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A sparse term-frequency vector.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TermDistribution {
     weights: HashMap<TermId, f64>,
 }

@@ -13,10 +13,9 @@
 //! and answers those questions.
 
 use crate::vocab::TermId;
-use serde::{Deserialize, Serialize};
 
 /// Document-frequency statistics for interned terms.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TermStats {
     /// `counts[term.index()]` = number of objects containing the term.
     counts: Vec<u64>,
