@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! hot <path> <fn> [<fn> …]       # declare allocation-free hot functions
-//! lock-order <path>              # file whose nested shard locks are checked
 //! operator-path <path-prefix>    # operator code for sim-determinism scope
 //! persist-path <path-prefix>     # durable-storage code (durability-discipline scope)
 //! allow <rule> <path> <item> :: <justification>
@@ -37,8 +36,6 @@ pub struct AllowEntry {
 pub struct Config {
     /// `(path, hot function names)` — bodies that must not allocate.
     pub hot: Vec<(String, Vec<String>)>,
-    /// Files whose nested shard-lock acquisitions are order-checked.
-    pub lock_order_files: Vec<String>,
     /// Path prefixes holding operator code (sim-determinism scope).
     pub operator_paths: Vec<String>,
     /// Path prefixes holding durable-storage code (durability-discipline
@@ -74,12 +71,6 @@ impl Config {
                         ));
                     }
                     cfg.hot.push((path.to_string(), fns));
-                }
-                "lock-order" => {
-                    let path = words
-                        .next()
-                        .ok_or_else(|| format!("line {line_no}: `lock-order` needs a path"))?;
-                    cfg.lock_order_files.push(path.to_string());
                 }
                 "operator-path" => {
                     let path = words
@@ -158,7 +149,6 @@ mod tests {
         let cfg = Config::parse(
             "# comment\n\
              hot crates/index/src/gi2.rs match_batch match_in_cell\n\
-             lock-order crates/partition/src/registry.rs\n\
              operator-path crates/core/src\n\
              allow sim-determinism crates/core/src/worker.rs Instant::now :: timing metrics only\n",
         )

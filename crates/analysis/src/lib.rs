@@ -3,14 +3,13 @@
 //!
 //! The last several PRs established invariants that are load-bearing for the
 //! paper's throughput/latency figures but were enforced only by comments:
-//! ascending-group lock order in the NUMA term registry, the allocation-free
-//! matching kernel, seeded-simulation determinism, audited `unsafe`, and
-//! bounded channels in operator code. This crate lexes the workspace's Rust
-//! sources with a hand-rolled lexer (no `syn`/`proc-macro2` — the build is
-//! offline with vendored deps) and runs a rule engine over the token
-//! streams, with `file:line` diagnostics and a checked-in, justification-
-//! carrying allowlist (`ps2lint.allow`). See `docs/ANALYSIS.md` for the rule
-//! catalogue and how to add one.
+//! the allocation-free matching kernel, seeded-simulation determinism,
+//! audited `unsafe`, and bounded channels in operator code. This crate lexes
+//! the workspace's Rust sources with a hand-rolled lexer (no
+//! `syn`/`proc-macro2` — the build is offline with vendored deps) and runs a
+//! rule engine over the token streams, with `file:line` diagnostics and a
+//! checked-in, justification-carrying allowlist (`ps2lint.allow`). See
+//! `docs/ANALYSIS.md` for the rule catalogue and how to add one.
 //!
 //! # Example
 //!

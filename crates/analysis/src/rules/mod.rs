@@ -4,7 +4,6 @@
 pub mod channel_discipline;
 pub mod durability;
 pub mod env_doc;
-pub mod lock_order;
 pub mod no_alloc_hot;
 pub mod panic_free;
 pub mod sim_determinism;
@@ -42,7 +41,6 @@ pub trait Rule {
 /// Every registered rule, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(lock_order::LockOrder),
         Box::new(no_alloc_hot::NoAllocHot),
         Box::new(sim_determinism::SimDeterminism),
         Box::new(unsafe_audit::UnsafeAudit),

@@ -62,7 +62,6 @@ fn seeded_fixture_tree_trips_every_rule() {
         &dir,
         "ps2lint.allow",
         "hot crates/fix/src/hot.rs hot_fn\n\
-         lock-order crates/fix/src/locks.rs\n\
          operator-path crates/fix/src\n\
          persist-path crates/fix/src/persist\n",
     );
@@ -71,18 +70,6 @@ fn seeded_fixture_tree_trips_every_rule() {
         &dir,
         "crates/fix/src/persist/log.rs",
         "fn append(&mut self) { self.file.write_all(&self.raw).unwrap(); self.file.sync_all().unwrap(); }\n",
-    );
-    write(
-        &dir,
-        "crates/fix/src/locks.rs",
-        r#"
-        fn promote_badly(&self, cell: u32, local: usize, home: usize) {
-            let s = self.shard_of(cell);
-            let mut mine = self.groups[local].shards[s].write();
-            let mut theirs = self.groups[home].shards[s].write();
-            install(&mut mine, &mut theirs);
-        }
-        "#,
     );
     write(
         &dir,
@@ -128,7 +115,6 @@ fn seeded_fixture_tree_trips_every_rule() {
         out.status
     );
     for rule in [
-        "[lock-order]",
         "[no-alloc-hot]",
         "[sim-determinism]",
         "[unsafe-audit]",

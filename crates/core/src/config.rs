@@ -132,14 +132,10 @@ pub struct SystemConfig {
     /// binaries can opt in without code changes. Ignored by the
     /// deterministic simulator, which is single-threaded by construction.
     pub pinning: bool,
-    /// Shards per NUMA-node shard group of the routing table's `H2` term
-    /// registry. `None` (the default) sizes the groups automatically from
-    /// the detected topology — one group per NUMA node, splitting the flat
-    /// 64-shard budget across nodes. The multi-group layout is only used
-    /// when `pinning` is enabled (unpinned threads all report node 0, so
-    /// node-local groups would be pure overhead); with pinning off, or on a
-    /// single-node machine, the layout is the flat sharding and this knob
-    /// overrides the flat shard count.
+    /// Has no effect: the `H2` term registry has one fixed flat layout. The
+    /// field survives only because the frozen `crates/benchmark/` builds
+    /// this config field by field; the next PR allowed to edit that crate
+    /// deletes it.
     pub numa_shards: Option<usize>,
     /// Durable subscriptions: when set, every query insert/delete is written
     /// to the operation log in the given directory before it is routed, and
@@ -237,13 +233,6 @@ impl SystemConfig {
         self
     }
 
-    /// Overrides the per-NUMA-node shard count of the `H2` term registry
-    /// (`None` = size from the detected topology).
-    pub fn with_numa_shards(mut self, shards: Option<usize>) -> Self {
-        self.numa_shards = shards;
-        self
-    }
-
     /// Enables durable subscriptions backed by the given store configuration
     /// (see [`SystemConfig::durability`]).
     pub fn with_durability(mut self, store: StoreConfig) -> Self {
@@ -312,9 +301,6 @@ mod tests {
         assert!(c.pinning);
         let c = c.with_pinning(false);
         assert!(!c.pinning);
-        assert_eq!(c.numa_shards, None);
-        let c = c.with_numa_shards(Some(16));
-        assert_eq!(c.numa_shards, Some(16));
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub mod prelude {
     };
     pub use ps2stream_persist::{FsyncPolicy, PersistentStore, StoreConfig};
     pub use ps2stream_stream::{
-        CoopConfig, CpuTopology, FaultPlan, Placement, PlacementPolicy, RuntimeBackend,
+        CoopConfig, CpuTopology, FaultPlan, PlacementPolicy, RuntimeBackend,
     };
     pub use ps2stream_text::{BooleanExpr, TermId, Tokenizer, Vocabulary};
     pub use ps2stream_workload::{

@@ -180,7 +180,7 @@ pub struct RunningSystem {
 impl RunningSystem {
     fn launch(
         config: SystemConfig,
-        mut routing: RoutingTable,
+        routing: RoutingTable,
         seed_stats: Option<TermStats>,
         delivery: Option<Sender<MatchResult>>,
     ) -> Self {
@@ -190,20 +190,10 @@ impl RunningSystem {
             "at least one dispatcher is required"
         );
         assert!(config.num_mergers > 0, "at least one merger is required");
-        // Topology-aware placement: detect the machine layout once, pin
-        // executor threads, and shard the routing table's H2 registry per
-        // NUMA node so dispatchers resolve routing reads through node-local
-        // shard groups. The multi-group layout only pays off when threads
-        // actually record their node, so it is gated on pinning (and the
-        // simulator, which ignores placement, keeps the flat layout): with
-        // pinning off every thread reports node 0 and a multi-group
-        // registry would just push every remote-homed cell through the
-        // promotion path. On a single-node machine everything collapses to
-        // the previous flat behaviour either way.
+        // Core pinning: detect the machine layout once and pin executor
+        // threads node by node (the simulator ignores placement).
         let topology = CpuTopology::detect();
         let pin = config.pinning && !config.runtime.is_deterministic();
-        let registry_nodes = if pin { topology.num_nodes() } else { 1 };
-        routing.reshard_for_topology(registry_nodes, config.numa_shards);
         let mut runtime =
             Runtime::with_placement(&config.runtime, PlacementPolicy { pin, topology });
         let metrics = SystemMetrics::new(config.num_workers);
@@ -691,12 +681,6 @@ mod tests {
         let _ = Ps2StreamBuilder::new(SystemConfig::default()).start();
     }
 
-    /// True when `PS2_RUNTIME` puts the whole suite on the simulator (where
-    /// placement, and therefore the multi-group registry, is disabled).
-    fn system_runtime_is_sim() -> bool {
-        SystemConfig::default().runtime.is_deterministic()
-    }
-
     #[test]
     fn small_end_to_end_run_completes() {
         let sample = build_sample(DatasetSpec::tiny(), QueryClass::Q1, 400, 80, 1);
@@ -724,9 +708,6 @@ mod tests {
         for o in sample.objects() {
             system.send(StreamRecord::Object(o.clone()));
         }
-        // pinning is off: the registry must keep the flat single-group
-        // layout whatever the machine looks like
-        assert_eq!(system.routing().read().term_registry().num_groups(), 1);
         let records = system.records_sent();
         let report = system.finish();
         assert_eq!(report.records_in, records);
@@ -748,8 +729,8 @@ mod tests {
         assert!(report.throughput_tps > 0.0);
     }
 
-    /// Pinning and an explicit NUMA shard layout are placement changes, not
-    /// semantic ones: the exact match set must be identical.
+    /// Pinning is a placement change, not a semantic one: the exact match
+    /// set must be identical.
     #[test]
     fn pinned_run_delivers_the_same_matches() {
         let sample = build_sample(DatasetSpec::tiny(), QueryClass::Q1, 400, 80, 1);
@@ -759,8 +740,7 @@ mod tests {
             num_mergers: 1,
             ..SystemConfig::default()
         }
-        .with_pinning(true)
-        .with_numa_shards(Some(8));
+        .with_pinning(true);
         let (delivery_tx, delivery_rx) = unbounded::<MatchResult>();
         let mut system = Ps2StreamBuilder::new(config)
             .with_partitioner(Box::new(KdTreePartitioner::default()))
@@ -774,14 +754,6 @@ mod tests {
         }
         for o in sample.objects() {
             system.send(StreamRecord::Object(o.clone()));
-        }
-        // with pinning on (and a concurrent backend) the registry is sized
-        // from the detected topology — one group per NUMA node
-        if !system_runtime_is_sim() {
-            assert_eq!(
-                system.routing().read().term_registry().num_groups(),
-                ps2stream_stream::CpuTopology::detect().num_nodes()
-            );
         }
         let report = system.finish();
         let mut expected = 0u64;

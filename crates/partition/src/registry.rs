@@ -1,4 +1,4 @@
-//! The sharded, read-mostly, NUMA-aware query-term registry (`H2`).
+//! The sharded, read-mostly query-term registry (`H2`).
 //!
 //! The gridt routing table registers, for every cell, the set of terms under
 //! which at least one STS query is posted: objects carrying none of their
@@ -8,254 +8,62 @@
 //! insertion to take a **write** lock on the whole table, serializing the
 //! ingest path.
 //!
-//! [`TermRegistry`] therefore keeps `H2` in a **two-level** structure:
-//!
-//! * **Shard groups, one per NUMA node.** Each group is an array of small
-//!   lock-striped shards (`shards_per_group`, a power of two) mapping cell →
-//!   registered term set. Every `(cell, term)` pair has a **home group**
-//!   chosen by hashing the cell, which holds the authoritative copy.
-//! * **Local-first reads.** A dispatcher thread placed on node `n` (see
-//!   `ps2stream_stream::Placement`) resolves lookups through group `n`
-//!   first. If the cell has been **promoted** into the local group the whole
-//!   probe is served from node-local memory; otherwise the read falls back
-//!   to the home group and bumps a per-cell remote-consult counter.
-//! * **Write-rare promotion.** When a cell's remote-consult counter crosses
-//!   a small threshold, its full term set is replicated into the consulting
-//!   node's group. Registrations (`insert`) mirror new terms into every
-//!   existing replica *while holding the home shard's write lock*, so a
-//!   replica is always as complete as its home copy — negative answers from
-//!   a replica are authoritative, which is what keeps the common
-//!   "object term is not registered" probe node-local.
+//! [`TermRegistry`] therefore stripes `H2` over a fixed array of 64 locks,
+//! each mapping cell → registered term set, plus a per-cell count of
+//! registered terms for the early-discard check. A cell's stripe is a hash
+//! of its id. Every per-cell operation (`contains`, `probe_terms`,
+//! `insert`, `terms_of_cell`) takes exactly one stripe lock and no operation
+//! ever holds two, so the registry has no lock order to keep.
 //!
 //! In steady state (the live query population stabilizes around µ,
-//! Section VI-A) almost every insertion hits the read-only fast path, almost
-//! every object probe touches only node-local cache lines, and the rare
-//! writes contend on one small shard. With a single group (the default, and
-//! the detected layout on single-socket machines) the structure collapses
-//! exactly to the previous flat sharding: no replicas, no counters on the
-//! read path beyond the per-cell emptiness check.
-//!
-//! Lock ordering: any operation that holds more than one shard lock at once
-//! (`insert`'s mirror step, promotion's snapshot-install) acquires the
-//! *same shard index* across groups in **ascending group order**, so the
-//! pair cannot deadlock.
+//! Section VI-A) almost every insertion hits the read-only fast path and
+//! the rare writes contend on one small stripe.
 
 use parking_lot::RwLock;
-use ps2stream_stream::Placement;
 use ps2stream_text::TermId;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default number of shards when the registry runs as a single group (the
-/// flat layout of single-socket machines); a power of two so the shard of a
-/// cell is a mask away from its hash.
-const DEFAULT_SHARDS: usize = 64;
+/// Number of lock stripes; a power of two so the stripe of a cell is a mask
+/// away from its hash.
+const SHARDS: usize = 64;
 
-/// Remote consults of one cell before its term set is promoted
-/// (replicated) into the consulting node's shard group.
-const PROMOTE_REMOTE_HITS: u32 = 8;
+type Shard = RwLock<HashMap<u32, HashSet<TermId>>>;
 
-/// One NUMA node's shard array.
-struct ShardGroup {
-    shards: Vec<RwLock<HashMap<u32, HashSet<TermId>>>>,
-}
-
-impl ShardGroup {
-    fn new(shards: usize) -> Self {
-        let mut v = Vec::with_capacity(shards);
-        v.resize_with(shards, || RwLock::new(HashMap::new()));
-        Self { shards: v }
-    }
+#[inline]
+fn shard_of(cell: u32) -> usize {
+    // Fibonacci hashing: cheap and well-distributed for dense cell ids.
+    ((cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (SHARDS - 1)
 }
 
 /// The sharded per-cell term sets backing the `H2` filters of the routing
 /// table. All methods take `&self`.
 pub struct TermRegistry {
-    /// One shard group per NUMA node; group 0 is the only group on
-    /// single-node layouts.
-    groups: Vec<ShardGroup>,
-    /// Shards per group (power of two).
-    shards_per_group: usize,
+    shards: [Shard; SHARDS],
     /// Number of distinct terms registered per cell (early-discard fast path).
     cell_counts: Vec<AtomicUsize>,
-    /// Per-cell count of reads that had to leave their local group;
-    /// crossing [`PROMOTE_REMOTE_HITS`] triggers promotion.
-    remote_hits: Vec<AtomicU32>,
-    /// Per-cell bitmap of groups holding a replica (bit `min(group, 31)`;
-    /// bits are only ever set, and only while the cell's home shard write
-    /// lock is held). Lets `insert` skip the all-group mirror locking for
-    /// the common never-promoted cell.
-    replica_mask: Vec<AtomicU32>,
 }
 
 impl TermRegistry {
-    /// Creates an empty single-group registry for `num_cells` grid cells
-    /// (the flat 64-shard layout).
+    /// Creates an empty registry for `num_cells` grid cells.
     pub fn new(num_cells: usize) -> Self {
-        Self::with_groups(num_cells, 1, DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty registry with an explicit shard-group layout:
-    /// `num_groups` NUMA-node groups of `shards_per_group` shards each
-    /// (rounded up to a power of two).
-    pub fn with_groups(num_cells: usize, num_groups: usize, shards_per_group: usize) -> Self {
-        let num_groups = num_groups.max(1);
-        let shards_per_group = shards_per_group.max(1).next_power_of_two();
-        let mut groups = Vec::with_capacity(num_groups);
-        groups.resize_with(num_groups, || ShardGroup::new(shards_per_group));
         let mut cell_counts = Vec::with_capacity(num_cells);
         cell_counts.resize_with(num_cells, AtomicUsize::default);
-        let mut remote_hits = Vec::with_capacity(num_cells);
-        remote_hits.resize_with(num_cells, AtomicU32::default);
-        let mut replica_mask = Vec::with_capacity(num_cells);
-        replica_mask.resize_with(num_cells, AtomicU32::default);
         Self {
-            groups,
-            shards_per_group,
+            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             cell_counts,
-            remote_hits,
-            replica_mask,
         }
-    }
-
-    /// The layout for a machine with `num_nodes` NUMA nodes: one group per
-    /// node, splitting the default shard budget across the nodes (at least
-    /// 8 shards per group so intra-node striping survives high node
-    /// counts).
-    pub fn for_nodes(num_cells: usize, num_nodes: usize) -> Self {
-        let (groups, per_group) = Self::node_layout(num_nodes, None);
-        Self::with_groups(num_cells, groups, per_group)
-    }
-
-    /// The `(num_groups, shards_per_group)` layout for a machine with
-    /// `num_nodes` NUMA nodes, with an optional explicit per-group shard
-    /// override (the `numa_shards` system knob).
-    pub fn node_layout(num_nodes: usize, shards_per_group: Option<usize>) -> (usize, usize) {
-        let nodes = num_nodes.max(1);
-        let per_group = shards_per_group
-            .unwrap_or((DEFAULT_SHARDS / nodes).max(8))
-            .max(1)
-            .next_power_of_two();
-        (nodes, per_group)
-    }
-
-    /// Number of shard groups (NUMA nodes) in this layout.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Shards per group in this layout.
-    pub fn shards_per_group(&self) -> usize {
-        self.shards_per_group
-    }
-
-    /// Rebuilds the registry under a different shard-group layout,
-    /// preserving every registration (replicas are dropped; hot cells are
-    /// re-promoted by subsequent traffic). Used when the detected topology
-    /// differs from the layout the table was built with.
-    pub fn resharded(&self, num_groups: usize, shards_per_group: usize) -> Self {
-        let out = Self::with_groups(self.cell_counts.len(), num_groups, shards_per_group);
-        for (g, group) in self.groups.iter().enumerate() {
-            for shard in &group.shards {
-                for (&cell, terms) in shard.read().iter() {
-                    if self.home_group(cell) != g {
-                        continue; // replica: the home copy is identical
-                    }
-                    for &t in terms {
-                        out.insert(cell, t);
-                    }
-                }
-            }
-        }
-        out
     }
 
     #[inline]
-    fn shard_of(&self, cell: u32) -> usize {
-        // Fibonacci hashing: cheap and well-distributed for dense cell ids.
-        ((cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
-            & (self.shards_per_group - 1)
+    fn shard(&self, cell: u32) -> &Shard {
+        &self.shards[shard_of(cell)]
     }
 
-    /// The group holding the authoritative copy of a cell (uses different
-    /// hash bits than [`TermRegistry::shard_of`] so group and shard choice
-    /// stay independent).
-    #[inline]
-    fn home_group(&self, cell: u32) -> usize {
-        if self.groups.len() == 1 {
-            return 0;
-        }
-        (((cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) as usize) % self.groups.len()
-    }
-
-    /// The group local to the calling thread (its placement node, wrapped
-    /// into the layout's group count).
-    #[inline]
-    fn local_group(&self) -> usize {
-        if self.groups.len() == 1 {
-            return 0;
-        }
-        Placement::current_node() % self.groups.len()
-    }
-
-    /// Records a read that had to leave its local group; promotes the
-    /// cell's term set into the local group once the cell proves hot on
-    /// this node.
-    fn note_remote_read(&self, cell: u32, local: usize, home: usize) {
-        let Some(counter) = self.remote_hits.get(cell as usize) else {
-            return;
-        };
-        if counter.fetch_add(1, Ordering::Relaxed) + 1 >= PROMOTE_REMOTE_HITS {
-            self.promote(cell, local, home);
-        }
-    }
-
-    /// Replicates the home copy of a cell into the local group. Takes the
-    /// cell's shard lock in both groups in ascending group order (the same
-    /// order `insert`'s mirror step uses), so concurrent registrations can
-    /// never be missed by the snapshot.
-    fn promote(&self, cell: u32, local: usize, home: usize) {
-        debug_assert_ne!(local, home);
-        let s = self.shard_of(cell);
-        let (first, second) = if local < home {
-            (local, home)
-        } else {
-            (home, local)
-        };
-        let mut g1 = self.groups[first].shards[s].write();
-        let mut g2 = self.groups[second].shards[s].write();
-        let (home_guard, local_guard) = if home == first {
-            (&mut g1, &mut g2)
-        } else {
-            (&mut g2, &mut g1)
-        };
-        if let Some(set) = home_guard.get(&cell) {
-            let snapshot = set.clone();
-            local_guard.entry(cell).or_insert(snapshot);
-            // record the replica while still holding the home write lock —
-            // insert's home-only fast path re-checks this mask under that
-            // same lock, so a racing registration can never miss the mirror
-            if let Some(mask) = self.replica_mask.get(cell as usize) {
-                mask.fetch_or(1 << local.min(31), Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Returns true if `term` is registered in `cell`. Served from the
-    /// calling thread's node-local shard group when the cell has been
-    /// promoted there.
+    /// Returns true if `term` is registered in `cell`.
     #[inline]
     pub fn contains(&self, cell: u32, term: TermId) -> bool {
-        let s = self.shard_of(cell);
-        let home = self.home_group(cell);
-        let local = self.local_group();
-        if local != home {
-            if let Some(set) = self.groups[local].shards[s].read().get(&cell) {
-                return set.contains(&term);
-            }
-            self.note_remote_read(cell, local, home);
-        }
-        self.groups[home].shards[s]
+        self.shard(cell)
             .read()
             .get(&cell)
             .is_some_and(|terms| terms.contains(&term))
@@ -272,104 +80,31 @@ impl TermRegistry {
 
     /// Registers `term` in `cell`. Read-only when the pair is already present
     /// (the steady-state fast path); otherwise takes the cell's shard write
-    /// lock in every group (ascending order), registering in the home group
-    /// and mirroring into every group that holds a replica of the cell.
-    /// Returns true if the pair was newly registered.
+    /// lock. Returns true if the pair was newly registered.
     pub fn insert(&self, cell: u32, term: TermId) -> bool {
-        let s = self.shard_of(cell);
-        let home = self.home_group(cell);
-        let local = self.local_group();
-        // fast path: already registered — a local replica answers without
-        // leaving the node (replicas never lag their home copy)
-        if local != home {
-            if let Some(set) = self.groups[local].shards[s].read().get(&cell) {
-                if set.contains(&term) {
-                    return false;
-                }
-            }
-        }
-        if self.groups[home].shards[s]
-            .read()
-            .get(&cell)
-            .is_some_and(|terms| terms.contains(&term))
-        {
+        if self.contains(cell, term) {
             return false;
         }
-        // slow path: a genuinely new pair.
-        loop {
-            let mask = self
-                .replica_mask
-                .get(cell as usize)
-                .map_or(u32::MAX, |m| m.load(Ordering::Relaxed));
-            if mask == 0 {
-                // No group holds a replica of this cell: the home shard's
-                // write lock alone suffices. Promotion can only set a mask
-                // bit while holding that same lock, so re-checking under it
-                // closes the race (bits are never cleared — at most one
-                // retry).
-                let mut home_guard = self.groups[home].shards[s].write();
-                let raced = self
-                    .replica_mask
-                    .get(cell as usize)
-                    .is_some_and(|m| m.load(Ordering::Relaxed) != 0);
-                if raced {
-                    drop(home_guard);
-                    continue;
-                }
-                let inserted = home_guard.entry(cell).or_default().insert(term);
-                drop(home_guard);
-                if inserted {
-                    if let Some(count) = self.cell_counts.get(cell as usize) {
-                        count.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                return inserted;
+        let inserted = self
+            .shard(cell)
+            .write()
+            .entry(cell)
+            .or_default()
+            .insert(term);
+        if inserted {
+            if let Some(count) = self.cell_counts.get(cell as usize) {
+                count.fetch_add(1, Ordering::Relaxed);
             }
-            // Replicas exist (or the cell id is untracked): hold this
-            // shard's write lock in every group at once so replicas stay
-            // exact copies of their home.
-            let mut guards: Vec<_> = self.groups.iter().map(|g| g.shards[s].write()).collect();
-            let inserted = guards[home].entry(cell).or_default().insert(term);
-            if inserted {
-                for (g, guard) in guards.iter_mut().enumerate() {
-                    if g != home {
-                        if let Some(replica) = guard.get_mut(&cell) {
-                            replica.insert(term);
-                        }
-                    }
-                }
-                if let Some(count) = self.cell_counts.get(cell as usize) {
-                    count.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            return inserted;
         }
+        inserted
     }
 
     /// Probes several terms of one cell under a **single** shard read lock,
     /// calling `f` for each registered term in order; `f` returns false to
     /// stop early. This is the object hot path: one lock acquisition per
-    /// object instead of one per term, on node-local memory once the cell
-    /// has been promoted to the calling thread's group.
+    /// object instead of one per term.
     pub fn probe_terms(&self, cell: u32, terms: &[TermId], mut f: impl FnMut(TermId) -> bool) {
-        let s = self.shard_of(cell);
-        let home = self.home_group(cell);
-        let local = self.local_group();
-        if local != home {
-            {
-                let shard = self.groups[local].shards[s].read();
-                if let Some(registered) = shard.get(&cell) {
-                    for &t in terms {
-                        if registered.contains(&t) && !f(t) {
-                            break;
-                        }
-                    }
-                    return;
-                }
-            }
-            self.note_remote_read(cell, local, home);
-        }
-        let shard = self.groups[home].shards[s].read();
+        let shard = self.shard(cell).read();
         let Some(registered) = shard.get(&cell) else {
             return;
         };
@@ -380,39 +115,24 @@ impl TermRegistry {
         }
     }
 
-    /// The registered terms of one cell (one shard read lock on the home
-    /// group; used by the control path of the dynamic load adjustment).
+    /// The registered terms of one cell (one shard read lock; used by the
+    /// control path of the dynamic load adjustment).
     pub fn terms_of_cell(&self, cell: u32) -> HashSet<TermId> {
         if self.cell_is_empty(cell as usize) {
             return HashSet::new();
         }
-        self.groups[self.home_group(cell)].shards[self.shard_of(cell)]
+        self.shard(cell)
             .read()
             .get(&cell)
             .cloned()
             .unwrap_or_default()
     }
 
-    /// Total number of `(cell, term)` registrations (replicas are not
-    /// counted — each pair counts once, at its home group).
+    /// Total number of `(cell, term)` registrations.
     pub fn len(&self) -> usize {
-        self.groups
+        self.shards
             .iter()
-            .enumerate()
-            .map(|(g, group)| {
-                group
-                    .shards
-                    .iter()
-                    .map(|shard| {
-                        shard
-                            .read()
-                            .iter()
-                            .filter(|(&cell, _)| self.home_group(cell) == g)
-                            .map(|(_, terms)| terms.len())
-                            .sum::<usize>()
-                    })
-                    .sum::<usize>()
-            })
+            .map(|shard| shard.read().values().map(HashSet::len).sum::<usize>())
             .sum()
     }
 
@@ -423,33 +143,16 @@ impl TermRegistry {
             .all(|c| c.load(Ordering::Relaxed) == 0)
     }
 
-    /// Number of cells materialized in one shard group — home copies plus
-    /// promoted replicas (diagnostics; used by tests and benches to observe
-    /// promotion).
-    pub fn group_cell_count(&self, group: usize) -> usize {
-        self.groups[group]
-            .shards
-            .iter()
-            .map(|s| s.read().len())
-            .sum()
-    }
-
-    /// Exports every registration in canonical order — home copies only
-    /// (replicas are re-promoted by traffic), cells ascending, each cell's
-    /// terms ascending. This is the form embedded in durability snapshots:
-    /// deterministic bytes regardless of shard layout or promotion history.
+    /// Exports every registration in canonical order — cells ascending, each
+    /// cell's terms ascending. This is the form embedded in durability
+    /// snapshots: deterministic bytes regardless of hash-map iteration order.
     pub fn export_cells(&self) -> Vec<(u32, Vec<TermId>)> {
         let mut out: Vec<(u32, Vec<TermId>)> = Vec::new();
-        for (g, group) in self.groups.iter().enumerate() {
-            for shard in &group.shards {
-                for (&cell, terms) in shard.read().iter() {
-                    if self.home_group(cell) != g {
-                        continue; // replica: the home copy is identical
-                    }
-                    let mut sorted: Vec<TermId> = terms.iter().copied().collect();
-                    sorted.sort_unstable();
-                    out.push((cell, sorted));
-                }
+        for shard in &self.shards {
+            for (&cell, terms) in shard.read().iter() {
+                let mut sorted: Vec<TermId> = terms.iter().copied().collect();
+                sorted.sort_unstable();
+                out.push((cell, sorted));
             }
         }
         out.sort_unstable_by_key(|(cell, _)| *cell);
@@ -467,64 +170,32 @@ impl TermRegistry {
         }
     }
 
-    /// Approximate memory footprint in bytes (replicas included — they are
-    /// real memory).
+    /// Approximate memory footprint in bytes.
     pub fn memory_usage(&self) -> usize {
         let mut materialized_cells = 0usize;
         let mut materialized_terms = 0usize;
-        for group in &self.groups {
-            for shard in &group.shards {
-                let shard = shard.read();
-                materialized_cells += shard.len();
-                materialized_terms += shard.values().map(HashSet::len).sum::<usize>();
-            }
+        for shard in &self.shards {
+            let shard = shard.read();
+            materialized_cells += shard.len();
+            materialized_terms += shard.values().map(HashSet::len).sum::<usize>();
         }
         std::mem::size_of::<Self>()
-            + self.groups.len()
-                * self.shards_per_group
-                * std::mem::size_of::<RwLock<HashMap<u32, HashSet<TermId>>>>()
             + materialized_cells
                 * (std::mem::size_of::<u32>() + std::mem::size_of::<HashSet<TermId>>())
             + materialized_terms * (std::mem::size_of::<TermId>() + 16)
             + self.cell_counts.len() * std::mem::size_of::<AtomicUsize>()
-            + (self.remote_hits.len() + self.replica_mask.len()) * std::mem::size_of::<AtomicU32>()
     }
 }
 
 impl Clone for TermRegistry {
     fn clone(&self) -> Self {
-        let groups = self
-            .groups
-            .iter()
-            .map(|group| ShardGroup {
-                shards: group
-                    .shards
-                    .iter()
-                    .map(|s| RwLock::new(s.read().clone()))
-                    .collect(),
-            })
-            .collect();
-        let cell_counts = self
-            .cell_counts
-            .iter()
-            .map(|c| AtomicUsize::new(c.load(Ordering::Relaxed)))
-            .collect();
-        let remote_hits = self
-            .remote_hits
-            .iter()
-            .map(|c| AtomicU32::new(c.load(Ordering::Relaxed)))
-            .collect();
-        let replica_mask = self
-            .replica_mask
-            .iter()
-            .map(|c| AtomicU32::new(c.load(Ordering::Relaxed)))
-            .collect();
         Self {
-            groups,
-            shards_per_group: self.shards_per_group,
-            cell_counts,
-            remote_hits,
-            replica_mask,
+            shards: std::array::from_fn(|i| RwLock::new(self.shards[i].read().clone())),
+            cell_counts: self
+                .cell_counts
+                .iter()
+                .map(|c| AtomicUsize::new(c.load(Ordering::Relaxed)))
+                .collect(),
         }
     }
 }
@@ -534,8 +205,6 @@ impl std::fmt::Debug for TermRegistry {
         f.debug_struct("TermRegistry")
             .field("registrations", &self.len())
             .field("cells", &self.cell_counts.len())
-            .field("groups", &self.groups.len())
-            .field("shards_per_group", &self.shards_per_group)
             .finish()
     }
 }
@@ -543,21 +212,9 @@ impl std::fmt::Debug for TermRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
-
-    /// Runs `f` on a thread emulating placement on `node` (the registry
-    /// reads the thread-local placement to pick its local group).
-    fn on_node<T: Send>(node: usize, f: impl FnOnce() -> T + Send) -> T {
-        std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    Placement::set_current(Placement { node, cpu: None });
-                    f()
-                })
-                .join()
-                .unwrap()
-        })
-    }
 
     #[test]
     fn insert_and_contains() {
@@ -645,159 +302,22 @@ mod tests {
     }
 
     #[test]
-    fn layouts_normalize() {
-        let r = TermRegistry::with_groups(8, 0, 0);
-        assert_eq!(r.num_groups(), 1);
-        assert_eq!(r.shards_per_group(), 1);
-        let r = TermRegistry::with_groups(8, 3, 12);
-        assert_eq!(r.num_groups(), 3);
-        assert_eq!(r.shards_per_group(), 16); // rounded to a power of two
-        let r = TermRegistry::for_nodes(8, 2);
-        assert_eq!(r.num_groups(), 2);
-        assert_eq!(r.shards_per_group(), 32);
-        let r = TermRegistry::for_nodes(8, 16);
-        assert_eq!(r.shards_per_group(), 8); // floor survives high node counts
-    }
-
-    #[test]
-    fn multi_group_registrations_are_visible_from_every_node() {
-        let r = TermRegistry::with_groups(64, 3, 8);
-        for cell in 0..64u32 {
-            r.insert(cell, TermId(cell));
-        }
-        for node in 0..4 {
-            // node 3 wraps into group 0: still correct
-            on_node(node, || {
-                for cell in 0..64u32 {
-                    assert!(r.contains(cell, TermId(cell)));
-                    assert!(!r.contains(cell, TermId(cell + 100)));
-                }
-            });
-        }
-        assert_eq!(r.len(), 64);
-    }
-
-    #[test]
-    fn hot_cells_promote_into_the_reading_node_and_stay_exact() {
-        let r = TermRegistry::with_groups(16, 2, 8);
-        // find a cell whose home is group 0 so reads from node 1 are remote
-        let cell = (0..16u32).find(|c| r.home_group(*c) == 0).unwrap();
-        r.insert(cell, TermId(1));
-        let baseline = r.group_cell_count(1);
-        on_node(1, || {
-            for _ in 0..(PROMOTE_REMOTE_HITS + 2) {
-                assert!(r.contains(cell, TermId(1)));
-            }
-        });
-        assert_eq!(
-            r.group_cell_count(1),
-            baseline + 1,
-            "the hot cell must be replicated into node 1's group"
-        );
-        // registrations after promotion reach the replica synchronously
-        r.insert(cell, TermId(2));
-        on_node(1, || {
-            assert!(r.contains(cell, TermId(2)));
-            assert!(!r.contains(cell, TermId(3)));
-        });
-        // replicas never double-count
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.terms_of_cell(cell).len(), 2);
-    }
-
-    #[test]
-    fn promotion_probe_reports_each_term_exactly_once() {
-        // "no double-route": a promoted cell must not surface a term twice
-        // (once from the replica, once from the home copy)
-        let r = TermRegistry::with_groups(16, 2, 8);
-        let cell = (0..16u32).find(|c| r.home_group(*c) == 0).unwrap();
-        let terms: Vec<TermId> = (0..6u32).map(TermId).collect();
-        for &t in &terms {
-            r.insert(cell, t);
-        }
-        on_node(1, || {
-            for _ in 0..(PROMOTE_REMOTE_HITS + 2) {
-                let mut seen = Vec::new();
-                r.probe_terms(cell, &terms, |t| {
-                    seen.push(t);
-                    true
-                });
-                assert_eq!(seen, terms, "each registered term exactly once, in order");
-            }
-        });
-    }
-
-    #[test]
-    fn concurrent_reads_promotions_and_inserts_agree() {
-        // Hammer the same cells from two emulated nodes while a third
-        // thread keeps registering new terms: no read may ever see a term
-        // the home group doesn't have, and the final state must be exact.
-        let r = Arc::new(TermRegistry::with_groups(32, 2, 8));
-        let writer = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                for i in 0..2_000u32 {
-                    r.insert(i % 32, TermId(i / 32));
-                }
-            })
-        };
-        let readers: Vec<_> = (0..2)
-            .map(|node| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    Placement::set_current(Placement { node, cpu: None });
-                    for i in 0..2_000u32 {
-                        let cell = i % 32;
-                        let mut count = 0;
-                        // the writer's terms stop at TermId(62): 63 must
-                        // never surface
-                        r.probe_terms(cell, &[TermId(0), TermId(1), TermId(63)], |t| {
-                            assert_ne!(t, TermId(63), "TermId(63) is never registered");
-                            count += 1;
-                            true
-                        });
-                        assert!(count <= 2);
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for h in readers {
-            h.join().unwrap();
-        }
-        assert_eq!(r.len(), 2_000);
-        for cell in 0..32u32 {
-            let expected = (0..2_000u32).filter(|i| i % 32 == cell).count();
-            assert_eq!(r.terms_of_cell(cell).len(), expected);
-        }
-    }
-
-    #[test]
     fn export_import_roundtrips_canonically() {
-        let r = TermRegistry::with_groups(32, 2, 8);
+        let r = TermRegistry::new(32);
         for i in 0..300u32 {
             r.insert(i % 24, TermId(i % 61));
         }
-        // promotions must not leak replicas into the export
-        on_node(1, || {
-            for _ in 0..(PROMOTE_REMOTE_HITS + 1) {
-                for cell in 0..24u32 {
-                    r.contains(cell, TermId(0));
-                }
-            }
-        });
         let exported = r.export_cells();
         let cells: Vec<u32> = exported.iter().map(|(c, _)| *c).collect();
         let mut sorted = cells.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(cells, sorted, "cells ascending, no replica duplicates");
+        assert_eq!(cells, sorted, "cells ascending, each once");
         assert_eq!(
             exported.iter().map(|(_, t)| t.len()).sum::<usize>(),
             r.len()
         );
-        // import into a different layout: contents identical
-        let fresh = TermRegistry::with_groups(32, 1, 4);
+        let fresh = TermRegistry::new(32);
         fresh.import_cells(&exported);
         assert_eq!(fresh.len(), r.len());
         for (cell, terms) in &exported {
@@ -812,49 +332,95 @@ mod tests {
         assert_eq!(fresh.export_cells(), exported);
     }
 
-    #[test]
-    fn reshard_preserves_every_registration_without_duplicates() {
-        // The rebalance regression: moving between shard-group layouts
-        // (including after promotions created replicas) must neither drop a
-        // term nor surface one twice.
-        let r = TermRegistry::with_groups(64, 2, 8);
-        let mut reference: HashMap<u32, HashSet<TermId>> = HashMap::new();
-        for i in 0..1_000u32 {
-            let cell = i % 48;
-            let term = TermId(i % 97);
-            r.insert(cell, term);
-            reference.entry(cell).or_default().insert(term);
-        }
-        // create replicas by hammering every cell from the non-home node
-        for node in 0..2 {
-            on_node(node, || {
-                for _ in 0..(PROMOTE_REMOTE_HITS + 1) {
-                    for cell in 0..48u32 {
-                        r.contains(cell, TermId(0));
+    // small spaces so probes often hit several registered terms and stop early
+    const CELLS: u32 = 6;
+    const TERMS: u32 = 12;
+
+    /// One step of `registry_matches_a_reference_model`.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u32, TermId),
+        Contains(u32, TermId),
+        /// Probe distinct terms of a cell, stopping after `stop` callbacks.
+        Probe(u32, Vec<TermId>, usize),
+        TermsOf(u32),
+        /// Export, import into a fresh registry, and continue on that one.
+        Roundtrip,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => (0..CELLS, 0..TERMS).prop_map(|(c, t)| Op::Insert(c, TermId(t))),
+            2 => (0..CELLS, 0..TERMS).prop_map(|(c, t)| Op::Contains(c, TermId(t))),
+            3 => (0..CELLS, proptest::collection::vec(0..TERMS, 0..10), 1usize..5).prop_map(
+                |(c, terms, stop)| {
+                    let mut seen = HashSet::new();
+                    let distinct = terms.into_iter().filter(|t| seen.insert(*t));
+                    Op::Probe(c, distinct.map(TermId).collect(), stop)
+                }
+            ),
+            1 => (0..CELLS).prop_map(Op::TermsOf),
+            1 => Just(Op::Roundtrip),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The flat registry behaves exactly like a `BTreeMap` of per-cell
+        /// term sets: probes yield each registered input term once, in
+        /// input order, and exports are canonical and import-stable.
+        #[test]
+        fn registry_matches_a_reference_model(
+            ops in proptest::collection::vec(arb_op(), 1..80),
+        ) {
+            let mut r = TermRegistry::new(CELLS as usize);
+            let mut model: BTreeMap<u32, BTreeSet<TermId>> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    Op::Insert(c, t) => {
+                        prop_assert_eq!(r.insert(c, t), model.entry(c).or_default().insert(t));
+                    }
+                    Op::Contains(c, t) => {
+                        let expected = model.get(&c).is_some_and(|s| s.contains(&t));
+                        prop_assert_eq!(r.contains(c, t), expected);
+                    }
+                    Op::Probe(c, terms, stop) => {
+                        let mut seen = Vec::new();
+                        r.probe_terms(c, &terms, |t| {
+                            seen.push(t);
+                            seen.len() < stop
+                        });
+                        let expected: Vec<TermId> = terms
+                            .iter()
+                            .copied()
+                            .filter(|t| model.get(&c).is_some_and(|s| s.contains(t)))
+                            .take(stop)
+                            .collect();
+                        prop_assert_eq!(seen, expected);
+                    }
+                    Op::TermsOf(c) => {
+                        let expected: HashSet<TermId> =
+                            model.get(&c).into_iter().flatten().copied().collect();
+                        prop_assert_eq!(r.terms_of_cell(c), expected);
+                    }
+                    Op::Roundtrip => {
+                        let exported = r.export_cells();
+                        let expected: Vec<(u32, Vec<TermId>)> = model
+                            .iter()
+                            .map(|(c, s)| (*c, s.iter().copied().collect()))
+                            .collect();
+                        prop_assert_eq!(&exported, &expected);
+                        let fresh = TermRegistry::new(CELLS as usize);
+                        fresh.import_cells(&exported);
+                        prop_assert_eq!(fresh.export_cells(), exported);
+                        r = fresh;
                     }
                 }
-            });
-        }
-        let expected_len: usize = reference.values().map(HashSet::len).sum();
-        assert_eq!(r.len(), expected_len);
-        for layout in [(3usize, 8usize), (1, 64), (4, 16)] {
-            let resharded = r.resharded(layout.0, layout.1);
-            assert_eq!(resharded.num_groups(), layout.0);
-            assert_eq!(resharded.len(), expected_len, "no term dropped or doubled");
-            for (cell, terms) in &reference {
-                assert_eq!(&resharded.terms_of_cell(*cell), terms);
-                // probe from every node: each term exactly once
-                for node in 0..layout.0 {
-                    on_node(node, || {
-                        let all: Vec<TermId> = terms.iter().copied().collect();
-                        let mut seen = HashSet::new();
-                        resharded.probe_terms(*cell, &all, |t| {
-                            assert!(seen.insert(t), "term {t:?} double-routed");
-                            true
-                        });
-                        assert_eq!(seen.len(), terms.len(), "term dropped by reshard");
-                    });
+                for c in 0..CELLS {
+                    prop_assert_eq!(r.cell_is_empty(c as usize), !model.contains_key(&c));
                 }
+                prop_assert_eq!(r.len(), model.values().map(BTreeSet::len).sum::<usize>());
             }
         }
     }

@@ -275,35 +275,11 @@ impl RoutingTable {
         workers
     }
 
-    /// Rebuilds the `H2` term registry under a NUMA-aware shard-group
-    /// layout (`num_groups` node-local groups of `shards_per_group` shards;
-    /// see [`TermRegistry::with_groups`]), preserving every registration.
-    /// Called by the system launcher once the machine topology is known;
-    /// a single-group layout is exactly the previous flat sharding.
-    pub fn reshard_registry(&mut self, num_groups: usize, shards_per_group: usize) {
-        self.query_terms = self.query_terms.resharded(num_groups, shards_per_group);
-    }
-
-    /// Reshards the `H2` registry for a machine with `num_nodes` NUMA nodes
-    /// (optionally overriding the per-group shard count). No-op when the
-    /// registry already has the requested layout.
-    pub fn reshard_for_topology(&mut self, num_nodes: usize, shards_per_group: Option<usize>) {
-        let (groups, per_group) = TermRegistry::node_layout(num_nodes, shards_per_group);
-        if (groups, per_group)
-            != (
-                self.query_terms.num_groups(),
-                self.query_terms.shards_per_group(),
-            )
-        {
-            self.reshard_registry(groups, per_group);
-        }
-    }
-
-    /// The `H2` query-term registry (diagnostics: layout and promotion
-    /// observability).
-    pub fn term_registry(&self) -> &TermRegistry {
-        &self.query_terms
-    }
+    /// Has no effect: the `H2` registry has one fixed flat layout. Survives
+    /// only because the frozen `crates/benchmark/` replay still calls
+    /// `reshard_for_topology(1, None)`; the next PR allowed to edit that
+    /// crate deletes it.
+    pub fn reshard_for_topology(&mut self, _num_nodes: usize, _shards_per_group: Option<usize>) {}
 
     /// Exports the `H2` registry in canonical order for embedding in a
     /// durability snapshot (see `TermRegistry::export_cells`).

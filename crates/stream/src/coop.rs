@@ -24,7 +24,7 @@
 
 use crate::channel::Receiver;
 use crate::operator::{Emitter, Operator};
-use crate::topology::CpuSlot;
+use crate::topology::pin_current_thread;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
@@ -216,10 +216,9 @@ pub(crate) struct PoolRuntime {
 
 impl PoolRuntime {
     /// Starts a pool whose scheduler threads are placed according to `plan`:
-    /// thread `i` applies `plan[i % plan.len()]` (best-effort core pin plus
-    /// the thread-local [`crate::topology::Placement`] record) before it
-    /// starts polling tasks. `None` keeps the threads floating.
-    pub(crate) fn with_placement(threads: usize, plan: Option<Vec<CpuSlot>>) -> Self {
+    /// thread `i` pins itself (best-effort) to CPU `plan[i % plan.len()]`
+    /// before it starts polling tasks. `None` keeps the threads floating.
+    pub(crate) fn with_placement(threads: usize, plan: Option<Vec<usize>>) -> Self {
         let pinned = plan.as_ref().is_some_and(|p| !p.is_empty());
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -235,15 +234,15 @@ impl PoolRuntime {
         let threads = (0..threads.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let slot = plan
+                let cpu = plan
                     .as_ref()
                     .filter(|p| !p.is_empty())
                     .map(|p| p[i % p.len()]);
                 std::thread::Builder::new()
                     .name(format!("coop-pool-{i}"))
                     .spawn(move || {
-                        if let Some(slot) = slot {
-                            slot.apply();
+                        if let Some(cpu) = cpu {
+                            pin_current_thread(cpu);
                         }
                         pool_thread(&shared)
                     })

@@ -10,15 +10,14 @@
 //! timestamped [`Envelope`]s for latency accounting, and [`metrics`]
 //! collects the throughput, mean latency and latency distributions the
 //! figures report. The [`topology`] module detects the machine's NUMA
-//! layout and (optionally) pins executor threads so hot state stays
-//! node-local.
+//! layout and (optionally) pins executor threads to cores node by node.
 //!
 //! # Example
 //!
 //! Pick a backend the way `PS2_RUNTIME` does and inspect the machine:
 //!
 //! ```
-//! use ps2stream_stream::{CpuTopology, Placement, Runtime, RuntimeBackend};
+//! use ps2stream_stream::{CpuTopology, Runtime, RuntimeBackend};
 //!
 //! let backend = RuntimeBackend::parse("coop:2").expect("valid backend spec");
 //! assert_eq!(backend.name(), "coop");
@@ -29,8 +28,6 @@
 //! // topology detection never panics; single-node fallback everywhere
 //! let topology = CpuTopology::detect();
 //! assert!(topology.num_nodes() >= 1 && topology.num_cpus() >= 1);
-//! // an unplaced thread reports node 0 — the single-node behaviour
-//! assert_eq!(Placement::current_node(), 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -54,7 +51,7 @@ pub use fault::{EdgeFault, FaultPlan, FaultRole, FaultSpec};
 pub use metrics::{LatencyBreakdown, LatencyRecorder, ThroughputMeter};
 pub use operator::{run_operator, Emitter, Operator};
 pub use runtime::{CoopConfig, PlacementPolicy, Runtime, RuntimeBackend, TaskHandle};
-pub use topology::{CpuSlot, CpuTopology, NodeCpus, Placement};
+pub use topology::{CpuTopology, NodeCpus};
 
 #[cfg(test)]
 mod integration {

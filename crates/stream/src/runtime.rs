@@ -22,7 +22,7 @@
 use crate::channel::{self, Receiver, Sender};
 use crate::coop::{OperatorTask, PollTask, PoolRuntime, SimRuntime};
 use crate::operator::{run_operator, Emitter, Operator};
-use crate::topology::{CpuSlot, CpuTopology};
+use crate::topology::{pin_current_thread, CpuTopology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -33,10 +33,7 @@ use std::thread::JoinHandle;
 /// scheduler does what it wants. With `pin: true`, the runtime derives a
 /// placement plan from `topology` — pool scheduler threads (cooperative
 /// backend) or per-operator threads (thread backend) are pinned to
-/// consecutive CPUs, filling NUMA node by NUMA node, and each pinned thread
-/// records its node in [`crate::topology::Placement`] so node-local
-/// structures (e.g. the partition crate's socket-sharded term registry)
-/// resolve through local state first.
+/// consecutive CPUs, filling NUMA node by NUMA node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementPolicy {
     /// Pin executor threads to cores (best-effort `sched_setaffinity`).
@@ -89,7 +86,7 @@ struct PlacementPlan {
 }
 
 impl PlacementPlan {
-    fn next_slot(&self) -> CpuSlot {
+    fn next_cpu(&self) -> usize {
         self.topology
             .slot(self.next.fetch_add(1, Ordering::Relaxed))
     }
@@ -360,12 +357,12 @@ impl Runtime {
         let poll_budget = self.poll_budget;
         match &mut self.inner {
             Inner::Threads => {
-                let slot = self.plan.as_ref().map(|plan| plan.next_slot());
+                let cpu = self.plan.as_ref().map(|plan| plan.next_cpu());
                 let handle = std::thread::Builder::new()
                     .name(name.clone())
                     .spawn(move || {
-                        if let Some(slot) = slot {
-                            slot.apply();
+                        if let Some(cpu) = cpu {
+                            pin_current_thread(cpu);
                         }
                         run_operator(operator, input, emitter);
                     })

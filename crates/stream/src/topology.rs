@@ -1,26 +1,16 @@
-//! Machine-topology detection and thread placement.
+//! Machine-topology detection and core pinning.
 //!
-//! At high core counts the routing hot path is dominated not by the work a
-//! dispatcher does but by where its cache lines live: a routing table shard
-//! written on one socket and read on another costs a cross-node transfer per
-//! probe. This module gives the runtime the two primitives needed to keep
-//! hot state local to its executor:
-//!
-//! * [`CpuTopology`] — which CPUs the machine has and which NUMA node each
-//!   one belongs to, parsed from `/sys/devices/system` on Linux with a
-//!   portable single-node fallback everywhere else.
-//! * [`Placement`] — a per-thread handle recording the node (and, when
-//!   pinned, the CPU) the current executor runs on. NUMA-aware structures
-//!   such as the partition crate's `TermRegistry` consult
-//!   [`Placement::current_node`] to resolve reads through node-local state
-//!   first.
+//! [`CpuTopology`] records which CPUs the machine has and which NUMA node
+//! each one belongs to, parsed from `/sys/devices/system` on Linux with a
+//! portable single-node fallback everywhere else. A pinned runtime fills it
+//! CPU by CPU, node by node ([`CpuTopology::slot`]), so a pool no larger
+//! than one node stays on that node.
 //!
 //! Pinning itself is a best-effort `sched_setaffinity` call (declared
 //! directly against the C library so no external crate is required); on
 //! non-Linux targets or when the call is refused, threads simply keep
-//! floating and the placement degrades to the single-node behaviour.
+//! floating.
 
-use std::cell::Cell;
 use std::path::Path;
 
 /// The CPUs of one NUMA node.
@@ -32,38 +22,10 @@ pub struct NodeCpus {
     pub cpus: Vec<usize>,
 }
 
-/// One placement slot of a thread-assignment plan: a CPU together with the
-/// NUMA node it belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuSlot {
-    /// CPU to pin to.
-    pub cpu: usize,
-    /// NUMA node of that CPU (dense index into the detected node list, not
-    /// the kernel node id — this is what [`Placement::current_node`]
-    /// reports and what node-local sharding indexes by).
-    pub node: usize,
-}
-
-impl CpuSlot {
-    /// Applies the slot to the calling thread: best-effort pin to the CPU
-    /// and record the placement in thread-local state. Returns whether the
-    /// pin succeeded (the placement node is recorded either way — the node
-    /// is a locality *hint*, never a correctness requirement).
-    pub fn apply(self) -> bool {
-        let pinned = pin_current_thread(self.cpu);
-        Placement::set_current(Placement {
-            node: self.node,
-            cpu: pinned.then_some(self.cpu),
-        });
-        pinned
-    }
-}
-
 /// The machine's CPU/NUMA layout as seen by the runtime.
 ///
-/// Nodes are stored densely in kernel-id order; all placement consumers use
-/// the dense index (`0..num_nodes()`), so a machine whose online nodes are
-/// `{0, 2}` still yields nodes `0` and `1` here.
+/// Nodes are stored densely in kernel-id order, so a machine whose online
+/// nodes are `{0, 2}` still yields `nodes()[0]` and `nodes()[1]` here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpuTopology {
     nodes: Vec<NodeCpus>,
@@ -170,31 +132,21 @@ impl CpuTopology {
         &self.nodes
     }
 
-    /// The dense node index of a CPU, if the CPU is known.
-    pub fn node_of_cpu(&self, cpu: usize) -> Option<usize> {
-        self.nodes
-            .iter()
-            .position(|n| n.cpus.binary_search(&cpu).is_ok())
-    }
-
-    /// The placement slot of the `i`-th thread of a pool: threads fill the
+    /// The CPU the `i`-th thread of a pool is pinned to: threads fill the
     /// machine CPU by CPU (node by node, so a pool no larger than one node
     /// stays on that node) and wrap around when the pool outgrows the
     /// machine.
-    pub fn slot(&self, i: usize) -> CpuSlot {
+    pub fn slot(&self, i: usize) -> usize {
         let total = self.num_cpus().max(1);
         let mut k = i % total;
-        for (dense, node) in self.nodes.iter().enumerate() {
+        for node in &self.nodes {
             if k < node.cpus.len() {
-                return CpuSlot {
-                    cpu: node.cpus[k],
-                    node: dense,
-                };
+                return node.cpus[k];
             }
             k -= node.cpus.len();
         }
         // self.nodes is never empty by construction
-        CpuSlot { cpu: 0, node: 0 }
+        0
     }
 }
 
@@ -257,46 +209,6 @@ pub fn pin_current_thread(cpu: usize) -> bool {
     #[cfg(not(target_os = "linux"))]
     {
         false
-    }
-}
-
-thread_local! {
-    static CURRENT_PLACEMENT: Cell<Placement> = const {
-        Cell::new(Placement { node: 0, cpu: None })
-    };
-}
-
-/// Where the current thread runs: its (dense) NUMA node and, when pinned,
-/// its CPU. Threads that were never placed report node `0` unpinned — the
-/// exact behaviour of a single-node machine, so placement-aware structures
-/// need no "is placement enabled" branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    /// Dense NUMA-node index of the thread (see [`CpuSlot::node`]).
-    pub node: usize,
-    /// CPU the thread is pinned to, `None` when floating.
-    pub cpu: Option<usize>,
-}
-
-impl Placement {
-    /// The placement of the calling thread.
-    pub fn current() -> Self {
-        CURRENT_PLACEMENT.with(Cell::get)
-    }
-
-    /// The dense NUMA-node index of the calling thread (`0` when the thread
-    /// was never placed). This is the hot-path accessor used by node-local
-    /// sharding.
-    #[inline]
-    pub fn current_node() -> usize {
-        CURRENT_PLACEMENT.with(Cell::get).node
-    }
-
-    /// Records `placement` for the calling thread (does **not** change the
-    /// thread's affinity — use [`CpuSlot::apply`] for that). Public so tests
-    /// and embedders can emulate a multi-node layout.
-    pub fn set_current(placement: Placement) {
-        CURRENT_PLACEMENT.with(|p| p.set(placement));
     }
 }
 
@@ -372,8 +284,6 @@ mod tests {
         assert_eq!(topo.nodes()[0].cpus, vec![0, 1, 2, 3]);
         assert_eq!(topo.nodes()[1].node, 1);
         assert_eq!(topo.nodes()[1].cpus, vec![4, 5, 6, 7]);
-        assert_eq!(topo.node_of_cpu(5), Some(1));
-        assert_eq!(topo.node_of_cpu(99), None);
     }
 
     #[test]
@@ -425,13 +335,9 @@ mod tests {
                 cpus: vec![4, 5],
             },
         ]);
-        let slots: Vec<CpuSlot> = (0..5).map(|i| topo.slot(i)).collect();
-        assert_eq!(slots[0], CpuSlot { cpu: 0, node: 0 });
-        assert_eq!(slots[1], CpuSlot { cpu: 1, node: 0 });
-        assert_eq!(slots[2], CpuSlot { cpu: 4, node: 1 });
-        assert_eq!(slots[3], CpuSlot { cpu: 5, node: 1 });
-        // wrap-around
-        assert_eq!(slots[4], CpuSlot { cpu: 0, node: 0 });
+        let slots: Vec<usize> = (0..5).map(|i| topo.slot(i)).collect();
+        // node 0's CPUs first, then node 1's, then wrap-around
+        assert_eq!(slots, vec![0, 1, 4, 5, 0]);
     }
 
     #[test]
@@ -447,22 +353,9 @@ mod tests {
             },
         ]);
         assert_eq!(topo.num_nodes(), 1);
-        assert_eq!(topo.slot(0), CpuSlot { cpu: 9, node: 0 });
+        assert_eq!(topo.slot(0), 9);
         // all-empty input degrades to the single-CPU fallback
         assert_eq!(CpuTopology::from_nodes(Vec::new()).num_cpus(), 1);
-    }
-
-    #[test]
-    fn placement_is_thread_local() {
-        assert_eq!(Placement::current_node(), 0);
-        Placement::set_current(Placement {
-            node: 2,
-            cpu: Some(7),
-        });
-        assert_eq!(Placement::current_node(), 2);
-        let other = std::thread::spawn(Placement::current_node).join().unwrap();
-        assert_eq!(other, 0, "placement must not leak across threads");
-        Placement::set_current(Placement { node: 0, cpu: None });
     }
 
     #[test]
