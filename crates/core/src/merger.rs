@@ -29,7 +29,8 @@ use crate::messages::MergerMessage;
 use crate::metrics::SystemMetrics;
 use ps2stream_model::{MatchResult, ObjectId, QueryId};
 use ps2stream_stream::{Emitter, Operator, QueueDepth, Sender};
-use std::collections::{HashMap, HashSet, VecDeque};
+use ps2stream_text::{IdMap, IdSet};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -40,7 +41,7 @@ pub struct Merger {
     /// consume matches from here).
     delivery: Option<Sender<MatchResult>>,
     /// Recently seen (object → matched queries) used for deduplication.
-    seen: HashMap<ObjectId, HashSet<QueryId>>,
+    seen: IdMap<ObjectId, IdSet<QueryId>>,
     /// FIFO of `(object, ingest sequence)` for bounded-memory eviction.
     order: VecDeque<(ObjectId, u64)>,
     /// Highest ingest sequence among evicted objects: late matches at or
@@ -66,7 +67,7 @@ impl Merger {
         Self {
             metrics,
             delivery,
-            seen: HashMap::new(),
+            seen: IdMap::default(),
             order: VecDeque::new(),
             evicted_watermark: None,
             capacity: capacity.max(1),
@@ -87,7 +88,7 @@ impl Merger {
     /// The dedup entry of an object (whose matches arrived with ingest
     /// sequence `sequence`), or `None` when the object falls behind the
     /// eviction watermark (late arrivals must not resurrect evicted state).
-    fn note_object(&mut self, object: ObjectId, sequence: u64) -> Option<&mut HashSet<QueryId>> {
+    fn note_object(&mut self, object: ObjectId, sequence: u64) -> Option<&mut IdSet<QueryId>> {
         if !self.seen.contains_key(&object) {
             if self
                 .evicted_watermark
@@ -105,7 +106,7 @@ impl Merger {
                 }
             }
             self.order.push_back((object, sequence));
-            self.seen.insert(object, HashSet::new());
+            self.seen.insert(object, IdSet::default());
         }
         self.seen.get_mut(&object)
     }
@@ -184,6 +185,7 @@ mod tests {
     use super::*;
     use ps2stream_model::SubscriberId;
     use ps2stream_stream::{unbounded, Batch, Envelope};
+    use std::collections::HashSet;
 
     fn matches(object: u64, queries: &[u64]) -> MergerMessage {
         MergerMessage::Matches(Batch::of_one(Envelope::now(

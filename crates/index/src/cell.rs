@@ -16,8 +16,7 @@
 //! per traversal.
 
 use crate::slab::SlotId;
-use ps2stream_text::TermId;
-use std::collections::HashMap;
+use ps2stream_text::{IdMap, TermId};
 
 /// Slots a posting list holds in place before it spills to the heap.
 const INLINE_SLOTS: usize = 4;
@@ -176,7 +175,7 @@ impl PostingEntry {
 /// Inverted index of one grid cell: one `PostingEntry` per posting term.
 #[derive(Debug, Default, Clone)]
 pub struct CellIndex {
-    postings: HashMap<TermId, PostingEntry>,
+    postings: IdMap<TermId, PostingEntry>,
     /// Number of distinct queries currently posted in this cell
     /// (a query posted under several terms is counted once).
     num_queries: usize,

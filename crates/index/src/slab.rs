@@ -22,8 +22,7 @@
 
 use ps2stream_geo::CellId;
 use ps2stream_model::{QueryId, StsQuery};
-use ps2stream_text::TermId;
-use std::collections::HashMap;
+use ps2stream_text::{IdMap, TermId};
 
 /// Dense identifier of a slot in one worker's `QuerySlab`. Posting lists
 /// store these directly; they are only meaningful within the owning index.
@@ -92,7 +91,7 @@ pub(crate) struct QuerySlab {
     /// Head of the free list (`FREE_END` when empty).
     free_head: u32,
     /// Id → slot for live **and** tombstoned queries.
-    id_map: HashMap<QueryId, SlotId>,
+    id_map: IdMap<QueryId, SlotId>,
     num_live: usize,
     num_tombstoned: usize,
 }

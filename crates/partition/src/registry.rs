@@ -20,15 +20,15 @@
 //! the rare writes contend on one small stripe.
 
 use parking_lot::RwLock;
-use ps2stream_text::TermId;
-use std::collections::{HashMap, HashSet};
+use ps2stream_text::{IdMap, IdSet, TermId};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of lock stripes; a power of two so the stripe of a cell is a mask
 /// away from its hash.
 const SHARDS: usize = 64;
 
-type Shard = RwLock<HashMap<u32, HashSet<TermId>>>;
+type Shard = RwLock<IdMap<u32, IdSet<TermId>>>;
 
 #[inline]
 fn shard_of(cell: u32) -> usize {
@@ -50,7 +50,7 @@ impl TermRegistry {
         let mut cell_counts = Vec::with_capacity(num_cells);
         cell_counts.resize_with(num_cells, AtomicUsize::default);
         Self {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            shards: std::array::from_fn(|_| RwLock::new(IdMap::default())),
             cell_counts,
         }
     }
@@ -124,7 +124,7 @@ impl TermRegistry {
         self.shard(cell)
             .read()
             .get(&cell)
-            .cloned()
+            .map(|terms| terms.iter().copied().collect())
             .unwrap_or_default()
     }
 
@@ -132,7 +132,7 @@ impl TermRegistry {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| shard.read().values().map(HashSet::len).sum::<usize>())
+            .map(|shard| shard.read().values().map(IdSet::len).sum::<usize>())
             .sum()
     }
 
@@ -177,11 +177,11 @@ impl TermRegistry {
         for shard in &self.shards {
             let shard = shard.read();
             materialized_cells += shard.len();
-            materialized_terms += shard.values().map(HashSet::len).sum::<usize>();
+            materialized_terms += shard.values().map(IdSet::len).sum::<usize>();
         }
         std::mem::size_of::<Self>()
             + materialized_cells
-                * (std::mem::size_of::<u32>() + std::mem::size_of::<HashSet<TermId>>())
+                * (std::mem::size_of::<u32>() + std::mem::size_of::<IdSet<TermId>>())
             + materialized_terms * (std::mem::size_of::<TermId>() + 16)
             + self.cell_counts.len() * std::mem::size_of::<AtomicUsize>()
     }

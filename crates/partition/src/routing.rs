@@ -20,21 +20,24 @@
 use crate::registry::TermRegistry;
 use ps2stream_geo::{CellId, Rect, UniformGrid};
 use ps2stream_model::{SpatioTextualObject, StsQuery, WorkerId};
-use ps2stream_text::{TermId, TermStats};
+use ps2stream_text::{IdMap, TermId, TermStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A term → worker mapping with a default worker for unmapped terms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TermRouting {
-    map: HashMap<TermId, WorkerId>,
+    map: IdMap<TermId, WorkerId>,
     default: WorkerId,
 }
 
 impl TermRouting {
     /// Creates a term routing with an explicit map and default worker.
-    pub fn new(map: HashMap<TermId, WorkerId>, default: WorkerId) -> Self {
-        Self { map, default }
+    pub fn new(map: impl IntoIterator<Item = (TermId, WorkerId)>, default: WorkerId) -> Self {
+        Self {
+            map: map.into_iter().collect(),
+            default,
+        }
     }
 
     /// The worker responsible for a term.

@@ -4,18 +4,22 @@
 //! keywords, a [`Tokenizer`] for object text, [`BooleanExpr`] keyword
 //! predicates of STS queries, [`TermStats`] document-frequency statistics,
 //! and [`TermDistribution`] sparse vectors with the cosine similarity used by
-//! the hybrid partitioner.
+//! the hybrid partitioner. It also hosts [`IdHasher`], the integer hasher
+//! behind the [`IdMap`] / [`IdSet`] tables of the per-tuple path, as the
+//! lowest crate every layer that probes such a table depends on.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod expr;
+pub mod hash;
 pub mod similarity;
 pub mod stats;
 pub mod token;
 pub mod vocab;
 
 pub use expr::{BooleanExpr, Conjunctions, DnfBuilder};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use similarity::TermDistribution;
 pub use stats::TermStats;
 pub use token::{Tokenizer, STOP_WORDS};
