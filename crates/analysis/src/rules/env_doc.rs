@@ -1,7 +1,7 @@
 //! `env-doc-drift`: every `PS2_*` environment variable read in source must
 //! be documented in `docs/RUNTIME.md`.
 //!
-//! The runtime knobs (`PS2_RUNTIME`, `PS2_PIN`, …) are the operational
+//! The runtime knobs (`PS2_RUNTIME`, `PS2_FSYNC`, …) are the operational
 //! surface of the system; an undocumented knob is unusable and un-reviewable.
 //! The rule collects string literals whose entire content is a `PS2_*` name
 //! (i.e. the argument of an `env::var` read — prose mentions in comments are

@@ -1,11 +1,12 @@
 //! `unsafe-audit`: every `unsafe` block, function or impl carries a
 //! `// SAFETY:` comment.
 //!
-//! The workspace has very little `unsafe` (FFI affinity calls, one
-//! `ManuallyDrop` in the channel wrapper) — exactly why each occurrence must
-//! state its proof obligation where the next reader will see it. The comment
-//! may sit on the same line, up to three lines above, or inside the unsafe
-//! block itself; `/// # Safety` doc headers on `unsafe fn` also count.
+//! The workspace has very little `unsafe` (one `ManuallyDrop` in the
+//! channel wrapper, the counting allocator of the allocation tests) —
+//! exactly why each occurrence must state its proof obligation where the
+//! next reader will see it. The comment may sit on the same line, up to
+//! three lines above, or inside the unsafe block itself; `/// # Safety` doc
+//! headers on `unsafe fn` also count.
 
 use super::Rule;
 use crate::config::Config;

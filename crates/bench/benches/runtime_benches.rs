@@ -98,10 +98,9 @@ fn bench_backends(c: &mut Criterion) {
                         &sample,
                         &records,
                         workers,
-                        RuntimeBackend::Coop(CoopConfig {
+                        RuntimeBackend::Coop {
                             pool_threads: pool_threads(),
-                            ..CoopConfig::default()
-                        }),
+                        },
                     )
                 })
             },

@@ -107,7 +107,7 @@ impl Scale {
 }
 
 /// One experiment configuration: a dataset, a query class, a partitioning
-/// strategy and a cluster size.
+/// strategy and the deployment it runs on.
 pub struct Experiment {
     /// Dataset ("TWEETS-US" or "TWEETS-UK" substitute).
     pub dataset: DatasetSpec,
@@ -115,29 +115,15 @@ pub struct Experiment {
     pub class: QueryClass,
     /// Partitioning strategy under test.
     pub partitioner: Box<dyn Partitioner>,
-    /// Number of worker executors.
-    pub workers: usize,
-    /// Number of dispatcher executors.
-    pub dispatchers: usize,
     /// Workload sizes.
     pub scale: Scale,
-    /// Dynamic load adjustment configuration (None = disabled).
-    pub adjustment: Option<AdjustmentConfig>,
-    /// Hot-path batch size override (None = the system default).
-    pub batch_size: Option<usize>,
-    /// Execution substrate override (None = the system default, which
-    /// honours `PS2_RUNTIME`).
-    pub runtime: Option<RuntimeBackend>,
-    /// Core-pinning override (None = the system default, which honours
-    /// `PS2_PIN`).
-    pub pinning: Option<bool>,
+    /// The deployment: the paper's 4 dispatchers and 8 workers, 2 mergers,
+    /// no fault plan, and the system defaults for everything else (so the
+    /// runtime honours `PS2_RUNTIME`).
+    pub config: SystemConfig,
     /// Adversarial scenario overlaid on the measured stream (None = the
     /// paper's steady-state mix).
     pub scenario: Option<Scenario>,
-    /// Durable-subscription store configuration (None = in-memory only).
-    pub durability: Option<StoreConfig>,
-    /// Declarative fault schedule injected into the run (None = fault-free).
-    pub faults: Option<FaultPlan>,
     /// Random seed.
     pub seed: u64,
 }
@@ -155,47 +141,28 @@ impl Experiment {
             dataset,
             class,
             partitioner,
-            workers: 8,
-            dispatchers: 4,
             scale,
-            adjustment: None,
-            batch_size: None,
-            runtime: None,
-            pinning: None,
+            config: SystemConfig {
+                num_dispatchers: 4,
+                num_workers: 8,
+                num_mergers: 2,
+                faults: None,
+                ..SystemConfig::default()
+            },
             scenario: None,
-            durability: None,
-            faults: None,
             seed: 42,
         }
     }
 
     /// Overrides the number of workers.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Overrides the hot-path batch size (see `SystemConfig::batch_size`).
-    pub fn with_batch(mut self, batch_size: usize) -> Self {
-        self.batch_size = Some(batch_size);
+        self.config.num_workers = workers;
         self
     }
 
     /// Enables dynamic load adjustment.
     pub fn with_adjustment(mut self, adjustment: AdjustmentConfig) -> Self {
-        self.adjustment = Some(adjustment);
-        self
-    }
-
-    /// Overrides the execution substrate (see `SystemConfig::runtime`).
-    pub fn with_runtime(mut self, runtime: RuntimeBackend) -> Self {
-        self.runtime = Some(runtime);
-        self
-    }
-
-    /// Overrides core pinning (see `SystemConfig::pinning`).
-    pub fn with_pinning(mut self, pinning: bool) -> Self {
-        self.pinning = Some(pinning);
+        self.config.adjustment = Some(adjustment);
         self
     }
 
@@ -204,22 +171,6 @@ impl Experiment {
     /// query population).
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
         self.scenario = Some(scenario);
-        self
-    }
-
-    /// Enables the durable subscription store (op log + snapshots in
-    /// `store.dir`; see `SystemConfig::durability`).
-    pub fn with_durability(mut self, store: StoreConfig) -> Self {
-        self.durability = Some(store);
-        self
-    }
-
-    /// Injects a declarative fault schedule (see `SystemConfig::faults` and
-    /// the `PS2_FAULTS` grammar). The supervised pipeline masks every
-    /// scheduled fault, so throughput/latency columns show the recovery
-    /// cost rather than lost work.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
         self
     }
 
@@ -236,34 +187,7 @@ impl Experiment {
             scale.calibration_queries,
             self.seed,
         );
-        let config = SystemConfig {
-            num_dispatchers: self.dispatchers,
-            num_workers: self.workers,
-            num_mergers: 2,
-            ..SystemConfig::default()
-        };
-        let config = match self.adjustment {
-            Some(adj) => config.with_adjustment(adj),
-            None => config,
-        };
-        let config = match self.batch_size {
-            Some(batch) => config.with_batch_size(batch),
-            None => config,
-        };
-        let config = match self.runtime {
-            Some(runtime) => config.with_runtime(runtime),
-            None => config,
-        };
-        let config = match self.pinning {
-            Some(pinning) => config.with_pinning(pinning),
-            None => config,
-        };
-        let config = match self.durability {
-            Some(store) => config.with_durability(store),
-            None => config,
-        };
-        let config = config.with_faults(self.faults);
-        let mut system = Ps2StreamBuilder::new(config)
+        let mut system = Ps2StreamBuilder::new(self.config)
             .with_partitioner(self.partitioner)
             .with_calibration_sample(sample)
             .start();
@@ -386,16 +310,13 @@ pub fn dataset_tag(spec: &DatasetSpec) -> &'static str {
 }
 
 /// The optional command-line knobs shared by the fig07/fig08 binaries
-/// (`None` everywhere = system defaults, which honour `PS2_RUNTIME` and
-/// `PS2_PIN`).
+/// (`None` everywhere = system defaults, which honour `PS2_RUNTIME`).
 #[derive(Debug, Clone, Default)]
 pub struct RunKnobs {
     /// `--batch N`: hot-path batch size.
     pub batch: Option<usize>,
     /// `--runtime <spec>`: execution substrate.
     pub runtime: Option<RuntimeBackend>,
-    /// `--pin`: core pinning.
-    pub pinning: Option<bool>,
     /// `--scenario <name>`: adversarial workload scenario. Implies dynamic
     /// load adjustment (the controller's reaction is the thing being
     /// measured).
@@ -413,30 +334,41 @@ pub struct RunKnobs {
 }
 
 impl RunKnobs {
-    /// Parses all knobs from the process command line.
+    /// Parses all knobs from the process command line. Panics on a
+    /// malformed value, so a typo does not silently benchmark the default.
     pub fn from_args() -> Self {
         Self {
-            batch: batch_arg(),
-            runtime: runtime_arg(),
-            pinning: pin_arg(),
-            scenario: scenario_arg(),
-            durable: durable_arg(),
-            faults: faults_arg(),
+            batch: flag_value("--batch")
+                .map(|v| v.parse().expect("--batch expects a positive integer")),
+            runtime: flag_value("--runtime").map(|spec| {
+                RuntimeBackend::parse(&spec).unwrap_or_else(|| {
+                    panic!(
+                        "--runtime {spec:?}: expected threads|coop|coop:<threads>|sim|sim:<seed>"
+                    )
+                })
+            }),
+            scenario: flag_value("--scenario").map(|name| {
+                Scenario::parse(&name).unwrap_or_else(|| {
+                    let valid: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
+                    panic!("--scenario {name:?}: expected one of {}", valid.join(", "))
+                })
+            }),
+            durable: std::env::args().any(|a| a == "--durable"),
+            faults: flag_value("--faults").map(|spec| {
+                FaultPlan::parse(&spec).unwrap_or_else(|err| panic!("--faults {spec:?}: {err}"))
+            }),
         }
     }
 
     /// Renders the knob line printed in each figure header.
     pub fn describe(&self) -> String {
         format!(
-            "--batch {}; --runtime {}; pinning {}; scenario {}; durable {}; faults {}",
+            "--batch {}; --runtime {}; scenario {}; durable {}; faults {}",
             self.batch.map_or("default".to_string(), |b| b.to_string()),
             self.runtime
                 .as_ref()
                 .map_or("default".to_string(), |r| r.name().to_string()),
-            self.pinning
-                .map_or("default".to_string(), |p| p.to_string()),
-            self.scenario
-                .map_or("steady-state".to_string(), |s| s.name().to_string()),
+            self.scenario_name(),
             self.durable,
             self.faults
                 .as_ref()
@@ -448,6 +380,33 @@ impl RunKnobs {
     pub fn scenario_name(&self) -> String {
         self.scenario
             .map_or("steady-state".to_string(), |s| s.name().to_string())
+    }
+
+    /// Applies the knobs to an experiment's deployment and stream.
+    fn apply(&self, mut experiment: Experiment) -> Experiment {
+        if let Some(batch) = self.batch {
+            experiment.config = experiment.config.with_batch_size(batch);
+        }
+        if let Some(runtime) = self.runtime.clone() {
+            experiment.config = experiment.config.with_runtime(runtime);
+        }
+        if let Some(plan) = self.faults.clone() {
+            experiment.config = experiment.config.with_faults(Some(plan));
+        }
+        match self.scenario {
+            // an adversarial run is about the controller's reaction, so
+            // enable dynamic adjustment with the responsive poll interval
+            // the Figure 16 drift experiment uses
+            Some(scenario) => {
+                experiment
+                    .with_scenario(scenario)
+                    .with_adjustment(AdjustmentConfig {
+                        poll_interval_ms: 50,
+                        ..AdjustmentConfig::default()
+                    })
+            }
+            None => experiment,
+        }
     }
 }
 
@@ -462,31 +421,9 @@ pub fn headline_report(
     workers: usize,
     knobs: &RunKnobs,
 ) -> RunReport {
-    let mut experiment =
-        Experiment::new(dataset, class, build_partitioner(strategy), scale).with_workers(workers);
-    if let Some(batch) = knobs.batch {
-        experiment = experiment.with_batch(batch);
-    }
-    if let Some(runtime) = knobs.runtime.clone() {
-        experiment = experiment.with_runtime(runtime);
-    }
-    if let Some(pinning) = knobs.pinning {
-        experiment = experiment.with_pinning(pinning);
-    }
-    if let Some(plan) = knobs.faults.clone() {
-        experiment = experiment.with_faults(plan);
-    }
-    if let Some(scenario) = knobs.scenario {
-        // an adversarial run is about the controller's reaction, so enable
-        // dynamic adjustment with the responsive poll interval the Figure 16
-        // drift experiment uses
-        experiment = experiment
-            .with_scenario(scenario)
-            .with_adjustment(AdjustmentConfig {
-                poll_interval_ms: 50,
-                ..AdjustmentConfig::default()
-            });
-    }
+    let mut experiment = knobs.apply(
+        Experiment::new(dataset, class, build_partitioner(strategy), scale).with_workers(workers),
+    );
     if !knobs.durable {
         return experiment.run();
     }
@@ -494,8 +431,8 @@ pub fn headline_report(
     // snapshot a handful of times per run regardless of PS2_SCALE, so the
     // JSON artifact always carries a real snapshot size
     let snapshot_every = (scale.queries as u64 / 4).max(256);
-    experiment = experiment
-        .with_durability(StoreConfig::new(&dir).with_snapshot_every(Some(snapshot_every)));
+    experiment.config.durability =
+        Some(StoreConfig::new(&dir).with_snapshot_every(Some(snapshot_every)));
     let mut report = experiment.run();
     // recovery probe: reopen what the run left on disk and time the decode
     // of snapshot + log tail — the state-reconstruction cost a restart pays
@@ -512,6 +449,136 @@ pub fn headline_report(
     }
     let _ = std::fs::remove_dir_all(&dir);
     report
+}
+
+/// A headline figure (Figures 7 and 8): three panels × two datasets × the
+/// three headline strategies on 8 workers, each run printed as one table
+/// row and written as one `--json` row. The figures differ only in the two
+/// measures they read off each run.
+pub struct HeadlineFigure {
+    /// Binary name; also the `name` of the `--json` report.
+    pub name: &'static str,
+    /// Figure number in the paper.
+    pub number: u32,
+    /// What the figure compares ("throughput", "latency").
+    pub subject: &'static str,
+    /// Table headers of the two measure columns.
+    pub headers: [&'static str; 2],
+    /// The two measure cells of one run's table row.
+    pub cells: fn(&RunReport) -> [String; 2],
+    /// The measure fields of one run's JSON row (between `scenario` and the
+    /// migration counters).
+    pub fields: fn(&RunReport) -> Vec<(&'static str, JsonValue)>,
+    /// The paper's expected shape, printed after the tables.
+    pub paper_shape: &'static str,
+}
+
+impl HeadlineFigure {
+    /// Runs every panel under the command-line knobs, prints the tables and
+    /// writes the `--json <path>` report when asked.
+    pub fn run(&self) {
+        let knobs = RunKnobs::from_args();
+        let mut json_rows = Vec::new();
+        println!(
+            "Figure {}: {} comparison (Metric, kd-tree, Hybrid)",
+            self.number, self.subject
+        );
+        println!(
+            "(4 dispatchers, 8 workers; PS2_SCALE={}; {})",
+            Scale::factor(),
+            knobs.describe(),
+        );
+        let panels = [
+            ("a", "5M", QueryClass::Q1, Scale::q5m()),
+            ("b", "10M", QueryClass::Q2, Scale::q10m()),
+            ("c", "10M", QueryClass::Q3, Scale::q10m()),
+        ];
+        for (panel, queries, class, scale) in panels {
+            let mut rows = Vec::new();
+            for dataset in datasets() {
+                for strategy in headline_strategies() {
+                    let report =
+                        headline_report(dataset.clone(), class, strategy, scale, 8, &knobs);
+                    let workload = format!("STS-{}-{}", dataset_tag(&dataset), class.name());
+                    let [first, second] = (self.cells)(&report);
+                    rows.push(vec![workload.clone(), strategy.to_string(), first, second]);
+                    json_rows.push(self.json_row(panel, workload, strategy, &knobs, &report));
+                }
+            }
+            let [first, second] = self.headers;
+            print_table(
+                &format!(
+                    "Figure {}({panel}): #Queries={queries} ({})",
+                    self.number,
+                    class.name()
+                ),
+                &["workload", "strategy", first, second],
+                &rows,
+            );
+        }
+        println!();
+        println!("Paper shape: {}", self.paper_shape);
+        if let Some(path) = flag_value("--json") {
+            write_json_file(
+                &path,
+                self.name,
+                &[
+                    ("scale_factor", JsonValue::Float(Scale::factor())),
+                    ("scenario", JsonValue::Str(knobs.scenario_name())),
+                    ("knobs", JsonValue::Str(knobs.describe())),
+                    ("durable", JsonValue::Int(knobs.durable as i64)),
+                ],
+                &json_rows,
+            )
+            .expect("writing --json output");
+            println!("wrote {path}");
+        }
+    }
+
+    /// One `--json` row: the run's identity, the figure's measures, then
+    /// the migration, durability and supervision counters (all zero unless
+    /// `--scenario`, `--durable` or `--faults` engaged them).
+    fn json_row(
+        &self,
+        panel: &str,
+        workload: String,
+        strategy: &str,
+        knobs: &RunKnobs,
+        report: &RunReport,
+    ) -> Vec<(&'static str, JsonValue)> {
+        let int = |n: u64| JsonValue::Int(n as i64);
+        let mut row = vec![
+            ("panel", JsonValue::Str(panel.to_string())),
+            ("workload", JsonValue::Str(workload)),
+            ("strategy", JsonValue::Str(strategy.to_string())),
+            ("scenario", JsonValue::Str(knobs.scenario_name())),
+        ];
+        row.extend((self.fields)(report));
+        let p = report.persistence.clone().unwrap_or_default();
+        let f = &report.faults;
+        row.extend([
+            ("migration_rounds", int(report.migration_rounds)),
+            ("migration_moves", int(report.migration_moves)),
+            ("migration_bytes", int(report.migration_bytes)),
+            ("ops_logged", int(p.ops_logged)),
+            ("log_bytes", int(p.log_bytes)),
+            ("snapshot_bytes", int(p.snapshot_bytes)),
+            ("snapshots_written", int(p.snapshots_written)),
+            ("recovered_ops", int(p.recovered_ops)),
+            (
+                "replay_ms",
+                JsonValue::Float(p.replay_time.as_secs_f64() * 1e3),
+            ),
+            ("worker_crashes", int(f.worker_crashes)),
+            ("worker_respawns", int(f.worker_respawns)),
+            ("replayed_records", int(f.replayed_records)),
+            ("restored_updates", int(f.restored_updates)),
+            ("shed_records", int(f.shed_records)),
+            ("shed_matches", int(f.shed_matches)),
+            ("diverted_sends", int(f.diverted_sends)),
+        ]);
+        row
+    }
 }
 
 /// A unique, empty temp directory for one `--durable` run.
@@ -540,71 +607,6 @@ fn flag_value(flag: &str) -> Option<String> {
             arg.strip_prefix(flag)?.strip_prefix('=').map(str::to_owned)
         }
     })
-}
-
-/// Parses a `--batch N` argument from the process command line (the batching
-/// knob shared by the fig07/fig08 binaries). Returns `None` when absent;
-/// panics on a malformed value so a typo does not silently benchmark the
-/// default.
-pub fn batch_arg() -> Option<usize> {
-    let value = flag_value("--batch")?;
-    Some(value.parse().expect("--batch expects a positive integer"))
-}
-
-/// Parses a `--runtime {threads,coop,coop:<threads>,sim,sim:<seed>}` argument
-/// (the execution-substrate knob of the fig07/fig08 binaries). Returns
-/// `None` when absent; panics on an unknown backend so a typo does not
-/// silently benchmark the default.
-pub fn runtime_arg() -> Option<RuntimeBackend> {
-    let spec = flag_value("--runtime")?;
-    Some(RuntimeBackend::parse(&spec).unwrap_or_else(|| {
-        panic!("--runtime {spec:?}: expected threads|coop|coop:<threads>|sim|sim:<seed>")
-    }))
-}
-
-/// Parses a `--pin` flag (the core-pinning knob of the fig07/fig08
-/// binaries): present means pin executor threads according to the detected
-/// machine topology; absent means the system default (which honours
-/// `PS2_PIN`).
-pub fn pin_arg() -> Option<bool> {
-    std::env::args().any(|a| a == "--pin").then_some(true)
-}
-
-/// Parses a `--durable` flag (the persistence knob of the fig07/fig08
-/// binaries): present means every query update is op-logged and
-/// periodically snapshotted to a per-run temp directory (fsync policy from
-/// `PS2_FSYNC`), with a recovery probe after the run.
-pub fn durable_arg() -> bool {
-    std::env::args().any(|a| a == "--durable")
-}
-
-/// Parses a `--faults <spec>` argument (the fault-injection knob of the
-/// fig07/fig08 binaries): a declarative fault schedule in the `PS2_FAULTS`
-/// grammar, e.g. `crash:worker:0@tick=5000;drop:worker->merger:p=0.01:k=8`.
-/// Returns `None` when absent; panics on a malformed schedule so a typo does
-/// not silently benchmark a fault-free run.
-pub fn faults_arg() -> Option<FaultPlan> {
-    let spec = flag_value("--faults")?;
-    Some(FaultPlan::parse(&spec).unwrap_or_else(|err| panic!("--faults {spec:?}: {err}")))
-}
-
-/// Parses a `--scenario <name>` argument (the adversarial-workload knob of
-/// the fig07/fig08 binaries). Returns `None` when absent; panics on an
-/// unknown scenario name, listing the valid ones, so a typo does not
-/// silently benchmark the steady-state mix.
-pub fn scenario_arg() -> Option<Scenario> {
-    let name = flag_value("--scenario")?;
-    Some(Scenario::parse(&name).unwrap_or_else(|| {
-        let valid: Vec<&str> = Scenario::all().iter().map(|s| s.name()).collect();
-        panic!("--scenario {name:?}: expected one of {}", valid.join(", "))
-    }))
-}
-
-/// Parses a `--json <path>` argument: the experiment binaries write their
-/// result tables to `path` in machine-readable form (the perf-trajectory
-/// artifact consumed by CI). Returns `None` when absent.
-pub fn json_arg() -> Option<String> {
-    flag_value("--json")
 }
 
 /// A JSON scalar for the hand-rolled report writer (the workspace
@@ -778,16 +780,18 @@ mod tests {
             calibration_objects: 300,
             calibration_queries: 100,
         };
-        let report = Experiment::new(
+        let mut experiment = Experiment::new(
             DatasetSpec::tiny(),
             QueryClass::Q1,
             Box::new(KdTreePartitioner::default()),
             scale,
         )
-        .with_workers(2)
-        .with_runtime(RuntimeBackend::deterministic(7))
-        .with_faults(FaultPlan::parse("crash:worker:0@tick=50").unwrap())
-        .run();
+        .with_workers(2);
+        experiment.config = experiment
+            .config
+            .with_runtime(RuntimeBackend::deterministic(7))
+            .with_faults(Some(FaultPlan::parse("crash:worker:0@tick=50").unwrap()));
+        let report = experiment.run();
         // the crash fired, the respawn answered it, and no records were lost
         assert_eq!(report.records_in, 600);
         assert_eq!(report.faults.worker_crashes, 1);

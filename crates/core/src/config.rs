@@ -125,12 +125,10 @@ pub struct SystemConfig {
     /// (`threads` | `coop` | `coop:<threads>` | `sim` | `sim:<seed>`) so an
     /// unmodified test suite can be re-run on another backend.
     pub runtime: RuntimeBackend,
-    /// Pin executor threads to cores, filling the detected machine topology
-    /// NUMA node by NUMA node (best-effort `sched_setaffinity`; see
-    /// `ps2stream_stream::topology`). Off by default; the default honours a
-    /// truthy `PS2_PIN` environment variable (`1`/`true`/`on`) so existing
-    /// binaries can opt in without code changes. Ignored by the
-    /// deterministic simulator, which is single-threaded by construction.
+    /// Has no effect: executor threads always float. Like `numa_shards`,
+    /// the field survives only because the frozen `crates/benchmark/` builds
+    /// this config field by field; the next PR allowed to edit that crate
+    /// deletes it.
     pub pinning: bool,
     /// Has no effect: the `H2` term registry has one fixed flat layout. The
     /// field survives only because the frozen `crates/benchmark/` builds
@@ -170,22 +168,13 @@ impl Default for SystemConfig {
             costs: CostConstants::default(),
             adjustment: None,
             runtime: RuntimeBackend::from_env().unwrap_or_default(),
-            pinning: pinning_from_env(),
+            pinning: false,
             numa_shards: None,
             durability: None,
             faults: FaultPlan::from_env(),
             overload: OverloadPolicy::default(),
         }
     }
-}
-
-/// Reads the `PS2_PIN` environment variable: `1`, `true`, `yes` or `on`
-/// (case-insensitive) enable pinning; anything else (or unset) disables it.
-fn pinning_from_env() -> bool {
-    std::env::var("PS2_PIN").is_ok_and(|v| {
-        let v = v.to_ascii_lowercase();
-        matches!(v.as_str(), "1" | "true" | "yes" | "on")
-    })
 }
 
 impl SystemConfig {
@@ -223,13 +212,6 @@ impl SystemConfig {
     /// picked up by `Default`).
     pub fn with_runtime(mut self, runtime: RuntimeBackend) -> Self {
         self.runtime = runtime;
-        self
-    }
-
-    /// Enables or disables core pinning (overriding any `PS2_PIN` value
-    /// picked up by `Default`).
-    pub fn with_pinning(mut self, pinning: bool) -> Self {
-        self.pinning = pinning;
         self
     }
 
@@ -293,14 +275,6 @@ mod tests {
         assert_eq!(SelectorKind::Greedy.name(), "GR");
         assert_eq!(SelectorKind::Size.name(), "SI");
         assert_eq!(SelectorKind::Random.name(), "RA");
-    }
-
-    #[test]
-    fn placement_overrides() {
-        let c = SystemConfig::default().with_pinning(true);
-        assert!(c.pinning);
-        let c = c.with_pinning(false);
-        assert!(!c.pinning);
     }
 
     #[test]

@@ -94,9 +94,7 @@ pub mod prelude {
         RoutingTable, WorkloadSample,
     };
     pub use ps2stream_persist::{FsyncPolicy, PersistentStore, StoreConfig};
-    pub use ps2stream_stream::{
-        CoopConfig, CpuTopology, FaultPlan, PlacementPolicy, RuntimeBackend,
-    };
+    pub use ps2stream_stream::{FaultPlan, RuntimeBackend};
     pub use ps2stream_text::{BooleanExpr, TermId, Tokenizer, Vocabulary};
     pub use ps2stream_workload::{
         build_sample, CorpusGenerator, DatasetSpec, DriverConfig, QueryClass, QueryGenerator,

@@ -21,8 +21,8 @@ use ps2stream_model::{MatchResult, StreamRecord};
 use ps2stream_partition::{HybridPartitioner, Partitioner, RoutingTable, WorkloadSample};
 use ps2stream_persist::PersistentStore;
 use ps2stream_stream::{
-    bounded, Batch, BatchingEmitter, CpuTopology, Emitter, Envelope, FaultPlan, FaultRole,
-    PlacementPolicy, Runtime, Sender, TaskHandle,
+    bounded, Batch, BatchingEmitter, Emitter, Envelope, FaultPlan, FaultRole, Runtime, Sender,
+    TaskHandle,
 };
 use ps2stream_text::TermStats;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -190,12 +190,7 @@ impl RunningSystem {
             "at least one dispatcher is required"
         );
         assert!(config.num_mergers > 0, "at least one merger is required");
-        // Core pinning: detect the machine layout once and pin executor
-        // threads node by node (the simulator ignores placement).
-        let topology = CpuTopology::detect();
-        let pin = config.pinning && !config.runtime.is_deterministic();
-        let mut runtime =
-            Runtime::with_placement(&config.runtime, PlacementPolicy { pin, topology });
+        let mut runtime = Runtime::new(&config.runtime);
         let metrics = SystemMetrics::new(config.num_workers);
         let bounds = routing.grid().bounds();
         let routing = Arc::new(RwLock::new(routing));
@@ -727,44 +722,5 @@ mod tests {
         }
         assert_eq!(report.matches_delivered, expected);
         assert!(report.throughput_tps > 0.0);
-    }
-
-    /// Pinning is a placement change, not a semantic one: the exact match
-    /// set must be identical.
-    #[test]
-    fn pinned_run_delivers_the_same_matches() {
-        let sample = build_sample(DatasetSpec::tiny(), QueryClass::Q1, 400, 80, 1);
-        let config = SystemConfig {
-            num_dispatchers: 1,
-            num_workers: 3,
-            num_mergers: 1,
-            ..SystemConfig::default()
-        }
-        .with_pinning(true);
-        let (delivery_tx, delivery_rx) = unbounded::<MatchResult>();
-        let mut system = Ps2StreamBuilder::new(config)
-            .with_partitioner(Box::new(KdTreePartitioner::default()))
-            .with_calibration_sample(sample.clone())
-            .with_delivery(delivery_tx)
-            .start();
-        for q in sample.insertions() {
-            system.send(StreamRecord::Update(ps2stream_model::QueryUpdate::Insert(
-                q.clone(),
-            )));
-        }
-        for o in sample.objects() {
-            system.send(StreamRecord::Object(o.clone()));
-        }
-        let report = system.finish();
-        let mut expected = 0u64;
-        for o in sample.objects() {
-            for q in sample.insertions() {
-                if q.matches(o) {
-                    expected += 1;
-                }
-            }
-        }
-        assert_eq!(report.matches_delivered, expected);
-        assert_eq!(delivery_rx.try_iter().count() as u64, expected);
     }
 }

@@ -553,7 +553,9 @@ fn text_partition_node_restricted(
             (*t, (qs.len() as f64) * (obj_count.max(1) as f64))
         })
         .collect();
-    terms.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    // heaviest first; ties by term id, so the partition is a function of the
+    // sample and not of the map's iteration order
+    terms.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     let k = k.min(terms.len()).max(1);
     // LPT over term weights
     let mut groups: Vec<Vec<TermId>> = vec![Vec::new(); k];

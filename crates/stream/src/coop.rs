@@ -1,6 +1,6 @@
 //! The cooperative executor backend.
 //!
-//! Instead of pinning every operator to its own OS thread, the cooperative
+//! Instead of giving every operator its own OS thread, the cooperative
 //! backend turns each operator into a **pollable task**: one `poll` drains up
 //! to a budget of messages from the task's input channel and returns whether
 //! the task made progress, is blocked on input, or finished. Two schedulers
@@ -24,7 +24,6 @@
 
 use crate::channel::Receiver;
 use crate::operator::{Emitter, Operator};
-use crate::topology::pin_current_thread;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
@@ -81,7 +80,7 @@ impl<O: Operator> OperatorTask<O> {
             operator,
             input,
             emitter,
-            budget: budget.max(1),
+            budget,
         }
     }
 }
@@ -210,16 +209,11 @@ impl PoolShared {
 pub(crate) struct PoolRuntime {
     shared: Arc<PoolShared>,
     threads: Vec<JoinHandle<()>>,
-    /// Whether the scheduler threads were spawned with a core-pin plan.
-    pinned: bool,
 }
 
 impl PoolRuntime {
-    /// Starts a pool whose scheduler threads are placed according to `plan`:
-    /// thread `i` pins itself (best-effort) to CPU `plan[i % plan.len()]`
-    /// before it starts polling tasks. `None` keeps the threads floating.
-    pub(crate) fn with_placement(threads: usize, plan: Option<Vec<usize>>) -> Self {
-        let pinned = plan.as_ref().is_some_and(|p| !p.is_empty());
+    /// Starts a pool of `threads` scheduler threads (at least one).
+    pub(crate) fn new(threads: usize) -> Self {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 tasks: Vec::new(),
@@ -234,31 +228,13 @@ impl PoolRuntime {
         let threads = (0..threads.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let cpu = plan
-                    .as_ref()
-                    .filter(|p| !p.is_empty())
-                    .map(|p| p[i % p.len()]);
                 std::thread::Builder::new()
                     .name(format!("coop-pool-{i}"))
-                    .spawn(move || {
-                        if let Some(cpu) = cpu {
-                            pin_current_thread(cpu);
-                        }
-                        pool_thread(&shared)
-                    })
+                    .spawn(move || pool_thread(&shared))
                     .expect("failed to spawn cooperative pool thread")
             })
             .collect();
-        Self {
-            shared,
-            threads,
-            pinned,
-        }
-    }
-
-    /// Whether the scheduler threads run under a core-pin plan.
-    pub(crate) fn is_pinned(&self) -> bool {
-        self.pinned
+        Self { shared, threads }
     }
 
     /// Registers a task, attaches its wakers to `wake_on` channels, and makes
@@ -552,7 +528,7 @@ mod tests {
         let (in_tx, in_rx) = unbounded::<u64>();
         let (mid_tx, mid_rx) = unbounded::<u64>();
         let (out_tx, out_rx) = unbounded::<u64>();
-        let pool = PoolRuntime::with_placement(2, None);
+        let pool = PoolRuntime::new(2);
         let first = pool.spawn(
             "first".into(),
             Box::new(Forwarder {
@@ -625,7 +601,7 @@ mod tests {
                 panic!("kaboom");
             }
         }
-        let pool = PoolRuntime::with_placement(1, None);
+        let pool = PoolRuntime::new(1);
         let id = pool.spawn("boom".into(), Box::new(Boom), &[]);
         assert_eq!(pool.try_join(&[id]), Err("boom".to_string()));
     }

@@ -6,28 +6,29 @@
 //! executor connected by bounded channels (backpressure and queueing as in
 //! the evaluation) or a cooperative executor multiplexing pollable operator
 //! tasks over a fixed core pool, with a seeded deterministic simulation mode
-//! for reproducing exact interleavings ([`coop`]). Tuples are wrapped in
-//! timestamped [`Envelope`]s for latency accounting, and [`metrics`]
-//! collects the throughput, mean latency and latency distributions the
-//! figures report. The [`topology`] module detects the machine's NUMA
-//! layout and (optionally) pins executor threads to cores node by node.
+//! for reproducing exact interleavings ([`coop`]). Executor threads are never
+//! pinned: placement is left to the OS scheduler, as the paper leaves it to
+//! the cloud platform. Tuples are wrapped in timestamped [`Envelope`]s for
+//! latency accounting, and [`metrics`] collects the throughput, mean latency
+//! and latency distributions the figures report.
 //!
 //! # Example
 //!
-//! Pick a backend the way `PS2_RUNTIME` does and inspect the machine:
+//! Pick a backend the way `PS2_RUNTIME` does:
 //!
 //! ```
-//! use ps2stream_stream::{CpuTopology, Runtime, RuntimeBackend};
+//! use ps2stream_stream::{Runtime, RuntimeBackend};
 //!
 //! let backend = RuntimeBackend::parse("coop:2").expect("valid backend spec");
+//! assert_eq!(backend, RuntimeBackend::Coop { pool_threads: 2 });
 //! assert_eq!(backend.name(), "coop");
 //! let runtime = Runtime::new(&backend);
 //! assert!(!runtime.is_deterministic());
 //! runtime.join();
 //!
-//! // topology detection never panics; single-node fallback everywhere
-//! let topology = CpuTopology::detect();
-//! assert!(topology.num_nodes() >= 1 && topology.num_cpus() >= 1);
+//! let sim = RuntimeBackend::parse("sim:7").expect("valid backend spec");
+//! assert_eq!(sim, RuntimeBackend::deterministic(7));
+//! assert!(Runtime::new(&sim).is_deterministic());
 //! ```
 
 #![warn(missing_docs)]
@@ -41,7 +42,6 @@ pub mod fault;
 pub mod metrics;
 pub mod operator;
 pub mod runtime;
-pub mod topology;
 
 pub use batch::{Batch, BatchBuffer, BatchingEmitter};
 pub use channel::{bounded, unbounded, QueueDepth, Receiver, Sender, TryRecvError};
@@ -50,8 +50,7 @@ pub use envelope::Envelope;
 pub use fault::{EdgeFault, FaultPlan, FaultRole, FaultSpec};
 pub use metrics::{LatencyBreakdown, LatencyRecorder, ThroughputMeter};
 pub use operator::{run_operator, Emitter, Operator};
-pub use runtime::{CoopConfig, PlacementPolicy, Runtime, RuntimeBackend, TaskHandle};
-pub use topology::{CpuTopology, NodeCpus};
+pub use runtime::{Runtime, RuntimeBackend, TaskHandle};
 
 #[cfg(test)]
 mod integration {

@@ -3,16 +3,17 @@
 //! PS2Stream's operators (dispatchers, workers, mergers) are written against
 //! the [`crate::operator::Operator`] trait and are agnostic to *how* they are
 //! executed. [`Runtime`] is the substrate they are spawned onto; it comes in
-//! two backends selected by [`RuntimeBackend`]:
+//! three backends selected by [`RuntimeBackend`]:
 //!
 //! * **Threads** (`RuntimeBackend::Threads`, the default) — one OS thread per
 //!   operator, blocking `recv`, bounded channels with real backpressure. The
 //!   in-process analogue of a Storm executor per node.
 //! * **Coop** (`RuntimeBackend::Coop`) — operators become pollable tasks
-//!   multiplexed over a fixed core pool (see [`crate::coop`]). With
-//!   [`CoopConfig::seed`] set, the pool collapses to a single-threaded
-//!   **deterministic** scheduler: tasks run only while the driver joins the
-//!   runtime, and the interleaving is a pure function of the seed.
+//!   multiplexed over a fixed pool of scheduler threads (see [`crate::coop`]).
+//! * **Sim** (`RuntimeBackend::Sim`) — the cooperative scheduler collapsed to
+//!   a single-threaded **deterministic** simulator: tasks run only while the
+//!   driver joins the runtime, and the interleaving is a pure function of the
+//!   seed.
 //!
 //! Channels must be created through [`Runtime::bounded`] /
 //! [`Runtime::unbounded`]: the cooperative backends make every channel
@@ -22,100 +23,15 @@
 use crate::channel::{self, Receiver, Sender};
 use crate::coop::{OperatorTask, PollTask, PoolRuntime, SimRuntime};
 use crate::operator::{run_operator, Emitter, Operator};
-use crate::topology::{pin_current_thread, CpuTopology};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// How a runtime places its executor threads on the machine.
-///
-/// With `pin: false` (the default) nothing changes: threads float and the
-/// scheduler does what it wants. With `pin: true`, the runtime derives a
-/// placement plan from `topology` — pool scheduler threads (cooperative
-/// backend) or per-operator threads (thread backend) are pinned to
-/// consecutive CPUs, filling NUMA node by NUMA node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlacementPolicy {
-    /// Pin executor threads to cores (best-effort `sched_setaffinity`).
-    pub pin: bool,
-    /// The machine layout the plan is derived from.
-    pub topology: CpuTopology,
-}
+/// Messages a pooled operator task processes per poll before it yields its
+/// scheduler thread.
+const POOL_POLL_BUDGET: usize = 32;
 
-impl PlacementPolicy {
-    /// No pinning. Uses a trivial single-node topology instead of running
-    /// detection — an unpinned runtime never consults it, and this is the
-    /// path every `Runtime::new` takes.
-    pub fn disabled() -> Self {
-        Self {
-            pin: false,
-            topology: CpuTopology::single_node(1),
-        }
-    }
-
-    /// Pin executor threads according to the detected machine topology.
-    pub fn pinned() -> Self {
-        Self {
-            pin: true,
-            topology: CpuTopology::detect(),
-        }
-    }
-
-    /// Pin executor threads according to an explicit topology (tests,
-    /// synthetic layouts).
-    pub fn pinned_on(topology: CpuTopology) -> Self {
-        Self {
-            pin: true,
-            topology,
-        }
-    }
-}
-
-impl Default for PlacementPolicy {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
-/// Shared round-robin placement plan for incrementally spawned threads (the
-/// thread backend's operators).
-#[derive(Debug)]
-struct PlacementPlan {
-    topology: CpuTopology,
-    next: AtomicUsize,
-}
-
-impl PlacementPlan {
-    fn next_cpu(&self) -> usize {
-        self.topology
-            .slot(self.next.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-/// Configuration of the cooperative executor backend.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoopConfig {
-    /// Number of scheduler threads in the core pool; `0` = one per available
-    /// core. Ignored in deterministic mode (always single-threaded).
-    pub pool_threads: usize,
-    /// Messages an operator task may process per poll before yielding the
-    /// scheduler thread (the send/recv yielding granularity).
-    pub poll_budget: usize,
-    /// When set, run in deterministic single-threaded simulation mode: the
-    /// scheduler picks the next task pseudo-randomly from this seed and only
-    /// runs while the driving thread joins the runtime.
-    pub seed: Option<u64>,
-}
-
-impl Default for CoopConfig {
-    fn default() -> Self {
-        Self {
-            pool_threads: 0,
-            poll_budget: 32,
-            seed: None,
-        }
-    }
-}
+/// Messages a simulated operator task processes per poll: one, so the seed
+/// space expresses the finest interleavings.
+const SIM_POLL_BUDGET: usize = 1;
 
 /// Which execution substrate a topology runs on.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -123,39 +39,43 @@ pub enum RuntimeBackend {
     /// One OS thread per operator (the default).
     #[default]
     Threads,
-    /// Cooperative tasks over a core pool, or the deterministic simulator
-    /// when [`CoopConfig::seed`] is set.
-    Coop(CoopConfig),
+    /// Cooperative tasks over a pool of scheduler threads.
+    Coop {
+        /// Scheduler threads in the pool; `0` = one per available core.
+        pool_threads: usize,
+    },
+    /// The deterministic single-threaded simulator: the scheduler picks the
+    /// next task pseudo-randomly from `seed` and only runs while the driving
+    /// thread joins the runtime.
+    Sim {
+        /// Seed of the scheduler's pick sequence.
+        seed: u64,
+    },
 }
 
 impl RuntimeBackend {
-    /// The cooperative pool backend with default settings.
+    /// The cooperative pool backend, one scheduler thread per core.
     pub fn coop() -> Self {
-        Self::Coop(CoopConfig::default())
+        Self::Coop { pool_threads: 0 }
     }
 
     /// The deterministic single-threaded simulation backend: a full run is a
-    /// pure function of the workload and this seed. Poll budget 1 maximizes
-    /// the interleavings the seed space can express.
+    /// pure function of the workload and this seed.
     pub fn deterministic(seed: u64) -> Self {
-        Self::Coop(CoopConfig {
-            pool_threads: 1,
-            poll_budget: 1,
-            seed: Some(seed),
-        })
+        Self::Sim { seed }
     }
 
     /// True when this backend is the deterministic simulator.
     pub fn is_deterministic(&self) -> bool {
-        matches!(self, Self::Coop(c) if c.seed.is_some())
+        matches!(self, Self::Sim { .. })
     }
 
     /// Short name used in reports: `threads`, `coop` or `sim`.
     pub fn name(&self) -> &'static str {
         match self {
             Self::Threads => "threads",
-            Self::Coop(c) if c.seed.is_some() => "sim",
-            Self::Coop(_) => "coop",
+            Self::Coop { .. } => "coop",
+            Self::Sim { .. } => "sim",
         }
     }
 
@@ -168,11 +88,9 @@ impl RuntimeBackend {
             "sim" => Some(Self::deterministic(0)),
             other => {
                 if let Some(threads) = other.strip_prefix("coop:") {
-                    let pool_threads = threads.parse().ok()?;
-                    Some(Self::Coop(CoopConfig {
-                        pool_threads,
-                        ..CoopConfig::default()
-                    }))
+                    Some(Self::Coop {
+                        pool_threads: threads.parse().ok()?,
+                    })
                 } else if let Some(seed) = other.strip_prefix("sim:") {
                     Some(Self::deterministic(seed.parse().ok()?))
                 } else {
@@ -219,68 +137,30 @@ enum Inner {
 /// Owns the executors of a running topology, whatever substrate they run on.
 pub struct Runtime {
     inner: Inner,
-    /// Messages a cooperative operator task may process per poll.
-    poll_budget: usize,
-    /// Round-robin pin plan for incrementally spawned operator threads
-    /// (thread backend with pinning enabled; `None` = floating threads).
-    plan: Option<Arc<PlacementPlan>>,
     /// OS threads: every executor on the thread backend, service threads
     /// (e.g. the adjustment controller) on the pool backend.
     threads: Vec<Option<(String, JoinHandle<()>)>>,
 }
 
 impl Runtime {
-    /// Creates a runtime for the given backend with floating (unpinned)
-    /// threads.
+    /// Creates a runtime for the given backend.
     pub fn new(backend: &RuntimeBackend) -> Self {
-        Self::with_placement(backend, PlacementPolicy::disabled())
-    }
-
-    /// Creates a runtime for the given backend under an explicit
-    /// [`PlacementPolicy`].
-    ///
-    /// With pinning enabled, the cooperative pool spawns one scheduler
-    /// thread per online CPU by default (instead of `available_parallelism`)
-    /// and pins thread `i` to the topology's `i`-th CPU slot; the thread
-    /// backend pins each operator thread to the next slot round-robin as it
-    /// is spawned. The deterministic simulator ignores placement entirely —
-    /// it is single-threaded by construction.
-    pub fn with_placement(backend: &RuntimeBackend, placement: PlacementPolicy) -> Self {
-        let inner = match backend {
+        let inner = match *backend {
             RuntimeBackend::Threads => Inner::Threads,
-            RuntimeBackend::Coop(config) => match config.seed {
-                Some(seed) => Inner::Sim(SimRuntime::new(seed)),
-                None => {
-                    let pool = if config.pool_threads != 0 {
-                        config.pool_threads
-                    } else if placement.pin {
-                        placement.topology.num_cpus()
-                    } else {
-                        std::thread::available_parallelism()
-                            .map(|p| p.get())
-                            .unwrap_or(4)
-                    };
-                    let plan = placement
-                        .pin
-                        .then(|| (0..pool).map(|i| placement.topology.slot(i)).collect());
-                    Inner::Pool(PoolRuntime::with_placement(pool, plan))
-                }
-            },
+            RuntimeBackend::Coop { pool_threads } => {
+                let pool = if pool_threads != 0 {
+                    pool_threads
+                } else {
+                    std::thread::available_parallelism()
+                        .map(|p| p.get())
+                        .unwrap_or(4)
+                };
+                Inner::Pool(PoolRuntime::new(pool))
+            }
+            RuntimeBackend::Sim { seed } => Inner::Sim(SimRuntime::new(seed)),
         };
-        let poll_budget = match backend {
-            RuntimeBackend::Threads => 1,
-            RuntimeBackend::Coop(c) => c.poll_budget.max(1),
-        };
-        let plan = (placement.pin && matches!(inner, Inner::Threads)).then(|| {
-            Arc::new(PlacementPlan {
-                topology: placement.topology,
-                next: AtomicUsize::new(0),
-            })
-        });
         Self {
             inner,
-            poll_budget,
-            plan,
             threads: Vec::new(),
         }
     }
@@ -288,11 +168,6 @@ impl Runtime {
     /// A runtime on the OS-thread backend (the historical default).
     pub fn threads() -> Self {
         Self::new(&RuntimeBackend::Threads)
-    }
-
-    /// True when this runtime pins its executor threads to cores.
-    pub fn is_pinned(&self) -> bool {
-        self.plan.is_some() || matches!(&self.inner, Inner::Pool(pool) if pool.is_pinned())
     }
 
     /// True when this runtime is the deterministic simulator: executors make
@@ -354,16 +229,11 @@ impl Runtime {
         emitter: Emitter<O::Out>,
     ) -> TaskHandle {
         let name = name.into();
-        let poll_budget = self.poll_budget;
         match &mut self.inner {
             Inner::Threads => {
-                let cpu = self.plan.as_ref().map(|plan| plan.next_cpu());
                 let handle = std::thread::Builder::new()
                     .name(name.clone())
                     .spawn(move || {
-                        if let Some(cpu) = cpu {
-                            pin_current_thread(cpu);
-                        }
                         run_operator(operator, input, emitter);
                     })
                     .expect("failed to spawn executor thread");
@@ -372,12 +242,12 @@ impl Runtime {
             }
             Inner::Pool(pool) => {
                 let hooks = input.notify_slot();
-                let task = OperatorTask::new(operator, input, emitter, poll_budget);
+                let task = OperatorTask::new(operator, input, emitter, POOL_POLL_BUDGET);
                 let id = pool.spawn(name, Box::new(task), &[hooks]);
                 TaskHandle(Handle::Coop(id))
             }
             Inner::Sim(sim) => {
-                let task = OperatorTask::new(operator, input, emitter, poll_budget);
+                let task = OperatorTask::new(operator, input, emitter, SIM_POLL_BUDGET);
                 TaskHandle(Handle::Coop(sim.spawn(Box::new(task))))
             }
         }
@@ -572,10 +442,11 @@ mod tests {
         assert_eq!(RuntimeBackend::parse("coop"), Some(RuntimeBackend::coop()));
         assert_eq!(
             RuntimeBackend::parse("coop:3"),
-            Some(RuntimeBackend::Coop(CoopConfig {
-                pool_threads: 3,
-                ..CoopConfig::default()
-            }))
+            Some(RuntimeBackend::Coop { pool_threads: 3 })
+        );
+        assert_eq!(
+            RuntimeBackend::parse("sim"),
+            Some(RuntimeBackend::deterministic(0))
         );
         assert_eq!(
             RuntimeBackend::parse("sim:42"),
@@ -637,42 +508,6 @@ mod tests {
             assert_eq!(run(&RuntimeBackend::Threads), expected);
             assert_eq!(run(&RuntimeBackend::coop()), expected);
             assert_eq!(run(&RuntimeBackend::deterministic(3)), expected);
-        }
-
-        fn run_pinned(backend: &RuntimeBackend) -> Vec<u64> {
-            let mut rt = Runtime::with_placement(backend, PlacementPolicy::pinned());
-            assert!(rt.is_pinned() || backend.is_deterministic());
-            let (in_tx, in_rx) = rt.bounded::<Envelope<u64>>(64);
-            let (out_tx, out_rx) = rt.unbounded::<u64>();
-            let h = rt.spawn_operator(
-                "doubler",
-                Doubler { out: Some(out_tx) },
-                in_rx,
-                Emitter::sink(),
-            );
-            for i in 0..200u64 {
-                in_tx.send(Envelope::now(i, i)).unwrap();
-            }
-            drop(in_tx);
-            rt.join_tasks(&[h]);
-            let mut got: Vec<u64> = out_rx.try_iter().collect();
-            got.sort_unstable();
-            got
-        }
-
-        /// Core pinning is a placement optimization, never a semantic
-        /// change: placed runtimes deliver the same results.
-        #[test]
-        fn pinned_backends_agree_with_floating_ones() {
-            let expected: Vec<u64> = (0..200u64).map(|i| i * 2).collect();
-            assert_eq!(run_pinned(&RuntimeBackend::Threads), expected);
-            assert_eq!(run_pinned(&RuntimeBackend::coop()), expected);
-            // the simulator ignores placement (single-threaded by design)
-            let sim = Runtime::with_placement(
-                &RuntimeBackend::deterministic(3),
-                PlacementPolicy::pinned(),
-            );
-            assert!(!sim.is_pinned());
         }
     }
 }

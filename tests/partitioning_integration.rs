@@ -4,8 +4,9 @@
 //! partitioning wins on Q2, hybrid is never the worst and wins on Q3).
 
 use ps2stream::prelude::*;
-use ps2stream_partition::{evaluate_distribution, CostConstants};
+use ps2stream_partition::{evaluate_distribution, CellRouting, CostConstants};
 use ps2stream_workload::build_sample;
+use std::sync::Arc;
 
 fn total_load(partitioner: &dyn Partitioner, sample: &WorkloadSample, workers: usize) -> f64 {
     let mut table = partitioner.partition(sample, workers);
@@ -103,4 +104,36 @@ fn routing_tables_reflect_their_strategy_families() {
     );
     // dispatcher memory ordering of Figure 9: space < hybrid-ish <= text-heavy
     assert!(space_table.memory_usage() <= hybrid_table.memory_usage());
+}
+
+#[test]
+fn partitioning_is_a_function_of_the_sample() {
+    // Q2's rare keywords give many equal-weight terms, the ties a partitioner
+    // must not break by hash-map iteration order
+    let sample = build_sample(DatasetSpec::tweets_uk(), QueryClass::Q2, 8_000, 1_000, 0);
+    for partitioner in ps2stream_partition::all_partitioners() {
+        let first = partitioner.partition(&sample, 2);
+        let second = partitioner.partition(&sample, 2);
+        // a text partitioner shares one map across every cell: compare it once
+        let mut equal_shared = Vec::new();
+        for cell in first.grid().all_cells() {
+            let same = match (first.cell_routing(cell), second.cell_routing(cell)) {
+                (CellRouting::Single(a), CellRouting::Single(b)) => a == b,
+                (CellRouting::SharedTerms(a), CellRouting::SharedTerms(b)) => {
+                    let pair = (Arc::as_ptr(a), Arc::as_ptr(b));
+                    if !equal_shared.contains(&pair) && a == b {
+                        equal_shared.push(pair);
+                    }
+                    equal_shared.contains(&pair)
+                }
+                (CellRouting::OwnedTerms(a), CellRouting::OwnedTerms(b)) => a == b,
+                _ => false,
+            };
+            assert!(
+                same,
+                "{}: two partitions of one sample route cell {cell:?} differently",
+                partitioner.name()
+            );
+        }
+    }
 }
