@@ -24,6 +24,7 @@ use ps2stream_partition::RoutingTable;
 use ps2stream_stream::{Batch, BatchBuffer, Emitter, Envelope, Operator};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A dispatcher executor. Several dispatcher instances share the same routing
 /// table (behind an `RwLock`) and pull from the same input channel.
@@ -42,6 +43,9 @@ pub struct Dispatcher {
     /// When set, a failed send to a worker channel is reported as peer death
     /// instead of being silently dropped.
     supervisor: Option<Arc<Supervisor>>,
+    /// Ingest instants of the records discarded during the current input
+    /// batch, recorded as completed once at its end (recycled).
+    completed: Vec<Instant>,
 }
 
 impl Dispatcher {
@@ -60,6 +64,7 @@ impl Dispatcher {
             old_routing,
             buffer: BatchBuffer::new(num_workers, batch_size),
             supervisor: None,
+            completed: Vec::new(),
         }
     }
 
@@ -131,14 +136,13 @@ impl Dispatcher {
         let workers = Self::route_record(routing, old_routing, &envelope.payload);
         let Some((&last, rest)) = workers.split_last() else {
             // Discarded at the dispatcher (object with no registered keyword
-            // in its cell): the tuple is complete, record its latency.
+            // in its cell): the tuple is complete.
             if envelope.payload.is_object() {
                 self.metrics
                     .discarded_objects
                     .fetch_add(1, Ordering::Relaxed);
             }
-            self.metrics.latency.record(envelope.latency());
-            self.metrics.throughput.record(1);
+            self.completed.push(envelope.ingested_at);
             return;
         };
         // clone the payload for every worker but the last; the original
@@ -185,6 +189,7 @@ impl Operator for Dispatcher {
         }
         drop(old_routing);
         drop(routing);
+        self.metrics.record_completed(&mut self.completed);
     }
 }
 

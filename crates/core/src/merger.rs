@@ -33,6 +33,7 @@ use ps2stream_text::{IdMap, IdSet};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A merger executor.
 pub struct Merger {
@@ -40,6 +41,12 @@ pub struct Merger {
     /// Optional delivery channel towards the subscribers (tests and examples
     /// consume matches from here).
     delivery: Option<Sender<MatchResult>>,
+    /// The current batch's new matches, handed to `delivery` as one burst
+    /// at the end of the batch (recycled).
+    deliveries: Vec<MatchResult>,
+    /// Ingest instants of the current batch's objects, recorded as completed
+    /// once at the end of the batch (recycled).
+    completed: Vec<Instant>,
     /// Recently seen (object → matched queries) used for deduplication.
     seen: IdMap<ObjectId, IdSet<QueryId>>,
     /// FIFO of `(object, ingest sequence)` for bounded-memory eviction.
@@ -67,6 +74,8 @@ impl Merger {
         Self {
             metrics,
             delivery,
+            deliveries: Vec::new(),
+            completed: Vec::new(),
             seen: IdMap::default(),
             order: VecDeque::new(),
             evicted_watermark: None,
@@ -148,17 +157,16 @@ impl Operator for Merger {
         }
         let mut delivered = 0u64;
         let mut duplicates = 0u64;
-        let objects = batch.len() as u64;
+        let collect = self.delivery.is_some();
         for envelope in batch {
-            let latency = envelope.latency();
             let sequence = envelope.sequence;
             for m in &envelope.payload {
                 match self.note_object(m.object_id, sequence) {
                     Some(per_object) => {
                         if per_object.insert(m.query_id) {
                             delivered += 1;
-                            if let Some(tx) = &self.delivery {
-                                let _ = tx.send(*m);
+                            if collect {
+                                self.deliveries.push(*m);
                             }
                         } else {
                             duplicates += 1;
@@ -168,7 +176,12 @@ impl Operator for Merger {
                     None => duplicates += 1,
                 }
             }
-            self.metrics.latency.record(latency);
+            self.completed.push(envelope.ingested_at);
+        }
+        // One hand-off per batch: a subscriber parks whenever it drains the
+        // channel, so every separate send could cost it a wake-up.
+        if let Some(tx) = &self.delivery {
+            let _ = tx.send_all(self.deliveries.drain(..));
         }
         self.metrics
             .matches_delivered
@@ -176,7 +189,7 @@ impl Operator for Merger {
         self.metrics
             .duplicates_removed
             .fetch_add(duplicates, Ordering::Relaxed);
-        self.metrics.throughput.record(objects);
+        self.metrics.record_completed(&mut self.completed);
     }
 }
 
@@ -184,7 +197,7 @@ impl Operator for Merger {
 mod tests {
     use super::*;
     use ps2stream_model::SubscriberId;
-    use ps2stream_stream::{unbounded, Batch, Envelope};
+    use ps2stream_stream::{bounded, unbounded, Batch, Envelope};
     use std::collections::HashSet;
 
     fn matches(object: u64, queries: &[u64]) -> MergerMessage {
@@ -233,6 +246,50 @@ mod tests {
         assert_eq!(metrics.throughput.count(), 3);
         assert_eq!(metrics.latency.count(), 3);
         assert_eq!(rx.try_iter().count(), 3);
+    }
+
+    #[test]
+    fn a_full_delivery_channel_gets_each_match_once_in_arrival_order() {
+        let metrics = SystemMetrics::new(1);
+        let (tx, rx) = bounded::<MatchResult>(1);
+        let subscriber = std::thread::spawn(move || {
+            rx.iter()
+                .map(|m| (m.object_id.value(), m.query_id.value()))
+                .collect::<Vec<_>>()
+        });
+        let mut merger = Merger::new(Arc::clone(&metrics), Some(tx), 100);
+        let emitter = Emitter::sink();
+        // what per-match sends delivered: first copies, in arrival order
+        let mut expected = Vec::new();
+        let mut seen = HashSet::new();
+        for round in 0..20u64 {
+            let mut batch = Batch::new();
+            // objects overlap the previous rounds', and the first object of
+            // the batch comes twice (a replica's copy)
+            for object in [round, round, round + 1, round + 2] {
+                let queries: Vec<u64> = (0..5).map(|q| (object * 7 + q) % 11).collect();
+                for &q in &queries {
+                    if seen.insert((object, q)) {
+                        expected.push((object, q));
+                    }
+                }
+                batch.push(Envelope::now(
+                    object,
+                    queries
+                        .iter()
+                        .map(|&q| MatchResult::new(QueryId(q), SubscriberId(q), ObjectId(object)))
+                        .collect(),
+                ));
+            }
+            merger.process(MergerMessage::Matches(batch), &emitter);
+        }
+        drop(merger);
+        let received = subscriber.join().expect("the subscriber thread panicked");
+        assert_eq!(received, expected);
+        assert_eq!(
+            metrics.matches_delivered.load(Ordering::Relaxed),
+            expected.len() as u64
+        );
     }
 
     #[test]

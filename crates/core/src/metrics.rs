@@ -5,7 +5,7 @@ use ps2stream_partition::WorkerLoad;
 use ps2stream_stream::{LatencyBreakdown, LatencyRecorder, ThroughputMeter};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Counters describing the migrations performed by the dynamic load
 /// adjustment during a run.
@@ -94,6 +94,17 @@ impl SystemMetrics {
             migration: MigrationMetrics::default(),
             faults: FaultMetrics::default(),
         })
+    }
+
+    /// Records the tuples an executor completed during one message, given
+    /// their ingest instants (drained from `ingested`, which the executor
+    /// reuses): one latency update and one throughput update for the set.
+    pub fn record_completed(&self, ingested: &mut Vec<Instant>) {
+        if ingested.is_empty() {
+            return;
+        }
+        let completed = self.latency.record_since(ingested.drain(..));
+        self.throughput.record(completed);
     }
 
     /// Adds tuple counts to a worker's cumulative load.

@@ -103,6 +103,10 @@ pub struct Worker {
     object_run: Vec<Envelope<StreamRecord>>,
     /// `(position in run, matches)` pairs of the current run (recycled).
     run_results: Vec<(usize, Vec<MatchResult>)>,
+    /// Ingest instants of the records this worker completed (updates and
+    /// unmatched objects) during the current message, recorded once at its
+    /// end (recycled).
+    completed: Vec<Instant>,
     /// Cells with an in-flight hand-off *towards* this worker: the number of
     /// `MigrateIn` messages still owed per cell.
     pending_cells: HashMap<CellId, u32>,
@@ -146,6 +150,7 @@ impl Worker {
             scratch: MatchScratch::new(),
             object_run: Vec::new(),
             run_results: Vec::new(),
+            completed: Vec::new(),
             pending_cells: HashMap::new(),
             parked: HashMap::new(),
             shutdown_requested: false,
@@ -264,8 +269,7 @@ impl Worker {
                     }
                 }
                 // tuple finished here
-                self.metrics.latency.record(ingested_at.elapsed());
-                self.metrics.throughput.record(1);
+                self.completed.push(ingested_at);
             }
         }
     }
@@ -318,8 +322,7 @@ impl Worker {
                 self.push_matches(envelope, matches);
             } else {
                 // tuple finished here
-                self.metrics.latency.record(envelope.latency());
-                self.metrics.throughput.record(1);
+                self.completed.push(envelope.ingested_at);
             }
         }
         self.object_run = run;
@@ -666,6 +669,7 @@ impl Operator for Worker {
                 }
             }
         }
+        self.metrics.record_completed(&mut self.completed);
     }
 
     fn wants_stop(&self) -> bool {
@@ -678,6 +682,7 @@ impl Operator for Worker {
         self.close_fault_window();
         self.flush_object_run();
         self.flush_matches();
+        self.metrics.record_completed(&mut self.completed);
         // final accounting
         self.metrics
             .add_worker_load(self.id.index(), &self.period_load);

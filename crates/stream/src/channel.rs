@@ -5,10 +5,10 @@
 //! side. When an operator task is multiplexed onto a core pool it parks
 //! (returns [`crate::coop::TaskPoll::Blocked`]) instead of blocking an OS
 //! thread on `recv`; the sender side must then tell the scheduler that the
-//! task is runnable again. Every `send` — and the disconnection of the last
-//! sender — fires the wakers attached to the channel. On the OS-thread
-//! backend no waker is ever attached and the hook is a single relaxed atomic
-//! load, so the blocking hot path is unchanged.
+//! task is runnable again. Every `send`, every `send_all` burst — and the
+//! disconnection of the last sender — fires the wakers attached to the
+//! channel. On the OS-thread backend no waker is ever attached and the hook
+//! is a single relaxed atomic load, so the blocking hot path is unchanged.
 //!
 //! The whole workspace creates channels through these constructors (or
 //! through [`crate::runtime::Runtime::bounded`], which picks the right
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A wakeup callback attached to a channel: invoked after every successful
-/// send and when the last sender disconnects.
+/// send or burst and when the last sender disconnects.
 pub(crate) type Waker = Arc<dyn Fn() + Send + Sync>;
 
 /// The shared notify state of one channel. Wakers are attached by the
@@ -63,8 +63,11 @@ pub(crate) struct Hooks {
     /// Live `Sender` clones; the drop of the last one fires the wakers so a
     /// parked task can observe the disconnection and finish.
     senders: AtomicUsize,
-    /// Messages queued (maintained by the wrapper's send/recv paths): the
-    /// backlog gauge the overload policy reads without holding an endpoint.
+    /// Messages queued or being sent (maintained by the wrapper's send/recv
+    /// paths): the backlog gauge the overload policy reads without holding
+    /// an endpoint. A send bumps it *before* the enqueue, so a receiver can
+    /// never dequeue a message the gauge has not counted yet; the price is
+    /// that a sender blocked on a full queue counts as backlog too.
     depth: AtomicUsize,
 }
 
@@ -178,18 +181,59 @@ impl<T> Sender<T> {
         self.send_inner(value)
     }
 
+    /// Sends every value in order, blocking while the channel is full: one
+    /// lock per stretch of free capacity, at most one wake of parked
+    /// receivers per stretch, and one notify-hook call for the burst. When
+    /// every receiver is gone, returns the first value not sent; the rest
+    /// are dropped. A fault-shimmed sender sends value by value, so the
+    /// shim's diversion clock advances exactly as under `n` single sends.
+    pub fn send_all<I>(&self, values: I) -> Result<(), SendError<T>>
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let values = values.into_iter();
+        if self.fault.is_some() {
+            for value in values {
+                self.send(value)?;
+            }
+            return Ok(());
+        }
+        let len = values.len();
+        if len == 0 {
+            return Ok(());
+        }
+        self.hooks.depth.fetch_add(len, Ordering::Relaxed);
+        let mut taken = 0usize;
+        let sent = self.inner.send_all(values.inspect(|_| taken += 1));
+        if sent.is_err() {
+            // the returned value was taken but not enqueued
+            let unsent = len - (taken - 1);
+            self.hooks.depth.fetch_sub(unsent, Ordering::Relaxed);
+            return sent;
+        }
+        self.hooks.slot.notify();
+        Ok(())
+    }
+
     /// Sends a message without blocking. Fault shims do not apply here: the
     /// non-blocking path is used for control traffic that must not reorder.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        self.inner.try_send(value)?;
         self.hooks.depth.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = self.inner.try_send(value) {
+            self.hooks.depth.fetch_sub(1, Ordering::Relaxed);
+            return Err(e);
+        }
         self.hooks.slot.notify();
         Ok(())
     }
 
     fn send_inner(&self, value: T) -> Result<(), SendError<T>> {
-        self.inner.send(value)?;
         self.hooks.depth.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = self.inner.send(value) {
+            self.hooks.depth.fetch_sub(1, Ordering::Relaxed);
+            return Err(e);
+        }
         self.hooks.slot.notify();
         Ok(())
     }
@@ -270,14 +314,9 @@ impl<T> Receiver<T> {
     }
 
     fn note_dequeued(&self) {
-        // saturating: a reader that raced a send counted on another clone
-        // must never wrap the gauge
-        let _ = self
-            .hooks
-            .depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                Some(d.saturating_sub(1))
-            });
+        // cannot wrap: the sender's increment happens before its enqueue,
+        // which the channel's lock orders before this dequeue
+        self.hooks.depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// A blocking iterator ending when the channel is disconnected and
@@ -463,6 +502,111 @@ mod tests {
         // holding the gauge does not keep the channel connected
         drop(tx);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn depth_gauge_returns_to_zero_under_contention() {
+        // Regression: the gauge used to be bumped after the enqueue, so a
+        // receiver could dequeue first, saturate at 0, and the late bump
+        // left the gauge one too high forever.
+        const PRODUCERS: u64 = 4;
+        const CONSUMERS: u64 = 4;
+        const PER_PRODUCER: u64 = 20_000;
+        let (tx, rx) = bounded::<u64>(4);
+        let gauge = rx.depth_handle();
+        for round in 0..3 {
+            std::thread::scope(|scope| {
+                for _ in 0..PRODUCERS {
+                    scope.spawn(|| {
+                        for i in 0..PER_PRODUCER {
+                            tx.send(i).unwrap();
+                        }
+                    });
+                }
+                for _ in 0..CONSUMERS {
+                    scope.spawn(|| {
+                        for _ in 0..PRODUCERS * PER_PRODUCER / CONSUMERS {
+                            rx.recv().unwrap();
+                        }
+                    });
+                }
+            });
+            assert!(rx.is_empty());
+            assert_eq!(gauge.get(), 0, "gauge drifted in round {round}");
+        }
+    }
+
+    #[test]
+    fn depth_gauge_counts_whole_bursts() {
+        let (tx, rx) = unbounded::<u32>();
+        let gauge = rx.depth_handle();
+        tx.send_all(vec![1, 2, 3]).unwrap();
+        assert_eq!(gauge.get(), 3);
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(gauge.get(), 2);
+
+        // a burst blocked on a full queue is backlog as a whole
+        let (tx, rx) = bounded::<u32>(2);
+        let gauge = rx.depth_handle();
+        std::thread::scope(|scope| {
+            scope.spawn(|| tx.send_all(0..5).unwrap());
+            while rx.len() < 2 {
+                std::thread::yield_now();
+            }
+            assert_eq!(gauge.get(), 5);
+            let got: Vec<u32> = (0..5).map(|_| rx.recv().unwrap()).collect();
+            assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        });
+        assert_eq!(gauge.get(), 0);
+
+        // a disconnect gives back the part of the burst that never went in
+        drop(rx);
+        assert!(tx.send_all(vec![7, 8]).is_err());
+        assert_eq!(gauge.get(), 0);
+    }
+
+    #[test]
+    fn send_all_fires_the_waker_once_per_burst() {
+        let (tx, rx) = unbounded::<u32>();
+        let fired = Arc::new(AtomicU32::new(0));
+        let observer = Arc::clone(&fired);
+        rx.notify_slot().attach_waker(Arc::new(move || {
+            observer.fetch_add(1, Ordering::SeqCst);
+        }));
+        tx.send_all(vec![1, 2, 3]).unwrap();
+        tx.send_all(Vec::new()).unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_shimmed_burst_diverts_exactly_as_single_sends() {
+        let run = |burst: bool| -> (Vec<u32>, u64) {
+            let diverted = Arc::new(AtomicU64::new(0));
+            let (tx, rx) = unbounded::<u32>();
+            let tx = tx.with_fault(
+                EdgeFault {
+                    p_ppm: 300_000,
+                    redeliver_after: 3,
+                },
+                11,
+                Arc::clone(&diverted),
+            );
+            for chunk in (0..120u32).collect::<Vec<_>>().chunks(7) {
+                if burst {
+                    tx.send_all(chunk.iter().copied()).unwrap();
+                } else {
+                    for &value in chunk {
+                        tx.send(value).unwrap();
+                    }
+                }
+            }
+            drop(tx);
+            (rx.iter().collect(), diverted.load(Ordering::SeqCst))
+        };
+        let (bursts, bursts_diverted) = run(true);
+        assert!(bursts_diverted > 0, "p=0.3 over 120 sends must divert");
+        assert_eq!((bursts, bursts_diverted), run(false));
     }
 
     #[test]

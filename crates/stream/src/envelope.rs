@@ -4,10 +4,11 @@
 //! staying in the system" (Section VI-C). Every tuple entering PS2Stream is
 //! wrapped in an [`Envelope`] stamping its ingestion instant; whichever
 //! executor completes the tuple (a worker for a non-matching object, the
-//! merger for delivered matches) reports the elapsed time to a
-//! [`crate::metrics::LatencyRecorder`].
+//! merger for delivered matches) hands that instant, together with those of
+//! the message's other completed tuples, to
+//! [`crate::metrics::LatencyRecorder::record_since`].
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A payload plus the instant it entered the system.
 #[derive(Debug, Clone)]
@@ -28,11 +29,6 @@ impl<T> Envelope<T> {
             ingested_at: Instant::now(),
             sequence,
         }
-    }
-
-    /// Time elapsed since ingestion.
-    pub fn latency(&self) -> Duration {
-        self.ingested_at.elapsed()
     }
 
     /// Maps the payload, preserving the timestamp and sequence number.
@@ -59,12 +55,13 @@ impl<T> Envelope<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn latency_grows_with_time() {
         let e = Envelope::now(1, "x");
         std::thread::sleep(Duration::from_millis(2));
-        assert!(e.latency() >= Duration::from_millis(2));
+        assert!(e.ingested_at.elapsed() >= Duration::from_millis(2));
         assert_eq!(e.sequence, 1);
     }
 

@@ -80,7 +80,7 @@ mod integration {
         type Out = ();
         fn process(&mut self, input: Envelope<u64>, _emitter: &Emitter<()>) {
             self.total += input.payload;
-            self.latencies.record(input.latency());
+            self.latencies.record_since([input.ingested_at]);
             self.throughput.record(1);
         }
         fn finish(&mut self, _emitter: &Emitter<()>) {

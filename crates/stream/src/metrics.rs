@@ -15,10 +15,10 @@ use std::time::{Duration, Instant};
 /// to compute the sustained throughput of a run.
 ///
 /// Entirely lock-free: every executor of the pipeline calls [`record`] on the
-/// shared meter for each completed tuple, so a mutex here serializes the whole
-/// hot path. The observation window is kept as first/last-tuple nanosecond
-/// offsets (relative to the meter's creation instant) maintained with
-/// `fetch_min` / `fetch_max`.
+/// shared meter once per message for the tuples it completed, so a mutex
+/// here serializes the whole hot path. The observation window is kept as
+/// first/last-tuple nanosecond offsets (relative to the meter's creation
+/// instant) maintained with `fetch_min` / `fetch_max`.
 ///
 /// [`record`]: ThroughputMeter::record
 #[derive(Debug)]
@@ -134,16 +134,59 @@ impl LatencyRecorder {
 
     /// Records one latency measurement.
     pub fn record(&self, latency: Duration) {
-        let us = latency.as_micros().min(u64::MAX as u128) as u64;
-        let ms = (us / 1000) as usize;
-        if ms < self.buckets.len() {
-            self.buckets[ms].fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.overflow.fetch_add(1, Ordering::Relaxed);
+        self.record_all([latency]);
+    }
+
+    /// Records the latency of every tuple ingested at one of `ingested`,
+    /// completed now, and returns how many there were. The clock is read
+    /// once for the whole set, so an executor can report what it completed
+    /// during one message as one update instead of one per tuple.
+    pub fn record_since(&self, ingested: impl IntoIterator<Item = Instant>) -> u64 {
+        let now = Instant::now();
+        self.record_all(
+            ingested
+                .into_iter()
+                .map(|at| now.saturating_duration_since(at)),
+        )
+    }
+
+    /// Records a set of measurements with one `count` / `total_us` /
+    /// `max_us` update and one bucket increment per run of equal buckets;
+    /// the result equals recording them one by one. Returns the set's size.
+    fn record_all(&self, latencies: impl IntoIterator<Item = Duration>) -> u64 {
+        let (mut count, mut total_us, mut max_us) = (0u64, 0u64, 0u64);
+        // (bucket index, run length); index `buckets.len()` is the overflow
+        let mut run: Option<(usize, u64)> = None;
+        for latency in latencies {
+            let us = latency.as_micros().min(u64::MAX as u128) as u64;
+            let bucket = ((us / 1000) as usize).min(self.buckets.len());
+            count += 1;
+            total_us = total_us.wrapping_add(us);
+            max_us = max_us.max(us);
+            run = match run {
+                Some((b, n)) if b == bucket => Some((b, n + 1)),
+                Some((b, n)) => {
+                    self.add_to_bucket(b, n);
+                    Some((bucket, 1))
+                }
+                None => Some((bucket, 1)),
+            };
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_us.fetch_add(us, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
+        let Some((b, n)) = run else {
+            return 0;
+        };
+        self.add_to_bucket(b, n);
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.total_us.fetch_add(total_us, Ordering::Relaxed);
+        self.max_us.fetch_max(max_us, Ordering::Relaxed);
+        count
+    }
+
+    fn add_to_bucket(&self, bucket: usize, n: u64) {
+        self.buckets
+            .get(bucket)
+            .unwrap_or(&self.overflow)
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Number of recorded measurements.
@@ -215,6 +258,7 @@ impl LatencyRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn throughput_meter_counts_and_rates() {
@@ -299,6 +343,60 @@ mod tests {
         let b = r.breakdown(Duration::from_millis(100), Duration::from_millis(1_000));
         assert_eq!(b.slow, 1.0);
         assert_eq!(r.fraction_below(Duration::from_millis(100)), 0.0);
+    }
+
+    #[test]
+    fn record_since_counts_and_times_the_whole_set() {
+        let r = LatencyRecorder::default();
+        let start = Instant::now();
+        let ingested = [start, start, start - Duration::from_millis(5)];
+        assert_eq!(r.record_since(ingested), 3);
+        assert_eq!(r.count(), 3);
+        assert!(r.max() >= Duration::from_millis(5));
+        assert_eq!(r.record_since(Vec::new()), 0);
+        assert_eq!(r.count(), 3);
+    }
+
+    /// Everything a reader can observe of a recorder.
+    fn observable(r: &LatencyRecorder) -> (u64, Option<Duration>, Duration, Vec<u64>, u64) {
+        let buckets = r
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let overflow = r.overflow.load(Ordering::Relaxed);
+        (r.count(), r.mean(), r.max(), buckets, overflow)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn record_all_equals_a_loop_of_record(
+            // few distinct values → long runs of equal buckets; values up to
+            // 2.75× the 100 ms range → many land in the overflow bucket
+            steps in proptest::collection::vec((0u64..12, 0u64..1000), 0..80),
+        ) {
+            let latencies: Vec<Duration> = steps
+                .iter()
+                .map(|&(quarter, us)| Duration::from_micros(quarter * 25_000 + us))
+                .collect();
+            let batched = LatencyRecorder::with_max_millis(100);
+            let single = LatencyRecorder::with_max_millis(100);
+            prop_assert_eq!(
+                batched.record_all(latencies.iter().copied()),
+                latencies.len() as u64
+            );
+            for &latency in &latencies {
+                single.record(latency);
+            }
+            prop_assert_eq!(observable(&batched), observable(&single));
+            for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                prop_assert_eq!(batched.quantile(q), single.quantile(q));
+            }
+            let (fast, slow) = (Duration::from_millis(30), Duration::from_millis(80));
+            prop_assert_eq!(batched.breakdown(fast, slow), single.breakdown(fast, slow));
+        }
     }
 
     #[test]

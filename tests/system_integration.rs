@@ -4,7 +4,7 @@
 
 use ps2stream::prelude::*;
 use ps2stream_partition::all_partitioners;
-use ps2stream_stream::unbounded;
+use ps2stream_stream::{bounded, unbounded};
 use std::collections::HashSet;
 
 /// Runs one deployment over the sample and returns the delivered
@@ -80,6 +80,48 @@ fn q2_workload_with_or_queries_is_also_exact() {
     let (delivered, report) = run_system(Box::new(HybridPartitioner::default()), &sample, 6);
     assert_eq!(delivered, expected);
     assert!(report.duplicates_removed < report.matches_delivered.max(1) * 3);
+}
+
+#[test]
+fn a_full_delivery_channel_loses_and_repeats_nothing() {
+    // A 4-slot sink drained by its own thread: the mergers' delivery bursts
+    // outgrow it and park on the full channel mid-burst.
+    let sample =
+        ps2stream_workload::build_sample(DatasetSpec::tweets_uk(), QueryClass::Q2, 800, 150, 11);
+    let expected = brute_force(&sample);
+    let (delivery_tx, delivery_rx) = bounded::<MatchResult>(4);
+    let subscriber = std::thread::spawn(move || {
+        delivery_rx
+            .iter()
+            .map(|m| (m.query_id, m.object_id))
+            .collect::<Vec<_>>()
+    });
+    let mut system = Ps2StreamBuilder::new(SystemConfig {
+        num_dispatchers: 1,
+        num_workers: 4,
+        num_mergers: 2,
+        ..SystemConfig::default()
+    })
+    .with_partitioner(Box::new(HybridPartitioner::default()))
+    .with_calibration_sample(sample.clone())
+    .with_delivery(delivery_tx)
+    .start();
+    for q in sample.insertions() {
+        system.send(StreamRecord::Update(QueryUpdate::Insert(q.clone())));
+    }
+    for o in sample.objects() {
+        system.send(StreamRecord::Object(o.clone()));
+    }
+    let report = system.finish();
+    let received = subscriber.join().expect("the subscriber thread panicked");
+    let delivered: HashSet<(QueryId, ObjectId)> = received.iter().copied().collect();
+    assert_eq!(
+        delivered.len(),
+        received.len(),
+        "a pair was delivered twice"
+    );
+    assert_eq!(delivered, expected);
+    assert_eq!(report.matches_delivered as usize, received.len());
 }
 
 #[test]
