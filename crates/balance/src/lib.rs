@@ -4,17 +4,16 @@
 //!   selection algorithms (DP, GR, SI, RA) compared in Figures 12–15.
 //! * [`local`] — the two-phase local load adjustment that moves cells from
 //!   the most loaded worker to the least loaded one.
-//! * [`global`] — the periodic global repartitioning with its dual-routing
-//!   handover (Figure 16).
+//!
+//! The paper's global load adjustment (periodic repartitioning with a dual
+//! routing table during the hand-over) is not reproduced.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod global;
 pub mod local;
 pub mod migration;
 
-pub use global::{GlobalAdjuster, GlobalAdjusterConfig, GlobalDecision, HandoverState};
 pub use local::{
     CellLoadInfo, LocalAdjuster, LocalAdjusterConfig, MigrationMove, MigrationPlan, TermLoad,
     WorkerLoadInfo,

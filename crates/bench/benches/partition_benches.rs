@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the workload partitioners: how long each
 //! strategy needs to analyse a calibration sample and build its routing
-//! table, and the δ / σ ablations of the hybrid algorithm called out in
-//! DESIGN.md.
+//! table, and the δ / σ ablations of the hybrid algorithm (see
+//! `docs/ARCHITECTURE.md` §2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ps2stream::prelude::*;

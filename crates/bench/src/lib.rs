@@ -1,7 +1,7 @@
 //! Shared harness for reproducing the figures of the PS2Stream paper.
 //!
 //! Every figure of Section VI has a dedicated binary in `src/bin/` (see
-//! `DESIGN.md` for the experiment index). The binaries share this harness:
+//! `docs/ARCHITECTURE.md` §6). The binaries share this harness:
 //! it generates the scaled-down workloads, drives a full in-process
 //! PS2Stream deployment and prints the same series the paper plots.
 //!
@@ -753,15 +753,24 @@ mod tests {
             calibration_queries: 100,
         };
         for scenario in Scenario::all() {
-            let report = Experiment::new(
-                DatasetSpec::tiny(),
-                QueryClass::Q1,
-                Box::new(KdTreePartitioner::default()),
-                scale,
-            )
-            .with_workers(2)
-            .with_scenario(scenario)
-            .run();
+            // built the way `fig07_throughput --scenario` builds it: the
+            // knob overlays the scenario and arms the adjustment controller
+            let knobs = RunKnobs {
+                scenario: Some(scenario),
+                ..RunKnobs::default()
+            };
+            let experiment = knobs.apply(
+                Experiment::new(
+                    DatasetSpec::tiny(),
+                    QueryClass::Q1,
+                    Box::new(KdTreePartitioner::default()),
+                    scale,
+                )
+                .with_workers(2),
+            );
+            assert_eq!(experiment.scenario, Some(scenario));
+            assert!(experiment.config.adjustment.is_some());
+            let report = experiment.run();
             assert_eq!(
                 report.records_in,
                 600,

@@ -65,10 +65,6 @@ pub struct AdjustmentConfig {
     pub selector: SelectorKind,
     /// Number of most-loaded cells inspected by Phase I.
     pub phase1_cells: usize,
-    /// Enable the periodic global repartitioning check (Section V-B).
-    pub enable_global: bool,
-    /// Number of local polls between global repartitioning checks.
-    pub global_check_every: u64,
     /// On the deterministic simulation backend the controller has no clock:
     /// it fires a stats collection every `sim_poll_ticks` scheduler polls of
     /// its own task instead of every `poll_interval_ms`. Smaller values
@@ -83,8 +79,6 @@ impl Default for AdjustmentConfig {
             poll_interval_ms: 100,
             selector: SelectorKind::Greedy,
             phase1_cells: 4,
-            enable_global: false,
-            global_check_every: 10,
             sim_poll_ticks: 24,
         }
     }

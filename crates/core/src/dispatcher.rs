@@ -31,11 +31,6 @@ use std::time::Instant;
 pub struct Dispatcher {
     routing: Arc<RwLock<RoutingTable>>,
     metrics: Arc<SystemMetrics>,
-    /// Optional secondary routing table used during a global-adjustment
-    /// handover: deletions of queries registered before the repartitioning
-    /// are routed through it as well, and objects are routed through both
-    /// tables so no match is lost.
-    old_routing: Arc<RwLock<Option<RoutingTable>>>,
     /// Per-worker reorder buffers: routed records accumulate here and leave
     /// as batches. Flushed at the end of every input batch, so the buffers
     /// never hold records across a quiescent period.
@@ -51,9 +46,13 @@ pub struct Dispatcher {
 impl Dispatcher {
     /// Creates a dispatcher over the shared routing state, fanning out to
     /// `num_workers` workers in batches of `batch_size` records.
+    ///
+    /// `_unused` has no effect. It survives only because the frozen
+    /// `crates/benchmark/` replay still passes it; the next PR allowed to
+    /// edit that crate deletes it.
     pub fn new(
         routing: Arc<RwLock<RoutingTable>>,
-        old_routing: Arc<RwLock<Option<RoutingTable>>>,
+        _unused: Arc<RwLock<Option<RoutingTable>>>,
         metrics: Arc<SystemMetrics>,
         num_workers: usize,
         batch_size: usize,
@@ -61,7 +60,6 @@ impl Dispatcher {
         Self {
             routing,
             metrics,
-            old_routing,
             buffer: BatchBuffer::new(num_workers, batch_size),
             supervisor: None,
             completed: Vec::new(),
@@ -90,50 +88,21 @@ impl Dispatcher {
         }
     }
 
-    /// Routes one record against the two tables. The read guards are
-    /// acquired once per input batch (not per record) by the caller.
-    fn route_record(
-        routing: &RoutingTable,
-        old_routing: Option<&RoutingTable>,
-        record: &StreamRecord,
-    ) -> Vec<ps2stream_model::WorkerId> {
-        match record {
-            StreamRecord::Object(o) => {
-                let mut workers = routing.route_object(o);
-                if let Some(old) = old_routing {
-                    for w in old.route_object(o) {
-                        if !workers.contains(&w) {
-                            workers.push(w);
-                        }
-                    }
-                }
-                workers
-            }
-            // steady state: term registration goes through the sharded
-            // registry, so even insertions need only the read lock
-            StreamRecord::Update(QueryUpdate::Insert(q)) => routing.route_insert(q),
-            StreamRecord::Update(QueryUpdate::Delete(q)) => {
-                let mut workers = routing.route_delete(q);
-                if let Some(old) = old_routing {
-                    for w in old.route_delete(q) {
-                        if !workers.contains(&w) {
-                            workers.push(w);
-                        }
-                    }
-                }
-                workers
-            }
-        }
-    }
-
+    /// Routes one record. The read guard is acquired once per input batch
+    /// (not per record) by the caller.
     fn route_envelope(
         &mut self,
         routing: &RoutingTable,
-        old_routing: Option<&RoutingTable>,
         envelope: Envelope<StreamRecord>,
         emitter: &Emitter<WorkerMessage>,
     ) {
-        let workers = Self::route_record(routing, old_routing, &envelope.payload);
+        let workers = match &envelope.payload {
+            StreamRecord::Object(o) => routing.route_object(o),
+            // steady state: term registration goes through the sharded
+            // registry, so even insertions need only the read lock
+            StreamRecord::Update(QueryUpdate::Insert(q)) => routing.route_insert(q),
+            StreamRecord::Update(QueryUpdate::Delete(q)) => routing.route_delete(q),
+        };
         let Some((&last, rest)) = workers.split_last() else {
             // Discarded at the dispatcher (object with no registered keyword
             // in its cell): the tuple is complete.
@@ -166,18 +135,16 @@ impl Operator for Dispatcher {
     type Out = WorkerMessage;
 
     fn process(&mut self, input: Batch<StreamRecord>, emitter: &Emitter<WorkerMessage>) {
-        // acquire the read guards once per batch: the per-record lock traffic
+        // acquire the read guard once per batch: the per-record lock traffic
         // is what batching amortizes away (writers — the adjustment
         // controller — wait at most one batch)
         let routing = Arc::clone(&self.routing);
-        let old_routing = Arc::clone(&self.old_routing);
         let routing = routing.read();
-        let old_routing = old_routing.read();
         for envelope in input {
-            self.route_envelope(&routing, old_routing.as_ref(), envelope, emitter);
+            self.route_envelope(&routing, envelope, emitter);
         }
         // Flush the partial per-worker buffers while still holding the read
-        // guards: a routed record must reach its worker's channel before the
+        // guard: a routed record must reach its worker's channel before the
         // adjustment controller can reassign the cell and issue the
         // MigrateCell (worker channels are unbounded, so these sends never
         // block while the lock is held). Per-channel FIFO then guarantees the
@@ -187,7 +154,6 @@ impl Operator for Dispatcher {
         for (worker, batch) in self.buffer.flush_all() {
             self.deliver(worker, batch, emitter);
         }
-        drop(old_routing);
         drop(routing);
         self.metrics.record_completed(&mut self.completed);
     }
@@ -250,8 +216,7 @@ mod tests {
     fn dispatcher_routes_and_discards() {
         let metrics = SystemMetrics::new(2);
         let routing = Arc::new(RwLock::new(split_routing()));
-        let old = Arc::new(RwLock::new(None));
-        let mut d = Dispatcher::new(routing, old, Arc::clone(&metrics), 2, 4);
+        let mut d = Dispatcher::new(routing, Arc::default(), Arc::clone(&metrics), 2, 4);
         let (tx0, rx0) = bounded::<WorkerMessage>(16);
         let (tx1, rx1) = bounded::<WorkerMessage>(16);
         let emitter = Emitter::new(vec![tx0, tx1]);
@@ -306,8 +271,7 @@ mod tests {
     fn batched_input_is_grouped_per_worker_in_order() {
         let metrics = SystemMetrics::new(2);
         let routing = Arc::new(RwLock::new(split_routing()));
-        let old = Arc::new(RwLock::new(None));
-        let mut d = Dispatcher::new(routing, old, metrics, 2, 64);
+        let mut d = Dispatcher::new(routing, Arc::default(), metrics, 2, 64);
         let (tx0, rx0) = bounded::<WorkerMessage>(16);
         let (tx1, rx1) = bounded::<WorkerMessage>(16);
         let emitter = Emitter::new(vec![tx0, tx1]);
@@ -358,9 +322,8 @@ mod tests {
         let table = RoutingTable::new(grid, cells, 1, Arc::new(TermStats::new()), "one");
         table.route_insert(&query(1, 7, Rect::from_coords(0.0, 0.0, 16.0, 16.0)));
         let routing = Arc::new(RwLock::new(table));
-        let old = Arc::new(RwLock::new(None));
         // batch size 2: five objects produce two full batches and one remainder
-        let mut d = Dispatcher::new(routing, old, metrics, 1, 2);
+        let mut d = Dispatcher::new(routing, Arc::default(), metrics, 1, 2);
         let (tx0, rx0) = bounded::<WorkerMessage>(16);
         let emitter = Emitter::new(vec![tx0]);
         let mut batch = Batch::new();
@@ -382,9 +345,8 @@ mod tests {
     fn disconnected_worker_channel_flags_peer_death_exactly_once() {
         let metrics = SystemMetrics::new(2);
         let routing = Arc::new(RwLock::new(split_routing()));
-        let old = Arc::new(RwLock::new(None));
         let supervisor = Supervisor::new(2, false);
-        let mut d = Dispatcher::new(routing, old, Arc::clone(&metrics), 2, 4)
+        let mut d = Dispatcher::new(routing, Arc::default(), Arc::clone(&metrics), 2, 4)
             .with_supervisor(Arc::clone(&supervisor));
         let (tx0, rx0) = bounded::<WorkerMessage>(16);
         let (tx1, rx1) = bounded::<WorkerMessage>(16);
@@ -411,42 +373,5 @@ mod tests {
         assert_eq!(metrics.faults.peer_disconnects.load(Ordering::Relaxed), 1);
         // the healthy worker still received both replicas
         assert_eq!(drain_records(&rx0).len(), 2);
-    }
-
-    #[test]
-    fn handover_routes_objects_through_both_tables() {
-        let metrics = SystemMetrics::new(2);
-        // new table sends everything to worker 0; old table to worker 1
-        let grid = ps2stream_geo::UniformGrid::new(Rect::from_coords(0.0, 0.0, 16.0, 16.0), 4, 4);
-        let new_cells = vec![CellRouting::Single(WorkerId(0)); grid.num_cells()];
-        let new_table = RoutingTable::new(
-            grid.clone(),
-            new_cells,
-            2,
-            Arc::new(TermStats::new()),
-            "new",
-        );
-        let old_cells = vec![CellRouting::Single(WorkerId(1)); grid.num_cells()];
-        let old_table = RoutingTable::new(grid, old_cells, 2, Arc::new(TermStats::new()), "old");
-        // the keyword is registered in both tables
-        let q = query(1, 7, Rect::from_coords(0.0, 0.0, 16.0, 16.0));
-        new_table.route_insert(&q);
-        old_table.route_insert(&q);
-
-        let routing = Arc::new(RwLock::new(new_table));
-        let old = Arc::new(RwLock::new(Some(old_table)));
-        let mut d = Dispatcher::new(routing, old, metrics, 2, 4);
-        let (tx0, rx0) = bounded::<WorkerMessage>(16);
-        let (tx1, rx1) = bounded::<WorkerMessage>(16);
-        let emitter = Emitter::new(vec![tx0, tx1]);
-        d.process(
-            Batch::of_one(Envelope::now(
-                0,
-                StreamRecord::Object(object(1, 7, 1.0, 1.0)),
-            )),
-            &emitter,
-        );
-        assert!(rx0.try_recv().is_ok());
-        assert!(rx1.try_recv().is_ok());
     }
 }

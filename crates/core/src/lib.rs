@@ -17,7 +17,7 @@
 //!   dispatcher routing table;
 //! * `ps2stream-index` — the GI² grid-inverted worker index;
 //! * `ps2stream-balance` — the dynamic load adjustment (Minimum Cost
-//!   Migration, local and global rebalancing);
+//!   Migration, local rebalancing);
 //! * `ps2stream-workload` — synthetic TWEETS-US / TWEETS-UK corpora and the
 //!   Q1/Q2/Q3 query generators;
 //! * `ps2stream-stream` — the in-process dataflow substrate standing in for

@@ -2,10 +2,9 @@
 //!
 //! Workers may produce the same (query, object) match more than once when a
 //! query is replicated on several workers (space partitioning duplicates
-//! queries across region boundaries, the handover of the global adjustment
-//! temporarily duplicates them across routing tables). The merger removes
-//! those duplicates and delivers the remaining results to the subscribers
-//! (Section III-B).
+//! queries across region boundaries, a text-split cell migration replicates
+//! the queries straddling the split). The merger removes those duplicates
+//! and delivers the remaining results to the subscribers (Section III-B).
 //!
 //! Deduplication state is bounded: only the most recent `capacity` objects
 //! keep a per-object set of delivered queries. Eviction is

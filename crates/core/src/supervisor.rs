@@ -13,10 +13,6 @@
 //!   through the live routing table — exactly the updates the dead index
 //!   held. The log is only maintained when the fault plan can actually
 //!   crash a worker, so fault-free runs pay nothing.
-//! * **heartbeats** — a per-worker counter bumped on every message a worker
-//!   processes, giving the launcher a liveness view that does not depend on
-//!   wall-clock time (and therefore also works on the deterministic
-//!   simulator).
 //! * **peer-death flags** — raised by dispatchers and the adjustment
 //!   controller when a send to a worker channel reports disconnection,
 //!   turning the substrate's silent-drop shutdown convention into an
@@ -32,11 +28,11 @@
 
 use parking_lot::RwLock;
 use ps2stream_model::QueryUpdate;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Shared supervision state: the crash-recovery shadow log, per-worker
-/// heartbeats and peer-death flags. One per running system.
+/// Shared supervision state: the crash-recovery shadow log and per-worker
+/// peer-death flags. One per running system.
 #[derive(Debug)]
 pub struct Supervisor {
     /// `(ingest sequence, update)` pairs in ingest order. Sequences are
@@ -46,8 +42,6 @@ pub struct Supervisor {
     /// Whether the shadow log is maintained (only when the fault plan
     /// contains a worker crash).
     shadow_enabled: bool,
-    /// Messages processed per worker.
-    heartbeats: Vec<AtomicU64>,
     /// Workers whose input channel reported disconnection.
     down: Vec<AtomicBool>,
 }
@@ -59,7 +53,6 @@ impl Supervisor {
         Arc::new(Self {
             shadow: RwLock::new(Vec::new()),
             shadow_enabled,
-            heartbeats: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
             down: (0..num_workers).map(|_| AtomicBool::new(false)).collect(),
         })
     }
@@ -86,20 +79,6 @@ impl Supervisor {
         self.shadow.read().len()
     }
 
-    /// Bumps worker `worker`'s processed-message counter.
-    pub fn heartbeat(&self, worker: usize) {
-        if let Some(beat) = self.heartbeats.get(worker) {
-            beat.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Messages processed by worker `worker` so far.
-    pub fn heartbeat_count(&self, worker: usize) -> u64 {
-        self.heartbeats
-            .get(worker)
-            .map_or(0, |beat| beat.load(Ordering::Relaxed))
-    }
-
     /// Flags worker `worker` as down (its channel disconnected). Returns
     /// true the first time — callers count each death once.
     pub fn note_peer_down(&self, worker: usize) -> bool {
@@ -113,11 +92,6 @@ impl Supervisor {
         self.down
             .get(worker)
             .is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-
-    /// Indices of every worker flagged down.
-    pub fn down_workers(&self) -> Vec<usize> {
-        (0..self.down.len()).filter(|&w| self.is_down(w)).collect()
     }
 }
 
@@ -183,19 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_and_peer_death_flags() {
+    fn peer_death_flags() {
         let sup = Supervisor::new(2, false);
-        sup.heartbeat(0);
-        sup.heartbeat(0);
-        sup.heartbeat(7); // out of range: ignored
-        assert_eq!(sup.heartbeat_count(0), 2);
-        assert_eq!(sup.heartbeat_count(1), 0);
         assert!(sup.note_peer_down(1), "first report wins");
         assert!(!sup.note_peer_down(1), "second report is a duplicate");
         assert!(!sup.note_peer_down(9), "out of range never fires");
         assert!(sup.is_down(1));
         assert!(!sup.is_down(0));
-        assert_eq!(sup.down_workers(), vec![1]);
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub struct RunningSystem {
     worker_txs: Vec<Sender<WorkerMessage>>,
     controller_stop: Arc<AtomicBool>,
     /// Shared supervision state: the crash-recovery shadow log plus
-    /// heartbeat and peer-death bookkeeping (see [`Supervisor`]).
+    /// peer-death flags (see [`Supervisor`]).
     supervisor: Arc<Supervisor>,
     /// The execution substrate every executor below runs on. On the
     /// deterministic backend the executors make progress only while
@@ -194,7 +194,6 @@ impl RunningSystem {
         let metrics = SystemMetrics::new(config.num_workers);
         let bounds = routing.grid().bounds();
         let routing = Arc::new(RwLock::new(routing));
-        let old_routing: Arc<RwLock<Option<RoutingTable>>> = Arc::new(RwLock::new(None));
 
         // Fault injection: an empty plan behaves exactly like no plan. The
         // shadow subscription log only costs anything when a worker crash is
@@ -310,8 +309,8 @@ impl RunningSystem {
                 worker = worker.with_overload(rx.depth_handle(), worker_mailbox);
             }
             if let Some(plan) = &faults {
-                // arm supervision on every worker (heartbeats stay cheap);
-                // the fault schedule itself is usually inert for most of them
+                // arm supervision on every worker; the fault schedule itself
+                // is usually inert for most of them
                 let worker_faults = WorkerFaults {
                     crash_at: plan.crash_tick(FaultRole::Worker, i),
                     wedge: plan.wedge_window(FaultRole::Worker, i),
@@ -350,7 +349,7 @@ impl RunningSystem {
         for i in 0..config.num_dispatchers {
             let dispatcher = Dispatcher::new(
                 Arc::clone(&routing),
-                Arc::clone(&old_routing),
+                Arc::default(),
                 Arc::clone(&metrics),
                 config.num_workers,
                 config.batch_size,
@@ -559,12 +558,6 @@ impl RunningSystem {
             Ok(pair) => pair,
             Err(error) => panic!("{error}"),
         }
-    }
-
-    /// The shared supervision state (heartbeats, peer-death flags, the
-    /// crash-recovery shadow log). Chaos tests assert against this handle.
-    pub fn supervisor(&self) -> Arc<Supervisor> {
-        Arc::clone(&self.supervisor)
     }
 
     /// Simulates a hard process kill for the crash-injection tests: every

@@ -629,9 +629,6 @@ impl Operator for Worker {
     type Out = ();
 
     fn process(&mut self, message: WorkerMessage, _emitter: &Emitter<()>) {
-        if let Some(sup) = &self.supervision {
-            sup.supervisor.heartbeat(self.id.index());
-        }
         match message {
             WorkerMessage::Records(records) => {
                 if let Some(records) = self.shed_overload(records) {

@@ -14,7 +14,7 @@ pub mod wire;
 
 pub use object::{ObjectId, SpatioTextualObject};
 pub use query::{QueryId, QueryUpdate, StsQuery, SubscriberId};
-pub use record::{DispatcherId, MatchResult, StreamRecord, WorkerId};
+pub use record::{MatchResult, StreamRecord, WorkerId};
 
 #[cfg(test)]
 mod proptests {

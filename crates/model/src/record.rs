@@ -19,10 +19,6 @@ impl WorkerId {
     }
 }
 
-/// Identifier of a dispatcher in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DispatcherId(pub u32);
-
 /// One tuple of the input stream: either a spatio-textual object to match or
 /// an update (insert/delete) of an STS query.
 #[derive(Debug, Clone, PartialEq)]

@@ -61,11 +61,6 @@ impl TermRouting {
         self.map.is_empty()
     }
 
-    /// The default worker used for unmapped terms.
-    pub fn default_worker(&self) -> WorkerId {
-        self.default
-    }
-
     /// Approximate memory footprint in bytes.
     pub fn memory_usage(&self) -> usize {
         std::mem::size_of::<Self>()

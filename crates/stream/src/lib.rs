@@ -1,8 +1,8 @@
 //! A minimal in-process stream-processing substrate for PS2Stream.
 //!
 //! The paper deploys PS2Stream on Apache Storm over a 32-node EC2 cluster;
-//! this crate is the substitution documented in DESIGN.md: operators are
-//! spawned onto a pluggable [`runtime::Runtime`] — either one OS thread per
+//! this crate is the substitution documented in `docs/RUNTIME.md`: operators
+//! are spawned onto a pluggable [`runtime::Runtime`] — either one OS thread per
 //! executor connected by bounded channels (backpressure and queueing as in
 //! the evaluation) or a cooperative executor multiplexing pollable operator
 //! tasks over a fixed core pool, with a seeded deterministic simulation mode

@@ -176,32 +176,6 @@ impl Runtime {
         matches!(self.inner, Inner::Sim(_))
     }
 
-    /// Limits the deterministic simulator to `polls` further task polls:
-    /// [`Runtime::join_tasks`] then stops mid-schedule once the budget is
-    /// spent, leaving every task (and its queued messages) in place. The
-    /// poll count is a pure function of (workload, seed), which makes this
-    /// the crash-injection hook of the recovery tests — "crash after N
-    /// polls" names one reproducible instant of the run. `None` removes the
-    /// limit. Returns false (and does nothing) on non-sim backends.
-    pub fn set_sim_fuel(&mut self, polls: Option<u64>) -> bool {
-        match &mut self.inner {
-            Inner::Sim(sim) => {
-                sim.set_fuel(polls);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Remaining sim poll budget (`None` = unlimited or not the sim
-    /// backend).
-    pub fn sim_fuel_remaining(&self) -> Option<u64> {
-        match &self.inner {
-            Inner::Sim(sim) => sim.fuel_remaining(),
-            _ => None,
-        }
-    }
-
     /// Creates a channel with the backend's capacity semantics: the thread
     /// backend honours `capacity` (blocking backpressure), the cooperative
     /// backends return an unbounded channel because a task must never block
@@ -367,21 +341,6 @@ impl Runtime {
         match failed {
             Some(name) => Err(name),
             None => Ok(()),
-        }
-    }
-
-    /// Wedges a deterministic-sim task for a window of scheduling steps
-    /// (see the fault-injection layer): when the seeded scheduler picks the
-    /// task inside `[after_steps, after_steps + for_steps)` it is skipped
-    /// instead of polled, so its mailbox piles up and drains afterwards.
-    /// Returns false (and does nothing) on non-sim backends.
-    pub fn sim_stall(&mut self, handle: TaskHandle, after_steps: u64, for_steps: u64) -> bool {
-        match (&mut self.inner, handle.0) {
-            (Inner::Sim(sim), Handle::Coop(id)) => {
-                sim.stall_task(id, after_steps, for_steps);
-                true
-            }
-            _ => false,
         }
     }
 

@@ -11,14 +11,12 @@
 pub mod corpus;
 pub mod driver;
 pub mod queries;
-pub mod replay;
 pub mod scenario;
 pub mod zipf;
 
 pub use corpus::{CorpusGenerator, DatasetSpec};
 pub use driver::{DriverConfig, WorkloadDriver};
 pub use queries::{QueryClass, QueryGenerator, QueryGeneratorConfig};
-pub use replay::ReplayClock;
 pub use scenario::{Scenario, ScenarioDriver};
 pub use zipf::ZipfSampler;
 
