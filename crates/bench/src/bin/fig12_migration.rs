@@ -69,7 +69,6 @@ fn main() {
     for selector in all_selectors() {
         let adjustment = AdjustmentConfig {
             selector: selector_kind(selector.name()),
-            poll_interval_ms: 50,
             ..AdjustmentConfig::default()
         };
         let report = Experiment::new(

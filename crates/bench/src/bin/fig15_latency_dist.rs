@@ -20,7 +20,6 @@ fn run_panel(title: &str, scale: Scale) {
     for selector in selectors {
         let adjustment = AdjustmentConfig {
             selector,
-            poll_interval_ms: 50,
             ..AdjustmentConfig::default()
         };
         let report = Experiment::new(

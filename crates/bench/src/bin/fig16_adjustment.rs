@@ -26,11 +26,7 @@ fn run(adjust: bool, scale: Scale) -> RunReport {
         ..SystemConfig::default()
     };
     if adjust {
-        config = config.with_adjustment(AdjustmentConfig {
-            selector: SelectorKind::Greedy,
-            poll_interval_ms: 50,
-            ..AdjustmentConfig::default()
-        });
+        config = config.with_adjustment(AdjustmentConfig::default());
     }
     let mut system = Ps2StreamBuilder::new(config)
         .with_partitioner(Box::new(HybridPartitioner::default()))

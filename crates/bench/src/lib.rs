@@ -395,16 +395,11 @@ impl RunKnobs {
         }
         match self.scenario {
             // an adversarial run is about the controller's reaction, so
-            // enable dynamic adjustment with the responsive poll interval
-            // the Figure 16 drift experiment uses
-            Some(scenario) => {
-                experiment
-                    .with_scenario(scenario)
-                    .with_adjustment(AdjustmentConfig {
-                        poll_interval_ms: 50,
-                        ..AdjustmentConfig::default()
-                    })
-            }
+            // enable dynamic adjustment as the Figure 16 drift experiment
+            // configures it
+            Some(scenario) => experiment
+                .with_scenario(scenario)
+                .with_adjustment(AdjustmentConfig::default()),
             None => experiment,
         }
     }

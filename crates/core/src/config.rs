@@ -59,27 +59,23 @@ impl SelectorKind {
 pub struct AdjustmentConfig {
     /// Load-balance constraint σ.
     pub sigma: f64,
-    /// How often (in milliseconds) the controller polls worker loads.
-    pub poll_interval_ms: u64,
     /// The Phase-II cell selector.
     pub selector: SelectorKind,
     /// Number of most-loaded cells inspected by Phase I.
     pub phase1_cells: usize,
-    /// On the deterministic simulation backend the controller has no clock:
-    /// it fires a stats collection every `sim_poll_ticks` scheduler polls of
-    /// its own task instead of every `poll_interval_ms`. Smaller values
-    /// migrate earlier/more often within a simulated run.
-    pub sim_poll_ticks: u64,
+    /// Input batches dispatcher 0 routes between the end of one adjustment
+    /// round and the next request for worker loads. Counted in batches, not
+    /// wall time, so adjustment follows the stream on every backend.
+    pub period_batches: u64,
 }
 
 impl Default for AdjustmentConfig {
     fn default() -> Self {
         Self {
             sigma: 1.5,
-            poll_interval_ms: 100,
             selector: SelectorKind::Greedy,
             phase1_cells: 4,
-            sim_poll_ticks: 24,
+            period_batches: 8,
         }
     }
 }
@@ -291,7 +287,6 @@ mod tests {
     #[test]
     fn runtime_override_wins_over_default() {
         let c = SystemConfig::default().with_runtime(RuntimeBackend::deterministic(9));
-        assert!(c.runtime.is_deterministic());
         assert_eq!(c.runtime.name(), "sim");
         let c = c.with_runtime(RuntimeBackend::coop());
         assert_eq!(c.runtime.name(), "coop");

@@ -3,10 +3,20 @@
 //! The paper's dispatcher monitors the worker loads and, when the balance
 //! constraint `L_max / L_min ≤ σ` is violated, triggers the local load
 //! adjustment of Section V-A: the most loaded worker migrates cells to the
-//! least loaded one. In this implementation the monitoring runs on a
-//! dedicated controller thread that periodically polls the workers for their
-//! per-cell load statistics, plans a migration with [`LocalAdjuster`], applies
-//! the routing-table changes and instructs the workers to move their queries.
+//! least loaded one. Here that monitoring runs inside dispatcher 0, which
+//! owns the controller and steps it once at the end of every input batch it
+//! routes ([`AdjustmentController::step`]). The clock is that batch count,
+//! not wall time, so adjustment follows the stream on every backend and
+//! replays exactly under `sim`. A round never blocks the dispatcher:
+//!
+//! 1. **Idle** — count down [`AdjustmentConfig::period_batches`] batches;
+//! 2. **Collecting** — send [`WorkerMessage::CollectStats`] to every worker,
+//!    then gather the per-cell load reports with `try_recv` on later
+//!    batches;
+//! 3. **Plan and apply** — once every report is in (or the reply channel
+//!    disconnects because a worker died holding its request), plan a
+//!    migration with [`LocalAdjuster`], apply the routing-table changes and
+//!    instruct the workers to move their queries.
 
 use crate::config::{AdjustmentConfig, SelectorKind};
 use crate::messages::{WorkerMessage, WorkerStatsReport};
@@ -17,13 +27,15 @@ use ps2stream_balance::{
     DpSelector, GreedySelector, LocalAdjuster, LocalAdjusterConfig, MigrationMove,
     MigrationSelector, RandomSelector, SizeSelector, WorkerLoadInfo,
 };
+use ps2stream_geo::CellId;
 use ps2stream_model::WorkerId;
-use ps2stream_partition::{CostConstants, RoutingTable};
-use ps2stream_stream::{bounded, PollTask, Receiver, Sender, TaskPoll, TryRecvError};
+use ps2stream_partition::{CellRouting, CostConstants, RoutingTable};
+use ps2stream_stream::{bounded, Receiver, Sender, TryRecvError};
+use ps2stream_text::TermId;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn build_selector(kind: SelectorKind) -> Box<dyn MigrationSelector + Send> {
     match kind {
@@ -34,45 +46,123 @@ fn build_selector(kind: SelectorKind) -> Box<dyn MigrationSelector + Send> {
     }
 }
 
-/// The controller driving dynamic load adjustments for a running system.
+/// The controller driving dynamic load adjustments for a running system,
+/// stepped by dispatcher 0 (see the module docs).
 pub struct AdjustmentController {
-    config: AdjustmentConfig,
     costs: CostConstants,
     routing: Arc<RwLock<RoutingTable>>,
+    /// The workers' own channels, never a fault shim: a diverted
+    /// `CellPending` would arrive after records routed by the updated table
+    /// and break the hand-off barrier.
     workers: Vec<Sender<WorkerMessage>>,
     metrics: Arc<SystemMetrics>,
-    stop: Arc<AtomicBool>,
-    /// When set, a worker whose channel is disconnected or that misses the
-    /// stats deadline is reported instead of being silently skipped.
+    /// When set, a worker whose channel is disconnected is reported instead
+    /// of being silently skipped.
     supervisor: Option<Arc<Supervisor>>,
+    adjuster: LocalAdjuster,
+    period_batches: u64,
+    phase: Phase,
+}
+
+enum Phase {
+    /// Counting down input batches to the next stats request.
+    Idle { batches_left: u64 },
+    /// Stats requested; gathering replies without blocking.
+    Collecting {
+        reply: Receiver<WorkerStatsReport>,
+        expected: usize,
+        reports: Vec<WorkerStatsReport>,
+    },
 }
 
 impl AdjustmentController {
-    /// Creates a controller.
+    /// Creates a controller over the shared routing table and the workers'
+    /// command channels.
     pub fn new(
-        config: AdjustmentConfig,
+        config: &AdjustmentConfig,
         costs: CostConstants,
         routing: Arc<RwLock<RoutingTable>>,
         workers: Vec<Sender<WorkerMessage>>,
         metrics: Arc<SystemMetrics>,
-        stop: Arc<AtomicBool>,
     ) -> Self {
+        let adjuster = LocalAdjuster::new(LocalAdjusterConfig {
+            sigma: config.sigma,
+            phase1_cells: config.phase1_cells,
+            ..LocalAdjusterConfig::default()
+        })
+        .with_selector(build_selector(config.selector));
         Self {
-            config,
             costs,
             routing,
             workers,
             metrics,
-            stop,
             supervisor: None,
+            adjuster,
+            period_batches: config.period_batches,
+            phase: Phase::Idle {
+                batches_left: config.period_batches,
+            },
         }
     }
 
     /// Arms supervisor reporting: disconnected worker channels become
-    /// peer-death flags and stats-deadline misses become liveness suspects.
+    /// peer-death flags.
     pub fn with_supervisor(mut self, supervisor: Arc<Supervisor>) -> Self {
         self.supervisor = Some(supervisor);
         self
+    }
+
+    /// Advances the controller by one input batch. Returns `Some(migrated)`
+    /// on the step that completes an adjustment round, `None` otherwise.
+    /// Never blocks; must not be called while holding the routing table's
+    /// read lock (applying a plan takes its write lock).
+    pub fn step(&mut self) -> Option<bool> {
+        match &mut self.phase {
+            Phase::Idle { batches_left } => {
+                if *batches_left > 0 {
+                    *batches_left -= 1;
+                    return None;
+                }
+                let (reply, expected) = self.request_stats();
+                self.phase = Phase::Collecting {
+                    reply,
+                    expected,
+                    reports: Vec::with_capacity(expected),
+                };
+                None
+            }
+            Phase::Collecting {
+                reply,
+                expected,
+                reports,
+            } => {
+                let disconnected = loop {
+                    match reply.try_recv() {
+                        Ok(report) => reports.push(report),
+                        Err(TryRecvError::Empty) => break false,
+                        Err(TryRecvError::Disconnected) => break true,
+                    }
+                };
+                if reports.len() < *expected {
+                    // A disconnected reply channel means some worker died
+                    // between accepting the request and answering it: plan
+                    // with the survivors rather than waiting forever.
+                    if !disconnected {
+                        return None;
+                    }
+                    self.metrics
+                        .faults
+                        .liveness_suspects
+                        .fetch_add((*expected - reports.len()) as u64, Ordering::Relaxed);
+                }
+                let mut reports = std::mem::take(reports);
+                reports.sort_by_key(|r| r.worker);
+                self.phase = Phase::Idle {
+                    batches_left: self.period_batches,
+                };
+                Some(self.adjust_with_reports(&reports))
+            }
+        }
     }
 
     /// Flags worker `worker` down on the supervisor (counted once).
@@ -87,10 +177,9 @@ impl AdjustmentController {
         }
     }
 
-    /// Requests a load report from every worker: the shared first half of
-    /// [`Self::collect_stats`] and the simulated [`ControllerTask`]. Returns
-    /// the reply channel and the number of replies to expect; a worker whose
-    /// channel is already disconnected is reported as peer death.
+    /// Requests a load report from every worker. Returns the reply channel
+    /// and the number of replies to expect; a worker whose channel is
+    /// already disconnected is reported as peer death.
     fn request_stats(&self) -> (Receiver<WorkerStatsReport>, usize) {
         // One reply per worker, so a capacity of `workers.len()` means the
         // replying side can never block on this channel.
@@ -108,55 +197,15 @@ impl AdjustmentController {
         (rx, expected)
     }
 
-    /// Polls every worker for its load report. Workers that have already shut
-    /// down simply do not answer; the call times out after a short grace
-    /// period, and any shortfall is reported as liveness suspicion.
-    fn collect_stats(&self) -> Vec<WorkerStatsReport> {
-        let (rx, expected) = self.request_stats();
-        let deadline = Instant::now() + Duration::from_millis(2_000);
-        let mut out = Vec::with_capacity(expected);
-        while out.len() < expected {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match rx.recv_timeout(remaining) {
-                Ok(report) => out.push(report),
-                Err(_) => break,
-            }
-        }
-        if out.len() < expected {
-            // a worker accepted the request but never answered: suspicious,
-            // though not proof of death (it may just be saturated)
-            self.metrics
-                .faults
-                .liveness_suspects
-                .fetch_add((expected - out.len()) as u64, Ordering::Relaxed);
-        }
-        out.sort_by_key(|r| r.worker);
-        out
-    }
-
-    /// Performs one adjustment round. Returns true if a migration was issued.
-    pub fn adjust_once(&self, adjuster: &LocalAdjuster) -> bool {
-        let reports = self.collect_stats();
-        self.adjust_with_reports(adjuster, &reports)
-    }
-
-    /// The planning half of an adjustment round, fed with already-collected
-    /// worker reports (sorted by worker id). Split out so the deterministic
-    /// simulation backend can collect reports without blocking (see
-    /// [`ControllerTask`]).
-    pub fn adjust_with_reports(
-        &self,
-        adjuster: &LocalAdjuster,
-        reports: &[WorkerStatsReport],
-    ) -> bool {
+    /// The planning half of an adjustment round, fed with the collected
+    /// worker reports (sorted by worker id). Returns true if a migration was
+    /// issued.
+    fn adjust_with_reports(&self, reports: &[WorkerStatsReport]) -> bool {
         if reports.len() < 2 {
             return false;
         }
         let loads: Vec<f64> = reports.iter().map(|r| r.load.load(&self.costs)).collect();
-        let Some((hi, lo)) = adjuster.detect_imbalance(&loads) else {
+        let Some((hi, lo)) = self.adjuster.detect_imbalance(&loads) else {
             return false;
         };
         let overloaded = WorkerLoadInfo {
@@ -168,76 +217,76 @@ impl AdjustmentController {
             cells: reports[lo].cells.clone(),
         };
         let plan_start = Instant::now();
-        let plan = adjuster.plan(&overloaded, &underloaded);
+        let plan = self.adjuster.plan(&overloaded, &underloaded);
         self.metrics
             .migration
             .selection_time_us
             .fetch_add(plan_start.elapsed().as_micros() as u64, Ordering::Relaxed);
-        if plan.is_empty() {
+        if self.apply_plan(&plan.moves) == 0 {
             return false;
         }
         self.metrics
             .migration
             .rounds
             .fetch_add(1, Ordering::Relaxed);
-        self.apply_plan(&plan.moves);
         true
     }
 
-    fn apply_plan(&self, moves: &[MigrationMove]) {
+    /// Applies a plan and returns the number of moves that took effect.
+    ///
+    /// A move only ever hands over what `from` owns in the cell: a cell
+    /// routed whole to `from` moves whole (its queries are extracted), and in
+    /// a term-routed cell only the terms routed to `from` move (queries
+    /// touching them are replicated). Reassigning a term-routed cell whole
+    /// would route the other owners' terms to a worker without their queries
+    /// and lose their matches; a move of nothing `from` owns is skipped.
+    fn apply_plan(&self, moves: &[MigrationMove]) -> usize {
+        let mut applied = 0;
         for m in moves {
-            match m {
-                MigrationMove::WholeCell { cell, from, to } => {
-                    {
-                        let mut routing = self.routing.write();
-                        routing.reassign_cell(*cell, *to);
-                        self.arm_handover_barrier(*cell, *to);
-                    }
-                    self.send_migration(*from, *cell, None, *to);
-                }
+            let (cell, from, to, split) = match m {
+                MigrationMove::WholeCell { cell, from, to }
+                | MigrationMove::MergeCell { cell, from, to } => (*cell, *from, *to, None),
                 MigrationMove::TextSplit {
                     cell,
                     from,
                     to,
                     terms,
-                } => {
-                    let term_set: HashSet<_> = terms.iter().copied().collect();
-                    {
-                        let mut routing = self.routing.write();
-                        routing.split_cell_by_terms(*cell, &term_set, *to);
-                        self.arm_handover_barrier(*cell, *to);
-                    }
-                    self.send_migration(*from, *cell, Some(terms.clone()), *to);
-                }
-                MigrationMove::MergeCell { cell, from, to } => {
-                    // every term currently routed to `from` in this cell is
-                    // reassigned (and its queries migrated) to `to`
-                    let terms = {
-                        let routing = self.routing.read();
-                        routing
-                            .cell_worker_terms(*cell)
-                            .remove(from)
-                            .unwrap_or_default()
+                } => (*cell, *from, *to, Some(terms)),
+            };
+            let terms = {
+                let mut routing = self.routing.write();
+                let current = routing.cell_routing(cell);
+                let terms = if split.is_none()
+                    && matches!(current, CellRouting::Single(owner) if *owner == from)
+                {
+                    routing.reassign_cell(cell, to);
+                    None
+                } else {
+                    let terms: Vec<TermId> = match split {
+                        Some(terms) => terms
+                            .iter()
+                            .copied()
+                            .filter(|&t| current.worker_for(t) == from)
+                            .collect(),
+                        None => routing
+                            .cell_worker_terms(cell)
+                            .remove(&from)
+                            .unwrap_or_default(),
                     };
-                    let term_set: HashSet<_> = terms.iter().copied().collect();
-                    let terms = if term_set.is_empty() {
-                        None
-                    } else {
-                        Some(terms)
-                    };
-                    {
-                        let mut routing = self.routing.write();
-                        if term_set.is_empty() {
-                            routing.reassign_cell(*cell, *to);
-                        } else {
-                            routing.split_cell_by_terms(*cell, &term_set, *to);
-                        }
-                        self.arm_handover_barrier(*cell, *to);
+                    if terms.is_empty() {
+                        continue;
                     }
-                    self.send_migration(*from, *cell, terms, *to);
-                }
-            }
+                    let term_set: HashSet<TermId> = terms.iter().copied().collect();
+                    routing.split_cell_by_terms(cell, &term_set, to);
+                    Some(terms)
+                };
+                self.arm_handover_barrier(cell, to);
+                terms
+            };
+            self.send_migration(from, cell, terms, to);
+            applied += 1;
         }
+        applied
     }
 
     /// Arms the destination's hand-off barrier. Must be called **while the
@@ -246,7 +295,7 @@ impl AdjustmentController {
     /// updated table is enqueued at the destination strictly after this
     /// `CellPending` — the worker can therefore park those records until the
     /// migrated queries arrive, making the hand-off lossless.
-    fn arm_handover_barrier(&self, cell: ps2stream_geo::CellId, to: WorkerId) {
+    fn arm_handover_barrier(&self, cell: CellId, to: WorkerId) {
         if let Some(tx) = self.workers.get(to.index()) {
             let _ = tx.send(WorkerMessage::CellPending { cell });
         }
@@ -255,136 +304,12 @@ impl AdjustmentController {
     fn send_migration(
         &self,
         from: WorkerId,
-        cell: ps2stream_geo::CellId,
-        terms: Option<Vec<ps2stream_text::TermId>>,
+        cell: CellId,
+        terms: Option<Vec<TermId>>,
         to: WorkerId,
     ) {
         if let Some(tx) = self.workers.get(from.index()) {
             let _ = tx.send(WorkerMessage::MigrateCell { cell, terms, to });
-        }
-    }
-
-    /// Builds the local adjuster configured for this controller.
-    fn make_adjuster(&self) -> LocalAdjuster {
-        LocalAdjuster::new(LocalAdjusterConfig {
-            sigma: self.config.sigma,
-            phase1_cells: self.config.phase1_cells,
-            ..LocalAdjusterConfig::default()
-        })
-        .with_selector(build_selector(self.config.selector))
-    }
-
-    /// Runs the controller loop until the stop flag is raised (the blocking
-    /// service used by the thread and cooperative-pool backends).
-    pub fn run(self) {
-        let adjuster = self.make_adjuster();
-        let interval = Duration::from_millis(self.config.poll_interval_ms.max(1));
-        while !self.stop.load(Ordering::Relaxed) {
-            std::thread::sleep(interval);
-            if self.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            self.adjust_once(&adjuster);
-        }
-    }
-}
-
-/// The controller as a cooperative [`PollTask`] for the deterministic
-/// simulation backend, where wall-clock polling would break reproducibility.
-/// Time is replaced by scheduler polls: every
-/// [`AdjustmentConfig::sim_poll_ticks`] polls of this task it requests the
-/// worker stats, then gathers the replies non-blockingly over subsequent
-/// polls and runs the same planning/apply path as the blocking loop —
-/// migrations therefore land mid-stream at seed-determined points.
-pub struct ControllerTask {
-    controller: AdjustmentController,
-    adjuster: LocalAdjuster,
-    ticks: u64,
-    phase: ControllerPhase,
-}
-
-enum ControllerPhase {
-    /// Counting down scheduler polls to the next stats collection.
-    Idle { polls_left: u64 },
-    /// Stats requested; gathering replies without blocking.
-    Collecting {
-        reply: Receiver<WorkerStatsReport>,
-        expected: usize,
-        reports: Vec<WorkerStatsReport>,
-    },
-}
-
-impl ControllerTask {
-    /// Wraps a controller for the simulated substrate.
-    pub fn new(controller: AdjustmentController) -> Self {
-        let adjuster = controller.make_adjuster();
-        let ticks = controller.config.sim_poll_ticks.max(1);
-        Self {
-            controller,
-            adjuster,
-            ticks,
-            phase: ControllerPhase::Idle { polls_left: ticks },
-        }
-    }
-}
-
-impl PollTask for ControllerTask {
-    fn poll(&mut self) -> TaskPoll {
-        if self.controller.stop.load(Ordering::Relaxed) {
-            return TaskPoll::Done;
-        }
-        match &mut self.phase {
-            ControllerPhase::Idle { polls_left } => {
-                if *polls_left > 0 {
-                    *polls_left -= 1;
-                    return TaskPoll::Blocked;
-                }
-                let (reply, expected) = self.controller.request_stats();
-                self.phase = ControllerPhase::Collecting {
-                    reply,
-                    expected,
-                    reports: Vec::with_capacity(expected),
-                };
-                TaskPoll::Progress
-            }
-            ControllerPhase::Collecting {
-                reply,
-                expected,
-                reports,
-            } => {
-                let mut disconnected = false;
-                loop {
-                    match reply.try_recv() {
-                        Ok(report) => reports.push(report),
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            disconnected = true;
-                            break;
-                        }
-                    }
-                }
-                if reports.len() < *expected {
-                    // A disconnected reply channel means some worker died
-                    // between accepting the request and answering it: plan
-                    // with the survivors rather than blocking forever.
-                    if !disconnected {
-                        return TaskPoll::Blocked;
-                    }
-                    self.controller
-                        .metrics
-                        .faults
-                        .liveness_suspects
-                        .fetch_add((*expected - reports.len()) as u64, Ordering::Relaxed);
-                }
-                let mut reports = std::mem::take(reports);
-                reports.sort_by_key(|r| r.worker);
-                self.controller
-                    .adjust_with_reports(&self.adjuster, &reports);
-                self.phase = ControllerPhase::Idle {
-                    polls_left: self.ticks,
-                };
-                TaskPoll::Progress
-            }
         }
     }
 }
@@ -394,8 +319,8 @@ mod tests {
     use super::*;
     use crate::messages::WorkerStatsReport;
     use ps2stream_balance::CellLoadInfo;
-    use ps2stream_geo::{CellId, Rect};
-    use ps2stream_partition::{CellRouting, WorkerLoad};
+    use ps2stream_geo::Rect;
+    use ps2stream_partition::WorkerLoad;
     use ps2stream_stream::unbounded;
     use ps2stream_text::TermStats;
 
@@ -403,6 +328,36 @@ mod tests {
         let grid = ps2stream_geo::UniformGrid::new(Rect::from_coords(0.0, 0.0, 16.0, 16.0), 4, 4);
         let cells = vec![CellRouting::Single(WorkerId(0)); grid.num_cells()];
         RoutingTable::new(grid, cells, 2, Arc::new(TermStats::new()), "test")
+    }
+
+    /// A controller that requests stats on its first step.
+    fn controller(
+        routing: Arc<RwLock<RoutingTable>>,
+        workers: Vec<Sender<WorkerMessage>>,
+        metrics: &Arc<SystemMetrics>,
+    ) -> AdjustmentController {
+        let config = AdjustmentConfig {
+            period_batches: 0,
+            ..AdjustmentConfig::default()
+        };
+        AdjustmentController::new(
+            &config,
+            CostConstants::default(),
+            routing,
+            workers,
+            Arc::clone(metrics),
+        )
+    }
+
+    /// Steps the controller until its round completes, as dispatcher 0's
+    /// later batches would.
+    fn run_round(controller: &mut AdjustmentController) -> bool {
+        loop {
+            if let Some(migrated) = controller.step() {
+                return migrated;
+            }
+            std::thread::yield_now();
+        }
     }
 
     fn fake_worker(
@@ -466,17 +421,12 @@ mod tests {
         };
         let (tx0, h0) = fake_worker(heavy);
         let (tx1, h1) = fake_worker(idle);
-        let stop = Arc::new(AtomicBool::new(false));
-        let controller = AdjustmentController::new(
-            AdjustmentConfig::default(),
-            CostConstants::default(),
+        let mut controller = controller(
             Arc::clone(&routing),
             vec![tx0.clone(), tx1.clone()],
-            Arc::clone(&metrics),
-            stop,
+            &metrics,
         );
-        let adjuster = LocalAdjuster::new(LocalAdjusterConfig::default());
-        assert!(controller.adjust_once(&adjuster));
+        assert!(run_round(&mut controller));
         assert_eq!(metrics.migration.rounds.load(Ordering::Relaxed), 1);
 
         // shut the fake workers down and inspect the control traffic
@@ -517,22 +467,53 @@ mod tests {
         };
         let (tx0, h0) = fake_worker(report(0));
         let (tx1, h1) = fake_worker(report(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let controller = AdjustmentController::new(
-            AdjustmentConfig::default(),
-            CostConstants::default(),
-            routing,
-            vec![tx0.clone(), tx1.clone()],
-            Arc::clone(&metrics),
-            stop,
-        );
-        let adjuster = LocalAdjuster::new(LocalAdjusterConfig::default());
-        assert!(!controller.adjust_once(&adjuster));
+        let mut controller = controller(routing, vec![tx0.clone(), tx1.clone()], &metrics);
+        assert!(!run_round(&mut controller));
         assert_eq!(metrics.migration.rounds.load(Ordering::Relaxed), 0);
         tx0.send(WorkerMessage::Shutdown).unwrap();
         tx1.send(WorkerMessage::Shutdown).unwrap();
         h0.join().unwrap();
         h1.join().unwrap();
+    }
+
+    #[test]
+    fn stats_are_requested_once_per_period_of_batches() {
+        let metrics = SystemMetrics::new(1);
+        let (tx, rx) = unbounded::<WorkerMessage>();
+        let config = AdjustmentConfig {
+            period_batches: 3,
+            ..AdjustmentConfig::default()
+        };
+        let mut controller = AdjustmentController::new(
+            &config,
+            CostConstants::default(),
+            Arc::new(RwLock::new(routing_two_workers())),
+            vec![tx],
+            Arc::clone(&metrics),
+        );
+        for round in 0..2 {
+            for _ in 0..3 {
+                assert_eq!(controller.step(), None);
+                assert!(rx.try_recv().is_err(), "round {round}: requested early");
+            }
+            assert_eq!(controller.step(), None);
+            let Ok(WorkerMessage::CollectStats { reply }) = rx.try_recv() else {
+                panic!("round {round}: the period's last batch must request stats");
+            };
+            // the reply is gathered on a later batch; a single worker can
+            // never be imbalanced
+            assert_eq!(controller.step(), None);
+            reply
+                .send(WorkerStatsReport {
+                    worker: WorkerId(0),
+                    load: WorkerLoad::new(10, 1, 0),
+                    cells: vec![],
+                    indexed_queries: 1,
+                    memory_bytes: 100,
+                })
+                .unwrap();
+            assert_eq!(controller.step(), Some(false));
+        }
     }
 
     #[test]
@@ -554,24 +535,85 @@ mod tests {
                 }
             }
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let controller = AdjustmentController::new(
-            AdjustmentConfig::default(),
-            CostConstants::default(),
+        let mut controller = controller(
             Arc::new(RwLock::new(routing_two_workers())),
             vec![dead_tx, silent_tx.clone()],
-            Arc::clone(&metrics),
-            stop,
+            &metrics,
         )
         .with_supervisor(Arc::clone(&supervisor));
-        let reports = controller.collect_stats();
-        assert!(reports.is_empty());
+        assert!(!run_round(&mut controller));
         assert!(supervisor.is_down(0), "the dead channel is peer death");
         assert!(!supervisor.is_down(1), "silence alone is not death");
         assert_eq!(metrics.faults.peer_disconnects.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.faults.liveness_suspects.load(Ordering::Relaxed), 1);
         silent_tx.send(WorkerMessage::Shutdown).unwrap();
         silent.join().unwrap();
+    }
+
+    #[test]
+    fn moves_hand_over_only_what_the_source_owns_in_a_term_routed_cell() {
+        let metrics = SystemMetrics::new(3);
+        let grid = ps2stream_geo::UniformGrid::new(Rect::from_coords(0.0, 0.0, 16.0, 16.0), 4, 4);
+        let cells = vec![CellRouting::Single(WorkerId(0)); grid.num_cells()];
+        let mut table = RoutingTable::new(grid, cells, 3, Arc::new(TermStats::new()), "test");
+        let cell = CellId::new(0, 0);
+        // two live terms in the cell; term 1 was text-split to worker 1
+        for term in [1, 2] {
+            table.route_insert(&ps2stream_model::StsQuery::new(
+                ps2stream_model::QueryId(term.into()),
+                ps2stream_model::SubscriberId(0),
+                ps2stream_text::BooleanExpr::single(TermId(term)),
+                Rect::from_coords(0.5, 0.5, 1.0, 1.0),
+            ));
+        }
+        table.split_cell_by_terms(cell, &HashSet::from([TermId(1)]), WorkerId(1));
+        let routing = Arc::new(RwLock::new(table));
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| unbounded::<WorkerMessage>()).unzip();
+        let controller = controller(Arc::clone(&routing), txs, &metrics);
+
+        // worker 1 owns only term 1 of the cell: a whole-cell move from it
+        // hands over term 1 and leaves term 2 with worker 0
+        let whole = MigrationMove::WholeCell {
+            cell,
+            from: WorkerId(1),
+            to: WorkerId(2),
+        };
+        assert_eq!(controller.apply_plan(&[whole]), 1);
+        {
+            let routing = routing.read();
+            assert_eq!(
+                routing.cell_routing(cell).worker_for(TermId(1)),
+                WorkerId(2)
+            );
+            assert_eq!(
+                routing.cell_routing(cell).worker_for(TermId(2)),
+                WorkerId(0)
+            );
+        }
+        assert!(matches!(
+            rxs[1].try_recv(),
+            Ok(WorkerMessage::MigrateCell { terms: Some(terms), to: WorkerId(2), .. })
+                if terms == vec![TermId(1)]
+        ));
+        assert!(matches!(
+            rxs[2].try_recv(),
+            Ok(WorkerMessage::CellPending { .. })
+        ));
+
+        // worker 1 now owns nothing there: its moves are skipped
+        let split = MigrationMove::TextSplit {
+            cell,
+            from: WorkerId(1),
+            to: WorkerId(0),
+            terms: vec![TermId(1), TermId(2)],
+        };
+        let whole = MigrationMove::WholeCell {
+            cell,
+            from: WorkerId(1),
+            to: WorkerId(0),
+        };
+        assert_eq!(controller.apply_plan(&[split, whole]), 0);
+        assert!(rxs.iter().all(|rx| rx.try_recv().is_err()));
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //! per-worker reorder buffers that are flushed as [`WorkerMessage::Records`]
 //! batches. Adding dispatchers therefore scales the ingest path instead of
 //! serializing it on a table-level write lock.
+//!
+//! Dispatcher 0 also owns the [`AdjustmentController`] when dynamic load
+//! adjustment is on, and steps it once per input batch, after the batch's
+//! read guard is released.
 
+use crate::controller::AdjustmentController;
 use crate::messages::WorkerMessage;
 use crate::metrics::SystemMetrics;
 use crate::supervisor::Supervisor;
@@ -41,6 +46,8 @@ pub struct Dispatcher {
     /// Ingest instants of the records discarded during the current input
     /// batch, recorded as completed once at its end (recycled).
     completed: Vec<Instant>,
+    /// The load adjustment controller, on dispatcher 0 only.
+    controller: Option<AdjustmentController>,
 }
 
 impl Dispatcher {
@@ -63,6 +70,7 @@ impl Dispatcher {
             buffer: BatchBuffer::new(num_workers, batch_size),
             supervisor: None,
             completed: Vec::new(),
+            controller: None,
         }
     }
 
@@ -70,6 +78,13 @@ impl Dispatcher {
     /// flags that worker down on `supervisor` (counted once per worker).
     pub fn with_supervisor(mut self, supervisor: Arc<Supervisor>) -> Self {
         self.supervisor = Some(supervisor);
+        self
+    }
+
+    /// Makes this dispatcher the one that runs dynamic load adjustment: the
+    /// controller is stepped once at the end of every input batch.
+    pub fn with_controller(mut self, controller: AdjustmentController) -> Self {
+        self.controller = Some(controller);
         self
     }
 
@@ -156,6 +171,11 @@ impl Operator for Dispatcher {
         }
         drop(routing);
         self.metrics.record_completed(&mut self.completed);
+        // The controller may take the write lock, so it steps only after
+        // this batch's read guard is gone.
+        if let Some(controller) = &mut self.controller {
+            controller.step();
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! latency, memory and migration statistics the paper's figures report.
 
 use crate::config::{OverloadPolicy, SystemConfig};
-use crate::controller::{AdjustmentController, ControllerTask};
+use crate::controller::AdjustmentController;
 use crate::dispatcher::Dispatcher;
 use crate::merger::Merger;
 use crate::messages::{MergerMessage, WorkerCheckpoint, WorkerMessage};
@@ -25,7 +25,7 @@ use ps2stream_stream::{
     TaskHandle,
 };
 use ps2stream_text::TermStats;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -153,7 +153,6 @@ pub struct RunningSystem {
     metrics: Arc<SystemMetrics>,
     routing: Arc<RwLock<RoutingTable>>,
     worker_txs: Vec<Sender<WorkerMessage>>,
-    controller_stop: Arc<AtomicBool>,
     /// Shared supervision state: the crash-recovery shadow log plus
     /// peer-death flags (see [`Supervisor`]).
     supervisor: Arc<Supervisor>,
@@ -161,7 +160,6 @@ pub struct RunningSystem {
     /// deterministic backend the executors make progress only while
     /// [`RunningSystem::finish`] joins them.
     runtime: Runtime,
-    controller: Option<TaskHandle>,
     dispatchers: Vec<TaskHandle>,
     workers: Vec<TaskHandle>,
     mergers: Vec<TaskHandle>,
@@ -199,9 +197,9 @@ impl RunningSystem {
         // shadow subscription log only costs anything when a worker crash is
         // actually scheduled.
         let faults: Option<FaultPlan> = config.faults.clone().filter(|plan| !plan.is_empty());
-        let shadow_enabled = faults.as_ref().is_some_and(|plan| {
-            (0..config.num_workers).any(|i| plan.crash_tick(FaultRole::Worker, i).is_some())
-        });
+        let shadow_enabled = faults
+            .as_ref()
+            .is_some_and(|plan| (0..config.num_workers).any(|i| plan.crash_tick(i).is_some()));
         let supervisor = Supervisor::new(config.num_workers, shadow_enabled);
 
         // Durable subscriptions: open (and recover) the store before the
@@ -312,8 +310,8 @@ impl RunningSystem {
                 // arm supervision on every worker; the fault schedule itself
                 // is usually inert for most of them
                 let worker_faults = WorkerFaults {
-                    crash_at: plan.crash_tick(FaultRole::Worker, i),
-                    wedge: plan.wedge_window(FaultRole::Worker, i),
+                    crash_at: plan.crash_tick(i),
+                    wedge: plan.wedge_window(i),
                     recovery_lag: 3,
                 };
                 let rebuild_stats = seed_stats.clone();
@@ -347,7 +345,7 @@ impl RunningSystem {
             .and_then(|plan| plan.edge_fault(FaultRole::Dispatcher, FaultRole::Worker));
         let mut dispatchers = Vec::with_capacity(config.num_dispatchers);
         for i in 0..config.num_dispatchers {
-            let dispatcher = Dispatcher::new(
+            let mut dispatcher = Dispatcher::new(
                 Arc::clone(&routing),
                 Arc::default(),
                 Arc::clone(&metrics),
@@ -355,6 +353,22 @@ impl RunningSystem {
                 config.batch_size,
             )
             .with_supervisor(Arc::clone(&supervisor));
+            // Dispatcher 0 runs the adjustment controller on its batch
+            // clock. The controller gets the workers' own channels, never
+            // the fault shim below: a diverted CellPending would break the
+            // hand-off barrier.
+            if let (0, Some(adjustment)) = (i, &config.adjustment) {
+                dispatcher = dispatcher.with_controller(
+                    AdjustmentController::new(
+                        adjustment,
+                        config.costs,
+                        Arc::clone(&routing),
+                        worker_txs.clone(),
+                        Arc::clone(&metrics),
+                    )
+                    .with_supervisor(Arc::clone(&supervisor)),
+                );
+            }
             let rx = input_rx.clone();
             // dispatcher → worker drop/delay faults ride a per-dispatcher shim
             let emitter = match (dispatcher_worker_fault, &faults) {
@@ -381,32 +395,6 @@ impl RunningSystem {
         }
         drop(input_rx);
 
-        // adjustment controller: a blocking service thread on the concurrent
-        // backends, a cooperative tick-driven task on the deterministic one
-        // (a hidden sleeping thread would break reproducibility)
-        let controller_stop = Arc::new(AtomicBool::new(false));
-        let controller = config.adjustment.clone().map(|adjustment| {
-            let controller = AdjustmentController::new(
-                adjustment,
-                config.costs,
-                Arc::clone(&routing),
-                worker_txs.clone(),
-                Arc::clone(&metrics),
-                Arc::clone(&controller_stop),
-            )
-            .with_supervisor(Arc::clone(&supervisor));
-            if runtime.is_deterministic() {
-                let wake_on: Vec<&ps2stream_stream::Receiver<WorkerMessage>> = Vec::new();
-                runtime.spawn_task(
-                    "adjustment-controller",
-                    Box::new(ControllerTask::new(controller)),
-                    &wake_on,
-                )
-            } else {
-                runtime.spawn_service("adjustment-controller", move || controller.run())
-            }
-        });
-
         let mut system = Self {
             input: Some(BatchingEmitter::new(
                 Emitter::new(vec![input_tx]),
@@ -417,10 +405,8 @@ impl RunningSystem {
             metrics,
             routing,
             worker_txs,
-            controller_stop,
             supervisor,
             runtime,
-            controller,
             dispatchers,
             workers,
             mergers,
@@ -567,7 +553,6 @@ impl RunningSystem {
     /// to the OS. Returns the number of buffered log bytes that died in the
     /// process (0 under `FsyncPolicy::Always`).
     pub fn crash(mut self) -> usize {
-        self.controller_stop.store(true, Ordering::Relaxed);
         self.store.take().map_or(0, PersistentStore::crash)
     }
 
@@ -580,21 +565,16 @@ impl RunningSystem {
         // before the first failure is reported.
         let mut panicked: Option<String> = None;
         // 1. flush the partial input batch, then close the input: dispatchers
-        //    drain and terminate
+        //    drain and terminate (dispatcher 0 sends its controller's last
+        //    MigrateCell before it does, so every migration is queued ahead
+        //    of the Shutdown below)
         self.flush();
         self.input = None;
         let dispatchers = std::mem::take(&mut self.dispatchers);
         if let Err(name) = self.runtime.try_join_tasks(&dispatchers) {
             panicked.get_or_insert(name);
         }
-        // 2. stop the adjustment controller
-        self.controller_stop.store(true, Ordering::Relaxed);
-        if let Some(c) = self.controller.take() {
-            if let Err(name) = self.runtime.try_join_tasks(&[c]) {
-                panicked.get_or_insert(name);
-            }
-        }
-        // 3. tell the workers to drain and stop; checkpoint requests are
+        // 2. tell the workers to drain and stop; checkpoint requests are
         //    queued first so each worker serializes its final index while
         //    draining (each worker replies at most once, so the reply
         //    channel can never block the workers)
@@ -613,7 +593,7 @@ impl RunningSystem {
             panicked.get_or_insert(name);
         }
         self.worker_txs.clear();
-        // 4. mergers terminate once every worker has dropped its senders
+        // 3. mergers terminate once every worker has dropped its senders
         let mergers = std::mem::take(&mut self.mergers);
         if let Err(name) = self.runtime.try_join_tasks(&mergers) {
             panicked.get_or_insert(name);

@@ -3,7 +3,7 @@
 //! A thin wrapper over `crossbeam-channel` adding the one capability the
 //! cooperative executor backend needs: a **notify hook** on the receiving
 //! side. When an operator task is multiplexed onto a core pool it parks
-//! (returns [`crate::coop::TaskPoll::Blocked`]) instead of blocking an OS
+//! (its poll returns `Blocked`) instead of blocking an OS
 //! thread on `recv`; the sender side must then tell the scheduler that the
 //! task is runnable again. Every `send`, every `send_all` burst — and the
 //! disconnection of the last sender — fires the wakers attached to the
@@ -17,14 +17,13 @@
 
 use crate::fault::EdgeFault;
 use crossbeam_channel as cb;
-pub use crossbeam_channel::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
+pub use crossbeam_channel::{RecvError, SendError, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A wakeup callback attached to a channel: invoked after every successful
 /// send or burst and when the last sender disconnects.
@@ -302,13 +301,6 @@ impl<T> Receiver<T> {
     /// Receives a message without blocking.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let value = self.inner.try_recv()?;
-        self.note_dequeued();
-        Ok(value)
-    }
-
-    /// Receives a message, giving up after `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let value = self.inner.recv_timeout(timeout)?;
         self.note_dequeued();
         Ok(value)
     }

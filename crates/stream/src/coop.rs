@@ -19,8 +19,8 @@
 //!
 //! Tasks never block: channels created through the cooperative runtime are
 //! unbounded, so a `send` from inside a task always completes (backpressure
-//! is a property of the OS-thread backend; see the README's "Runtime
-//! backends" section for the trade-off).
+//! is a property of the OS-thread backend; `docs/RUNTIME.md` covers the
+//! trade-off).
 
 use crate::channel::Receiver;
 use crate::operator::{Emitter, Operator};
@@ -42,7 +42,7 @@ fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T>
 
 /// The outcome of polling a cooperative task once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskPoll {
+pub(crate) enum TaskPoll {
     /// The task processed input up to its budget; more may be pending.
     Progress,
     /// The task found no input; it is runnable again once a message arrives
@@ -55,7 +55,7 @@ pub enum TaskPoll {
 
 /// A unit of cooperative execution. Implementations must *never* block:
 /// consume input with `try_recv`, return [`TaskPoll::Blocked`] when starved.
-pub trait PollTask: Send {
+pub(crate) trait PollTask: Send {
     /// Polls the task once.
     fn poll(&mut self) -> TaskPoll;
 }
@@ -237,13 +237,13 @@ impl PoolRuntime {
         Self { shared, threads }
     }
 
-    /// Registers a task, attaches its wakers to `wake_on` channels, and makes
-    /// it runnable. Returns the task id.
+    /// Registers a task, attaches its waker to the `wake_on` channel (its
+    /// input), and makes it runnable. Returns the task id.
     pub(crate) fn spawn(
         &self,
         name: String,
         task: Box<dyn PollTask>,
-        wake_on: &[Arc<crate::channel::Hooks>],
+        wake_on: Arc<crate::channel::Hooks>,
     ) -> usize {
         let hint = Arc::new(std::sync::atomic::AtomicU8::new(Status::Idle.as_u8()));
         let id = {
@@ -260,15 +260,11 @@ impl PoolRuntime {
         // Wakers must be in place before the task can park, otherwise a send
         // racing the first poll could be lost.
         let weak: Weak<PoolShared> = Arc::downgrade(&self.shared);
-        for hooks in wake_on {
-            let weak = Weak::clone(&weak);
-            let hint = Arc::clone(&hint);
-            hooks.attach_waker(Arc::new(move || {
-                if let Some(shared) = weak.upgrade() {
-                    shared.wake_hinted(id, &hint);
-                }
-            }));
-        }
+        wake_on.attach_waker(Arc::new(move || {
+            if let Some(shared) = weak.upgrade() {
+                shared.wake_hinted(id, &hint);
+            }
+        }));
         self.shared.wake(id); // initial poll
         id
     }
@@ -490,7 +486,7 @@ mod tests {
                 output: Some(mid_tx),
                 tag: 1,
             }),
-            &[in_rx.notify_slot()],
+            in_rx.notify_slot(),
         );
         let second = pool.spawn(
             "second".into(),
@@ -499,7 +495,7 @@ mod tests {
                 output: Some(out_tx),
                 tag: 10,
             }),
-            &[mid_rx.notify_slot()],
+            mid_rx.notify_slot(),
         );
         for i in 0..100 {
             in_tx.send(i).unwrap();
@@ -519,7 +515,8 @@ mod tests {
             }
         }
         let pool = PoolRuntime::new(1);
-        let id = pool.spawn("boom".into(), Box::new(Boom), &[]);
+        let (_tx, rx) = unbounded::<u64>();
+        let id = pool.spawn("boom".into(), Box::new(Boom), rx.notify_slot());
         assert_eq!(pool.try_join(&[id]), Err("boom".to_string()));
     }
 

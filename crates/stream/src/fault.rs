@@ -11,10 +11,11 @@
 //! run; only ordering and latency change. That is what makes the chaos suite
 //! able to byte-compare canonicalised match sets across fault plans.
 //!
-//! Ticks are counted in **messages processed by the target operator**, not
-//! wall-clock time, so a plan replays identically under the deterministic
-//! `sim` backend (single-threaded, seeded scheduler) and is best-effort
-//! reproducible under `threads`/`coop`.
+//! Ticks are counted in **records admitted by the target worker** (one per
+//! routed record, after any overload shedding), not wall-clock time, so a
+//! plan replays identically under the deterministic `sim` backend
+//! (single-threaded, seeded scheduler) and is best-effort reproducible under
+//! `threads`/`coop`.
 //!
 //! # Grammar
 //!
@@ -23,26 +24,30 @@
 //! ```text
 //! seed=<u64>                                  seed for probabilistic faults
 //! crash:worker:<i>@tick=<n>                   worker i loses its state after
-//!                                             processing n record messages
-//! wedge:worker:<i>@tick=<n>[:for=<m>]         worker i stalls for m messages
-//! drop:<role>-><role>:p=<f>[:k=<n>]           divert sends with prob. f,
+//!                                             admitting n records
+//! wedge:worker:<i>@tick=<n>[:for=<m>]         worker i stalls for m records
+//! drop:<edge>:p=<f>[:k=<n>]                   divert sends with prob. f,
 //!                                             redeliver after n later sends
-//! delay:<role>-><role>:p=<f>[:k=<n>]          same shim, short default k
+//! delay:<edge>:p=<f>[:k=<n>]                  same shim, short default k
 //! ```
 //!
-//! Roles: `dispatcher`, `worker`, `merger`. Example:
+//! Edges: `dispatcher->worker`, `worker->merger`. A plan holds at most one
+//! crash and one wedge per worker and one drop or delay per edge. Anything
+//! the pipeline would not inject — a crash or wedge of another role, a shim
+//! on another edge, a second fault for the same target — is rejected, so a
+//! plan never silently runs fault-free. Example:
 //!
 //! ```
 //! use ps2stream_stream::FaultPlan;
 //! let plan = FaultPlan::parse("seed=7;crash:worker:1@tick=200;drop:worker->merger:p=0.01")
 //!     .unwrap();
 //! assert_eq!(plan.seed, 7);
-//! assert_eq!(plan.crash_tick(ps2stream_stream::FaultRole::Worker, 1), Some(200));
+//! assert_eq!(plan.crash_tick(1), Some(200));
 //! ```
 
 use std::fmt;
 
-/// An executor role targeted by a fault.
+/// An executor role at one end of a faulted edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultRole {
     /// A dispatcher executor.
@@ -77,27 +82,23 @@ impl FaultRole {
 /// One scheduled fault.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultSpec {
-    /// The target loses its in-memory state after processing `tick` record
-    /// messages (a simulated process death; the supervisor respawns it from
-    /// its recovery source and replays parked records).
+    /// The worker loses its in-memory state after admitting `tick` records
+    /// (a simulated process death; the supervisor respawns it from its
+    /// recovery source and replays parked records).
     Crash {
-        /// Which executor role crashes.
-        role: FaultRole,
-        /// Index of the executor within its role.
+        /// Index of the crashing worker.
         index: usize,
-        /// Record-message count at which the crash fires.
+        /// Admitted-record count at which the crash fires.
         tick: u64,
     },
-    /// The target stops processing for `duration` record messages starting
+    /// The worker stops processing for `duration` admitted records starting
     /// at `tick` (records are parked and replayed in order afterwards).
     Wedge {
-        /// Which executor role wedges.
-        role: FaultRole,
-        /// Index of the executor within its role.
+        /// Index of the wedging worker.
         index: usize,
-        /// Record-message count at which the stall starts.
+        /// Admitted-record count at which the stall starts.
         tick: u64,
-        /// Length of the stall, in record messages.
+        /// Length of the stall, in admitted records.
         duration: u64,
     },
     /// Messages on the `from -> to` edge are diverted with probability
@@ -114,6 +115,21 @@ pub enum FaultSpec {
         /// retransmitted.
         redeliver_after: u64,
     },
+}
+
+impl FaultSpec {
+    /// Whether both faults are of the same kind on the same target, so the
+    /// pipeline would only ever apply the first.
+    fn same_target(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Self::Crash { index, .. }, Self::Crash { index: i, .. })
+            | (Self::Wedge { index, .. }, Self::Wedge { index: i, .. }) => index == i,
+            (Self::Drop { from, to, .. }, Self::Drop { from: f, to: t, .. }) => {
+                (from, to) == (f, t)
+            }
+            _ => false,
+        }
+    }
 }
 
 /// A parsed fault-injection schedule (see the module docs for the grammar).
@@ -149,7 +165,14 @@ impl FaultPlan {
                     .map_err(|_| format!("seed={seed:?}: expected an integer"))?;
                 continue;
             }
-            plan.specs.push(Self::parse_item(item)?);
+            let spec = Self::parse_item(item)?;
+            if plan.specs.iter().any(|s| s.same_target(&spec)) {
+                return Err(format!(
+                    "fault {item:?}: its target already has a fault of this kind, \
+                     and only the first would fire"
+                ));
+            }
+            plan.specs.push(spec);
         }
         Ok(plan)
     }
@@ -160,10 +183,9 @@ impl FaultPlan {
             .ok_or_else(|| format!("fault {item:?}: expected kind:..."))?;
         match kind {
             "crash" | "wedge" => {
-                let (role, rest) = rest
-                    .split_once(':')
-                    .ok_or_else(|| format!("fault {item:?}: expected {kind}:role:index@tick=n"))?;
-                let role = FaultRole::parse(role)?;
+                let rest = rest.strip_prefix("worker:").ok_or_else(|| {
+                    format!("fault {item:?}: only workers can {kind} (expected {kind}:worker:...)")
+                })?;
                 let mut parts = rest.split(':');
                 let head = parts.next().unwrap_or_default();
                 let (index, tick) = head
@@ -186,10 +208,9 @@ impl FaultPlan {
                     }
                 }
                 if kind == "crash" {
-                    Ok(FaultSpec::Crash { role, index, tick })
+                    Ok(FaultSpec::Crash { index, tick })
                 } else {
                     Ok(FaultSpec::Wedge {
-                        role,
                         index,
                         tick,
                         duration,
@@ -205,6 +226,16 @@ impl FaultPlan {
                     .ok_or_else(|| format!("fault {item:?}: expected from->to"))?;
                 let from = FaultRole::parse(from)?;
                 let to = FaultRole::parse(to)?;
+                if !matches!(
+                    (from, to),
+                    (FaultRole::Dispatcher, FaultRole::Worker)
+                        | (FaultRole::Worker, FaultRole::Merger)
+                ) {
+                    return Err(format!(
+                        "fault {item:?}: no shim on that edge \
+                         (expected dispatcher->worker or worker->merger)"
+                    ));
+                }
                 let mut parts = rest.split(':');
                 let p_str = parts.next().unwrap_or_default();
                 let probability: f64 = p_str
@@ -257,28 +288,23 @@ impl FaultPlan {
         self.specs.is_empty()
     }
 
-    /// The crash tick scheduled for `role` executor `index`, if any.
-    pub fn crash_tick(&self, role: FaultRole, index: usize) -> Option<u64> {
+    /// The crash tick scheduled for worker `worker`, if any.
+    pub fn crash_tick(&self, worker: usize) -> Option<u64> {
         self.specs.iter().find_map(|s| match s {
-            FaultSpec::Crash {
-                role: r,
-                index: i,
-                tick,
-            } if *r == role && *i == index => Some(*tick),
+            FaultSpec::Crash { index, tick } if *index == worker => Some(*tick),
             _ => None,
         })
     }
 
-    /// The `(tick, duration)` of a wedge scheduled for `role` executor
-    /// `index`, if any.
-    pub fn wedge_window(&self, role: FaultRole, index: usize) -> Option<(u64, u64)> {
+    /// The `(tick, duration)` of a wedge scheduled for worker `worker`, if
+    /// any.
+    pub fn wedge_window(&self, worker: usize) -> Option<(u64, u64)> {
         self.specs.iter().find_map(|s| match s {
             FaultSpec::Wedge {
-                role: r,
-                index: i,
+                index,
                 tick,
                 duration,
-            } if *r == role && *i == index => Some((*tick, *duration)),
+            } if *index == worker => Some((*tick, *duration)),
             _ => None,
         })
     }
@@ -316,19 +342,12 @@ impl fmt::Display for FaultPlan {
         write!(f, "seed={}", self.seed)?;
         for s in &self.specs {
             match s {
-                FaultSpec::Crash { role, index, tick } => {
-                    write!(f, ";crash:{}:{index}@tick={tick}", role.name())?
-                }
+                FaultSpec::Crash { index, tick } => write!(f, ";crash:worker:{index}@tick={tick}")?,
                 FaultSpec::Wedge {
-                    role,
                     index,
                     tick,
                     duration,
-                } => write!(
-                    f,
-                    ";wedge:{}:{index}@tick={tick}:for={duration}",
-                    role.name()
-                )?,
+                } => write!(f, ";wedge:worker:{index}@tick={tick}:for={duration}")?,
                 FaultSpec::Drop {
                     from,
                     to,
@@ -358,9 +377,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plan.seed, 42);
-        assert_eq!(plan.crash_tick(FaultRole::Worker, 2), Some(500));
-        assert_eq!(plan.crash_tick(FaultRole::Worker, 0), None);
-        assert_eq!(plan.wedge_window(FaultRole::Worker, 1), Some((300, 32)));
+        assert_eq!(plan.crash_tick(2), Some(500));
+        assert_eq!(plan.crash_tick(0), None);
+        assert_eq!(plan.wedge_window(1), Some((300, 32)));
         let drop = plan
             .edge_fault(FaultRole::Worker, FaultRole::Merger)
             .unwrap();
@@ -389,6 +408,47 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn rejects_crashes_and_wedges_of_roles_the_pipeline_never_faults() {
+        for bad in [
+            "crash:merger:0@tick=5",
+            "crash:dispatcher:0@tick=5",
+            "wedge:merger:1@tick=5:for=3",
+        ] {
+            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn rejects_shims_on_edges_the_pipeline_never_builds() {
+        for bad in [
+            "drop:merger->worker:p=0.5",
+            "delay:worker->dispatcher:p=0.5",
+            "drop:dispatcher->merger:p=0.1",
+            "drop:worker->worker:p=0.1",
+        ] {
+            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn rejects_a_second_fault_of_a_kind_for_the_same_target() {
+        for bad in [
+            "crash:worker:0@tick=5;crash:worker:0@tick=9",
+            "wedge:worker:1@tick=5;wedge:worker:1@tick=50:for=2",
+            "drop:worker->merger:p=0.1;delay:worker->merger:p=0.2",
+        ] {
+            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+        // different workers, or different kinds on one worker, all fire
+        let plan = FaultPlan::parse(
+            "crash:worker:0@tick=5;crash:worker:1@tick=9;wedge:worker:0@tick=20;\
+             drop:worker->merger:p=0.1;delay:dispatcher->worker:p=0.2",
+        )
+        .unwrap();
+        assert_eq!(plan.specs.len(), 5);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! executor connected by bounded channels (backpressure and queueing as in
 //! the evaluation) or a cooperative executor multiplexing pollable operator
 //! tasks over a fixed core pool, with a seeded deterministic simulation mode
-//! for reproducing exact interleavings ([`coop`]). Executor threads are never
+//! for reproducing exact interleavings. Executor threads are never
 //! pinned: placement is left to the OS scheduler, as the paper leaves it to
 //! the cloud platform. Tuples are wrapped in timestamped [`Envelope`]s for
 //! latency accounting, and [`metrics`] collects the throughput, mean latency
@@ -22,13 +22,10 @@
 //! let backend = RuntimeBackend::parse("coop:2").expect("valid backend spec");
 //! assert_eq!(backend, RuntimeBackend::Coop { pool_threads: 2 });
 //! assert_eq!(backend.name(), "coop");
-//! let runtime = Runtime::new(&backend);
-//! assert!(!runtime.is_deterministic());
-//! runtime.join();
+//! Runtime::new(&backend).join();
 //!
 //! let sim = RuntimeBackend::parse("sim:7").expect("valid backend spec");
 //! assert_eq!(sim, RuntimeBackend::deterministic(7));
-//! assert!(Runtime::new(&sim).is_deterministic());
 //! ```
 
 #![warn(missing_docs)]
@@ -36,7 +33,7 @@
 
 pub mod batch;
 pub mod channel;
-pub mod coop;
+mod coop;
 pub mod envelope;
 pub mod fault;
 pub mod metrics;
@@ -45,7 +42,6 @@ pub mod runtime;
 
 pub use batch::{Batch, BatchBuffer, BatchingEmitter};
 pub use channel::{bounded, unbounded, QueueDepth, Receiver, Sender, TryRecvError};
-pub use coop::{PollTask, TaskPoll};
 pub use envelope::Envelope;
 pub use fault::{EdgeFault, FaultPlan, FaultRole, FaultSpec};
 pub use metrics::{LatencyBreakdown, LatencyRecorder, ThroughputMeter};
@@ -98,9 +94,12 @@ mod integration {
         let (result_tx, result_rx) = unbounded::<u64>();
 
         let mut rt = Runtime::threads();
-        rt.spawn_service("splitter", move || {
-            run_operator(Splitter, src_rx, Emitter::new(vec![even_tx, odd_tx]));
-        });
+        rt.spawn_operator(
+            "splitter",
+            Splitter,
+            src_rx,
+            Emitter::new(vec![even_tx, odd_tx]),
+        );
         for (name, rx) in [("even", even_rx), ("odd", odd_rx)] {
             let summer = Summer {
                 total: 0,
@@ -108,9 +107,7 @@ mod integration {
                 throughput: Arc::clone(&throughput),
                 result: result_tx.clone(),
             };
-            rt.spawn_service(name, move || {
-                run_operator(summer, rx, Emitter::sink());
-            });
+            rt.spawn_operator(name, summer, rx, Emitter::sink());
         }
         drop(result_tx);
 
@@ -133,27 +130,24 @@ mod integration {
     fn bounded_channels_apply_backpressure_without_deadlock() {
         // a slow consumer with a tiny channel: the producer must block but
         // everything still completes
-        struct Slow {
-            seen: u64,
-        }
+        struct Slow(Arc<ThroughputMeter>);
         impl Operator for Slow {
             type In = Envelope<u64>;
             type Out = ();
             fn process(&mut self, _input: Envelope<u64>, _e: &Emitter<()>) {
-                self.seen += 1;
+                self.0.record(1);
                 std::thread::sleep(std::time::Duration::from_micros(50));
             }
         }
         let (tx, rx) = bounded::<Envelope<u64>>(2);
+        let seen = ThroughputMeter::new();
         let mut rt = Runtime::threads();
-        rt.spawn_service("slow", move || {
-            let op = run_operator(Slow { seen: 0 }, rx, Emitter::sink());
-            assert_eq!(op.seen, 100);
-        });
+        rt.spawn_operator("slow", Slow(Arc::clone(&seen)), rx, Emitter::sink());
         for i in 0..100 {
             tx.send(Envelope::now(i, i)).unwrap();
         }
         drop(tx);
         rt.join();
+        assert_eq!(seen.count(), 100);
     }
 }

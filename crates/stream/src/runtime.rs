@@ -9,7 +9,7 @@
 //!   operator, blocking `recv`, bounded channels with real backpressure. The
 //!   in-process analogue of a Storm executor per node.
 //! * **Coop** (`RuntimeBackend::Coop`) — operators become pollable tasks
-//!   multiplexed over a fixed pool of scheduler threads (see [`crate::coop`]).
+//!   multiplexed over a fixed pool of scheduler threads (`coop.rs`).
 //! * **Sim** (`RuntimeBackend::Sim`) — the cooperative scheduler collapsed to
 //!   a single-threaded **deterministic** simulator: tasks run only while the
 //!   driver joins the runtime, and the interleaving is a pure function of the
@@ -21,7 +21,7 @@
 //! thread backend keeps the requested capacity.
 
 use crate::channel::{self, Receiver, Sender};
-use crate::coop::{OperatorTask, PollTask, PoolRuntime, SimRuntime};
+use crate::coop::{OperatorTask, PoolRuntime, SimRuntime};
 use crate::operator::{run_operator, Emitter, Operator};
 use std::thread::JoinHandle;
 
@@ -63,11 +63,6 @@ impl RuntimeBackend {
     /// pure function of the workload and this seed.
     pub fn deterministic(seed: u64) -> Self {
         Self::Sim { seed }
-    }
-
-    /// True when this backend is the deterministic simulator.
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self, Self::Sim { .. })
     }
 
     /// Short name used in reports: `threads`, `coop` or `sim`.
@@ -114,39 +109,28 @@ impl RuntimeBackend {
     }
 }
 
-/// Identifies a spawned executor within its [`Runtime`] (opaque; pass back
+/// Identifies a spawned operator within its [`Runtime`] (opaque; pass back
 /// to [`Runtime::join_tasks`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskHandle(Handle);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Handle {
-    /// Index into the runtime's OS-thread handles (thread backend operators
-    /// and service threads of the pool backend).
-    Thread(usize),
-    /// Task id inside the cooperative scheduler.
-    Coop(usize),
-}
+pub struct TaskHandle(usize);
 
 enum Inner {
-    Threads,
+    /// One OS thread per operator, with its name (`None` once joined).
+    Threads(Vec<Option<(String, JoinHandle<()>)>>),
     Pool(PoolRuntime),
     Sim(SimRuntime),
 }
 
-/// Owns the executors of a running topology, whatever substrate they run on.
+/// Owns the operators of a running topology, whatever substrate they run on.
 pub struct Runtime {
     inner: Inner,
-    /// OS threads: every executor on the thread backend, service threads
-    /// (e.g. the adjustment controller) on the pool backend.
-    threads: Vec<Option<(String, JoinHandle<()>)>>,
 }
 
 impl Runtime {
     /// Creates a runtime for the given backend.
     pub fn new(backend: &RuntimeBackend) -> Self {
         let inner = match *backend {
-            RuntimeBackend::Threads => Inner::Threads,
+            RuntimeBackend::Threads => Inner::Threads(Vec::new()),
             RuntimeBackend::Coop { pool_threads } => {
                 let pool = if pool_threads != 0 {
                     pool_threads
@@ -159,21 +143,12 @@ impl Runtime {
             }
             RuntimeBackend::Sim { seed } => Inner::Sim(SimRuntime::new(seed)),
         };
-        Self {
-            inner,
-            threads: Vec::new(),
-        }
+        Self { inner }
     }
 
     /// A runtime on the OS-thread backend (the historical default).
     pub fn threads() -> Self {
         Self::new(&RuntimeBackend::Threads)
-    }
-
-    /// True when this runtime is the deterministic simulator: executors make
-    /// progress only inside [`Runtime::join_tasks`] / [`Runtime::join`].
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self.inner, Inner::Sim(_))
     }
 
     /// Creates a channel with the backend's capacity semantics: the thread
@@ -182,7 +157,7 @@ impl Runtime {
     /// inside a poll.
     pub fn bounded<T: Send + 'static>(&self, capacity: usize) -> (Sender<T>, Receiver<T>) {
         match self.inner {
-            Inner::Threads => channel::bounded(capacity),
+            Inner::Threads(_) => channel::bounded(capacity),
             Inner::Pool(_) | Inner::Sim(_) => channel::unbounded(),
         }
     }
@@ -204,94 +179,43 @@ impl Runtime {
     ) -> TaskHandle {
         let name = name.into();
         match &mut self.inner {
-            Inner::Threads => {
+            Inner::Threads(threads) => {
                 let handle = std::thread::Builder::new()
                     .name(name.clone())
                     .spawn(move || {
                         run_operator(operator, input, emitter);
                     })
                     .expect("failed to spawn executor thread");
-                self.threads.push(Some((name, handle)));
-                TaskHandle(Handle::Thread(self.threads.len() - 1))
+                threads.push(Some((name, handle)));
+                TaskHandle(threads.len() - 1)
             }
             Inner::Pool(pool) => {
                 let hooks = input.notify_slot();
                 let task = OperatorTask::new(operator, input, emitter, POOL_POLL_BUDGET);
-                let id = pool.spawn(name, Box::new(task), &[hooks]);
-                TaskHandle(Handle::Coop(id))
+                TaskHandle(pool.spawn(name, Box::new(task), hooks))
             }
             Inner::Sim(sim) => {
                 let task = OperatorTask::new(operator, input, emitter, SIM_POLL_BUDGET);
-                TaskHandle(Handle::Coop(sim.spawn(Box::new(task))))
+                TaskHandle(sim.spawn(Box::new(task)))
             }
         }
     }
 
-    /// Spawns a custom pollable task (e.g. the adjustment controller's
-    /// simulation state machine) onto a cooperative backend. On the pool
-    /// backend the task is re-polled only when `wake_on` channels receive
-    /// traffic, so pass every channel it consumes.
-    ///
-    /// # Panics
-    /// Panics on the thread backend — blocking executors belong in
-    /// [`Runtime::spawn_service`].
-    pub fn spawn_task(
-        &mut self,
-        name: impl Into<String>,
-        task: Box<dyn PollTask>,
-        wake_on: &[&Receiver<impl Send + 'static>],
-    ) -> TaskHandle {
-        match &mut self.inner {
-            Inner::Threads => {
-                panic!("spawn_task is only available on the cooperative backends")
-            }
-            Inner::Pool(pool) => {
-                let hooks: Vec<_> = wake_on.iter().map(|rx| rx.notify_slot()).collect();
-                TaskHandle(Handle::Coop(pool.spawn(name.into(), task, &hooks)))
-            }
-            Inner::Sim(sim) => TaskHandle(Handle::Coop(sim.spawn(task))),
-        }
-    }
-
-    /// Spawns a blocking service loop on its own OS thread (thread and pool
-    /// backends). The deterministic simulator forbids hidden threads — model
-    /// the service as a [`PollTask`] and use [`Runtime::spawn_task`] there.
-    ///
-    /// # Panics
-    /// Panics on the deterministic backend.
-    pub fn spawn_service<F>(&mut self, name: impl Into<String>, f: F) -> TaskHandle
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        assert!(
-            !self.is_deterministic(),
-            "service threads would break determinism; spawn a PollTask instead"
-        );
-        let name = name.into();
-        let handle = std::thread::Builder::new()
-            .name(name.clone())
-            .spawn(f)
-            .expect("failed to spawn service thread");
-        self.threads.push(Some((name, handle)));
-        TaskHandle(Handle::Thread(self.threads.len() - 1))
-    }
-
-    /// Number of executors spawned so far (operators + services + tasks).
+    /// Number of operators spawned so far.
     pub fn num_executors(&self) -> usize {
-        let coop = match &self.inner {
-            Inner::Threads => 0,
+        match &self.inner {
+            Inner::Threads(threads) => threads.len(),
             Inner::Pool(pool) => pool.num_tasks(),
             Inner::Sim(sim) => sim.num_tasks(),
-        };
-        coop + self.threads.len()
+        }
     }
 
-    /// Waits until every listed executor has terminated. On the deterministic
-    /// backend this *runs* the seeded schedule (all alive tasks participate)
-    /// until the targets finish.
+    /// Waits until every listed operator has terminated. On the
+    /// deterministic backend this *runs* the seeded schedule (all alive tasks
+    /// participate) until the targets finish.
     ///
     /// # Panics
-    /// Panics with the executor's name if it panicked.
+    /// Panics with the operator's name if it panicked.
     pub fn join_tasks(&mut self, handles: &[TaskHandle]) {
         if let Err(name) = self.try_join_tasks(handles) {
             panic!("executor '{name}' panicked");
@@ -299,67 +223,38 @@ impl Runtime {
     }
 
     /// [`Runtime::join_tasks`] with panic *capture* instead of propagation:
-    /// an executor panic is returned as `Err(executor name)` so a supervisor
+    /// an operator panic is returned as `Err(operator name)` so a supervisor
     /// can record the failure and keep shutting the pipeline down instead of
     /// aborting the process. On `Err`, every listed handle has still been
     /// joined (or the backend has stopped scheduling).
     pub fn try_join_tasks(&mut self, handles: &[TaskHandle]) -> Result<(), String> {
-        let mut coop_ids = Vec::new();
-        let mut failed: Option<String> = None;
-        for handle in handles {
-            match handle.0 {
-                Handle::Coop(id) => coop_ids.push(id),
-                Handle::Thread(index) => {
-                    if let Some((name, join)) = self.threads[index].take() {
+        let ids: Vec<usize> = handles.iter().map(|h| h.0).collect();
+        match &mut self.inner {
+            Inner::Threads(threads) => {
+                let mut failed = None;
+                for id in ids {
+                    if let Some((name, join)) = threads[id].take() {
                         if join.join().is_err() && failed.is_none() {
                             failed = Some(name);
                         }
                     }
                 }
+                failed.map_or(Ok(()), Err)
             }
-        }
-        if !coop_ids.is_empty() {
-            match &mut self.inner {
-                Inner::Threads => unreachable!("coop handle on the thread backend"),
-                Inner::Pool(pool) => {
-                    if let (Err(name), None) = (pool.try_join(&coop_ids), &failed) {
-                        failed = Some(name);
-                    }
-                }
-                Inner::Sim(sim) => {
-                    // a sim task panic unwinds on this (driving) thread;
-                    // capture it so the supervisor sees it like a pool panic
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        sim.run_until(&coop_ids)
-                    }));
-                    if caught.is_err() && failed.is_none() {
-                        failed = Some("sim task".to_string());
-                    }
-                }
+            Inner::Pool(pool) => pool.try_join(&ids),
+            // a sim task panic unwinds on this (driving) thread; capture it
+            // so the supervisor sees it like a pool panic
+            Inner::Sim(sim) => {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_until(&ids)))
+                    .map_err(|_| "sim task".to_string())
             }
-        }
-        match failed {
-            Some(name) => Err(name),
-            None => Ok(()),
         }
     }
 
-    /// Waits for every executor spawned on this runtime.
+    /// Waits for every operator spawned on this runtime.
     pub fn join(mut self) {
-        let handles: Vec<TaskHandle> = (0..self.threads.len())
-            .map(|i| TaskHandle(Handle::Thread(i)))
-            .collect();
-        let coop: Vec<TaskHandle> = match &self.inner {
-            Inner::Threads => Vec::new(),
-            Inner::Pool(pool) => (0..pool.num_tasks())
-                .map(|i| TaskHandle(Handle::Coop(i)))
-                .collect(),
-            Inner::Sim(sim) => (0..sim.num_tasks())
-                .map(|i| TaskHandle(Handle::Coop(i)))
-                .collect(),
-        };
-        self.join_tasks(&coop);
-        self.join_tasks(&handles);
+        let all: Vec<TaskHandle> = (0..self.num_executors()).map(TaskHandle).collect();
+        self.join_tasks(&all);
     }
 }
 
@@ -369,15 +264,38 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
+    /// Counts the messages it processes into a shared counter.
+    struct Counter(Arc<AtomicU32>);
+    impl Operator for Counter {
+        type In = u32;
+        type Out = ();
+        fn process(&mut self, _input: u32, _e: &Emitter<()>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    struct Boom;
+    impl Operator for Boom {
+        type In = u32;
+        type Out = ();
+        fn process(&mut self, _input: u32, _e: &Emitter<()>) {
+            panic!("kaboom");
+        }
+    }
+
     #[test]
-    fn spawn_and_join_runs_all_service_threads() {
+    fn spawn_and_join_runs_all_operators() {
         let counter = Arc::new(AtomicU32::new(0));
         let mut rt = Runtime::threads();
         for i in 0..4 {
-            let counter = Arc::clone(&counter);
-            rt.spawn_service(format!("exec-{i}"), move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
+            let (tx, rx) = rt.bounded::<u32>(1);
+            rt.spawn_operator(
+                format!("exec-{i}"),
+                Counter(Arc::clone(&counter)),
+                rx,
+                Emitter::sink(),
+            );
+            tx.send(i).unwrap();
         }
         assert_eq!(rt.num_executors(), 4);
         rt.join();
@@ -388,7 +306,9 @@ mod tests {
     #[should_panic(expected = "executor 'boom' panicked")]
     fn join_propagates_panics() {
         let mut rt = Runtime::threads();
-        rt.spawn_service("boom", || panic!("kaboom"));
+        let (tx, rx) = rt.bounded::<u32>(1);
+        rt.spawn_operator("boom", Boom, rx, Emitter::sink());
+        tx.send(0).unwrap();
         rt.join();
     }
 
@@ -412,8 +332,6 @@ mod tests {
             Some(RuntimeBackend::deterministic(42))
         );
         assert!(RuntimeBackend::parse("tokio").is_none());
-        assert!(RuntimeBackend::deterministic(1).is_deterministic());
-        assert!(!RuntimeBackend::coop().is_deterministic());
         assert_eq!(RuntimeBackend::Threads.name(), "threads");
         assert_eq!(RuntimeBackend::coop().name(), "coop");
         assert_eq!(RuntimeBackend::deterministic(9).name(), "sim");

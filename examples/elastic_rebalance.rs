@@ -19,7 +19,6 @@ fn main() {
     let config = SystemConfig::paper_default().with_adjustment(AdjustmentConfig {
         selector: SelectorKind::Greedy,
         sigma: 1.3,
-        poll_interval_ms: 50,
         ..AdjustmentConfig::default()
     });
     let mut system = Ps2StreamBuilder::new(config)

@@ -39,8 +39,7 @@ fn run_skewed(
     .with_adjustment(AdjustmentConfig {
         selector: SelectorKind::Greedy,
         sigma: 1.2,
-        sim_poll_ticks: 8,
-        poll_interval_ms: 20,
+        period_batches: 8,
         ..AdjustmentConfig::default()
     })
     .with_runtime(backend);

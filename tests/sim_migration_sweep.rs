@@ -8,9 +8,8 @@
 //! the migrated queries, and the merger deduplicates the replicas — so the
 //! delivered set equals the brute-force match set exactly and no pair is
 //! ever delivered twice. Before the barrier existed this property failed
-//! statistically (the thread-backend test tolerates 10% loss for in-flight
-//! hand-offs it cannot control); the simulator turns it into a hard
-//! assertion over many schedules.
+//! statistically; the simulator turns it into a hard assertion over many
+//! schedules.
 
 use ps2stream::prelude::*;
 use ps2stream_stream::{unbounded, RuntimeBackend};
@@ -37,7 +36,7 @@ fn no_interleaving_loses_or_duplicates_matches_during_handoff() {
         .with_adjustment(AdjustmentConfig {
             selector: SelectorKind::Greedy,
             sigma: 1.2,
-            sim_poll_ticks: 8,
+            period_batches: 8,
             ..AdjustmentConfig::default()
         })
         .with_runtime(RuntimeBackend::deterministic(seed));

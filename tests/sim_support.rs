@@ -1,7 +1,7 @@
-//! Helpers shared by the deterministic-simulation suites
-//! (`sim_determinism.rs`, `sim_migration_sweep.rs`): both must drive the
-//! *same* skewed migration scenario, so the workload construction lives in
-//! one place.
+//! Helpers shared by the integration suites. The migration suites
+//! (`sim_determinism.rs`, `sim_migration_sweep.rs`,
+//! `adjustment_integration.rs`) must drive the *same* skewed migration
+//! scenario, so the workload construction lives in one place.
 
 use ps2stream::prelude::*;
 use std::collections::HashSet;
