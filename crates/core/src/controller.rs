@@ -4,8 +4,9 @@
 //! constraint `L_max / L_min ≤ σ` is violated, triggers the local load
 //! adjustment of Section V-A: the most loaded worker migrates cells to the
 //! least loaded one. Here that monitoring runs inside dispatcher 0, which
-//! owns the controller and steps it once at the end of every input batch it
-//! routes ([`AdjustmentController::step`]). The clock is that batch count,
+//! owns the controller and steps it once for every input batch it routes
+//! ([`AdjustmentController::step`]), after the run of batches that holds
+//! it. The clock is that batch count,
 //! not wall time, so adjustment follows the stream on every backend and
 //! replays exactly under `sim`. A round never blocks the dispatcher:
 //!

@@ -15,16 +15,22 @@
 //! batches. Adding dispatchers therefore scales the ingest path instead of
 //! serializing it on a table-level write lock.
 //!
+//! A dispatcher routes a whole run of input batches (see
+//! [`Operator::process_run`]) under one read guard and flushes each
+//! worker's partial batch once, at the end of the run: when the gridt `H2`
+//! filter discards most objects, a batch-by-batch flush would wake a worker
+//! for one or two records.
+//!
 //! Dispatcher 0 also owns the [`AdjustmentController`] when dynamic load
-//! adjustment is on, and steps it once per input batch, after the batch's
-//! read guard is released.
+//! adjustment is on, and steps it once per input batch of a run, after the
+//! run's read guard is released.
 
 use crate::controller::AdjustmentController;
 use crate::messages::WorkerMessage;
 use crate::metrics::SystemMetrics;
 use crate::supervisor::Supervisor;
 use parking_lot::RwLock;
-use ps2stream_model::{QueryUpdate, StreamRecord};
+use ps2stream_model::{QueryUpdate, StreamRecord, WorkerId};
 use ps2stream_partition::RoutingTable;
 use ps2stream_stream::{Batch, BatchBuffer, Emitter, Envelope, Operator};
 use std::sync::atomic::Ordering;
@@ -37,14 +43,17 @@ pub struct Dispatcher {
     routing: Arc<RwLock<RoutingTable>>,
     metrics: Arc<SystemMetrics>,
     /// Per-worker reorder buffers: routed records accumulate here and leave
-    /// as batches. Flushed at the end of every input batch, so the buffers
-    /// never hold records across a quiescent period.
+    /// as batches. Flushed at the end of every run, before its read guard
+    /// is released, so the buffers never hold records across a guard
+    /// release or a quiescent period.
     buffer: BatchBuffer<StreamRecord>,
+    /// The destinations of the record being routed (recycled).
+    targets: Vec<WorkerId>,
     /// When set, a failed send to a worker channel is reported as peer death
     /// instead of being silently dropped.
     supervisor: Option<Arc<Supervisor>>,
-    /// Ingest instants of the records discarded during the current input
-    /// batch, recorded as completed once at its end (recycled).
+    /// Ingest instants of the records discarded during the current run,
+    /// recorded as completed once at its end (recycled).
     completed: Vec<Instant>,
     /// The load adjustment controller, on dispatcher 0 only.
     controller: Option<AdjustmentController>,
@@ -68,6 +77,7 @@ impl Dispatcher {
             routing,
             metrics,
             buffer: BatchBuffer::new(num_workers, batch_size),
+            targets: Vec::new(),
             supervisor: None,
             completed: Vec::new(),
             controller: None,
@@ -82,7 +92,7 @@ impl Dispatcher {
     }
 
     /// Makes this dispatcher the one that runs dynamic load adjustment: the
-    /// controller is stepped once at the end of every input batch.
+    /// controller is stepped once per input batch, at the end of each run.
     pub fn with_controller(mut self, controller: AdjustmentController) -> Self {
         self.controller = Some(controller);
         self
@@ -103,45 +113,50 @@ impl Dispatcher {
         }
     }
 
-    /// Routes one record. The read guard is acquired once per input batch
-    /// (not per record) by the caller.
+    /// Routes one record. The read guard is acquired once per run (not per
+    /// record) by the caller.
     fn route_envelope(
         &mut self,
         routing: &RoutingTable,
         envelope: Envelope<StreamRecord>,
         emitter: &Emitter<WorkerMessage>,
     ) {
-        let workers = match &envelope.payload {
-            StreamRecord::Object(o) => routing.route_object(o),
+        let mut targets = std::mem::take(&mut self.targets);
+        match &envelope.payload {
+            StreamRecord::Object(o) => routing.route_object_into(o, &mut targets),
             // steady state: term registration goes through the sharded
             // registry, so even insertions need only the read lock
-            StreamRecord::Update(QueryUpdate::Insert(q)) => routing.route_insert(q),
-            StreamRecord::Update(QueryUpdate::Delete(q)) => routing.route_delete(q),
-        };
-        let Some((&last, rest)) = workers.split_last() else {
-            // Discarded at the dispatcher (object with no registered keyword
-            // in its cell): the tuple is complete.
-            if envelope.payload.is_object() {
-                self.metrics
-                    .discarded_objects
-                    .fetch_add(1, Ordering::Relaxed);
+            StreamRecord::Update(QueryUpdate::Insert(q)) => targets = routing.route_insert(q),
+            StreamRecord::Update(QueryUpdate::Delete(q)) => targets = routing.route_delete(q),
+        }
+        match targets.split_last() {
+            None => {
+                // Discarded at the dispatcher (object with no registered
+                // keyword in its cell): the tuple is complete.
+                if envelope.payload.is_object() {
+                    self.metrics
+                        .discarded_objects
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                self.completed.push(envelope.ingested_at);
             }
-            self.completed.push(envelope.ingested_at);
-            return;
-        };
-        // clone the payload for every worker but the last; the original
-        // envelope moves into the final buffer slot
-        for w in rest {
-            if let Some(batch) = self
-                .buffer
-                .push(w.index(), envelope.derive(envelope.payload.clone()))
-            {
-                self.deliver(w.index(), batch, emitter);
+            Some((&last, rest)) => {
+                // clone the payload for every worker but the last; the
+                // original envelope moves into the final buffer slot
+                for w in rest {
+                    if let Some(batch) = self
+                        .buffer
+                        .push(w.index(), envelope.derive(envelope.payload.clone()))
+                    {
+                        self.deliver(w.index(), batch, emitter);
+                    }
+                }
+                if let Some(batch) = self.buffer.push(last.index(), envelope) {
+                    self.deliver(last.index(), batch, emitter);
+                }
             }
         }
-        if let Some(batch) = self.buffer.push(last.index(), envelope) {
-            self.deliver(last.index(), batch, emitter);
-        }
+        self.targets = targets;
     }
 }
 
@@ -150,13 +165,24 @@ impl Operator for Dispatcher {
     type Out = WorkerMessage;
 
     fn process(&mut self, input: Batch<StreamRecord>, emitter: &Emitter<WorkerMessage>) {
-        // acquire the read guard once per batch: the per-record lock traffic
+        self.process_run(std::iter::once(input), emitter);
+    }
+
+    fn process_run<I>(&mut self, run: I, emitter: &Emitter<WorkerMessage>)
+    where
+        I: Iterator<Item = Batch<StreamRecord>>,
+    {
+        // acquire the read guard once per run: the per-record lock traffic
         // is what batching amortizes away (writers — the adjustment
-        // controller — wait at most one batch)
+        // controller — wait at most one run)
         let routing = Arc::clone(&self.routing);
         let routing = routing.read();
-        for envelope in input {
-            self.route_envelope(&routing, envelope, emitter);
+        let mut batches = 0u64;
+        for input in run {
+            batches += 1;
+            for envelope in input {
+                self.route_envelope(&routing, envelope, emitter);
+            }
         }
         // Flush the partial per-worker buffers while still holding the read
         // guard: a routed record must reach its worker's channel before the
@@ -164,17 +190,20 @@ impl Operator for Dispatcher {
         // MigrateCell (worker channels are unbounded, so these sends never
         // block while the lock is held). Per-channel FIFO then guarantees the
         // record is matched before the cell's queries are extracted. Nothing
-        // is held back between input batches, so downstream latency is
-        // bounded by the batch the record arrived in.
+        // is held back across a guard release or between runs, so downstream
+        // latency is bounded by the run the record arrived in.
         for (worker, batch) in self.buffer.flush_all() {
             self.deliver(worker, batch, emitter);
         }
         drop(routing);
         self.metrics.record_completed(&mut self.completed);
         // The controller may take the write lock, so it steps only after
-        // this batch's read guard is gone.
+        // the run's read guard is gone — once per input batch, so its
+        // period keeps counting batches whatever the run length.
         if let Some(controller) = &mut self.controller {
-            controller.step();
+            for _ in 0..batches {
+                controller.step();
+            }
         }
     }
 }
@@ -359,6 +388,156 @@ mod tests {
             sizes.push(b.len());
         }
         assert_eq!(sizes, vec![2, 2, 1]);
+    }
+
+    /// `batches` input batches of 16 records over `split_routing`: an insert
+    /// of query 7 spanning both halves, then objects of which one in eight
+    /// carries the query's keyword, spread over both halves.
+    fn sparse_batches(batches: u64) -> Vec<Batch<StreamRecord>> {
+        let mut sequence = 0u64;
+        (0..batches)
+            .map(|b| {
+                let mut batch = Batch::new();
+                for i in 0..16u64 {
+                    sequence += 1;
+                    let record = if b == 0 && i == 0 {
+                        StreamRecord::Update(QueryUpdate::Insert(query(
+                            1,
+                            7,
+                            Rect::from_coords(0.0, 0.0, 16.0, 16.0),
+                        )))
+                    } else {
+                        let term = if sequence.is_multiple_of(8) { 7 } else { 99 };
+                        let x = if sequence.is_multiple_of(16) {
+                            13.0
+                        } else {
+                            1.0
+                        };
+                        StreamRecord::Object(object(sequence, term, x, 1.0))
+                    };
+                    batch.push(Envelope::now(sequence, record));
+                }
+                batch
+            })
+            .collect()
+    }
+
+    /// Per-worker `Records` messages emitted for `batches`, fed as one run
+    /// (`as_run`) or as one `process` call per batch.
+    fn dispatch(batches: Vec<Batch<StreamRecord>>, as_run: bool) -> Vec<Vec<Batch<StreamRecord>>> {
+        let routing = Arc::new(RwLock::new(split_routing()));
+        let mut d = Dispatcher::new(routing, Arc::default(), SystemMetrics::new(2), 2, 16);
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| bounded::<WorkerMessage>(1024)).unzip();
+        let emitter = Emitter::new(txs);
+        if as_run {
+            d.process_run(batches.into_iter(), &emitter);
+        } else {
+            for batch in batches {
+                d.process(batch, &emitter);
+            }
+        }
+        rxs.iter()
+            .map(|rx| {
+                rx.try_iter()
+                    .map(|msg| match msg {
+                        WorkerMessage::Records(batch) => batch,
+                        _ => panic!("expected a Records batch"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn sequences(messages: &[Batch<StreamRecord>]) -> Vec<u64> {
+        messages
+            .iter()
+            .flat_map(|b| b.records().iter().map(|e| e.sequence))
+            .collect()
+    }
+
+    #[test]
+    fn a_run_routes_like_single_batches_with_one_flush_per_worker() {
+        for k in [1, 2, 5, 32] {
+            let singles = dispatch(sparse_batches(k), false);
+            let run = dispatch(sparse_batches(k), true);
+            for worker in 0..2 {
+                assert_eq!(
+                    sequences(&run[worker]),
+                    sequences(&singles[worker]),
+                    "run of {k}: worker {worker} got a different record sequence"
+                );
+                let partial = run[worker].iter().filter(|b| b.len() < 16).count();
+                assert!(
+                    partial <= 1,
+                    "run of {k}: worker {worker} got {partial} partial batches"
+                );
+            }
+            if k == 32 {
+                // one routed record in eight: the run hands each worker full
+                // batches plus one remainder, where single batches flushed a
+                // partial batch almost every time
+                let run_messages: usize = run.iter().map(Vec::len).sum();
+                let single_messages: usize = singles.iter().map(Vec::len).sum();
+                assert!(
+                    run_messages * 4 <= single_messages,
+                    "{run_messages} messages in a run vs {single_messages} singly"
+                );
+            }
+        }
+    }
+
+    /// Input batches fed when the controller of a dispatcher fed `calls`
+    /// (each a run of that many batches) was seen to send `CollectStats`.
+    /// Nothing answers, so there is at most one request.
+    fn stats_requests(calls: &[u64]) -> Vec<u64> {
+        let metrics = SystemMetrics::new(1);
+        let routing = Arc::new(RwLock::new(split_routing()));
+        let (ctl_tx, ctl_rx) = ps2stream_stream::unbounded::<WorkerMessage>();
+        let controller = AdjustmentController::new(
+            &crate::config::AdjustmentConfig {
+                period_batches: 8,
+                ..Default::default()
+            },
+            ps2stream_partition::CostConstants::default(),
+            Arc::clone(&routing),
+            vec![ctl_tx],
+            Arc::clone(&metrics),
+        );
+        let mut d =
+            Dispatcher::new(routing, Arc::default(), metrics, 2, 16).with_controller(controller);
+        let (txs, _rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| bounded::<WorkerMessage>(64)).unzip();
+        let emitter = Emitter::new(txs);
+        let mut fed = 0u64;
+        let mut requested_after = Vec::new();
+        for &len in calls {
+            let run = (0..len).map(|i| {
+                Batch::of_one(Envelope::now(
+                    fed + i,
+                    StreamRecord::Object(object(fed + i, 99, 1.0, 1.0)),
+                ))
+            });
+            d.process_run(run, &emitter);
+            fed += len;
+            while let Ok(msg) = ctl_rx.try_recv() {
+                assert!(matches!(msg, WorkerMessage::CollectStats { .. }));
+                requested_after.push(fed);
+            }
+        }
+        requested_after
+    }
+
+    #[test]
+    fn the_controller_counts_batches_not_runs() {
+        // period 8: single batches request stats with the ninth batch
+        assert_eq!(stats_requests(&[1; 10]), vec![9]);
+        // a run of ten requests them too, once the run's guard is gone
+        assert_eq!(stats_requests(&[10]), vec![10]);
+        // and at the same batch count: a run of n requests iff n singles do
+        for n in 0..=12u64 {
+            let singles = stats_requests(&vec![1; n as usize]).len();
+            assert_eq!(stats_requests(&[n]).len(), singles, "run of {n}");
+            assert_eq!(singles, usize::from(n >= 9), "{n} single batches");
+        }
     }
 
     #[test]

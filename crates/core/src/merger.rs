@@ -27,7 +27,7 @@
 use crate::messages::MergerMessage;
 use crate::metrics::SystemMetrics;
 use ps2stream_model::{MatchResult, ObjectId, QueryId};
-use ps2stream_stream::{Emitter, Operator, QueueDepth, Sender};
+use ps2stream_stream::{Batch, Emitter, Operator, QueueDepth, Sender};
 use ps2stream_text::{IdMap, IdSet};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -40,11 +40,11 @@ pub struct Merger {
     /// Optional delivery channel towards the subscribers (tests and examples
     /// consume matches from here).
     delivery: Option<Sender<MatchResult>>,
-    /// The current batch's new matches, handed to `delivery` as one burst
-    /// at the end of the batch (recycled).
+    /// The current run's new matches, handed to `delivery` as one burst at
+    /// the end of the run (recycled).
     deliveries: Vec<MatchResult>,
-    /// Ingest instants of the current batch's objects, recorded as completed
-    /// once at the end of the batch (recycled).
+    /// Ingest instants of the current run's objects, recorded as completed
+    /// once at the end of the run (recycled).
     completed: Vec<Instant>,
     /// Recently seen (object → matched queries) used for deduplication.
     seen: IdMap<ObjectId, IdSet<QueryId>>,
@@ -119,6 +119,35 @@ impl Merger {
         self.seen.get_mut(&object)
     }
 
+    /// Applies the overload policy to one dequeued batch: while the backlog
+    /// behind it exceeds the bound, the whole batch is shed (and counted)
+    /// instead of merged. Returns whether it was shed.
+    fn shed_overload(&mut self, batch: &Batch<Vec<MatchResult>>) -> bool {
+        let Some((depth, mailbox)) = &self.shed else {
+            return false;
+        };
+        if depth.get() <= *mailbox {
+            return false;
+        }
+        // Raising the watermark to the batch's highest sequence keeps dedup
+        // sound — any copy of a shed match arriving later for an untracked
+        // object is suppressed as late traffic instead of delivered anew.
+        let mut shed = 0u64;
+        let mut high = self.evicted_watermark;
+        for envelope in batch.records() {
+            shed += envelope.payload.len() as u64;
+            high = Some(high.map_or(envelope.sequence, |w| w.max(envelope.sequence)));
+        }
+        self.evicted_watermark = high;
+        self.metrics
+            .faults
+            .shed_matches
+            .fetch_add(shed, Ordering::Relaxed);
+        // shed objects still count as serviced for the throughput rate
+        self.metrics.throughput.record(batch.len() as u64);
+        true
+    }
+
     /// Number of objects currently tracked for deduplication (the eviction
     /// guard itself is a single watermark, so this *is* the dedup footprint).
     pub fn tracked_objects(&self) -> usize {
@@ -130,54 +159,43 @@ impl Operator for Merger {
     type In = MergerMessage;
     type Out = ();
 
-    fn process(&mut self, input: MergerMessage, _emitter: &Emitter<()>) {
-        let MergerMessage::Matches(batch) = input;
-        if let Some((depth, mailbox)) = &self.shed {
-            if depth.get() > *mailbox {
-                // Overloaded: shed the whole batch. Raising the watermark to
-                // the batch's highest sequence keeps dedup sound — any copy
-                // of a shed match arriving later for an untracked object is
-                // suppressed as late traffic instead of delivered anew.
-                let mut shed = 0u64;
-                let mut high = self.evicted_watermark;
-                for envelope in batch.records() {
-                    shed += envelope.payload.len() as u64;
-                    high = Some(high.map_or(envelope.sequence, |w| w.max(envelope.sequence)));
-                }
-                self.evicted_watermark = high;
-                self.metrics
-                    .faults
-                    .shed_matches
-                    .fetch_add(shed, Ordering::Relaxed);
-                // shed objects still count as serviced for the throughput rate
-                self.metrics.throughput.record(batch.len() as u64);
-                return;
-            }
-        }
+    fn process(&mut self, input: MergerMessage, emitter: &Emitter<()>) {
+        self.process_run(std::iter::once(input), emitter);
+    }
+
+    fn process_run<I>(&mut self, run: I, _emitter: &Emitter<()>)
+    where
+        I: Iterator<Item = MergerMessage>,
+    {
         let mut delivered = 0u64;
         let mut duplicates = 0u64;
         let collect = self.delivery.is_some();
-        for envelope in batch {
-            let sequence = envelope.sequence;
-            for m in &envelope.payload {
-                match self.note_object(m.object_id, sequence) {
-                    Some(per_object) => {
-                        if per_object.insert(m.query_id) {
-                            delivered += 1;
-                            if collect {
-                                self.deliveries.push(*m);
-                            }
-                        } else {
-                            duplicates += 1;
-                        }
-                    }
-                    // evicted object: suppress rather than double-deliver
-                    None => duplicates += 1,
-                }
+        for MergerMessage::Matches(batch) in run {
+            if self.shed_overload(&batch) {
+                continue;
             }
-            self.completed.push(envelope.ingested_at);
+            for envelope in batch {
+                let sequence = envelope.sequence;
+                for m in &envelope.payload {
+                    match self.note_object(m.object_id, sequence) {
+                        Some(per_object) => {
+                            if per_object.insert(m.query_id) {
+                                delivered += 1;
+                                if collect {
+                                    self.deliveries.push(*m);
+                                }
+                            } else {
+                                duplicates += 1;
+                            }
+                        }
+                        // evicted object: suppress rather than double-deliver
+                        None => duplicates += 1,
+                    }
+                }
+                self.completed.push(envelope.ingested_at);
+            }
         }
-        // One hand-off per batch: a subscriber parks whenever it drains the
+        // One hand-off per run: a subscriber parks whenever it drains the
         // channel, so every separate send could cost it a wake-up.
         if let Some(tx) = &self.delivery {
             let _ = tx.send_all(self.deliveries.drain(..));
@@ -289,6 +307,42 @@ mod tests {
             metrics.matches_delivered.load(Ordering::Relaxed),
             expected.len() as u64
         );
+    }
+
+    #[test]
+    fn a_run_delivers_like_single_messages() {
+        // overlapping objects and replica copies, at a capacity that evicts
+        let messages = || {
+            (0..40u64).map(|i| {
+                let object = i / 2 + (i % 3);
+                matches(object, &[object % 5, (object * 3) % 7, i % 4])
+            })
+        };
+        let deliver = |as_run: bool| {
+            let metrics = SystemMetrics::new(1);
+            let (tx, rx) = unbounded::<MatchResult>();
+            let mut merger = Merger::new(Arc::clone(&metrics), Some(tx), 8);
+            if as_run {
+                merger.process_run(messages(), &Emitter::sink());
+            } else {
+                for message in messages() {
+                    merger.process(message, &Emitter::sink());
+                }
+            }
+            let delivered: Vec<(u64, u64)> = rx
+                .try_iter()
+                .map(|m| (m.object_id.value(), m.query_id.value()))
+                .collect();
+            (
+                delivered,
+                metrics.matches_delivered.load(Ordering::Relaxed),
+                metrics.duplicates_removed.load(Ordering::Relaxed),
+                metrics.throughput.count(),
+            )
+        };
+        let singles = deliver(false);
+        assert!(singles.2 > 0, "the stream must contain duplicates");
+        assert_eq!(deliver(true), singles);
     }
 
     #[test]

@@ -497,6 +497,39 @@ impl RunningSystem {
         }
     }
 
+    /// Flushes the partial input batch and waits until every record fed so
+    /// far has been fully processed — a phase barrier, e.g. between
+    /// registering queries and streaming objects when several dispatchers
+    /// would otherwise race inserts against objects.
+    ///
+    /// On the deterministic backend this drives the seeded scheduler until
+    /// every executor is blocked on an empty mailbox. On `threads` and
+    /// `coop` it waits until the completed-tuple counters have stood still
+    /// for 300 ms. Returns false if they were still moving after 30 s.
+    pub fn settle(&mut self) -> bool {
+        self.flush();
+        if self.records_in == 0 || self.runtime.run_until_idle() {
+            return true;
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut last = (0u64, 0u64);
+        let mut stable_since = Instant::now();
+        while Instant::now() < deadline {
+            let now = (
+                self.metrics.throughput.count(),
+                self.metrics.latency.count(),
+            );
+            if now != last || now.0 == 0 {
+                last = now;
+                stable_since = Instant::now();
+            } else if stable_since.elapsed() > Duration::from_millis(300) {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        false
+    }
+
     /// Number of records fed so far.
     pub fn records_sent(&self) -> u64 {
         self.records_in

@@ -87,7 +87,7 @@ pub struct Worker {
     /// Tuple counts since the last stats report.
     period_load: WorkerLoad,
     /// Per-merger buffers of per-object match sets; flushed at the end of
-    /// every input record batch (never held across messages).
+    /// every run (never held across runs).
     match_buffer: BatchBuffer<Vec<MatchResult>>,
     /// Per-merger count of match *results* (not objects) currently buffered;
     /// a buffer is flushed early once it holds `result_budget` results so a
@@ -104,8 +104,8 @@ pub struct Worker {
     /// `(position in run, matches)` pairs of the current run (recycled).
     run_results: Vec<(usize, Vec<MatchResult>)>,
     /// Ingest instants of the records this worker completed (updates and
-    /// unmatched objects) during the current message, recorded once at its
-    /// end (recycled).
+    /// unmatched objects) during the current run, recorded once at its end
+    /// (recycled).
     completed: Vec<Instant>,
     /// Cells with an in-flight hand-off *towards* this worker: the number of
     /// `MigrateIn` messages still owed per cell.
@@ -274,16 +274,17 @@ impl Worker {
         }
     }
 
-    /// Re-admits parked records in arrival order and sends their results on.
+    /// Re-admits parked records in arrival order and matches them; their
+    /// results leave with the rest of the run's.
     fn replay(&mut self, parked: Vec<Envelope<StreamRecord>>) {
         for envelope in parked {
             self.admit(envelope);
         }
         self.flush_object_run();
-        self.flush_matches();
     }
 
-    /// Flushes the partial match batches so no result waits for future input.
+    /// Flushes the partial match batches so no result waits for future
+    /// input: once per run, and in `finish`.
     fn flush_matches(&mut self) {
         for (merger, batch) in self.match_buffer.flush_all() {
             self.send_matches(merger, batch);
@@ -503,7 +504,6 @@ impl Worker {
             }
         }
         self.flush_object_run();
-        self.flush_matches();
     }
 
     fn handle_migrate_out(&mut self, cell: CellId, terms: Option<Vec<TermId>>, to: WorkerId) {
@@ -616,19 +616,9 @@ impl Worker {
         report
     }
 
-    /// Runs the worker loop on the current thread until a
-    /// [`WorkerMessage::Shutdown`] takes effect or every sender disconnects.
-    /// Returns the worker for inspection.
-    pub fn run(self, input: Receiver<WorkerMessage>) -> Self {
-        ps2stream_stream::run_operator(self, input, Emitter::sink())
-    }
-}
-
-impl Operator for Worker {
-    type In = WorkerMessage;
-    type Out = ();
-
-    fn process(&mut self, message: WorkerMessage, _emitter: &Emitter<()>) {
+    /// Handles one message of a run. Matches stay buffered until the run's
+    /// end (or a full merger batch).
+    fn handle(&mut self, message: WorkerMessage) {
         match message {
             WorkerMessage::Records(records) => {
                 if let Some(records) = self.shed_overload(records) {
@@ -666,6 +656,38 @@ impl Operator for Worker {
                 }
             }
         }
+    }
+
+    /// Runs the worker loop on the current thread until a
+    /// [`WorkerMessage::Shutdown`] takes effect or every sender disconnects.
+    /// Returns the worker for inspection.
+    pub fn run(self, input: Receiver<WorkerMessage>) -> Self {
+        ps2stream_stream::run_operator(self, input, Emitter::sink())
+    }
+}
+
+impl Operator for Worker {
+    type In = WorkerMessage;
+    type Out = ();
+
+    fn process(&mut self, message: WorkerMessage, emitter: &Emitter<()>) {
+        self.process_run(std::iter::once(message), emitter);
+    }
+
+    /// Handles a run of messages in order and flushes the partial match
+    /// batches once, at its end: a run of small `Records` messages costs
+    /// each merger one hand-off.
+    fn process_run<I>(&mut self, run: I, _emitter: &Emitter<()>)
+    where
+        I: Iterator<Item = WorkerMessage>,
+    {
+        for message in run {
+            self.handle(message);
+            if self.stopped {
+                break;
+            }
+        }
+        self.flush_matches();
         self.metrics.record_completed(&mut self.completed);
     }
 
@@ -784,6 +806,123 @@ mod tests {
         let loads = metrics.worker_loads.lock();
         assert_eq!(loads[0].deletions, 1);
         assert_eq!(loads[0].objects, 2);
+    }
+
+    /// `k` small `Records` messages: two queries inserted up front, one
+    /// deleted halfway, and objects that match one, both or neither.
+    fn small_records(k: u64) -> Vec<WorkerMessage> {
+        let region = Rect::from_coords(0.0, 0.0, 8.0, 8.0);
+        (0..k)
+            .map(|m| {
+                let mut batch = Batch::new();
+                let seq = 10 * m;
+                if m == 0 {
+                    for (id, term) in [(1, 7), (2, 8)] {
+                        batch.push(Envelope::now(
+                            seq + id,
+                            StreamRecord::Update(QueryUpdate::Insert(query(id, term, region))),
+                        ));
+                    }
+                }
+                if m == k / 2 {
+                    batch.push(Envelope::now(
+                        seq + 3,
+                        StreamRecord::Update(QueryUpdate::Delete(query(2, 8, region))),
+                    ));
+                }
+                for i in 4..(4 + m % 4) {
+                    // matches both queries, query 2 only, neither
+                    let term = [7, 8, 9][(i - 4) as usize];
+                    let mut terms = vec![TermId(term)];
+                    if term == 7 {
+                        terms.push(TermId(8));
+                    }
+                    batch.push(Envelope::now(
+                        seq + i,
+                        StreamRecord::Object(SpatioTextualObject::new(
+                            ObjectId(seq + i),
+                            terms,
+                            Point::new(2.0, 2.0),
+                        )),
+                    ));
+                }
+                WorkerMessage::Records(batch)
+            })
+            .collect()
+    }
+
+    /// `(object sequence, matched query ids)` in the order the merger
+    /// receives them, and the size of every merger message, for `messages`
+    /// handled as one run or one `process` call each.
+    fn match_stream(
+        messages: Vec<WorkerMessage>,
+        as_run: bool,
+    ) -> (Vec<(u64, Vec<u64>)>, Vec<usize>) {
+        let (merger_tx, merger_rx) = bounded::<MergerMessage>(1024);
+        let mut worker = Worker::new(
+            WorkerId(0),
+            gi2(),
+            Vec::new(),
+            vec![merger_tx],
+            SystemMetrics::new(1),
+            16,
+        );
+        let sink = Emitter::sink();
+        if as_run {
+            worker.process_run(messages.into_iter(), &sink);
+        } else {
+            for message in messages {
+                worker.process(message, &sink);
+            }
+        }
+        let mut stream = Vec::new();
+        let mut sizes = Vec::new();
+        while let Ok(MergerMessage::Matches(batch)) = merger_rx.try_recv() {
+            sizes.push(batch.len());
+            for record in batch.records() {
+                let ids = record.payload.iter().map(|m| m.query_id.0).collect();
+                stream.push((record.sequence, ids));
+            }
+        }
+        (stream, sizes)
+    }
+
+    #[test]
+    fn a_run_matches_like_single_messages_and_flushes_once() {
+        for k in [2, 7, 32] {
+            let (singles, single_sizes) = match_stream(small_records(k), false);
+            let (run, run_sizes) = match_stream(small_records(k), true);
+            assert!(!run.is_empty(), "run of {k} matched nothing");
+            assert_eq!(run, singles, "run of {k}");
+            // one or two matched objects per message: singly, nearly every
+            // message sent a partial batch; a run sends full batches and
+            // one remainder
+            let partial = run_sizes.iter().filter(|&&n| n < 16).count();
+            assert!(partial <= 1, "run of {k}: {partial} partial batches");
+            if k == 32 {
+                assert!(run_sizes.len() * 4 <= single_sizes.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_stops_pulling_at_shutdown() {
+        let (merger_tx, _merger_rx) = bounded::<MergerMessage>(16);
+        let mut worker = Worker::new(
+            WorkerId(0),
+            gi2(),
+            Vec::new(),
+            vec![merger_tx],
+            SystemMetrics::new(1),
+            16,
+        );
+        let mut messages = small_records(3).into_iter();
+        worker.process_run(
+            std::iter::once(WorkerMessage::Shutdown).chain(messages.by_ref()),
+            &Emitter::sink(),
+        );
+        assert!(worker.wants_stop());
+        assert_eq!(messages.len(), 3, "nothing after the Shutdown was pulled");
     }
 
     #[test]

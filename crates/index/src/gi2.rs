@@ -547,8 +547,8 @@ impl Gi2Index {
         cells + self.slab.memory_usage() + self.stats.memory_usage() + std::mem::size_of::<Self>()
     }
 
-    /// Iterates over all live queries (used by tests and the global
-    /// repartitioning handover).
+    /// Iterates over all live queries, in slab order (used by the snapshot
+    /// serializer and tests).
     pub fn queries(&self) -> impl Iterator<Item = &StsQuery> + '_ {
         self.slab.iter_live().map(|sq| &sq.query)
     }

@@ -197,15 +197,24 @@ impl RoutingTable {
     /// it. Objects outside the grid or containing no registered query term in
     /// their cell are discarded (empty result).
     pub fn route_object(&self, object: &SpatioTextualObject) -> Vec<WorkerId> {
+        let mut workers = Vec::new();
+        self.route_object_into(object, &mut workers);
+        workers
+    }
+
+    /// [`RoutingTable::route_object`] into a caller-owned buffer, which is
+    /// cleared first: with a recycled buffer, routing allocates nothing,
+    /// whether the object is discarded or routed.
+    pub fn route_object_into(&self, object: &SpatioTextualObject, workers: &mut Vec<WorkerId>) {
+        workers.clear();
         let Some(cell) = self.grid.cell_of(&object.location) else {
-            return Vec::new();
+            return;
         };
         let idx = self.grid.cell_index(cell);
         if self.query_terms.cell_is_empty(idx) {
-            return Vec::new();
+            return;
         }
         let routing = &self.cells[idx];
-        let mut workers: Vec<WorkerId> = Vec::with_capacity(2);
         self.query_terms
             .probe_terms(idx as u32, &object.terms, |term| {
                 let w = routing.worker_for(term);
@@ -216,7 +225,6 @@ impl RoutingTable {
                 // worker; no need to continue scanning.
                 !matches!(routing, CellRouting::Single(_))
             });
-        workers
     }
 
     /// Routes an STS query insertion: the set of workers that must index it.
@@ -244,9 +252,10 @@ impl RoutingTable {
         workers
     }
 
-    /// Routes an STS query deletion (same destinations as the insertion, but
-    /// `H2` is left untouched — filters are rebuilt by the periodic global
-    /// adjustment instead).
+    /// Routes an STS query deletion: every worker that may hold a copy of
+    /// the query, a superset of the insertion's destinations (see below).
+    /// `H2` is left untouched: a stale filter term only costs an object a
+    /// trip to a worker that matches nothing, and nothing prunes `H2`.
     pub fn route_delete(&self, query: &StsQuery) -> Vec<WorkerId> {
         // A deletion must reach every worker that could hold a copy of the
         // query, and that is a strictly wider set than the insertion's

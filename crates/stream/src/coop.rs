@@ -22,8 +22,8 @@
 //! is a property of the OS-thread backend; `docs/RUNTIME.md` covers the
 //! trade-off).
 
-use crate::channel::Receiver;
-use crate::operator::{Emitter, Operator};
+use crate::channel::{Receiver, TryRecvError};
+use crate::operator::{run_once, Emitter, Operator, RunEnd};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
@@ -86,24 +86,27 @@ impl<O: Operator> OperatorTask<O> {
 }
 
 impl<O: Operator> PollTask for OperatorTask<O> {
+    /// One poll is one run of up to `budget` messages.
     fn poll(&mut self) -> TaskPoll {
-        for _ in 0..self.budget {
-            match self.input.try_recv() {
-                Ok(message) => {
-                    self.operator.process(message, &self.emitter);
-                    if self.operator.wants_stop() {
-                        self.operator.finish(&self.emitter);
-                        return TaskPoll::Done;
-                    }
-                }
-                Err(crate::channel::TryRecvError::Empty) => return TaskPoll::Blocked,
-                Err(crate::channel::TryRecvError::Disconnected) => {
-                    self.operator.finish(&self.emitter);
-                    return TaskPoll::Done;
-                }
+        let end = match self.input.try_recv() {
+            Ok(first) => run_once(
+                &mut self.operator,
+                first,
+                &self.input,
+                &self.emitter,
+                self.budget,
+            ),
+            Err(TryRecvError::Empty) => RunEnd::Empty,
+            Err(TryRecvError::Disconnected) => RunEnd::Disconnected,
+        };
+        match end {
+            RunEnd::Budget => TaskPoll::Progress,
+            RunEnd::Empty => TaskPoll::Blocked,
+            RunEnd::Disconnected | RunEnd::Stopped => {
+                self.operator.finish(&self.emitter);
+                TaskPoll::Done
             }
         }
-        TaskPoll::Progress
     }
 }
 
@@ -421,19 +424,51 @@ impl SimRuntime {
     /// like on the concurrent backends.
     pub(crate) fn run_until(&mut self, ids: &[usize]) {
         while ids.iter().any(|id| self.tasks[*id].slot.is_some()) {
-            let slot = (splitmix64(&mut self.rng) % self.alive.len() as u64) as usize;
-            let pick = self.alive[slot];
-            let mut task = self.tasks[pick].slot.take().expect("alive task has a box");
-            match task.poll() {
-                // dropping the task disconnects its output senders so
-                // downstream operators can observe the end of their input
-                TaskPoll::Done => {
-                    drop(task);
-                    self.alive.swap_remove(slot);
+            self.poll_one();
+        }
+    }
+
+    /// Runs the seeded schedule until every alive task is blocked on an
+    /// empty mailbox: each one has polled `Blocked` since the last poll that
+    /// did anything. A `Blocked` poll has no effect (the simulator's budget
+    /// is one message, so a poll that finds a message ends in `Progress`),
+    /// and any other outcome may have fed a mailbox, so it restarts the
+    /// count.
+    pub(crate) fn run_until_idle(&mut self) {
+        let mut blocked_since = vec![false; self.tasks.len()];
+        let mut blocked = 0usize;
+        while blocked < self.alive.len() {
+            match self.poll_one() {
+                (pick, TaskPoll::Blocked) => {
+                    if !blocked_since[pick] {
+                        blocked_since[pick] = true;
+                        blocked += 1;
+                    }
                 }
-                TaskPoll::Progress | TaskPoll::Blocked => self.tasks[pick].slot = Some(task),
+                _ => {
+                    blocked_since.iter_mut().for_each(|b| *b = false);
+                    blocked = 0;
+                }
             }
         }
+    }
+
+    /// Polls the task the seed picks next and returns its id and outcome.
+    fn poll_one(&mut self) -> (usize, TaskPoll) {
+        let slot = (splitmix64(&mut self.rng) % self.alive.len() as u64) as usize;
+        let pick = self.alive[slot];
+        let mut task = self.tasks[pick].slot.take().expect("alive task has a box");
+        let outcome = task.poll();
+        match outcome {
+            // dropping the task disconnects its output senders so
+            // downstream operators can observe the end of their input
+            TaskPoll::Done => {
+                drop(task);
+                self.alive.swap_remove(slot);
+            }
+            TaskPoll::Progress | TaskPoll::Blocked => self.tasks[pick].slot = Some(task),
+        }
+        (pick, outcome)
     }
 
     pub(crate) fn num_tasks(&self) -> usize {

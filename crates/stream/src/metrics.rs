@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 /// to compute the sustained throughput of a run.
 ///
 /// Entirely lock-free: every executor of the pipeline calls [`record`] on the
-/// shared meter once per message for the tuples it completed, so a mutex
+/// shared meter once per run for the tuples it completed, so a mutex
 /// here serializes the whole hot path. The observation window is kept as
 /// first/last-tuple nanosecond offsets (relative to the meter's creation
 /// instant) maintained with `fetch_min` / `fetch_max`.

@@ -22,15 +22,12 @@
 
 use crate::channel::{self, Receiver, Sender};
 use crate::coop::{OperatorTask, PoolRuntime, SimRuntime};
-use crate::operator::{run_operator, Emitter, Operator};
+use crate::operator::{run_operator, Emitter, Operator, RUN_BUDGET};
 use std::thread::JoinHandle;
 
-/// Messages a pooled operator task processes per poll before it yields its
-/// scheduler thread.
-const POOL_POLL_BUDGET: usize = 32;
-
-/// Messages a simulated operator task processes per poll: one, so the seed
-/// space expresses the finest interleavings.
+/// Messages a simulated operator task processes per poll: a run of one, so
+/// the seed space expresses the finest interleavings. The OS-thread loop and
+/// the pool run up to [`RUN_BUDGET`] messages per wake-up.
 const SIM_POLL_BUDGET: usize = 1;
 
 /// Which execution substrate a topology runs on.
@@ -191,7 +188,7 @@ impl Runtime {
             }
             Inner::Pool(pool) => {
                 let hooks = input.notify_slot();
-                let task = OperatorTask::new(operator, input, emitter, POOL_POLL_BUDGET);
+                let task = OperatorTask::new(operator, input, emitter, RUN_BUDGET);
                 TaskHandle(pool.spawn(name, Box::new(task), hooks))
             }
             Inner::Sim(sim) => {
@@ -207,6 +204,20 @@ impl Runtime {
             Inner::Threads(threads) => threads.len(),
             Inner::Pool(pool) => pool.num_tasks(),
             Inner::Sim(sim) => sim.num_tasks(),
+        }
+    }
+
+    /// On the deterministic backend, runs the seeded schedule until every
+    /// operator is blocked on an empty mailbox, and returns true. The
+    /// concurrent backends make progress on their own and return false at
+    /// once: they have no such point to drive to.
+    pub fn run_until_idle(&mut self) -> bool {
+        match &mut self.inner {
+            Inner::Sim(sim) => {
+                sim.run_until_idle();
+                true
+            }
+            Inner::Threads(_) | Inner::Pool(_) => false,
         }
     }
 
@@ -377,6 +388,43 @@ mod tests {
             let mut got: Vec<u64> = out_rx.try_iter().collect();
             got.sort_unstable();
             got
+        }
+
+        struct Forward;
+        impl Operator for Forward {
+            type In = Envelope<u64>;
+            type Out = Envelope<u64>;
+            fn process(&mut self, input: Envelope<u64>, e: &Emitter<Envelope<u64>>) {
+                e.emit_to(0, input);
+            }
+        }
+
+        #[test]
+        fn sim_runs_until_every_operator_is_idle() {
+            let mut rt = Runtime::new(&RuntimeBackend::deterministic(5));
+            let (in_tx, in_rx) = rt.bounded::<Envelope<u64>>(64);
+            let (mid_tx, mid_rx) = rt.bounded::<Envelope<u64>>(64);
+            let (out_tx, out_rx) = rt.unbounded::<u64>();
+            rt.spawn_operator("forward", Forward, in_rx, Emitter::new(vec![mid_tx]));
+            rt.spawn_operator(
+                "double",
+                Doubler { out: Some(out_tx) },
+                mid_rx,
+                Emitter::sink(),
+            );
+            for round in 0..3u64 {
+                for i in 0..20 {
+                    in_tx.send(Envelope::now(i, round * 100 + i)).unwrap();
+                }
+                // the input stays connected: idle, not finished
+                assert!(rt.run_until_idle());
+                let got: Vec<u64> = out_rx.try_iter().collect();
+                let expected: Vec<u64> = (0..20).map(|i| 2 * (round * 100 + i)).collect();
+                assert_eq!(got, expected, "round {round}");
+            }
+            drop(in_tx);
+            rt.join();
+            assert!(!Runtime::threads().run_until_idle());
         }
 
         #[test]

@@ -7,7 +7,6 @@ use ps2stream::prelude::*;
 use ps2stream_stream::unbounded;
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn brute_force(sample: &WorkloadSample) -> HashSet<(QueryId, ObjectId)> {
     let mut expected = HashSet::new();
@@ -19,33 +18,6 @@ fn brute_force(sample: &WorkloadSample) -> HashSet<(QueryId, ObjectId)> {
         }
     }
     expected
-}
-
-/// Blocks until the completed-tuple counters stop moving: every record fed so
-/// far has fully traversed dispatchers, workers and mergers. Used as a phase
-/// barrier between registering queries and streaming objects when several
-/// dispatchers consume the input concurrently (insert-before-object ordering
-/// is otherwise not guaranteed across dispatchers).
-fn await_quiescence(system: &mut RunningSystem) {
-    system.flush();
-    let metrics = Arc::clone(system.metrics());
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut last = (0u64, 0u64);
-    let mut stable_since = Instant::now();
-    loop {
-        let now = (metrics.throughput.count(), metrics.latency.count());
-        if now != last || now.0 == 0 {
-            last = now;
-            stable_since = Instant::now();
-        } else if stable_since.elapsed() > Duration::from_millis(300) {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "pipeline did not quiesce within 30s"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 #[test]
@@ -71,11 +43,12 @@ fn four_dispatchers_with_batching_deliver_exact_matches() {
     .start();
 
     // phase 1: register every query, then wait until all four dispatchers
-    // and the workers have fully applied them
+    // and the workers have fully applied them (insert-before-object
+    // ordering is otherwise not guaranteed across dispatchers)
     for q in sample.insertions() {
         system.send(StreamRecord::Update(QueryUpdate::Insert(q.clone())));
     }
-    await_quiescence(&mut system);
+    assert!(system.settle(), "pipeline did not quiesce within 30s");
 
     // phase 2: stream the objects
     for o in sample.objects() {
