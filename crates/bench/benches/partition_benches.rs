@@ -24,6 +24,24 @@ fn bench_partitioners(c: &mut Criterion) {
     group.finish();
 }
 
+/// Hybrid on the benchmark's `match-heavy` calibration sample (TWEETS-UK Q2,
+/// 10k objects, 2.5k queries, layout seed 2017) at 2 workers: unlike the
+/// 5k-object Q3 sample above, it text-partitions the whole space, so this
+/// times `PartitionNode`'s text split and the shared-map table build.
+fn bench_hybrid_build(c: &mut Criterion) {
+    let sample = ps2stream_workload::build_sample(
+        DatasetSpec::tweets_uk(),
+        QueryClass::Q2,
+        10_000,
+        2_500,
+        2017,
+    );
+    let hybrid = HybridPartitioner::default();
+    c.bench_function("hybrid_build/tweets_uk_q2_2_workers", |b| {
+        b.iter(|| hybrid.partition(&sample, 2).memory_usage())
+    });
+}
+
 fn bench_hybrid_delta_ablation(c: &mut Criterion) {
     let sample = sample();
     let mut group = c.benchmark_group("hybrid_delta_ablation");
@@ -74,6 +92,6 @@ fn bench_routing(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_partitioners, bench_hybrid_delta_ablation, bench_hybrid_sigma_ablation, bench_routing
+    targets = bench_partitioners, bench_hybrid_build, bench_hybrid_delta_ablation, bench_hybrid_sigma_ablation, bench_routing
 );
 criterion_main!(benches);

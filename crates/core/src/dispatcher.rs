@@ -126,8 +126,12 @@ impl Dispatcher {
             StreamRecord::Object(o) => routing.route_object_into(o, &mut targets),
             // steady state: term registration goes through the sharded
             // registry, so even insertions need only the read lock
-            StreamRecord::Update(QueryUpdate::Insert(q)) => targets = routing.route_insert(q),
-            StreamRecord::Update(QueryUpdate::Delete(q)) => targets = routing.route_delete(q),
+            StreamRecord::Update(QueryUpdate::Insert(q)) => {
+                routing.route_insert_into(q, &mut targets)
+            }
+            StreamRecord::Update(QueryUpdate::Delete(q)) => {
+                routing.route_delete_into(q, &mut targets)
+            }
         }
         match targets.split_last() {
             None => {

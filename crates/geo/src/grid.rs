@@ -132,18 +132,31 @@ impl UniformGrid {
     /// boundaries), in row-major order. Returns an empty vector if the
     /// rectangle does not intersect the grid bounds.
     pub fn cells_overlapping(&self, rect: &Rect) -> Vec<CellId> {
-        let Some(clipped) = self.bounds.intersection(rect) else {
+        let Some((lo, hi)) = self.cell_span(rect) else {
             return Vec::new();
         };
-        let lo = self.cell_of_clamped(&clipped.min);
-        let hi = self.cell_of_clamped(&clipped.max);
         let mut out = Vec::with_capacity(((hi.col - lo.col + 1) * (hi.row - lo.row + 1)) as usize);
-        for row in lo.row..=hi.row {
-            for col in lo.col..=hi.col {
-                out.push(CellId::new(col, row));
-            }
-        }
+        out.extend(self.cells_overlapping_iter(rect));
         out
+    }
+
+    /// [`UniformGrid::cells_overlapping`] as an iterator, which allocates
+    /// nothing.
+    pub fn cells_overlapping_iter(&self, rect: &Rect) -> impl Iterator<Item = CellId> {
+        self.cell_span(rect).into_iter().flat_map(|(lo, hi)| {
+            (lo.row..=hi.row)
+                .flat_map(move |row| (lo.col..=hi.col).map(move |col| CellId::new(col, row)))
+        })
+    }
+
+    /// The lowest and highest cells overlapping `rect`, or `None` if it
+    /// does not intersect the grid bounds.
+    fn cell_span(&self, rect: &Rect) -> Option<(CellId, CellId)> {
+        let clipped = self.bounds.intersection(rect)?;
+        Some((
+            self.cell_of_clamped(&clipped.min),
+            self.cell_of_clamped(&clipped.max),
+        ))
     }
 
     /// Iterates over every cell id in row-major order.

@@ -26,8 +26,7 @@ use crate::routing::{CellRouting, RoutingTable, TermRouting};
 use crate::sample::WorkloadSample;
 use ps2stream_geo::{Rect, UniformGrid};
 use ps2stream_model::WorkerId;
-use ps2stream_text::{TermDistribution, TermId, TermStats};
-use std::collections::HashMap;
+use ps2stream_text::{IdMap, IdSet, TermDistribution, TermId, TermStats};
 use std::sync::Arc;
 
 /// Configuration of the hybrid partitioner.
@@ -142,23 +141,25 @@ impl Partitioner for HybridPartitioner {
         }
 
         // ---- Phase 1: similarity-driven spatial decomposition ----
-        let mut nodes = phase1(sample, cfg);
+        let nodes = phase1(sample, cfg);
 
         // ---- Phase 2: decide per-node partition counts and split ----
-        let mut units: Vec<Unit> = Vec::new();
-        if nodes.len() < num_workers {
-            let counts = compute_number_partitions(sample, &nodes, num_workers, cfg);
-            for (node, k) in nodes.drain(..).zip(counts) {
-                units.extend(partition_node(sample, &node, k, cfg));
-            }
+        let mut units: Vec<Unit> = if nodes.len() < num_workers {
+            compute_number_partitions(sample, &nodes, num_workers, cfg)
+                .into_iter()
+                .flat_map(|(_, parts)| parts)
+                .collect()
         } else {
-            units.extend(nodes.drain(..).map(|n| Unit {
-                rect: n.rect,
-                terms: None,
-                objects: n.objects,
-                queries: n.queries,
-            }));
-        }
+            nodes
+                .into_iter()
+                .map(|n| Unit {
+                    rect: n.rect,
+                    terms: None,
+                    objects: n.objects,
+                    queries: n.queries,
+                })
+                .collect()
+        };
 
         // ---- Balance loop: merge into m partitions, split the heaviest
         // unit until the balance constraint holds or θ units exist ----
@@ -192,15 +193,7 @@ impl Partitioner for HybridPartitioner {
             units.extend(replacements);
         };
 
-        build_routing_table(
-            sample,
-            grid,
-            &units,
-            &assignment,
-            num_workers,
-            stats,
-            self.name(),
-        )
+        build_routing_table(grid, &units, &assignment, num_workers, stats, self.name())
     }
 }
 
@@ -208,14 +201,21 @@ impl Partitioner for HybridPartitioner {
 // Phase 1
 // ---------------------------------------------------------------------------
 
-fn text_similarity(sample: &WorkloadSample, objects: &[usize], queries: &[usize]) -> f64 {
+/// `simt(O_n, Q_n)`; `query_terms[i]` are the distinct keywords of
+/// insertion `i`, computed once per partitioning run.
+fn text_similarity(
+    sample: &WorkloadSample,
+    query_terms: &[Vec<TermId>],
+    objects: &[usize],
+    queries: &[usize],
+) -> f64 {
     let mut od = TermDistribution::new();
     for &i in objects {
         od.add_terms(&sample.objects()[i].terms);
     }
     let mut qd = TermDistribution::new();
     for &i in queries {
-        qd.add_terms(&sample.insertions()[i].keywords.all_terms());
+        qd.add_terms(&query_terms[i]);
     }
     od.cosine_similarity(&qd)
 }
@@ -238,43 +238,31 @@ fn split_node_contents(sample: &WorkloadSample, node: &Node, dim: usize) -> Opti
         return None;
     }
     let (low_rect, high_rect) = node.rect.split_at(dim, median);
-    let make = |rect: Rect| {
-        let objects: Vec<usize> = node
-            .objects
-            .iter()
-            .copied()
-            .filter(|&i| rect.contains_point(&sample.objects()[i].location))
-            .collect();
-        let queries: Vec<usize> = node
+    // an object on the split line goes to the low side only
+    let (mut low_objects, mut high_objects) = (Vec::new(), Vec::new());
+    for &i in &node.objects {
+        let location = &sample.objects()[i].location;
+        if low_rect.contains_point(location) {
+            low_objects.push(i);
+        } else if high_rect.contains_point(location) {
+            high_objects.push(i);
+        }
+    }
+    if low_objects.is_empty() && high_objects.is_empty() {
+        return None;
+    }
+    let make = |rect: Rect, objects: Vec<usize>| Node {
+        rect,
+        objects,
+        queries: node
             .queries
             .iter()
             .copied()
             .filter(|&i| rect.intersects(&sample.insertions()[i].region))
-            .collect();
-        Node {
-            rect,
-            objects,
-            queries,
-            class: NodeClass::Space,
-        }
+            .collect(),
+        class: NodeClass::Space,
     };
-    // assign objects on the split line to the low side only
-    let mut low = make(low_rect);
-    let mut high = make(high_rect);
-    // avoid double counting objects exactly on the boundary
-    let boundary: Vec<usize> = low
-        .objects
-        .iter()
-        .copied()
-        .filter(|i| high.objects.contains(i))
-        .collect();
-    high.objects.retain(|i| !boundary.contains(i));
-    if low.objects.is_empty() && high.objects.is_empty() {
-        return None;
-    }
-    low.class = NodeClass::Space;
-    high.class = NodeClass::Space;
-    Some((low, high))
+    Some((make(low_rect, low_objects), make(high_rect, high_objects)))
 }
 
 /// Phase 1 of Algorithm 1 (lines 1–12).
@@ -285,10 +273,16 @@ fn phase1(sample: &WorkloadSample, cfg: &HybridConfig) -> Vec<Node> {
         queries: (0..sample.insertions().len()).collect(),
         class: NodeClass::Space,
     };
+    let query_terms: Vec<Vec<TermId>> = sample
+        .insertions()
+        .iter()
+        .map(|q| q.keywords.all_terms())
+        .collect();
+    let similarity = |n: &Node| text_similarity(sample, &query_terms, &n.objects, &n.queries);
     let mut unresolved = vec![(root, 0usize)];
     let mut resolved: Vec<Node> = Vec::new();
     while let Some((mut node, depth)) = unresolved.pop() {
-        let sim = text_similarity(sample, &node.objects, &node.queries);
+        let sim = similarity(&node);
         if sim >= cfg.delta || depth >= cfg.max_depth {
             node.class = NodeClass::Space;
             resolved.push(node);
@@ -299,8 +293,7 @@ fn phase1(sample: &WorkloadSample, cfg: &HybridConfig) -> Vec<Node> {
         let mut best: Option<(f64, Node, Node)> = None;
         for dim in 0..2 {
             if let Some((a, b)) = split_node_contents(sample, &node, dim) {
-                let alpha = text_similarity(sample, &a.objects, &a.queries)
-                    .min(text_similarity(sample, &b.objects, &b.queries));
+                let alpha = similarity(&a).min(similarity(&b));
                 if best
                     .as_ref()
                     .map(|(best_alpha, _, _)| alpha < *best_alpha)
@@ -342,28 +335,42 @@ fn phase1(sample: &WorkloadSample, cfg: &HybridConfig) -> Vec<Node> {
 
 /// The dynamic program of Section IV-B: decides how many partitions each node
 /// receives so that the sum of loads after partitioning is minimal and the
-/// total number of partitions equals `m`.
+/// total number of partitions equals `m`. Returns, per node, that count and
+/// the units `PartitionNode` split the node into: every candidate split is
+/// built once, to price it, and the chosen one is kept.
 fn compute_number_partitions(
     sample: &WorkloadSample,
     nodes: &[Node],
     m: usize,
     cfg: &HybridConfig,
-) -> Vec<usize> {
+) -> Vec<(usize, Vec<Unit>)> {
     let n = nodes.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n >= m {
-        return vec![1; n];
+    if n == 0 || n >= m {
+        return nodes
+            .iter()
+            .map(|node| (1, partition_node(sample, node, 1, cfg)))
+            .collect();
     }
     let max_k = m - (n - 1);
-    // C[i][k] = total load after partitioning node i into k+1 parts
-    let mut c = vec![vec![f64::INFINITY; max_k + 1]; n];
-    for (i, node) in nodes.iter().enumerate() {
-        for (k, cost) in c[i].iter_mut().enumerate().skip(1) {
-            *cost = partition_node_cost(sample, node, k, cfg);
-        }
-    }
+    // parts[i][k - 1] = node i partitioned into k parts, and C[i][k - 1] =
+    // the total load of those parts
+    let mut parts: Vec<Vec<Vec<Unit>>> = nodes
+        .iter()
+        .map(|node| {
+            (1..=max_k)
+                .map(|k| partition_node(sample, node, k, cfg))
+                .collect()
+        })
+        .collect();
+    let c: Vec<Vec<f64>> = parts
+        .iter()
+        .map(|node_parts| {
+            node_parts
+                .iter()
+                .map(|units| units.iter().map(|u| u.load(&cfg.costs)).sum())
+                .collect()
+        })
+        .collect();
     // L[i][j] = minimal load partitioning the first i nodes into j partitions
     let mut l = vec![vec![f64::INFINITY; m + 1]; n + 1];
     let mut choice = vec![vec![0usize; m + 1]; n + 1];
@@ -373,7 +380,7 @@ fn compute_number_partitions(
             for k in 1..=max_k.min(j - (i - 1)) {
                 let prev = l[i - 1][j - k];
                 if prev.is_finite() {
-                    let cand = prev + c[i - 1][k];
+                    let cand = prev + c[i - 1][k - 1];
                     if cand < l[i][j] {
                         l[i][j] = cand;
                         choice[i][j] = k;
@@ -383,23 +390,15 @@ fn compute_number_partitions(
         }
     }
     // backtrack
-    let mut counts = vec![1usize; n];
+    let mut chosen: Vec<(usize, Vec<Unit>)> = Vec::with_capacity(n);
     let mut j = m;
     for i in (1..=n).rev() {
         let k = choice[i][j].max(1);
-        counts[i - 1] = k;
+        chosen.push((k, std::mem::take(&mut parts[i - 1][k - 1])));
         j -= k;
     }
-    counts
-}
-
-/// The load that would result from partitioning `node` into `k` parts,
-/// without materializing the partition (the `C[i, k]` of the DP).
-fn partition_node_cost(sample: &WorkloadSample, node: &Node, k: usize, cfg: &HybridConfig) -> f64 {
-    partition_node(sample, node, k, cfg)
-        .iter()
-        .map(|u| u.load(&cfg.costs))
-        .sum()
+    chosen.reverse();
+    chosen
 }
 
 /// `PartitionNode`: splits a node into `k` units. Nodes in `Nt` are
@@ -519,21 +518,30 @@ fn text_partition_node_restricted(
     k: usize,
     restrict_terms: Option<&[TermId]>,
 ) -> Vec<Unit> {
-    // posting term of each query in the node
+    // posting terms of the node's queries: `slot_of` numbers them, and
+    // `posted[slot]` lists the queries posted under that term
     let stats = sample.object_stats();
-    let mut term_queries: HashMap<TermId, Vec<usize>> = HashMap::new();
+    let allowed: Option<IdSet<TermId>> =
+        restrict_terms.map(|terms| terms.iter().copied().collect());
+    let mut slot_of: IdMap<TermId, usize> = IdMap::default();
+    let mut posted: Vec<(TermId, Vec<usize>)> = Vec::new();
     for &qi in &node.queries {
         let q = &sample.insertions()[qi];
         for t in q.keywords.representative_terms(|t| stats.frequency(t)) {
-            if let Some(allowed) = restrict_terms {
-                if !allowed.contains(&t) {
-                    continue;
-                }
+            if allowed
+                .as_ref()
+                .is_some_and(|allowed| !allowed.contains(&t))
+            {
+                continue;
             }
-            term_queries.entry(t).or_default().push(qi);
+            let slot = *slot_of.entry(t).or_insert_with(|| {
+                posted.push((t, Vec::new()));
+                posted.len() - 1
+            });
+            posted[slot].1.push(qi);
         }
     }
-    if term_queries.is_empty() {
+    if posted.is_empty() {
         return vec![Unit {
             rect: node.rect,
             terms: Some(restrict_terms.map(<[TermId]>::to_vec).unwrap_or_default()),
@@ -541,61 +549,73 @@ fn text_partition_node_restricted(
             queries: node.queries.clone(),
         }];
     }
+    // the node's posting terms of each of its objects, in one walk (object
+    // terms are distinct, so a slot is counted once per object)
+    let object_slots = |oi: usize| {
+        sample.objects()[oi]
+            .terms
+            .iter()
+            .filter_map(|t| slot_of.get(t).copied())
+    };
+    let mut object_count = vec![0usize; posted.len()];
+    for &oi in &node.objects {
+        for slot in object_slots(oi) {
+            object_count[slot] += 1;
+        }
+    }
     // weight of a term = queries posted under it × objects containing it
-    let mut terms: Vec<(TermId, f64)> = term_queries
+    let mut slots: Vec<(usize, f64)> = posted
         .iter()
-        .map(|(t, qs)| {
-            let obj_count = node
-                .objects
-                .iter()
-                .filter(|&&oi| sample.objects()[oi].contains_term(*t))
-                .count();
-            (*t, (qs.len() as f64) * (obj_count.max(1) as f64))
-        })
+        .zip(&object_count)
+        .enumerate()
+        .map(|(slot, ((_, qs), &objects))| (slot, (qs.len() as f64) * (objects.max(1) as f64)))
         .collect();
     // heaviest first; ties by term id, so the partition is a function of the
-    // sample and not of the map's iteration order
-    terms.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    let k = k.min(terms.len()).max(1);
-    // LPT over term weights
+    // sample and not of the order the terms were met in
+    slots.sort_by(|a, b| b.1.total_cmp(&a.1).then(posted[a.0].0.cmp(&posted[b.0].0)));
+    let k = k.min(slots.len()).max(1);
+    // LPT over term weights; every weight is at least 1 and k ≤ #terms, so
+    // each of the k groups receives a term
     let mut groups: Vec<Vec<TermId>> = vec![Vec::new(); k];
     let mut group_load = vec![0.0f64; k];
-    for (t, w) in terms {
+    let mut group_of = vec![0usize; posted.len()];
+    for (slot, w) in slots {
         let (best, _) = group_load
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .expect("k >= 1");
-        groups[best].push(t);
+        groups[best].push(posted[slot].0);
         group_load[best] += w;
+        group_of[slot] = best;
     }
-    groups
+    let mut units: Vec<Unit> = groups
         .into_iter()
-        .filter(|g| !g.is_empty())
-        .map(|terms| {
-            let queries: Vec<usize> = {
-                let mut qs: Vec<usize> = terms
-                    .iter()
-                    .flat_map(|t| term_queries.get(t).cloned().unwrap_or_default())
-                    .collect();
-                qs.sort_unstable();
-                qs.dedup();
-                qs
-            };
-            let objects: Vec<usize> = node
-                .objects
-                .iter()
-                .copied()
-                .filter(|&oi| terms.iter().any(|t| sample.objects()[oi].contains_term(*t)))
-                .collect();
-            Unit {
-                rect: node.rect,
-                terms: Some(terms),
-                objects,
-                queries,
-            }
+        .map(|terms| Unit {
+            rect: node.rect,
+            terms: Some(terms),
+            objects: Vec::new(),
+            queries: Vec::new(),
         })
-        .collect()
+        .collect();
+    for ((_, qs), &group) in posted.iter().zip(&group_of) {
+        units[group].queries.extend_from_slice(qs);
+    }
+    // an object goes to every group holding one of its terms, in node order:
+    // a second walk over the node's objects
+    for &oi in &node.objects {
+        for slot in object_slots(oi) {
+            let objects = &mut units[group_of[slot]].objects;
+            if objects.last() != Some(&oi) {
+                objects.push(oi);
+            }
+        }
+    }
+    for unit in &mut units {
+        unit.queries.sort_unstable();
+        unit.queries.dedup();
+    }
+    units
 }
 
 // ---------------------------------------------------------------------------
@@ -643,9 +663,10 @@ fn partition_loads(
 }
 
 /// Converts the final unit → worker assignment into the gridt routing table.
-#[allow(clippy::too_many_arguments)]
+/// Each text region gets one term map, which every cell whose centre lies in
+/// the region shares (the paper's kdt-tree keeps one map per text node; the
+/// grid only indexes it).
 fn build_routing_table(
-    sample: &WorkloadSample,
     grid: UniformGrid,
     units: &[Unit],
     assignment: &[WorkerId],
@@ -653,7 +674,6 @@ fn build_routing_table(
     stats: Arc<TermStats>,
     name: &str,
 ) -> RoutingTable {
-    // group text units by identical rect so one term map per region is built
     let mut cells: Vec<CellRouting> = vec![CellRouting::Single(WorkerId(0)); grid.num_cells()];
     // process spatial units first (they claim whole cells), then text units
     // (they overwrite their cells with term maps)
@@ -668,7 +688,7 @@ fn build_routing_table(
             }
         }
     }
-    // collect term maps per rect
+    // group text units by identical rect: one term map per region
     let mut rect_maps: Vec<(Rect, TermRouting)> = Vec::new();
     for (u, w) in units.iter().zip(assignment) {
         let Some(terms) = &u.terms else { continue };
@@ -676,7 +696,7 @@ fn build_routing_table(
         let routing = match entry {
             Some((_, routing)) => routing,
             None => {
-                rect_maps.push((u.rect, TermRouting::new(HashMap::new(), *w)));
+                rect_maps.push((u.rect, TermRouting::new([], *w)));
                 &mut rect_maps.last_mut().expect("just pushed").1
             }
         };
@@ -685,14 +705,14 @@ fn build_routing_table(
         }
     }
     for (rect, routing) in rect_maps {
+        let routing = Arc::new(routing);
         for cell in grid.cells_overlapping(&rect) {
             let center = grid.cell_rect(cell).center();
             if rect.contains_point(&center) {
-                cells[grid.cell_index(cell)] = CellRouting::OwnedTerms(routing.clone());
+                cells[grid.cell_index(cell)] = CellRouting::SharedTerms(Arc::clone(&routing));
             }
         }
     }
-    let _ = sample;
     RoutingTable::new(grid, cells, num_workers, stats, name)
 }
 
@@ -881,7 +901,8 @@ mod tests {
         let cfg = HybridConfig::default();
         let nodes = phase1(&sample, &cfg);
         if nodes.len() < 8 {
-            let counts = compute_number_partitions(&sample, &nodes, 8, &cfg);
+            let chosen = compute_number_partitions(&sample, &nodes, 8, &cfg);
+            let counts: Vec<usize> = chosen.iter().map(|(k, _)| *k).collect();
             assert_eq!(counts.len(), nodes.len());
             assert_eq!(counts.iter().sum::<usize>(), 8);
             assert!(counts.iter().all(|&c| c >= 1));

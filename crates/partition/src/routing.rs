@@ -14,8 +14,11 @@
 //!
 //! * space partitioning — every cell routes to a single worker,
 //! * text partitioning — every cell shares one global term→worker map,
-//! * hybrid partitioning — a mix of both, some cells having their own
-//!   term→worker map.
+//! * hybrid partitioning — a mix of both: the cells of one text-partitioned
+//!   region share that region's term→worker map.
+//!
+//! A shared map is copy-on-write: when the load adjustment text-splits one
+//! of its cells, that cell gets its own copy and the others keep sharing.
 
 use crate::registry::TermRegistry;
 use ps2stream_geo::{CellId, Rect, UniformGrid};
@@ -82,10 +85,11 @@ pub enum CellRouting {
     /// The whole cell is assigned to a single worker (space partitioning).
     Single(WorkerId),
     /// The cell routes by term using a map shared with other cells (global
-    /// text partitioning). Shared maps are counted once in memory accounting.
+    /// text partitioning, or one text-partitioned region of a hybrid
+    /// partition). Shared maps are counted once in memory accounting.
     SharedTerms(Arc<TermRouting>),
-    /// The cell routes by term using its own map (hybrid partitioning or a
-    /// cell that was text-split by the dynamic load adjustment).
+    /// The cell routes by term using its own map (a cell that was text-split
+    /// by the dynamic load adjustment).
     OwnedTerms(TermRouting),
 }
 
@@ -234,14 +238,26 @@ impl RoutingTable {
     /// [`TermRegistry`], so concurrent dispatchers insert queries without a
     /// table-level write lock (the steady-state requirement of Section IV-C).
     pub fn route_insert(&self, query: &StsQuery) -> Vec<WorkerId> {
-        let rep_terms = query
-            .keywords
-            .representative_terms(|t| self.object_stats.frequency(t));
-        let cells = self.grid.cells_overlapping(&query.region);
-        let mut workers: Vec<WorkerId> = Vec::with_capacity(2);
-        for cell in cells {
+        let mut workers = Vec::with_capacity(2);
+        self.route_insert_into(query, &mut workers);
+        workers
+    }
+
+    /// [`RoutingTable::route_insert`] into a caller-owned buffer, which is
+    /// cleared first. Each conjunction's least frequent keyword is looked
+    /// up in place, so with a recycled buffer an insertion whose `(cell,
+    /// term)` pairs are already registered allocates nothing.
+    pub fn route_insert_into(&self, query: &StsQuery, workers: &mut Vec<WorkerId>) {
+        workers.clear();
+        for cell in self.grid.cells_overlapping_iter(&query.region) {
             let idx = self.grid.cell_index(cell);
-            for &t in &rep_terms {
+            for conjunction in query.keywords.conjunctions() {
+                let Some(&t) = conjunction
+                    .iter()
+                    .min_by_key(|t| (self.object_stats.frequency(**t), t.0))
+                else {
+                    continue;
+                };
                 self.query_terms.insert(idx as u32, t);
                 let w = self.cells[idx].worker_for(t);
                 if !workers.contains(&w) {
@@ -249,7 +265,6 @@ impl RoutingTable {
                 }
             }
         }
-        workers
     }
 
     /// Routes an STS query deletion: every worker that may hold a copy of
@@ -257,6 +272,14 @@ impl RoutingTable {
     /// `H2` is left untouched: a stale filter term only costs an object a
     /// trip to a worker that matches nothing, and nothing prunes `H2`.
     pub fn route_delete(&self, query: &StsQuery) -> Vec<WorkerId> {
+        let mut workers = Vec::with_capacity(2);
+        self.route_delete_into(query, &mut workers);
+        workers
+    }
+
+    /// [`RoutingTable::route_delete`] into a caller-owned buffer, which is
+    /// cleared first: with a recycled buffer it allocates nothing.
+    pub fn route_delete_into(&self, query: &StsQuery, workers: &mut Vec<WorkerId>) {
         // A deletion must reach every worker that could hold a copy of the
         // query, and that is a strictly wider set than the insertion's
         // representative-term routing: text-split migrations *replicate* a
@@ -267,19 +290,23 @@ impl RoutingTable {
         // the query's terms covers every such worker; a delete for an
         // absent id is a cheap no-op at the worker, and deletions are rare
         // relative to objects.
-        let all_terms = query.keywords.all_terms();
-        let cells = self.grid.cells_overlapping(&query.region);
-        let mut workers: Vec<WorkerId> = Vec::with_capacity(2);
-        for cell in cells {
-            let idx = self.grid.cell_index(cell);
-            for &t in &all_terms {
-                let w = self.cells[idx].worker_for(t);
+        workers.clear();
+        for cell in self.grid.cells_overlapping_iter(&query.region) {
+            let routing = &self.cells[self.grid.cell_index(cell)];
+            if let CellRouting::Single(w) = routing {
+                // every term of the cell goes to its one worker
+                if !workers.contains(w) {
+                    workers.push(*w);
+                }
+                continue;
+            }
+            for &t in query.keywords.conjunctions().flatten() {
+                let w = routing.worker_for(t);
                 if !workers.contains(&w) {
                     workers.push(w);
                 }
             }
         }
-        workers
     }
 
     /// Has no effect: the `H2` registry has one fixed flat layout. Survives
@@ -587,6 +614,50 @@ mod tests {
         assert!(table.cell_routing(cell).is_text_partitioned());
         let worker_terms = table.cell_worker_terms(cell);
         assert_eq!(worker_terms[&WorkerId(1)], vec![TermId(3)]);
+    }
+
+    #[test]
+    fn splitting_a_shared_cell_copies_its_map_and_leaves_the_neighbours_shared() {
+        let grid = UniformGrid::new(bounds(), 4, 4);
+        let original = TermRouting::new(
+            [(TermId(1), WorkerId(0)), (TermId(2), WorkerId(1))],
+            WorkerId(0),
+        );
+        let shared = Arc::new(original.clone());
+        let cells: Vec<CellRouting> = (0..grid.num_cells())
+            .map(|_| CellRouting::SharedTerms(Arc::clone(&shared)))
+            .collect();
+        let mut table = RoutingTable::new(grid, cells, 2, Arc::new(TermStats::new()), "test");
+        table.route_insert(&qry(1, &[1], bounds()));
+        table.route_insert(&qry(2, &[2], bounds()));
+        let before = table.memory_usage();
+        let cell = table.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
+        let moved: HashSet<TermId> = [TermId(1)].into_iter().collect();
+        table.split_cell_by_terms(cell, &moved, WorkerId(1));
+
+        // the split cell owns a copy with only the moved term re-routed
+        let CellRouting::OwnedTerms(copy) = table.cell_routing(cell) else {
+            panic!("a split shared cell must own its map");
+        };
+        assert_eq!(copy.worker_for(TermId(1)), WorkerId(1));
+        assert_eq!(copy.worker_for(TermId(2)), WorkerId(1));
+        assert_eq!(copy.worker_for(TermId(3)), WorkerId(0));
+        assert_eq!(table.route_object(&obj(&[1], 1.0, 1.0)), vec![WorkerId(1)]);
+        // every other cell still holds the original, unchanged map
+        assert_eq!(*shared, original);
+        for other in table.grid().all_cells().filter(|&c| c != cell) {
+            let CellRouting::SharedTerms(map) = table.cell_routing(other) else {
+                panic!("neighbour {other:?} lost its shared map");
+            };
+            assert!(Arc::ptr_eq(map, &shared));
+        }
+        for (term, worker) in [(1, 0), (2, 1)] {
+            let routed = table.route_object(&obj(&[term], 15.0, 15.0));
+            assert_eq!(routed, vec![WorkerId(worker)]);
+        }
+        assert_eq!(Arc::strong_count(&shared), table.grid().num_cells());
+        // memory grows by the one copy; the shared map is still counted once
+        assert_eq!(table.memory_usage(), before + copy.memory_usage());
     }
 
     #[test]

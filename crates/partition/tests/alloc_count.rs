@@ -1,9 +1,12 @@
-//! Allocation-count regression test for object routing.
+//! Allocation-count regression tests for routing.
 //!
 //! Most objects die at the dispatcher (no registered keyword in their cell),
 //! so routing an object must cost no heap allocation: with a recycled
 //! destination buffer, `RoutingTable::route_object_into` allocates nothing
-//! for a discarded object or for a routed one.
+//! for a discarded object or for a routed one. Subscription updates share
+//! that buffer: `route_insert_into` allocates nothing once the query's
+//! `(cell, term)` pairs are registered, and `route_delete_into` nothing at
+//! all.
 //!
 //! Own test binary: the counting `#[global_allocator]` must not leak into
 //! the crate's other tests. Counts are per thread, so the tests do not see
@@ -128,4 +131,80 @@ fn routing_an_object_allocates_nothing_once_the_buffer_is_warm() {
         }
     });
     assert_eq!(discarded, 0, "a discarded object cost an allocation");
+}
+
+fn query(id: u64, keywords: BooleanExpr, region: Rect) -> StsQuery {
+    StsQuery::new(QueryId(id), SubscriberId(id), keywords, region)
+}
+
+#[test]
+fn routing_an_update_allocates_nothing_once_the_buffer_is_warm() {
+    let table = table();
+    // (query, expected destinations of its insertion and of its deletion)
+    let cases = [
+        // one Single cell, terms already registered by `table()`
+        (
+            query(
+                10,
+                BooleanExpr::single(TermId(1)),
+                Rect::from_coords(4.5, 4.5, 5.5, 5.5),
+            ),
+            vec![WorkerId(0)],
+        ),
+        // the text-split cell: term 2 routes to worker 1, term 1 to worker 0
+        (
+            query(
+                11,
+                BooleanExpr::or_of([TermId(1), TermId(2)]),
+                Rect::from_coords(0.5, 0.5, 1.5, 1.5),
+            ),
+            vec![WorkerId(0), WorkerId(1)],
+        ),
+        // a region across both halves of the grid, many cells
+        (
+            query(
+                12,
+                BooleanExpr::and_of([TermId(1), TermId(3)]),
+                Rect::from_coords(0.5, 0.5, 15.5, 15.5),
+            ),
+            vec![WorkerId(0), WorkerId(1)],
+        ),
+        // outside the grid
+        (
+            query(
+                13,
+                BooleanExpr::single(TermId(1)),
+                Rect::from_coords(40.0, 40.0, 41.0, 41.0),
+            ),
+            vec![],
+        ),
+    ];
+    let mut workers = Vec::new();
+    for (q, expected) in &cases {
+        // the first insertion registers the (cell, term) pairs it is
+        // posted under; from then on, inserting it is a read-only probe
+        table.route_insert_into(q, &mut workers);
+        workers.sort();
+        assert_eq!(&workers, expected);
+        let mut wrapped = table.route_insert(q);
+        wrapped.sort();
+        assert_eq!(&wrapped, expected);
+        table.route_delete_into(q, &mut workers);
+        workers.sort();
+        assert_eq!(&workers, expected);
+    }
+    let allocations = allocations_during(|| {
+        for _ in 0..1_000 {
+            for (q, expected) in &cases {
+                table.route_insert_into(q, &mut workers);
+                assert_eq!(workers.len(), expected.len());
+                table.route_delete_into(q, &mut workers);
+                assert_eq!(workers.len(), expected.len());
+            }
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "routing an update allocated with a warm buffer"
+    );
 }

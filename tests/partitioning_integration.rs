@@ -4,8 +4,8 @@
 //! partitioning wins on Q2, hybrid is never the worst and wins on Q3).
 
 use ps2stream::prelude::*;
-use ps2stream_partition::{evaluate_distribution, CellRouting, CostConstants};
-use ps2stream_workload::build_sample;
+use ps2stream_partition::{evaluate_distribution, CellRouting, CostConstants, TermRouting};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn total_load(partitioner: &dyn Partitioner, sample: &WorkloadSample, workers: usize) -> f64 {
@@ -104,6 +104,145 @@ fn routing_tables_reflect_their_strategy_families() {
     );
     // dispatcher memory ordering of Figure 9: space < hybrid-ish <= text-heavy
     assert!(space_table.memory_usage() <= hybrid_table.memory_usage());
+}
+
+/// Seed of the benchmark's synthetic geography: the calibration samples
+/// below are the ones its workloads partition.
+const LAYOUT_SEED: u64 = 2017;
+
+/// The benchmark-shaped calibration samples (10k objects each): TWEETS-UK
+/// Q2, TWEETS-US Q2 and TWEETS-US Q3.
+fn benchmark_samples() -> [(&'static str, WorkloadSample); 3] {
+    [
+        (
+            "uk-q2",
+            build_sample(
+                DatasetSpec::tweets_uk(),
+                QueryClass::Q2,
+                10_000,
+                2_500,
+                LAYOUT_SEED,
+            ),
+        ),
+        (
+            "us-q2",
+            build_sample(
+                DatasetSpec::tweets_us(),
+                QueryClass::Q2,
+                10_000,
+                2_000,
+                LAYOUT_SEED,
+            ),
+        ),
+        (
+            "us-q3",
+            build_sample(
+                DatasetSpec::tweets_us(),
+                QueryClass::Q3,
+                10_000,
+                2_500,
+                LAYOUT_SEED,
+            ),
+        ),
+    ]
+}
+
+/// FNV-1a over 32-bit words.
+fn fnv(hash: u64, word: u32) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// A digest of every routing decision of `table` for the sample's terms:
+/// per cell, whether it is `Single`, and the worker of every object and
+/// query term plus one unmapped id. Two tables with equal digests route
+/// every one of those terms alike in every cell.
+fn routing_digest(table: &RoutingTable, sample: &WorkloadSample) -> u64 {
+    let mut vocabulary: Vec<TermId> = sample
+        .objects()
+        .iter()
+        .flat_map(|o| o.terms.iter().copied())
+        .chain(
+            sample
+                .insertions()
+                .iter()
+                .flat_map(|q| q.keywords.all_terms()),
+        )
+        .collect();
+    vocabulary.sort_unstable();
+    vocabulary.dedup();
+    vocabulary.push(TermId(u32::MAX - 1));
+    let term_digest = |cell: &CellRouting| {
+        vocabulary
+            .iter()
+            .fold(FNV_OFFSET, |h, &t| fnv(h, cell.worker_for(t).0))
+    };
+    // a shared map is digested once; the result is the same as per cell
+    let mut shared: HashMap<*const TermRouting, u64> = HashMap::new();
+    table.grid().all_cells().fold(FNV_OFFSET, |h, cell| {
+        let routing = table.cell_routing(cell);
+        let d = match routing {
+            CellRouting::Single(w) => return fnv(fnv(h, 0), w.0),
+            CellRouting::SharedTerms(map) => *shared
+                .entry(Arc::as_ptr(map))
+                .or_insert_with(|| term_digest(routing)),
+            CellRouting::OwnedTerms(_) => term_digest(routing),
+        };
+        fnv(fnv(fnv(h, 1), d as u32), (d >> 32) as u32)
+    })
+}
+
+#[test]
+fn hybrid_tables_route_as_their_golden_digests_and_share_one_map_per_region() {
+    let [uk_q2, us_q2, us_q3] = benchmark_samples();
+    // digests of the tables built when each text region's map was still
+    // copied into every cell: sharing it must not move a single term
+    for (name, sample, workers, golden) in [
+        (uk_q2.0, &uk_q2.1, 2usize, 0xa0cf_04d0_c832_a325u64),
+        (us_q2.0, &us_q2.1, 2, 0x30fa_8cea_a9f0_6325),
+        (us_q3.0, &us_q3.1, 2, 0x02c1_a2e8_bba8_8b25),
+        (uk_q2.0, &uk_q2.1, 8, 0x44b3_63f2_ddb8_0325),
+    ] {
+        let table = HybridPartitioner::default().partition(sample, workers);
+        assert_eq!(
+            routing_digest(&table, sample),
+            golden,
+            "{name} at {workers} workers: the hybrid table routes differently"
+        );
+        // every text-routed cell shares its region's map, and distinct
+        // regions' maps differ, so no two Arcs hold the same map
+        let mut maps: Vec<&Arc<TermRouting>> = Vec::new();
+        for cell in table.grid().all_cells() {
+            match table.cell_routing(cell) {
+                CellRouting::Single(_) => {}
+                CellRouting::SharedTerms(map) => {
+                    if !maps.iter().any(|m| Arc::ptr_eq(m, map)) {
+                        maps.push(map);
+                    }
+                }
+                CellRouting::OwnedTerms(_) => {
+                    panic!("{name} at {workers} workers: cell {cell:?} owns a copy of its map")
+                }
+            }
+        }
+        for (i, a) in maps.iter().enumerate() {
+            for b in &maps[i + 1..] {
+                assert_ne!(a, b, "{name} at {workers} workers: one region, two Arcs");
+            }
+        }
+        // the Q2 samples are text-partitioned, so the checks above bite
+        assert_eq!(maps.is_empty(), name == "us-q3", "{name} at {workers} workers");
+        if workers == 2 {
+            let bytes = table.memory_usage();
+            assert!(
+                bytes < 1 << 20,
+                "{name} at 2 workers: table of {bytes} bytes"
+            );
+        }
+    }
 }
 
 #[test]
