@@ -10,13 +10,13 @@
 //! `PostingEntry`: the term's object-hit counter plus its posting list,
 //! stored in place while it is short. Most lists are (rare keywords are the
 //! common case), so posting a query usually allocates nothing and tearing an
-//! index down frees one table per cell, not one block per list. All purge
-//! entry points write removed slots into a **caller-provided buffer**
-//! (recycled via [`crate::MatchScratch`]) instead of allocating a fresh `Vec`
-//! per traversal.
+//! index down frees one table per cell, not one block per list. Every slot
+//! in a list is live: deleting a query unposts it from each of its entries
+//! with one probe apiece (`CellIndex::unpost`) before its slot is freed.
 
 use crate::slab::SlotId;
 use ps2stream_text::{IdMap, TermId};
+use std::collections::hash_map::Entry;
 
 /// Slots a posting list holds in place before it spills to the heap.
 const INLINE_SLOTS: usize = 4;
@@ -82,21 +82,10 @@ impl PostingEntry {
         }
     }
 
-    /// The posted slots, mutable — the matching hot loop compacts live
-    /// entries to the front while it scans, then calls
-    /// [`PostingEntry::truncate`].
-    #[inline]
-    pub(crate) fn slots_mut(&mut self) -> &mut [SlotId] {
-        match self {
-            PostingEntry::Inline { len, slots, .. } => &mut slots[..*len as usize],
-            PostingEntry::Spilled { list, .. } => list,
-        }
-    }
-
     /// Keeps the first `new_len` slots; a spilled list that fits in place
     /// again moves back and frees its block.
     #[inline]
-    pub(crate) fn truncate(&mut self, new_len: usize) {
+    fn truncate(&mut self, new_len: usize) {
         match self {
             PostingEntry::Inline { len, .. } => {
                 if new_len < *len as usize {
@@ -118,7 +107,10 @@ impl PostingEntry {
 
     /// Drops every slot `keep` rejects, preserving the order of the rest.
     fn retain<F: FnMut(SlotId) -> bool>(&mut self, mut keep: F) {
-        let list = self.slots_mut();
+        let list = match self {
+            PostingEntry::Inline { len, slots, .. } => &mut slots[..*len as usize],
+            PostingEntry::Spilled { list, .. } => &mut list[..],
+        };
         let mut write = 0;
         for read in 0..list.len() {
             let s = list[read];
@@ -130,20 +122,8 @@ impl PostingEntry {
         self.truncate(write);
     }
 
-    /// Drops every slot `is_deleted` accepts, appending each to `removed`.
-    fn purge_into<F: Fn(SlotId) -> bool>(&mut self, is_deleted: F, removed: &mut Vec<SlotId>) {
-        self.retain(|s| {
-            let deleted = is_deleted(s);
-            if deleted {
-                removed.push(s);
-            }
-            !deleted
-        });
-    }
-
-    /// Records that a recent object of the cell contained the term (only
-    /// called when live postings survived the traversal, so a term whose
-    /// postings were all tombstoned accrues no phantom hits).
+    /// Records that a recent object of the cell contained the term (a term
+    /// with no posted query has no entry, so it accrues no hits).
     #[inline]
     pub(crate) fn note_object_hit(&mut self) {
         let hits = self.hits_mut();
@@ -227,76 +207,40 @@ impl CellIndex {
     }
 
     /// The entry of a term — the matching hot loop's one probe per object
-    /// term, serving traversal, purge and hit accounting: the caller compacts
-    /// [`PostingEntry::slots_mut`] in place while scanning it, then either
-    /// truncates the entry and records the hit
-    /// ([`PostingEntry::note_object_hit`], only when live postings survived,
-    /// matching the purge-then-record order) or, when nothing survived,
-    /// drops it via [`CellIndex::remove_term`].
+    /// term, serving both traversal ([`PostingEntry::slots`]) and hit
+    /// accounting ([`PostingEntry::note_object_hit`]).
     #[inline]
     pub(crate) fn traverse(&mut self, term: TermId) -> Option<&mut PostingEntry> {
         self.postings.get_mut(&term)
     }
 
-    /// Drops a term's entry after the in-place compaction of
-    /// [`CellIndex::traverse`] left it no posting.
-    #[inline]
-    pub(crate) fn remove_term(&mut self, term: TermId) {
-        self.postings.remove(&term);
-    }
-
-    /// Edits the entry of `term` through `edit`, dropping it when its list
-    /// empties.
-    fn edit_postings(&mut self, term: TermId, edit: impl FnOnce(&mut PostingEntry)) {
-        let Some(entry) = self.postings.get_mut(&term) else {
+    /// Removes `slot` from the posting list of `term` with one probe,
+    /// dropping the entry when its list empties. Allocation-free: a spilled
+    /// list that shrinks back into the entry frees its block.
+    pub(crate) fn unpost(&mut self, term: TermId, slot: SlotId) {
+        let Entry::Occupied(mut entry) = self.postings.entry(term) else {
+            debug_assert!(
+                false,
+                "unpost of slot {slot:?} under unposted term {term:?}"
+            );
             return;
         };
-        edit(entry);
-        if entry.slots().is_empty() {
-            self.postings.remove(&term);
+        entry.get_mut().retain(|s| s != slot);
+        if entry.get().slots().is_empty() {
+            entry.remove();
         }
     }
 
-    /// Removes entries matching `is_deleted` from the posting list of
-    /// `term`, appending the removed slots to `removed` (one entry per
-    /// posting removed). No allocation: the caller provides (and recycles)
-    /// the buffer.
-    pub fn purge_postings_into<F: Fn(SlotId) -> bool>(
-        &mut self,
-        term: TermId,
-        is_deleted: F,
-        removed: &mut Vec<SlotId>,
-    ) {
-        self.edit_postings(term, |entry| entry.purge_into(is_deleted, removed));
-    }
-
-    /// Removes every posting of one specific slot under `term` (the eager
-    /// unpost path of insert-replacement and cell extraction; the removal
-    /// count is implied, so no buffer is needed).
-    pub(crate) fn unpost(&mut self, term: TermId, slot: SlotId) {
-        self.edit_postings(term, |entry| entry.retain(|s| s != slot));
-    }
-
-    /// Removes every posting whose slot satisfies `is_deleted`, across
-    /// **all** terms of the cell, appending one entry per removed posting to
-    /// `removed` so callers can settle lazy-deletion pending counts exactly.
-    /// Used when a cell is extracted for migration: tombstoned queries must
-    /// not survive in the cell, or a later re-insert of the same id
-    /// resurrects them.
-    pub fn purge_all_postings_into<F: Fn(SlotId) -> bool>(
-        &mut self,
-        is_deleted: F,
-        removed: &mut Vec<SlotId>,
-    ) {
-        self.postings.retain(|_, entry| {
-            entry.purge_into(&is_deleted, removed);
-            !entry.slots().is_empty()
-        });
-    }
-
-    /// Account for the physical removal of a query (after all its postings
-    /// have been purged or the cell was migrated away).
+    /// Account for the removal of a query whose postings in this cell were
+    /// unposted. Removing more than was posted is a bookkeeping bug: it
+    /// fails a debug assertion (release builds clamp at zero).
     pub fn note_removed(&mut self, query_bytes: usize) {
+        debug_assert!(
+            self.num_queries >= 1 && self.query_bytes >= query_bytes,
+            "removing {query_bytes} bytes from a cell of {} queries and {} bytes",
+            self.num_queries,
+            self.query_bytes
+        );
         self.num_queries = self.num_queries.saturating_sub(1);
         self.query_bytes = self.query_bytes.saturating_sub(query_bytes);
     }
@@ -384,6 +328,14 @@ impl CellIndex {
         out
     }
 
+    /// Calls `f` with every posting term and its list (the index audit).
+    #[cfg(test)]
+    pub(crate) fn for_each_posting_list(&self, mut f: impl FnMut(TermId, &[SlotId])) {
+        for (&t, entry) in &self.postings {
+            f(t, entry.slots());
+        }
+    }
+
     /// Approximate memory footprint of the cell in bytes, every byte counted
     /// once: the struct, then per posting term its table bucket (key, entry
     /// and 16 bytes of hash-table overhead) plus whatever the entry spilled
@@ -435,22 +387,18 @@ mod tests {
     }
 
     #[test]
-    fn purge_into_reuses_the_buffer() {
+    fn unpost_keeps_order_and_drops_the_emptied_entry() {
         let mut c = CellIndex::new();
         c.post(s(1), &[t(1)], 10);
         c.post(s(2), &[t(1)], 10);
         c.post(s(3), &[t(1)], 10);
-        let mut removed = Vec::new();
-        c.purge_postings_into(t(1), |id| id == s(2), &mut removed);
-        assert_eq!(removed, vec![s(2)]);
+        c.unpost(t(1), s(2));
         assert_eq!(c.postings(t(1)).unwrap(), &[s(1), s(3)]);
-        // purging everything drops the term entry; the buffer appends
-        c.purge_postings_into(t(1), |_| true, &mut removed);
-        assert_eq!(removed, vec![s(2), s(1), s(3)]);
+        // unposting everything drops the term entry
+        c.unpost(t(1), s(1));
+        c.unpost(t(1), s(3));
         assert!(c.postings(t(1)).is_none());
-        // purging a missing term is a no-op
-        c.purge_postings_into(t(9), |_| true, &mut removed);
-        assert_eq!(removed.len(), 3);
+        assert!(c.is_empty());
     }
 
     #[test]
@@ -471,17 +419,13 @@ mod tests {
         c.post(s(2), &[t(1)], 10);
         {
             let entry = c.traverse(t(1)).unwrap();
+            assert_eq!(entry.slots(), &[s(1), s(2)]);
             entry.retain(|x| x != s(1));
-            entry.note_object_hit(); // a live posting survived
+            entry.note_object_hit();
         }
         assert_eq!(c.postings(t(1)).unwrap(), &[s(2)]);
-        {
-            let entry = c.traverse(t(1)).unwrap();
-            entry.truncate(0);
-            // no note_object_hit: the whole list was compacted away
-            assert!(entry.slots().is_empty());
-        }
-        c.remove_term(t(1));
+        assert_eq!(c.term_stats()[0].object_hits, 1);
+        c.unpost(t(1), s(2));
         assert!(c.postings(t(1)).is_none());
         let stats = c.term_stats();
         assert!(stats.is_empty(), "term entry removed with its postings");
@@ -532,11 +476,19 @@ mod tests {
         c.note_removed(10);
         assert_eq!(c.num_queries(), 1);
         assert_eq!(c.query_bytes(), 30);
-        // saturates at zero
-        c.note_removed(1000);
-        c.note_removed(1000);
+        c.note_removed(30);
         assert_eq!(c.num_queries(), 0);
         assert_eq!(c.query_bytes(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "removing 10 bytes from a cell of 0 queries")]
+    fn note_removed_fails_on_a_double_removal() {
+        let mut c = CellIndex::new();
+        c.post(s(1), &[t(1)], 10);
+        c.note_removed(10);
+        c.note_removed(10);
     }
 
     #[test]
@@ -558,19 +510,6 @@ mod tests {
         assert_eq!(stats[1].object_hits, 0);
         c.reset_object_counter();
         assert!(c.term_stats().iter().all(|s| s.object_hits == 0));
-    }
-
-    #[test]
-    fn purge_all_postings_reports_every_removal() {
-        let mut c = CellIndex::new();
-        c.post(s(1), &[t(1), t(2)], 10);
-        c.post(s(2), &[t(1)], 10);
-        let mut removed = Vec::new();
-        c.purge_all_postings_into(|x| x == s(1), &mut removed);
-        removed.sort_unstable();
-        assert_eq!(removed, vec![s(1), s(1)], "one entry per posting removed");
-        assert_eq!(c.postings(t(1)).unwrap(), &[s(2)]);
-        assert!(c.postings(t(2)).is_none());
     }
 
     #[test]
@@ -629,13 +568,13 @@ mod tests {
         assert_eq!(c.postings(t(1)).unwrap(), &[s(1), s(3), s(4), s(5)]);
         assert_eq!(c.term_stats()[0].object_hits, 1);
         assert_eq!(c.term_stats()[0].queries, 4);
-        // a purge that empties a spilled list drops the entry
+        // unposting every slot of a spilled list drops the entry
         for i in 10..20 {
             c.post(s(i), &[t(2)], 10);
         }
-        let mut removed = Vec::new();
-        c.purge_postings_into(t(2), |_| true, &mut removed);
-        assert_eq!(removed.len(), 10);
+        for i in 10..20 {
+            c.unpost(t(2), s(i));
+        }
         assert!(c.postings(t(2)).is_none());
     }
 

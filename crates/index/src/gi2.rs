@@ -4,9 +4,10 @@
 //! queries in a uniform grid; inside each cell overlapped by a query's
 //! region, the query is appended to the inverted list of its least frequent
 //! keyword (one per conjunction of the DNF, which generalizes the paper's
-//! AND-only / OR rule). Deletions are lazy: deleted query ids become slab
-//! tombstones and their posting entries are physically removed while the
-//! lists are traversed during object matching.
+//! AND-only / OR rule). Deletions are eager: a deletion request carries the
+//! full query (Section IV-C), so [`Gi2Index::delete_by_id`] unposts it from
+//! every (cell, posting term) entry it was posted under and frees its slot
+//! before returning. Posting lists therefore only ever hold live queries.
 //!
 //! # The matching kernel
 //!
@@ -19,22 +20,21 @@
 //!   ([`BooleanExpr::signature`](ps2stream_text::BooleanExpr::signature));
 //!   most non-matching candidates are rejected by one `AND` against the
 //!   object's signature before the full boolean/spatial check runs;
-//! * per-object state (candidate dedup, result and purge buffers) lives in
-//!   a reusable [`MatchScratch`] — dedup is an epoch-stamped visit array,
-//!   cleared by bumping an epoch counter;
-//! * tombstone purging is folded into the candidate traversal itself: dead
-//!   entries are compacted out of the list in the same pass that scans it,
-//!   so there is no separate retain sweep at all (and no sweep cost when
-//!   nothing is tombstoned);
-//! * [`Gi2Index::match_batch`] amortizes the lazy-deletion settlement and
-//!   the work counters across a whole batch of objects; term-statistics
+//! * per-object state (candidate dedup, result buffer) lives in a reusable
+//!   [`MatchScratch`] — dedup is an epoch-stamped visit array, cleared by
+//!   bumping an epoch counter;
+//! * matching only reads posting lists (plus one hit counter per list it
+//!   walks): every posted slot is live, so there is no liveness branch and
+//!   no compaction in the candidate loop;
+//! * [`Gi2Index::match_batch`] amortizes the work counters and the visit
+//!   array's sizing across a whole batch of objects; term-statistics
 //!   observation stays inside the per-object loop (a separate up-front pass
 //!   over the batch would walk every term slice twice and trash the cache
 //!   before matching starts).
 
 use crate::cell::{CellIndex, CellTermStat};
 use crate::scratch::MatchScratch;
-use crate::slab::{QuerySlab, Slot, SlotId, StoredQuery};
+use crate::slab::{QuerySlab, Slot, StoredQuery};
 use ps2stream_geo::{CellId, Rect, UniformGrid};
 use ps2stream_model::{MatchResult, QueryId, SpatioTextualObject, StsQuery};
 use ps2stream_text::{terms_signature, TermStats};
@@ -91,8 +91,7 @@ impl CellLoadStat {
 pub struct Gi2Index {
     grid: UniformGrid,
     cells: Vec<CellIndex>,
-    /// Slab of stored queries (live + tombstoned); posting lists reference
-    /// its slots.
+    /// Slab of stored queries; posting lists reference its live slots.
     slab: QuerySlab,
     /// Term statistics used to pick the least frequent keyword at insertion.
     stats: TermStats,
@@ -143,7 +142,7 @@ impl Gi2Index {
 
     /// Returns true if a query id is currently stored (and not deleted).
     pub fn contains_query(&self, id: QueryId) -> bool {
-        self.slab.find(id).is_some_and(|s| self.slab.is_live(s))
+        self.slab.find(id).is_some()
     }
 
     /// Total number of candidate query evaluations performed so far (full
@@ -164,8 +163,8 @@ impl Gi2Index {
         self.signature_rejections
     }
 
-    /// Number of slab slots ever allocated (live + tombstoned + free) —
-    /// exposed for tests and memory diagnostics.
+    /// Number of slab slots ever allocated (live + free) — exposed for tests
+    /// and memory diagnostics.
     pub fn slab_capacity(&self) -> usize {
         self.slab.capacity()
     }
@@ -179,33 +178,7 @@ impl Gi2Index {
     /// Inserts an STS query (Section IV-D posting rule). Re-inserting an
     /// existing id replaces the previous version.
     pub fn insert(&mut self, query: StsQuery) {
-        if let Some(slot) = self.slab.find(query.id) {
-            if self.slab.is_live(slot) {
-                // Replacing a live id: purge the old postings eagerly. Lazy
-                // tombstoning would be undone the moment the id becomes live
-                // again below, orphaning the old generation's postings
-                // forever.
-                let old = self.slab.free_live(slot);
-                for &cell in &old.cells {
-                    let idx = self.grid.cell_index(cell);
-                    for &t in &old.posting_terms {
-                        self.cells[idx].unpost(t, slot);
-                    }
-                    self.cells[idx].note_removed(old.bytes);
-                }
-            } else {
-                // A previously tombstoned id that is re-inserted must stop
-                // being treated as deleted — and its not-yet-purged postings
-                // must go now, for the same reason as above.
-                let (cells, terms) = self.slab.free_tombstone(slot);
-                for &cell in &cells {
-                    let idx = self.grid.cell_index(cell);
-                    for &t in &terms {
-                        self.cells[idx].unpost(t, slot);
-                    }
-                }
-            }
-        }
+        self.delete_by_id(query.id);
         let posting_terms = query
             .keywords
             .representative_terms(|t| self.stats.frequency(t));
@@ -235,32 +208,25 @@ impl Gi2Index {
     }
 
     /// Deletes a query given the full query description (the deletion request
-    /// carries the complete query, Section IV-C). Uses lazy deletion: posting
-    /// entries are purged during subsequent matching.
+    /// carries the complete query, Section IV-C).
     pub fn delete(&mut self, query: &StsQuery) -> bool {
         self.delete_by_id(query.id)
     }
 
-    /// Deletes a query by id. Returns false if the id was not stored.
+    /// Deletes a query by id: unposts it from every (cell, posting term)
+    /// entry it was posted under — one probe per entry, no allocation — and
+    /// frees its slot. Returns false if the id was not stored.
     pub fn delete_by_id(&mut self, id: QueryId) -> bool {
         let Some(slot) = self.slab.find(id) else {
             return false;
         };
-        if !self.slab.is_live(slot) {
-            return false; // already deleted, tombstone still settling
-        }
-        let Gi2Index {
-            slab, cells, grid, ..
-        } = self;
-        let sq = slab.get_live(slot).expect("checked live above");
-        let pending = (sq.cells.len() * sq.posting_terms.len()) as u32;
-        for &cell in &sq.cells {
-            cells[grid.cell_index(cell)].note_removed(sq.bytes);
-        }
-        if pending == 0 {
-            let _ = self.slab.free_live(slot);
-        } else {
-            self.slab.tombstone(slot, pending);
+        let old = self.slab.free_live(slot);
+        for &cell in &old.cells {
+            let cell = &mut self.cells[self.grid.cell_index(cell)];
+            for &t in &old.posting_terms {
+                cell.unpost(t, slot);
+            }
+            cell.note_removed(old.bytes);
         }
         true
     }
@@ -268,10 +234,9 @@ impl Gi2Index {
     /// Matches a batch of objects (of any size, one included) against the
     /// indexed queries, calling `sink(position, object, results)` once per
     /// object in order with one deduplicated [`MatchResult`] per satisfied
-    /// query. Posting lists traversed along the way are purged of tombstoned
-    /// entries. Steady state performs **no allocation**. Amortized across
-    /// the batch: lazy-deletion settlement (once at the end — no query
-    /// mutation can occur mid-batch) and the work counters.
+    /// query. Steady state performs **no allocation**. Amortized across the
+    /// batch: the work counters and the sizing of the scratch's visit array
+    /// (no query mutation can occur mid-batch).
     ///
     /// Term statistics are observed **inside** the per-object loop, not in a
     /// separate up-front pass: walking every object's term slice before
@@ -284,7 +249,6 @@ impl Gi2Index {
         I: Iterator<Item = &'a SpatioTextualObject>,
         F: FnMut(usize, &'a SpatioTextualObject, &[MatchResult]),
     {
-        scratch.purged.clear();
         // The slab cannot grow mid-batch (matching takes no query updates),
         // so the visit array is sized once here and each object only bumps
         // the dedup epoch.
@@ -313,14 +277,12 @@ impl Gi2Index {
             sink(i, object, &scratch.results);
         }
         self.objects_processed += processed;
-        Self::settle(&mut self.slab, &mut scratch.purged);
     }
 
-    /// The single-pass candidate loop of one object in one cell: traverses
-    /// the posting lists of the object's terms, compacting tombstoned
-    /// entries out **in the same pass** (no separate retain sweep),
-    /// prefiltering candidates by signature, deduplicating via the scratch
-    /// epoch and running the full check only on survivors.
+    /// The candidate loop of one object in one cell: walks the posting lists
+    /// of the object's terms, prefiltering candidates by signature,
+    /// deduplicating via the scratch epoch and running the full check only
+    /// on survivors. Each list walked records one object hit.
     ///
     /// The caller must have prepared the scratch for this object (visit
     /// array sized to the slab, dedup epoch bumped).
@@ -335,7 +297,6 @@ impl Gi2Index {
         matches_checked: &mut u64,
         signature_rejections: &mut u64,
     ) {
-        let live = slab.live_flags();
         let sigs = slab.signatures();
         let slots = slab.slots();
         let cell_index = &mut cells[idx];
@@ -343,23 +304,8 @@ impl Gi2Index {
             let Some(entry) = cell_index.traverse(term) else {
                 continue;
             };
-            let list = entry.slots_mut();
-            let mut write = 0usize;
-            for read in 0..list.len() {
-                let s = list[read];
+            for &s in entry.slots() {
                 let si = s.index();
-                if !live[si] {
-                    // Lazy deletion: the slot is tombstoned (freed slots
-                    // cannot appear in posting lists) — drop the entry and
-                    // queue the settlement.
-                    debug_assert!(matches!(slots[si], Slot::Tombstoned { .. }));
-                    scratch.purged.push(s);
-                    continue;
-                }
-                if write != read {
-                    list[write] = s;
-                }
-                write += 1;
                 if sigs[si] & !osig != 0 {
                     // The object provably misses a required keyword.
                     *signature_rejections += 1;
@@ -370,7 +316,7 @@ impl Gi2Index {
                 }
                 *matches_checked += 1;
                 let Slot::Live(sq) = &slots[si] else {
-                    unreachable!("live flag set for a non-live slot");
+                    unreachable!("posting of a free slot");
                 };
                 if sq.query.matches(object) {
                     scratch.results.push(MatchResult::new(
@@ -380,31 +326,8 @@ impl Gi2Index {
                     ));
                 }
             }
-            if write == 0 {
-                // every posting was tombstoned: the term accrues no hit
-                // (same as the pre-slab purge-then-record order) and its
-                // entry goes
-                cell_index.remove_term(term);
-                continue;
-            }
-            entry.truncate(write);
             entry.note_object_hit();
         }
-    }
-
-    /// Settles lazy-deletion bookkeeping after postings were physically
-    /// purged: each purged entry decrements its slot's pending count, and a
-    /// count reaching zero frees the slot.
-    fn settle(slab: &mut QuerySlab, purged: &mut Vec<SlotId>) {
-        for s in purged.drain(..) {
-            slab.settle_one(s);
-        }
-    }
-
-    /// Number of query ids awaiting lazy-deletion settlement (exposed for
-    /// tests and memory accounting diagnostics).
-    pub fn pending_tombstones(&self) -> usize {
-        self.slab.num_tombstoned()
     }
 
     /// Per-cell load statistics for every non-empty cell, used by the dynamic
@@ -463,45 +386,25 @@ impl Gi2Index {
         filter: F,
     ) -> Vec<StsQuery> {
         let idx = self.grid.cell_index(cell);
-        // Tombstoned queries must not merely be *skipped*: their postings
-        // would stay behind in the extracted cell with their pending counts
-        // unsettled (the cell may never receive another object once it is
-        // migrated away, so the lazy sweep of matching never runs), and a
-        // later `insert` of the same query id removes the tombstone and
-        // resurrects the stale postings. Physically purge them now and settle
-        // the pending counts, exactly like the matching sweep would. When
-        // nothing is tombstoned anywhere, the whole pass is skipped.
-        if self.slab.num_tombstoned() > 0 {
-            let mut purged = Vec::new();
-            let Gi2Index { slab, cells, .. } = &mut *self;
-            cells[idx].purge_all_postings_into(|s| !slab.is_live(s), &mut purged);
-            Self::settle(slab, &mut purged);
-        }
         let mut slots = Vec::new();
         self.cells[idx].distinct_queries_into(&mut slots);
         let mut extracted = Vec::new();
+        let Gi2Index { slab, cells, .. } = self;
+        let cell_index = &mut cells[idx];
         for &slot in &slots {
-            let Some(sq) = self.slab.get_live(slot) else {
-                continue;
-            };
+            let sq = slab.get_live_mut(slot).expect("posted slots are live");
             if !filter(&sq.query) {
                 continue;
             }
             extracted.push(sq.query.clone());
             // Remove this cell's postings for the query.
-            let bytes = sq.bytes;
-            let terms = sq.posting_terms.clone();
-            for &t in &terms {
-                self.cells[idx].unpost(t, slot);
+            for &t in &sq.posting_terms {
+                cell_index.unpost(t, slot);
             }
-            self.cells[idx].note_removed(bytes);
-            let sq = self
-                .slab
-                .get_live_mut(slot)
-                .expect("query present: checked above");
+            cell_index.note_removed(sq.bytes);
             sq.cells.retain(|c| *c != cell);
             if sq.cells.is_empty() {
-                let _ = self.slab.free_live(slot);
+                let _ = slab.free_live(slot);
             }
         }
         extracted.sort_by_key(|q| q.id);
@@ -541,7 +444,7 @@ impl Gi2Index {
     }
 
     /// Approximate memory footprint of the index in bytes (posting lists,
-    /// the query slab, tombstones and term statistics).
+    /// the query slab and term statistics).
     pub fn memory_usage(&self) -> usize {
         let cells: usize = self.cells.iter().map(CellIndex::memory_usage).sum();
         cells + self.slab.memory_usage() + self.stats.memory_usage() + std::mem::size_of::<Self>()
@@ -550,7 +453,7 @@ impl Gi2Index {
     /// Iterates over all live queries, in slab order (used by the snapshot
     /// serializer and tests).
     pub fn queries(&self) -> impl Iterator<Item = &StsQuery> + '_ {
-        self.slab.iter_live().map(|sq| &sq.query)
+        self.slab.iter_live().map(|(_, sq)| &sq.query)
     }
 }
 
@@ -566,6 +469,48 @@ impl Gi2Index {
             |_, _, r| results.extend_from_slice(r),
         );
         results
+    }
+
+    /// Panics unless the postings and the slab agree exactly:
+    /// * every posted slot is live, and posted at most once per list;
+    /// * every live query is posted in exactly its cells × posting terms;
+    /// * each cell's `num_queries` and `query_bytes` equal a recount of the
+    ///   live queries posted there;
+    /// * the slab's capacity is its live slots plus its free list.
+    pub(crate) fn audit(&self) {
+        self.slab.audit();
+        let mut queries = vec![0usize; self.cells.len()];
+        let mut bytes = vec![0usize; self.cells.len()];
+        let mut expected = 0usize;
+        for (slot, sq) in self.slab.iter_live() {
+            for &cell in &sq.cells {
+                let idx = self.grid.cell_index(cell);
+                queries[idx] += 1;
+                bytes[idx] += sq.bytes;
+                for &t in &sq.posting_terms {
+                    let list = self.cells[idx].postings(t).unwrap_or_default();
+                    let n = list.iter().filter(|&&s| s == slot).count();
+                    assert_eq!(n, 1, "{:?} in {cell:?} under {t:?}", sq.query.id);
+                    expected += 1;
+                }
+            }
+        }
+        let mut posted = 0usize;
+        for cell in self.grid.all_cells() {
+            let idx = self.grid.cell_index(cell);
+            let c = &self.cells[idx];
+            c.for_each_posting_list(|term, list| {
+                assert!(!list.is_empty(), "empty list under {term:?} in {cell:?}");
+                for &slot in list {
+                    let live = self.slab.get_live(slot).is_some();
+                    assert!(live, "free {slot:?} posted in {cell:?}");
+                }
+                posted += list.len();
+            });
+            assert_eq!(c.num_queries(), queries[idx], "num_queries of {cell:?}");
+            assert_eq!(c.query_bytes(), bytes[idx], "query_bytes of {cell:?}");
+        }
+        assert_eq!(posted, expected, "postings beyond the live queries' own");
     }
 }
 
@@ -659,7 +604,7 @@ mod tests {
                 idx.matches_checked(),
                 idx.signature_rejections(),
             ],
-            idx.pending_tombstones(),
+            idx.slab_capacity(),
             idx.memory_usage(),
         )
     }
@@ -675,7 +620,7 @@ mod tests {
         let hit = object(1, &[1], 5.0, 5.0);
         let miss = object(2, &[2], 5.0, 5.0);
         // one scratch serves batches of any size against slabs of any size:
-        // no batch sees the results, visit stamps or purge list of the last
+        // no batch sees the results or visit stamps of the last
         let mut scratch = MatchScratch::new();
         let objects = [hit.clone(), miss, hit];
         for size in [1, 3] {
@@ -702,7 +647,7 @@ mod tests {
         for q in &queries {
             whole.insert(q.clone());
         }
-        // delete a few so matching also sweeps tombstones
+        // delete a few: their slots go back to the free list
         for i in [3u64, 7, 11] {
             whole.delete_by_id(QueryId(i));
         }
@@ -778,9 +723,9 @@ mod tests {
     }
 
     #[test]
-    fn match_batch_observes_objects_in_all_tombstoned_cells() {
-        // A cell whose posting entries are all tombstoned still has its
-        // objects observed and its tombstones settled, at any batch size.
+    fn match_batch_observes_objects_in_cells_whose_queries_were_all_deleted() {
+        // A cell whose queries were all deleted holds no posting any more,
+        // yet its objects are still observed and counted, at any batch size.
         let mut batched = Gi2Index::new(config());
         for i in 0..4u64 {
             batched.insert(query(i, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5)));
@@ -788,7 +733,8 @@ mod tests {
         for i in 0..4u64 {
             batched.delete_by_id(QueryId(i));
         }
-        assert_eq!(batched.pending_tombstones(), 4);
+        let cell = batched.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
+        assert!(batched.cell_term_stats(cell).is_empty());
         let mut singles = batched.clone();
         let objects: Vec<SpatioTextualObject> =
             (0..6u64).map(|i| object(i, &[1, 2], 1.0, 1.0)).collect();
@@ -797,10 +743,12 @@ mod tests {
             let got = match_chunked(idx, &mut scratch, &objects, size);
             assert!(
                 got.iter().all(Vec::is_empty),
-                "tombstoned query must not match"
+                "deleted query must not match"
             );
             assert_eq!(idx.term_stats().num_docs(), objects.len() as u64);
-            assert_eq!(idx.pending_tombstones(), 0);
+            assert_eq!(idx.cell_loads()[0].objects, objects.len() as u64);
+            assert_eq!(idx.matches_checked(), 0);
+            idx.audit();
         }
         assert_eq!(work_done(&batched), work_done(&singles));
     }
@@ -844,15 +792,19 @@ mod tests {
     }
 
     #[test]
-    fn lazy_deletion_purges_tombstones_during_matching() {
+    fn deletion_removes_the_postings_at_once() {
         let mut idx = Gi2Index::new(config());
         let q = query(1, &[1], Rect::from_coords(0.0, 0.0, 3.0, 3.0));
         idx.insert(q.clone());
+        let cell = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
+        assert_eq!(idx.cell_term_stats(cell).len(), 1);
         idx.delete(&q);
-        assert_eq!(idx.pending_tombstones(), 1);
-        // traversing the posting list purges the tombstone
-        let _ = idx.match_one(&object(1, &[1], 1.0, 1.0));
-        assert_eq!(idx.pending_tombstones(), 0);
+        // gone before any object walks the list
+        assert!(idx.cell_term_stats(cell).is_empty());
+        assert!(idx.slot_of(QueryId(1)).is_none());
+        idx.audit();
+        assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
+        assert_eq!(idx.matches_checked(), 0);
     }
 
     #[test]
@@ -883,9 +835,7 @@ mod tests {
         idx.insert(q1.clone());
         let (slot1, gen1) = idx.slot_of(QueryId(1)).unwrap();
         idx.delete(&q1);
-        // settle the tombstone by traversing the list, freeing the slot
         assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
-        assert_eq!(idx.pending_tombstones(), 0);
         assert!(idx.slot_of(QueryId(1)).is_none());
 
         // a different query reuses the freed slot (LIFO free list) with a
@@ -904,22 +854,23 @@ mod tests {
     }
 
     #[test]
-    fn slot_is_not_reused_while_tombstone_postings_linger() {
+    fn slot_is_reused_at_once_after_a_delete() {
         let mut idx = Gi2Index::new(config());
         let q1 = query(1, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5));
         idx.insert(q1.clone());
-        let (slot1, _) = idx.slot_of(QueryId(1)).unwrap();
+        let (slot1, gen1) = idx.slot_of(QueryId(1)).unwrap();
         idx.delete(&q1);
-        // no matching traffic: the tombstone still holds the slot
-        assert_eq!(idx.pending_tombstones(), 1);
+        // no matching traffic: the delete alone freed the slot
         idx.insert(query(2, &[2], Rect::from_coords(2.5, 2.5, 3.5, 3.5)));
-        let (slot2, _) = idx.slot_of(QueryId(2)).unwrap();
-        assert_ne!(slot2, slot1, "pending tombstone must keep its slot");
-        // settling the tombstone frees the slot for the next insert
+        let (slot2, gen2) = idx.slot_of(QueryId(2)).unwrap();
+        assert_eq!(slot2, slot1, "the freed slot is reused");
+        assert_eq!(gen2, gen1 + 1, "reuse bumps the generation");
+        assert_eq!(idx.slab_capacity(), 1);
+        idx.audit();
+        // the old query never matches, and is not even a candidate
         assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
-        idx.insert(query(3, &[3], Rect::from_coords(4.5, 4.5, 5.5, 5.5)));
-        let (slot3, _) = idx.slot_of(QueryId(3)).unwrap();
-        assert_eq!(slot3, slot1);
+        assert_eq!(idx.matches_checked(), 0);
+        assert_eq!(idx.match_one(&object(2, &[2], 3.0, 3.0)).len(), 1);
     }
 
     #[test]
@@ -1009,34 +960,31 @@ mod tests {
     }
 
     #[test]
-    fn tombstoned_postings_do_not_survive_cell_extraction() {
-        // Regression test for the tombstone-resurrection bug: a query that is
-        // deleted with no matching traffic (its lazy sweep never runs), whose
-        // cell is then migrated out, used to leave its postings in the cell
-        // and its pending count in the tombstone table. Re-inserting the same
-        // QueryId (with a different region and keywords) then removed the
-        // tombstone and resurrected the stale postings.
+    fn deleted_postings_do_not_survive_cell_extraction() {
+        // A query deleted with no matching traffic, whose cell is then
+        // migrated out, must leave nothing behind in the cell: a later
+        // re-insert of the same QueryId (with a different region and
+        // keywords) must not bring a stale posting back.
         let mut idx = Gi2Index::new(config());
         // lives in exactly one cell, posted under term 1
         let q1 = query(1, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5));
         idx.insert(q1.clone());
         idx.delete(&q1);
-        assert_eq!(idx.pending_tombstones(), 1);
+        idx.audit();
 
         // migrate the cell out with no object ever having traversed the list
         let cell = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
         let extracted = idx.extract_cell(cell);
         assert!(extracted.is_empty(), "a deleted query must not migrate");
-        // the pending count is settled, not leaked
-        assert_eq!(idx.pending_tombstones(), 0);
+        assert!(idx.cell_term_stats(cell).is_empty());
 
         // re-insert the same id with a different region (elsewhere) and keywords
         let q1_new = query(1, &[2], Rect::from_coords(40.0, 40.0, 50.0, 50.0));
         idx.insert(q1_new);
+        idx.audit();
 
         // an object in the old cell carrying the old keyword must not match —
-        // and must not even reach a candidate check against a resurrected
-        // stale posting
+        // and must not even reach a candidate check against a stale posting
         let checked_before = idx.matches_checked();
         let results = idx.match_one(&object(7, &[1], 1.0, 1.0));
         assert!(results.is_empty(), "stale posting resurrected a match");
@@ -1058,15 +1006,14 @@ mod tests {
     fn replacing_a_live_id_purges_the_old_generation_postings() {
         // Re-inserting a live id (the replacement path, also exercised by
         // cell migration when a spanning query is re-shipped to a worker that
-        // already holds it) must physically remove the old postings: the old
-        // generation was tombstoned-then-untombstoned before, orphaning its
-        // postings forever.
+        // already holds it) must remove the old postings, or they would be
+        // orphaned forever.
         let mut idx = Gi2Index::new(config());
         idx.insert(query(1, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5)));
         // replace with a different region and keywords
         idx.insert(query(1, &[2], Rect::from_coords(40.0, 40.0, 50.0, 50.0)));
         assert_eq!(idx.num_queries(), 1);
-        assert_eq!(idx.pending_tombstones(), 0);
+        idx.audit();
 
         // nothing of the old generation is traversed in the old cell
         let checked_before = idx.matches_checked();
@@ -1091,43 +1038,84 @@ mod tests {
     }
 
     #[test]
-    fn reinserting_a_tombstoned_id_purges_the_stale_postings() {
+    fn reinserting_a_deleted_id_posts_only_the_new_generation() {
         // delete (no matching traffic) then re-insert with a different
-        // region: the tombstoned generation's postings must not linger as
-        // live-looking entries once the tombstone is removed.
+        // region: only the new generation's postings exist, each once.
         let mut idx = Gi2Index::new(config());
         idx.insert(query(1, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5)));
         idx.delete(&query(1, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5)));
-        assert_eq!(idx.pending_tombstones(), 1);
         idx.insert(query(1, &[1], Rect::from_coords(40.0, 40.0, 50.0, 50.0)));
-        assert_eq!(idx.pending_tombstones(), 0);
+        idx.audit();
         // the old cell holds nothing any more
+        let old_cell = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
+        assert!(idx.cell_term_stats(old_cell).is_empty());
         let checked_before = idx.matches_checked();
         assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
         assert_eq!(idx.matches_checked(), checked_before);
-        let old_cell = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
         assert!(idx.extract_cell(old_cell).is_empty());
-        // the new generation works where it lives
+        // the new generation is posted once in each of its cells
+        let new_cell = idx.grid().cell_of(&Point::new(45.0, 45.0)).unwrap();
+        assert_eq!(idx.cell_term_stats(new_cell)[0].queries, 1);
         assert_eq!(idx.match_one(&object(2, &[1], 45.0, 45.0)).len(), 1);
     }
 
     #[test]
-    fn extraction_settles_tombstones_of_multi_cell_queries() {
-        // A deleted query spanning two cells: extracting one cell settles only
-        // that cell's share of the pending count; the other cell's share is
-        // settled by the lazy sweep when an object arrives there.
+    fn extraction_after_deleting_a_multi_cell_query_finds_no_postings() {
+        // A deleted query spanning two cells leaves neither cell any
+        // posting: extracting one ships nothing, and the other holds nothing
+        // for an object to walk.
         let mut idx = Gi2Index::new(config());
         // spans cells (0,0) and (1,0): x in [0.5, 6.5] crosses the 4.0 cell border
         let q = query(1, &[1], Rect::from_coords(0.5, 0.5, 6.5, 1.5));
         idx.insert(q.clone());
         idx.delete(&q);
-        assert_eq!(idx.pending_tombstones(), 1);
         let left = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
+        let right = idx.grid().cell_of(&Point::new(5.0, 1.0)).unwrap();
         assert!(idx.extract_cell(left).is_empty());
-        // still pending: the right cell's posting is not purged yet
-        assert_eq!(idx.pending_tombstones(), 1);
-        let _ = idx.match_one(&object(1, &[1], 5.0, 1.0));
-        assert_eq!(idx.pending_tombstones(), 0);
+        assert!(idx.cell_term_stats(right).is_empty());
+        idx.audit();
+        assert!(idx.match_one(&object(1, &[1], 5.0, 1.0)).is_empty());
+        assert_eq!(idx.matches_checked(), 0);
+    }
+    /// A query over the 2 × 2 cells around a spot picked by `id`, posted
+    /// under a term no other query uses.
+    fn rare_multi_cell_query(id: u64) -> StsQuery {
+        let (x, y) = (
+            2.0 + (id % 10) as f64 * 6.0,
+            2.0 + (id / 10 % 10) as f64 * 6.0,
+        );
+        query(
+            id,
+            &[1_000 + id as u32],
+            Rect::from_coords(x, y, x + 4.0, y + 4.0),
+        )
+    }
+
+    #[test]
+    fn deleting_without_matching_leaks_nothing() {
+        // Most posting lists are never walked again once their query is
+        // deleted, so deletion itself must give everything back.
+        let mut idx = Gi2Index::new(config());
+        for i in 0..100 {
+            idx.insert(rare_multi_cell_query(i));
+        }
+        assert!(
+            idx.cell_loads().len() > 100,
+            "the queries span several cells"
+        );
+        for i in 0..100 {
+            assert!(idx.delete_by_id(QueryId(i)));
+        }
+        for i in 100..200 {
+            idx.insert(rare_multi_cell_query(i));
+        }
+        idx.audit();
+        assert_eq!(idx.slab_capacity(), 100, "deleted slots are reused");
+        let mut fresh = Gi2Index::new(config());
+        for i in 100..200 {
+            fresh.insert(rare_multi_cell_query(i));
+        }
+        assert_eq!(idx.memory_usage(), fresh.memory_usage());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The central structure is [`Gi2Index`], the Grid-Inverted-Index each worker
 //! maintains over its registered STS queries (Section IV-D of the paper):
 //! a uniform grid whose cells each hold an inverted index keyed by the
-//! queries' least frequent keywords, with lazy deletion and per-cell load
+//! queries' least frequent keywords, with eager deletion and per-cell load
 //! statistics that feed the dynamic load adjustment algorithms.
 //!
 //! # Example
@@ -163,8 +163,8 @@ mod proptests {
         Replicate(u32, u32, u32),
         /// Register a run of single-keyword queries that share one keyword
         /// and one region, so the (cell, term) posting lists they land in
-        /// grow past the in-place capacity; later deletes, matches and
-        /// migrations tombstone, purge and move them back below it.
+        /// grow past the in-place capacity; later deletes and migrations
+        /// unpost them and shrink the lists back below it.
         HotTerm(Vec<GenQuery>),
     }
 
@@ -208,7 +208,7 @@ mod proptests {
 
     /// Matches `objects` as one batch on a copy of `index` and as batches of
     /// one on `index` itself, pins the two bit-identical (per-object results,
-    /// term statistics, work counters, tombstone settlement) and appends the
+    /// term statistics, work counters, memory), audits both and appends the
     /// `(object, query)` matches to `got`.
     fn match_any_batch_size(
         index: &mut Gi2Index,
@@ -232,8 +232,9 @@ mod proptests {
         prop_assert_eq!(whole.objects_processed(), index.objects_processed());
         prop_assert_eq!(whole.matches_checked(), index.matches_checked());
         prop_assert_eq!(whole.signature_rejections(), index.signature_rejections());
-        prop_assert_eq!(whole.pending_tombstones(), index.pending_tombstones());
         prop_assert_eq!(whole.memory_usage(), index.memory_usage());
+        whole.audit();
+        index.audit();
         got.extend(singles);
         Ok(())
     }
@@ -446,6 +447,8 @@ mod proptests {
                         }
                     }
                 }
+                a.audit();
+                b.audit();
             }
             // end state: the union of live queries equals the model
             let mut live: Vec<u64> = a.queries().chain(b.queries()).map(|q| q.id.0).collect();

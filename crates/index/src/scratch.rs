@@ -1,16 +1,15 @@
 //! Reusable scratch state of the GI² matching kernel.
 //!
-//! Matching one object needs a candidate-deduplication set and two lists
-//! (results, purged postings). [`MatchScratch`] holds all three as buffers
-//! that live across objects and batches — the worker owns one and threads it
+//! Matching one object needs a candidate-deduplication set and a result
+//! list. [`MatchScratch`] holds both as buffers that live across objects and
+//! batches — the worker owns one and threads it
 //! through [`crate::Gi2Index::match_batch`], making steady-state matching
 //! allocation-free:
 //!
 //! * deduplication is an **epoch-stamped visit array** indexed by slot id —
 //!   "seen this object" is `visited[slot] == epoch`, and clearing between
 //!   objects is a single `epoch += 1`;
-//! * the results and purged-slot buffers are recycled (`clear()` keeps
-//!   capacity).
+//! * the result buffer is recycled (`clear()` keeps capacity).
 
 use crate::slab::SlotId;
 use ps2stream_model::MatchResult;
@@ -29,10 +28,6 @@ pub struct MatchScratch {
     visited: Vec<u64>,
     /// Match results of the current object (recycled).
     pub(crate) results: Vec<MatchResult>,
-    /// Slots whose tombstoned postings were physically removed and await
-    /// lazy-deletion settlement (recycled; in batch mode settled once per
-    /// batch).
-    pub(crate) purged: Vec<SlotId>,
 }
 
 impl MatchScratch {
@@ -76,7 +71,6 @@ impl MatchScratch {
         std::mem::size_of::<Self>()
             + self.visited.capacity() * std::mem::size_of::<u64>()
             + self.results.capacity() * std::mem::size_of::<MatchResult>()
-            + self.purged.capacity() * std::mem::size_of::<SlotId>()
     }
 }
 

@@ -188,7 +188,6 @@ mod tests {
         let _ = b.match_one(&object(0, &[1], 1.0, 1.0));
         b.delete_by_id(QueryId(3));
         b.insert(qs[3].clone());
-        // settle any remaining tombstones so live sets agree
         assert_eq!(a.num_queries(), b.num_queries());
         // equalize the stats (b observed one object above)
         let stats = a.term_stats().clone();

@@ -6,7 +6,9 @@
 //! * inserting a query costs a bounded number of heap allocations however
 //!   many cells it overlaps (it used to cost one `Vec` per overlapped cell
 //!   and posting term);
-//! * matching a batch against the stored queries allocates nothing at all.
+//! * matching a batch against the stored queries allocates nothing at all;
+//! * deleting a query, which unposts it from every (cell, term) list it is
+//!   in, allocates nothing either.
 //!
 //! Own test binary: the counting `#[global_allocator]` must not leak into
 //! the crate's other tests. Counts are per thread, so the tests do not see
@@ -18,6 +20,7 @@ use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, Subscrib
 use ps2stream_text::{BooleanExpr, TermId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -112,7 +115,7 @@ fn matching_a_batch_allocates_nothing() {
     for q in queries() {
         idx.insert(q);
     }
-    // tombstones in the lists make the batch compact while it scans
+    // deletions leave some lists shorter and some terms without a list
     for i in (0..QUERIES).step_by(7) {
         idx.delete_by_id(QueryId(i));
     }
@@ -134,9 +137,7 @@ fn matching_a_batch_allocates_nothing() {
         .collect();
     let mut scratch = MatchScratch::new();
     let mut delivered = 0usize;
-    // the first pass sizes the scratch buffers and the term statistics (and
-    // purges the tombstones it meets; the second meets the rest of the lists
-    // already compacted)
+    // the first pass sizes the scratch buffers and the term statistics
     idx.match_batch(objects.iter(), &mut scratch, |_, _, r| delivered += r.len());
     assert!(delivered > 0, "the batch must actually match something");
     let mut again = 0usize;
@@ -156,4 +157,62 @@ fn matching_a_batch_allocates_nothing() {
     });
     assert_eq!(singly, delivered);
     assert_eq!(allocations, 0, "a batch of one allocated in steady state");
+}
+
+#[test]
+fn a_delete_allocates_nothing() {
+    let mut idx = index();
+    for q in queries() {
+        idx.insert(q);
+    }
+    // six more queries over the same cells, all posted under one shared
+    // term: each of their 64 lists spills past the in-place capacity
+    const SHARED: u32 = 5_000;
+    for i in 0..6u64 {
+        idx.insert(StsQuery::new(
+            QueryId(QUERIES + i),
+            SubscriberId(i),
+            BooleanExpr::and_of([TermId(SHARED), TermId(6_000 + i as u32)]),
+            Rect::from_coords(0.5, 0.5, 31.5, 31.5),
+        ));
+    }
+    let cell = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
+    let list_len = |idx: &Gi2Index, term: u32| {
+        idx.cell_term_stats(cell)
+            .iter()
+            .find(|s| s.term == TermId(term))
+            .map_or(0, |s| s.queries)
+    };
+    let deleting = |idx: &mut Gi2Index, id: u64| {
+        let mut deleted = false;
+        let allocations = allocations_during(|| deleted = idx.delete_by_id(QueryId(id)));
+        assert!(deleted, "query {id} was stored");
+        allocations
+    };
+    // in-place lists: term 0 holds queries 0, 128, 256 and 384; the last
+    // delete drops the entry
+    assert_eq!(list_len(&idx, 0), 4);
+    for id in [0, TERMS, 2 * TERMS, 3 * TERMS] {
+        assert_eq!(deleting(&mut idx, id), 0, "delete of {id} (in-place list)");
+    }
+    assert_eq!(list_len(&idx, 0), 0);
+    // a spilled list that stays spilled: 6 → 5
+    assert_eq!(list_len(&idx, SHARED), 6);
+    let before = idx.memory_usage();
+    assert_eq!(deleting(&mut idx, QUERIES), 0, "delete from a spilled list");
+    let stays_spilled = before - idx.memory_usage();
+    // a spilled list that moves back in place and frees its block: 5 → 4
+    let before = idx.memory_usage();
+    assert_eq!(
+        deleting(&mut idx, QUERIES + 1),
+        0,
+        "delete that shrinks a list"
+    );
+    let moves_in_place = before - idx.memory_usage();
+    assert_eq!(list_len(&idx, SHARED), 4);
+    assert!(
+        moves_in_place >= stays_spilled + CELLS_PER_QUERY as usize * size_of::<Vec<u32>>(),
+        "the {CELLS_PER_QUERY} spilled blocks were freed: {moves_in_place} vs {stays_spilled} bytes"
+    );
+    assert_eq!(idx.num_queries(), QUERIES as usize);
 }

@@ -18,8 +18,8 @@
 //!   so no static spatial split stays balanced;
 //! * **churn-storm** — mass subscribe/unsubscribe: every window opens with a
 //!   burst of query insertions and later unsubscribes exactly those queries,
-//!   stressing index maintenance (slab churn, tombstone settlement) rather
-//!   than matching;
+//!   stressing index maintenance (slab churn, unposting deleted queries)
+//!   rather than matching;
 //! * **diurnal** — a sinusoidal load curve: a time-varying fraction of
 //!   objects is "awake", concentrated near fixed busy centers and tagged
 //!   with frequent-head terms, emulating the day/night cycle of a tweet

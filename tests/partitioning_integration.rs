@@ -234,7 +234,11 @@ fn hybrid_tables_route_as_their_golden_digests_and_share_one_map_per_region() {
             }
         }
         // the Q2 samples are text-partitioned, so the checks above bite
-        assert_eq!(maps.is_empty(), name == "us-q3", "{name} at {workers} workers");
+        assert_eq!(
+            maps.is_empty(),
+            name == "us-q3",
+            "{name} at {workers} workers"
+        );
         if workers == 2 {
             let bytes = table.memory_usage();
             assert!(
