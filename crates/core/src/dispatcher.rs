@@ -55,6 +55,9 @@ pub struct Dispatcher {
     /// Ingest instants of the records discarded during the current run,
     /// recorded as completed once at its end (recycled).
     completed: Vec<Instant>,
+    /// Objects discarded during the current run, added to
+    /// `SystemMetrics::discarded_objects` once at its end.
+    discarded: u64,
     /// The load adjustment controller, on dispatcher 0 only.
     controller: Option<AdjustmentController>,
 }
@@ -80,6 +83,7 @@ impl Dispatcher {
             targets: Vec::new(),
             supervisor: None,
             completed: Vec::new(),
+            discarded: 0,
             controller: None,
         }
     }
@@ -137,11 +141,7 @@ impl Dispatcher {
             None => {
                 // Discarded at the dispatcher (object with no registered
                 // keyword in its cell): the tuple is complete.
-                if envelope.payload.is_object() {
-                    self.metrics
-                        .discarded_objects
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+                self.discarded += u64::from(envelope.payload.is_object());
                 self.completed.push(envelope.ingested_at);
             }
             Some((&last, rest)) => {
@@ -200,6 +200,12 @@ impl Operator for Dispatcher {
             self.deliver(worker, batch, emitter);
         }
         drop(routing);
+        // one add per run, before the run's records are recorded complete
+        if self.discarded > 0 {
+            self.metrics
+                .discarded_objects
+                .fetch_add(std::mem::take(&mut self.discarded), Ordering::Relaxed);
+        }
         self.metrics.record_completed(&mut self.completed);
         // The controller may take the write lock, so it steps only after
         // the run's read guard is gone — once per input batch, so its

@@ -7,148 +7,205 @@
 //! Posting lists carry dense [`SlotId`]s into the owning index's query slab
 //! (see [`crate::slab`]), so candidate verification during matching is an
 //! array index — no per-candidate hash probe. Each (cell, term) pair owns one
-//! `PostingEntry`: the term's object-hit counter plus its posting list,
-//! stored in place while it is short. Most lists are (rare keywords are the
-//! common case), so posting a query usually allocates nothing and tearing an
-//! index down frees one table per cell, not one block per list. Every slot
-//! in a list is live: deleting a query unposts it from each of its entries
-//! with one probe apiece (`CellIndex::unpost`) before its slot is freed.
+//! 12-byte `PostingEntry`: the term's object-hit counter plus up to two
+//! slots in place, so a table bucket is 16 bytes. Most lists hold one or two
+//! slots (rare keywords are the common case); a longer list lives in the
+//! index's one `PostingArena`, and the entry holds a marker and the
+//! arena index. Every slot in a list is live: deleting a query unposts it
+//! from each of its entries with one probe apiece (`CellIndex::unpost`)
+//! before its slot is freed.
 
 use crate::slab::SlotId;
 use ps2stream_text::{IdMap, TermId};
 use std::collections::hash_map::Entry;
 
-/// Slots a posting list holds in place before it spills to the heap.
-const INLINE_SLOTS: usize = 4;
+/// Slots a posting entry holds in place before its list spills to the arena.
+const INLINE_SLOTS: usize = 2;
 
 /// Everything a cell keeps for one posting term: how many recent objects of
 /// the cell contained the term (feeds the Phase-I text-split decision of the
 /// local load adjustment) and the non-empty list of slots posted under it.
 ///
-/// 24 bytes — no larger than the `Vec` header it replaces: both variants
-/// carry the hit counter so it packs next to the discriminant, and a spilled
-/// list sits behind one thin pointer.
-#[derive(Debug, Clone)]
-pub(crate) enum PostingEntry {
-    /// Up to [`INLINE_SLOTS`] slots, `slots[..len]`, in place.
-    Inline {
-        len: u8,
-        hits: u32,
-        slots: [SlotId; INLINE_SLOTS],
-    },
-    /// More than [`INLINE_SLOTS`] slots.
-    #[allow(clippy::box_collection)] // a bare `Vec` would make every entry 32 bytes
-    Spilled { hits: u32, list: Box<Vec<SlotId>> },
+/// `slots` is `[a, SlotId::EMPTY]` for a one-slot list, `[a, b]` for two,
+/// and `[SlotId::SPILLED, i]` for a list of three or more held at arena
+/// index `i`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PostingEntry {
+    hits: u32,
+    slots: [SlotId; INLINE_SLOTS],
 }
 
 impl PostingEntry {
     /// An entry whose list holds `slot` alone.
     fn new(slot: SlotId) -> Self {
-        let mut slots = [SlotId(0); INLINE_SLOTS];
-        slots[0] = slot;
-        PostingEntry::Inline {
-            len: 1,
+        Self {
             hits: 0,
-            slots,
+            slots: [slot, SlotId::EMPTY],
         }
     }
 
-    /// Appends a slot, spilling the list once it outgrows the entry.
-    fn push(&mut self, slot: SlotId) {
-        match self {
-            PostingEntry::Inline { len, slots, .. } if (*len as usize) < INLINE_SLOTS => {
-                slots[*len as usize] = slot;
-                *len += 1;
-            }
-            PostingEntry::Inline { hits, slots, .. } => {
-                let mut list = Vec::with_capacity(2 * INLINE_SLOTS);
-                list.extend_from_slice(slots);
-                list.push(slot);
-                *self = PostingEntry::Spilled {
-                    hits: *hits,
-                    list: Box::new(list),
-                };
-            }
-            PostingEntry::Spilled { list, .. } => list.push(slot),
+    /// Appends a slot; a third one spills the list to the arena.
+    #[inline]
+    fn push(&mut self, slot: SlotId, arena: &mut PostingArena) {
+        match self.slots {
+            [SlotId::SPILLED, SlotId(i)] => arena.lists[i as usize].push(slot),
+            [_, SlotId::EMPTY] => self.slots[1] = slot,
+            [a, b] => self.slots = [SlotId::SPILLED, SlotId(arena.spill([a, b, slot]))],
         }
     }
 
     /// The posted slots.
     #[inline]
-    pub(crate) fn slots(&self) -> &[SlotId] {
-        match self {
-            PostingEntry::Inline { len, slots, .. } => &slots[..*len as usize],
-            PostingEntry::Spilled { list, .. } => list,
+    pub(crate) fn slots<'a>(&'a self, arena: &'a PostingArena) -> &'a [SlotId] {
+        match self.slots {
+            [SlotId::SPILLED, SlotId(i)] => &arena.lists[i as usize],
+            [_, SlotId::EMPTY] => &self.slots[..1],
+            _ => &self.slots,
         }
     }
 
-    /// Keeps the first `new_len` slots; a spilled list that fits in place
-    /// again moves back and frees its block.
+    /// Removes `slot`, preserving the order of the rest; a spilled list that
+    /// fits in place again moves back and releases its block. Returns true
+    /// if the list is now empty.
     #[inline]
-    fn truncate(&mut self, new_len: usize) {
-        match self {
-            PostingEntry::Inline { len, .. } => {
-                if new_len < *len as usize {
-                    *len = new_len as u8;
+    fn remove(&mut self, slot: SlotId, arena: &mut PostingArena) -> bool {
+        match self.slots {
+            [SlotId::SPILLED, SlotId(i)] => {
+                let list = &mut arena.lists[i as usize];
+                list.retain(|&s| s != slot);
+                if list.len() == INLINE_SLOTS {
+                    self.slots = [list[0], list[1]];
+                    arena.release(i);
                 }
+                false
             }
-            PostingEntry::Spilled { list, .. } if new_len > INLINE_SLOTS => list.truncate(new_len),
-            PostingEntry::Spilled { hits, list } => {
-                let mut slots = [SlotId(0); INLINE_SLOTS];
-                slots[..new_len].copy_from_slice(&list[..new_len]);
-                *self = PostingEntry::Inline {
-                    len: new_len as u8,
-                    hits: *hits,
-                    slots,
-                };
+            [a, b] if a == slot => {
+                self.slots = [b, SlotId::EMPTY];
+                b == SlotId::EMPTY
             }
-        }
-    }
-
-    /// Drops every slot `keep` rejects, preserving the order of the rest.
-    fn retain<F: FnMut(SlotId) -> bool>(&mut self, mut keep: F) {
-        let list = match self {
-            PostingEntry::Inline { len, slots, .. } => &mut slots[..*len as usize],
-            PostingEntry::Spilled { list, .. } => &mut list[..],
-        };
-        let mut write = 0;
-        for read in 0..list.len() {
-            let s = list[read];
-            if keep(s) {
-                list[write] = s;
-                write += 1;
+            [_, b] if b == slot => {
+                self.slots[1] = SlotId::EMPTY;
+                false
+            }
+            _ => {
+                debug_assert!(false, "unpost of unposted slot {slot:?}");
+                false
             }
         }
-        self.truncate(write);
     }
 
     /// Records that a recent object of the cell contained the term (a term
     /// with no posted query has no entry, so it accrues no hits).
     #[inline]
     pub(crate) fn note_object_hit(&mut self) {
-        let hits = self.hits_mut();
-        *hits = hits.saturating_add(1);
+        self.hits = self.hits.saturating_add(1);
     }
 
+    /// The arena index of a spilled list (the index audit).
+    #[cfg(test)]
+    fn spilled(&self) -> Option<u32> {
+        match self.slots {
+            [SlotId::SPILLED, SlotId(i)] => Some(i),
+            _ => None,
+        }
+    }
+}
+
+/// The posting lists of three or more slots of one index, one block each,
+/// indexed by the `u32` their entry holds. A list that shrinks back to two
+/// slots moves into its entry, and its block is freed and its index reused.
+#[derive(Debug, Default)]
+pub(crate) struct PostingArena {
+    lists: Vec<Vec<SlotId>>,
+    /// Indices of released lists. Its capacity covers every index, so a
+    /// delete never allocates.
+    free: Vec<u32>,
+}
+
+impl Clone for PostingArena {
+    fn clone(&self) -> Self {
+        let mut free = Vec::with_capacity(self.lists.len());
+        free.extend_from_slice(&self.free);
+        Self {
+            lists: self.lists.clone(),
+            free,
+        }
+    }
+}
+
+impl PostingArena {
+    /// Stores a new list: one block, at a released index when there is one.
+    fn spill(&mut self, slots: [SlotId; INLINE_SLOTS + 1]) -> u32 {
+        let mut list = Vec::with_capacity(2 * INLINE_SLOTS);
+        list.extend_from_slice(&slots);
+        if let Some(i) = self.free.pop() {
+            self.lists[i as usize] = list;
+            return i;
+        }
+        self.lists.push(list);
+        self.free.reserve(self.lists.len() - self.free.len());
+        (self.lists.len() - 1) as u32
+    }
+
+    /// Frees the block of list `i` and makes its index reusable.
     #[inline]
-    fn hits_mut(&mut self) -> &mut u32 {
-        let (PostingEntry::Inline { hits, .. } | PostingEntry::Spilled { hits, .. }) = self;
-        hits
+    fn release(&mut self, i: u32) {
+        drop(std::mem::take(&mut self.lists[i as usize]));
+        self.free.push(i);
     }
 
-    fn object_hits(&self) -> u32 {
-        let (PostingEntry::Inline { hits, .. } | PostingEntry::Spilled { hits, .. }) = self;
-        *hits
+    /// Approximate memory footprint in bytes: a `Vec` header per index,
+    /// 4 bytes per released index and 4 per slot of a live list.
+    pub(crate) fn memory_usage(&self) -> usize {
+        self.lists.len() * std::mem::size_of::<Vec<SlotId>>()
+            + std::mem::size_of_val::<[u32]>(&self.free)
+            + self
+                .lists
+                .iter()
+                .map(|list| std::mem::size_of_val::<[SlotId]>(list))
+                .sum::<usize>()
     }
 
-    /// Bytes the entry owns outside itself.
-    fn spilled_bytes(&self) -> usize {
-        match self {
-            PostingEntry::Inline { .. } => 0,
-            PostingEntry::Spilled { list, .. } => {
-                std::mem::size_of::<Vec<SlotId>>() + std::mem::size_of_val::<[SlotId]>(list)
+    /// Panics unless every live list is referenced by exactly one entry
+    /// (`referenced` holds the index of every spilled entry) and holds at
+    /// least three slots, and every released list is empty and listed once.
+    #[cfg(test)]
+    pub(crate) fn audit(&self, referenced: &[u32]) {
+        let mut references = vec![0usize; self.lists.len()];
+        for &i in referenced {
+            references[i as usize] += 1;
+        }
+        let mut released = vec![false; self.lists.len()];
+        for &i in &self.free {
+            let i = i as usize;
+            assert!(!released[i], "list {i} released twice");
+            released[i] = true;
+            assert!(self.lists[i].is_empty(), "released list {i} holds slots");
+            assert_eq!(
+                self.lists[i].capacity(),
+                0,
+                "released list {i} kept its block"
+            );
+            assert_eq!(references[i], 0, "released list {i} is referenced");
+        }
+        for (i, list) in self.lists.iter().enumerate() {
+            if !released[i] {
+                assert_eq!(
+                    references[i], 1,
+                    "list {i} referenced {} times",
+                    references[i]
+                );
+                assert!(
+                    list.len() > INLINE_SLOTS,
+                    "list {i} holds {} slots",
+                    list.len()
+                );
             }
         }
+        assert!(
+            self.free.capacity() >= self.lists.len(),
+            "a delete could allocate"
+        );
     }
 }
 
@@ -186,24 +243,34 @@ impl CellIndex {
 
     /// Posts a query under the given terms. `query_bytes` is the approximate
     /// in-memory size of the query, used for migration cost accounting.
-    pub fn post(&mut self, slot: SlotId, terms: &[TermId], query_bytes: usize) {
+    pub(crate) fn post(
+        &mut self,
+        slot: SlotId,
+        terms: &[TermId],
+        query_bytes: usize,
+        arena: &mut PostingArena,
+    ) {
         if terms.is_empty() {
             return;
         }
         for &t in terms {
             self.postings
                 .entry(t)
-                .and_modify(|e| e.push(slot))
+                .and_modify(|e| e.push(slot, arena))
                 .or_insert_with(|| PostingEntry::new(slot));
         }
         self.num_queries += 1;
         self.query_bytes += query_bytes;
     }
 
-    /// The posting list for a term, if any.
-    #[inline]
-    pub fn postings(&self, term: TermId) -> Option<&[SlotId]> {
-        self.postings.get(&term).map(PostingEntry::slots)
+    /// The posting list for a term, if any (tests and the index audit).
+    #[cfg(test)]
+    pub(crate) fn postings<'a>(
+        &'a self,
+        term: TermId,
+        arena: &'a PostingArena,
+    ) -> Option<&'a [SlotId]> {
+        self.postings.get(&term).map(|entry| entry.slots(arena))
     }
 
     /// The entry of a term — the matching hot loop's one probe per object
@@ -217,7 +284,7 @@ impl CellIndex {
     /// Removes `slot` from the posting list of `term` with one probe,
     /// dropping the entry when its list empties. Allocation-free: a spilled
     /// list that shrinks back into the entry frees its block.
-    pub(crate) fn unpost(&mut self, term: TermId, slot: SlotId) {
+    pub(crate) fn unpost(&mut self, term: TermId, slot: SlotId, arena: &mut PostingArena) {
         let Entry::Occupied(mut entry) = self.postings.entry(term) else {
             debug_assert!(
                 false,
@@ -225,8 +292,7 @@ impl CellIndex {
             );
             return;
         };
-        entry.get_mut().retain(|s| s != slot);
-        if entry.get().slots().is_empty() {
+        if entry.get_mut().remove(slot, arena) {
             entry.remove();
         }
     }
@@ -254,22 +320,18 @@ impl CellIndex {
     /// Per-term statistics of the cell (queries posted and recent object hits
     /// per posting term), streamed to `f` without building an intermediate
     /// collection.
-    pub fn for_each_term_stat<F: FnMut(CellTermStat)>(&self, mut f: F) {
+    pub(crate) fn for_each_term_stat<F: FnMut(CellTermStat)>(
+        &self,
+        arena: &PostingArena,
+        mut f: F,
+    ) {
         for (t, entry) in &self.postings {
             f(CellTermStat {
                 term: *t,
-                queries: entry.slots().len() as u64,
-                object_hits: u64::from(entry.object_hits()),
+                queries: entry.slots(arena).len() as u64,
+                object_hits: u64::from(entry.hits),
             });
         }
-    }
-
-    /// Per-term statistics of the cell as a collection (tests and cold
-    /// paths; hot consumers use [`CellIndex::for_each_term_stat`]).
-    pub fn term_stats(&self) -> Vec<CellTermStat> {
-        let mut out = Vec::with_capacity(self.postings.len());
-        self.for_each_term_stat(|s| out.push(s));
-        out
     }
 
     /// Number of objects recorded since the last reset (`n_o`).
@@ -282,7 +344,7 @@ impl CellIndex {
     pub fn reset_object_counter(&mut self) {
         self.objects_seen = 0;
         for entry in self.postings.values_mut() {
-            *entry.hits_mut() = 0;
+            entry.hits = 0;
         }
     }
 
@@ -299,19 +361,12 @@ impl CellIndex {
     /// Appends the distinct slots posted in this cell to `out` (sorted,
     /// deduplicated; the buffer is caller-provided so the migration paths
     /// can recycle it instead of flatten-collecting a fresh `Vec`).
-    pub fn distinct_queries_into(&self, out: &mut Vec<SlotId>) {
+    pub(crate) fn distinct_queries_into(&self, arena: &PostingArena, out: &mut Vec<SlotId>) {
         for entry in self.postings.values() {
-            out.extend_from_slice(entry.slots());
+            out.extend_from_slice(entry.slots(arena));
         }
         out.sort_unstable();
         out.dedup();
-    }
-
-    /// All distinct slots posted in this cell (sorted, deduplicated).
-    pub fn all_queries(&self) -> Vec<SlotId> {
-        let mut out = Vec::new();
-        self.distinct_queries_into(&mut out);
-        out
     }
 
     /// Returns true if no query is posted in this cell.
@@ -319,39 +374,26 @@ impl CellIndex {
         self.postings.is_empty()
     }
 
-    /// Clears the cell, returning the distinct slots it held.
-    pub fn drain(&mut self) -> Vec<SlotId> {
-        let out = self.all_queries();
-        self.postings.clear();
-        self.num_queries = 0;
-        self.query_bytes = 0;
-        out
-    }
-
-    /// Calls `f` with every posting term and its list (the index audit).
+    /// Calls `f` with every posting term, its list and, when the list is
+    /// spilled, its arena index (the index audit).
     #[cfg(test)]
-    pub(crate) fn for_each_posting_list(&self, mut f: impl FnMut(TermId, &[SlotId])) {
+    pub(crate) fn for_each_posting_list(
+        &self,
+        arena: &PostingArena,
+        mut f: impl FnMut(TermId, &[SlotId], Option<u32>),
+    ) {
         for (&t, entry) in &self.postings {
-            f(t, entry.slots());
+            f(t, entry.slots(arena), entry.spilled());
         }
     }
 
     /// Approximate memory footprint of the cell in bytes, every byte counted
     /// once: the struct, then per posting term its table bucket (key, entry
-    /// and 16 bytes of hash-table overhead) plus whatever the entry spilled
-    /// to the heap.
+    /// and 16 bytes of hash-table overhead). Spilled lists are the arena's
+    /// (`PostingArena::memory_usage`).
     pub fn memory_usage(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self
-                .postings
-                .values()
-                .map(|entry| {
-                    std::mem::size_of::<TermId>()
-                        + std::mem::size_of::<PostingEntry>()
-                        + 16
-                        + entry.spilled_bytes()
-                })
-                .sum::<usize>()
+            + self.postings.len() * (std::mem::size_of::<(TermId, PostingEntry)>() + 16)
     }
 }
 
@@ -366,29 +408,60 @@ mod tests {
         TermId(i)
     }
 
+    /// A cell with the arena its spilled lists live in.
+    #[derive(Default)]
+    struct Cell {
+        c: CellIndex,
+        arena: PostingArena,
+    }
+
+    impl Cell {
+        fn post(&mut self, slot: SlotId, terms: &[TermId], bytes: usize) {
+            self.c.post(slot, terms, bytes, &mut self.arena);
+        }
+        fn unpost(&mut self, term: TermId, slot: SlotId) {
+            self.c.unpost(term, slot, &mut self.arena);
+        }
+        fn postings(&self, term: TermId) -> Option<&[SlotId]> {
+            self.c.postings(term, &self.arena)
+        }
+        fn spilled(&mut self, term: TermId) -> bool {
+            self.c.traverse(term).and_then(|e| e.spilled()).is_some()
+        }
+        fn term_stats(&self) -> Vec<CellTermStat> {
+            let mut out = Vec::new();
+            self.c.for_each_term_stat(&self.arena, |s| out.push(s));
+            out.sort_by_key(|s| s.term);
+            out
+        }
+        fn memory_usage(&self) -> usize {
+            self.c.memory_usage() + self.arena.memory_usage()
+        }
+    }
+
     #[test]
     fn post_and_lookup() {
-        let mut c = CellIndex::new();
+        let mut c = Cell::default();
         c.post(s(1), &[t(5)], 100);
         c.post(s(2), &[t(5), t(7)], 200);
         assert_eq!(c.postings(t(5)).unwrap(), &[s(1), s(2)]);
         assert_eq!(c.postings(t(7)).unwrap(), &[s(2)]);
         assert!(c.postings(t(9)).is_none());
-        assert_eq!(c.num_queries(), 2);
-        assert_eq!(c.query_bytes(), 300);
+        assert_eq!(c.c.num_queries(), 2);
+        assert_eq!(c.c.query_bytes(), 300);
     }
 
     #[test]
     fn post_with_no_terms_is_a_noop() {
-        let mut c = CellIndex::new();
+        let mut c = Cell::default();
         c.post(s(1), &[], 100);
-        assert!(c.is_empty());
-        assert_eq!(c.num_queries(), 0);
+        assert!(c.c.is_empty());
+        assert_eq!(c.c.num_queries(), 0);
     }
 
     #[test]
     fn unpost_keeps_order_and_drops_the_emptied_entry() {
-        let mut c = CellIndex::new();
+        let mut c = Cell::default();
         c.post(s(1), &[t(1)], 10);
         c.post(s(2), &[t(1)], 10);
         c.post(s(3), &[t(1)], 10);
@@ -396,40 +469,47 @@ mod tests {
         assert_eq!(c.postings(t(1)).unwrap(), &[s(1), s(3)]);
         // unposting everything drops the term entry
         c.unpost(t(1), s(1));
+        assert_eq!(c.postings(t(1)).unwrap(), &[s(3)]);
         c.unpost(t(1), s(3));
         assert!(c.postings(t(1)).is_none());
-        assert!(c.is_empty());
+        assert!(c.c.is_empty());
     }
 
     #[test]
     fn unpost_removes_one_slot() {
-        let mut c = CellIndex::new();
+        let mut c = Cell::default();
         c.post(s(1), &[t(1), t(2)], 10);
         c.post(s(2), &[t(1)], 10);
         c.unpost(t(1), s(1));
         assert_eq!(c.postings(t(1)).unwrap(), &[s(2)]);
         c.unpost(t(2), s(1));
         assert!(c.postings(t(2)).is_none());
+        // the second of two slots goes just as well
+        c.post(s(3), &[t(1)], 10);
+        c.unpost(t(1), s(3));
+        assert_eq!(c.postings(t(1)).unwrap(), &[s(2)]);
     }
 
     #[test]
     fn traverse_allows_compaction_and_hits_are_explicit() {
-        let mut c = CellIndex::new();
+        let mut c = Cell::default();
         c.post(s(1), &[t(1)], 10);
         c.post(s(2), &[t(1)], 10);
         {
-            let entry = c.traverse(t(1)).unwrap();
-            assert_eq!(entry.slots(), &[s(1), s(2)]);
-            entry.retain(|x| x != s(1));
+            let entry = c.c.traverse(t(1)).unwrap();
+            assert_eq!(entry.slots(&c.arena), &[s(1), s(2)]);
+            assert!(!entry.remove(s(1), &mut c.arena));
             entry.note_object_hit();
         }
         assert_eq!(c.postings(t(1)).unwrap(), &[s(2)]);
         assert_eq!(c.term_stats()[0].object_hits, 1);
         c.unpost(t(1), s(2));
         assert!(c.postings(t(1)).is_none());
-        let stats = c.term_stats();
-        assert!(stats.is_empty(), "term entry removed with its postings");
-        assert!(c.traverse(t(9)).is_none());
+        assert!(
+            c.term_stats().is_empty(),
+            "term entry removed with its postings"
+        );
+        assert!(c.c.traverse(t(9)).is_none());
     }
 
     #[test]
@@ -444,77 +524,72 @@ mod tests {
 
     #[test]
     fn all_queries_dedups_multi_term_postings() {
-        let mut c = CellIndex::new();
-        c.post(s(1), &[t(1), t(2)], 10);
-        c.post(s(2), &[t(2)], 10);
-        assert_eq!(c.all_queries(), vec![s(1), s(2)]);
-        // the _into variant recycles its buffer
+        let mut c = Cell::default();
+        c.post(s(2), &[t(1), t(2)], 10);
+        c.post(s(1), &[t(2)], 10);
+        for i in 3..6 {
+            c.post(s(i), &[t(1)], 10); // t(1) spills
+        }
+        // the buffer is recycled: it is appended to, then sorted and deduped
         let mut buf = vec![s(9)];
         buf.clear();
-        c.distinct_queries_into(&mut buf);
-        assert_eq!(buf, vec![s(1), s(2)]);
-    }
-
-    #[test]
-    fn drain_empties_the_cell() {
-        let mut c = CellIndex::new();
-        c.post(s(1), &[t(1)], 10);
-        c.post(s(2), &[t(3)], 20);
-        c.record_object();
-        let drained = c.drain();
-        assert_eq!(drained, vec![s(1), s(2)]);
-        assert!(c.is_empty());
-        assert_eq!(c.num_queries(), 0);
-        assert_eq!(c.query_bytes(), 0);
+        c.c.distinct_queries_into(&c.arena, &mut buf);
+        assert_eq!(buf, (1..6).map(s).collect::<Vec<_>>());
     }
 
     #[test]
     fn note_removed_adjusts_counters() {
-        let mut c = CellIndex::new();
+        let mut c = Cell::default();
         c.post(s(1), &[t(1)], 10);
         c.post(s(2), &[t(1)], 30);
-        c.note_removed(10);
-        assert_eq!(c.num_queries(), 1);
-        assert_eq!(c.query_bytes(), 30);
-        c.note_removed(30);
-        assert_eq!(c.num_queries(), 0);
-        assert_eq!(c.query_bytes(), 0);
+        c.c.note_removed(10);
+        assert_eq!(c.c.num_queries(), 1);
+        assert_eq!(c.c.query_bytes(), 30);
+        c.c.note_removed(30);
+        assert_eq!(c.c.num_queries(), 0);
+        assert_eq!(c.c.query_bytes(), 0);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "removing 10 bytes from a cell of 0 queries")]
     fn note_removed_fails_on_a_double_removal() {
-        let mut c = CellIndex::new();
+        let mut c = Cell::default();
         c.post(s(1), &[t(1)], 10);
-        c.note_removed(10);
-        c.note_removed(10);
+        c.c.note_removed(10);
+        c.c.note_removed(10);
     }
 
     #[test]
     fn term_stats_track_queries_and_object_hits() {
-        let mut c = CellIndex::new();
+        let mut c = Cell::default();
         c.post(s(1), &[t(1)], 10);
         c.post(s(2), &[t(1)], 10);
         c.post(s(3), &[t(2)], 10);
-        c.traverse(t(1)).unwrap().note_object_hit();
-        c.traverse(t(1)).unwrap().note_object_hit();
-        assert!(c.traverse(t(9)).is_none()); // no posting list -> nothing to hit
-        let mut stats = c.term_stats();
-        stats.sort_by_key(|s| s.term);
-        assert_eq!(stats.len(), 2);
+        c.post(s(4), &[t(3)], 10);
+        c.post(s(5), &[t(3)], 10);
+        c.post(s(6), &[t(3)], 10);
+        c.c.traverse(t(1)).unwrap().note_object_hit();
+        c.c.traverse(t(1)).unwrap().note_object_hit();
+        c.c.traverse(t(3)).unwrap().note_object_hit();
+        assert!(c.c.traverse(t(9)).is_none()); // no posting list -> nothing to hit
+        let stats = c.term_stats();
+        assert_eq!(stats.len(), 3);
         assert_eq!(stats[0].term, t(1));
         assert_eq!(stats[0].queries, 2);
         assert_eq!(stats[0].object_hits, 2);
         assert_eq!(stats[1].queries, 1);
         assert_eq!(stats[1].object_hits, 0);
-        c.reset_object_counter();
+        // a spilled list counts its arena slots
+        assert_eq!(stats[2].queries, 3);
+        assert_eq!(stats[2].object_hits, 1);
+        c.c.reset_object_counter();
         assert!(c.term_stats().iter().all(|s| s.object_hits == 0));
     }
 
     #[test]
     fn memory_usage_grows_with_postings() {
-        let mut c = CellIndex::new();
+        let mut c = Cell::default();
         let base = c.memory_usage();
         for i in 0..50 {
             c.post(s(i), &[t(i % 5)], 10);
@@ -523,29 +598,23 @@ mod tests {
     }
 
     #[test]
-    fn entry_is_no_larger_than_the_vec_header_it_replaced() {
-        assert_eq!(std::mem::size_of::<PostingEntry>(), 24);
-        assert_eq!(std::mem::size_of::<Vec<SlotId>>(), 24);
+    fn table_bucket_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<PostingEntry>(), 12);
+        assert_eq!(std::mem::size_of::<(TermId, PostingEntry)>(), 16);
     }
 
     #[test]
     fn list_spills_past_the_inline_capacity_and_moves_back() {
-        let mut c = CellIndex::new();
+        let mut c = Cell::default();
         let n = INLINE_SLOTS as u32;
         for i in 0..n {
             c.post(s(i), &[t(1)], 10);
         }
-        assert!(matches!(
-            c.traverse(t(1)),
-            Some(PostingEntry::Inline { .. })
-        ));
-        c.traverse(t(1)).unwrap().note_object_hit();
+        assert!(!c.spilled(t(1)));
+        c.c.traverse(t(1)).unwrap().note_object_hit();
         c.post(s(n), &[t(1)], 10);
         c.post(s(n + 1), &[t(1)], 10);
-        assert!(matches!(
-            c.traverse(t(1)),
-            Some(PostingEntry::Spilled { .. })
-        ));
+        assert!(c.spilled(t(1)));
         let all: Vec<SlotId> = (0..n + 2).map(s).collect();
         assert_eq!(
             c.postings(t(1)).unwrap(),
@@ -554,35 +623,32 @@ mod tests {
         );
         // still above the capacity: stays spilled
         c.unpost(t(1), s(0));
-        assert!(matches!(
-            c.traverse(t(1)),
-            Some(PostingEntry::Spilled { .. })
-        ));
+        assert!(c.spilled(t(1)));
         assert_eq!(c.postings(t(1)).unwrap(), &all[1..]);
         // back within it: stored in place again, order and hits intact
         c.unpost(t(1), s(2));
-        assert!(matches!(
-            c.traverse(t(1)),
-            Some(PostingEntry::Inline { .. })
-        ));
-        assert_eq!(c.postings(t(1)).unwrap(), &[s(1), s(3), s(4), s(5)]);
+        assert!(!c.spilled(t(1)));
+        assert_eq!(c.postings(t(1)).unwrap(), &[s(1), s(3)]);
         assert_eq!(c.term_stats()[0].object_hits, 1);
-        assert_eq!(c.term_stats()[0].queries, 4);
-        // unposting every slot of a spilled list drops the entry
+        assert_eq!(c.term_stats()[0].queries, 2);
+        // unposting every slot of a spilled list drops the entry, and the
+        // next list to spill reuses the released arena index
         for i in 10..20 {
             c.post(s(i), &[t(2)], 10);
         }
+        assert_eq!(c.c.traverse(t(2)).unwrap().spilled(), Some(0));
         for i in 10..20 {
             c.unpost(t(2), s(i));
         }
         assert!(c.postings(t(2)).is_none());
+        c.arena.audit(&[]);
     }
 
     #[test]
     fn memory_usage_counts_entry_and_spilled_slots_once() {
         let bucket = std::mem::size_of::<TermId>() + std::mem::size_of::<PostingEntry>() + 16;
-        assert_eq!(bucket, 44);
-        let mut c = CellIndex::new();
+        assert_eq!(bucket, 32);
+        let mut c = Cell::default();
         let empty = std::mem::size_of::<CellIndex>();
         assert_eq!(c.memory_usage(), empty);
         // three terms whose lists stay in place: one bucket each, whatever
@@ -592,14 +658,18 @@ mod tests {
         for i in 3..3 + INLINE_SLOTS as u32 - 1 {
             c.post(s(i), &[t(3)], 10);
         }
-        c.traverse(t(2)).unwrap().note_object_hit();
+        c.c.traverse(t(2)).unwrap().note_object_hit();
         assert_eq!(c.memory_usage(), empty + 3 * bucket);
-        // one more slot spills t(3): a Vec header plus 4 bytes per slot
+        // one more slot spills t(3): an arena `Vec` header plus 4 bytes per slot
         c.post(s(9), &[t(3)], 10);
-        let spilled = std::mem::size_of::<Vec<SlotId>>() + (INLINE_SLOTS + 1) * 4;
+        let header = std::mem::size_of::<Vec<SlotId>>();
+        let spilled = header + (INLINE_SLOTS + 1) * 4;
         assert_eq!(c.memory_usage(), empty + 3 * bucket + spilled);
-        // shrinking it back returns the spilled bytes
+        // shrinking it back returns the slots; the arena keeps the header
+        // and 4 bytes for the released index, reused by the next spill
         c.unpost(t(3), s(9));
-        assert_eq!(c.memory_usage(), empty + 3 * bucket);
+        assert_eq!(c.memory_usage(), empty + 3 * bucket + header + 4);
+        c.post(s(9), &[t(3)], 10);
+        assert_eq!(c.memory_usage(), empty + 3 * bucket + spilled);
     }
 }

@@ -8,6 +8,9 @@
 //! full query (Section IV-C), so [`Gi2Index::delete_by_id`] unposts it from
 //! every (cell, posting term) entry it was posted under and frees its slot
 //! before returning. Posting lists therefore only ever hold live queries.
+//! The cells a query is unposted from follow from its region (minus any
+//! cell migration extracted), and its posting terms sit in place, so a
+//! stored paper-shaped query owns no heap block.
 //!
 //! # The matching kernel
 //!
@@ -32,7 +35,7 @@
 //!   over the batch would walk every term slice twice and trash the cache
 //!   before matching starts).
 
-use crate::cell::{CellIndex, CellTermStat};
+use crate::cell::{CellIndex, CellTermStat, PostingArena};
 use crate::scratch::MatchScratch;
 use crate::slab::{QuerySlab, Slot, StoredQuery};
 use ps2stream_geo::{CellId, Rect, UniformGrid};
@@ -91,6 +94,8 @@ impl CellLoadStat {
 pub struct Gi2Index {
     grid: UniformGrid,
     cells: Vec<CellIndex>,
+    /// The posting lists too long to sit in their (cell, term) entry.
+    arena: PostingArena,
     /// Slab of stored queries; posting lists reference its live slots.
     slab: QuerySlab,
     /// Term statistics used to pick the least frequent keyword at insertion.
@@ -110,6 +115,7 @@ impl Gi2Index {
         Self {
             grid,
             cells,
+            arena: PostingArena::default(),
             slab: QuerySlab::new(),
             stats: TermStats::new(),
             matches_checked: 0,
@@ -175,35 +181,30 @@ impl Gi2Index {
         self.slab.find(id).map(|s| (s.0, self.slab.generation(s)))
     }
 
-    /// Inserts an STS query (Section IV-D posting rule). Re-inserting an
-    /// existing id replaces the previous version.
+    /// Inserts an STS query (Section IV-D posting rule): it is posted in
+    /// every cell its region overlaps. Re-inserting an existing id replaces
+    /// the previous version. Into warm tables (a free slot, entries and
+    /// arena indices to reuse) a paper-shaped query allocates nothing.
     pub fn insert(&mut self, query: StsQuery) {
         self.delete_by_id(query.id);
         let posting_terms = query
             .keywords
             .representative_terms(|t| self.stats.frequency(t));
-        let cells = self.grid.cells_overlapping(&query.region);
-        let bytes = query.memory_usage();
         let sig = query.keywords.signature();
-        let slot = self.slab.insert(
-            StoredQuery {
-                query,
-                bytes,
-                cells,
-                posting_terms,
-            },
-            sig,
-        );
+        let slot = self
+            .slab
+            .insert(StoredQuery::new(query, posting_terms), sig);
         let Gi2Index {
             slab,
-            cells: grid_cells,
+            cells,
+            arena,
             grid,
             ..
         } = self;
         let sq = slab.get_live(slot).expect("slot was just filled");
-        for &cell in &sq.cells {
-            let idx = grid.cell_index(cell);
-            grid_cells[idx].post(slot, &sq.posting_terms, sq.bytes);
+        let bytes = sq.bytes();
+        for cell in sq.cells(grid) {
+            cells[grid.cell_index(cell)].post(slot, &sq.posting_terms, bytes, arena);
         }
     }
 
@@ -221,12 +222,13 @@ impl Gi2Index {
             return false;
         };
         let old = self.slab.free_live(slot);
-        for &cell in &old.cells {
+        let bytes = old.bytes();
+        for cell in old.cells(&self.grid) {
             let cell = &mut self.cells[self.grid.cell_index(cell)];
-            for &t in &old.posting_terms {
-                cell.unpost(t, slot);
+            for &t in old.posting_terms.iter() {
+                cell.unpost(t, slot, &mut self.arena);
             }
-            cell.note_removed(old.bytes);
+            cell.note_removed(bytes);
         }
         true
     }
@@ -265,6 +267,7 @@ impl Gi2Index {
                 scratch.next_epoch();
                 Self::match_in_cell(
                     &mut self.cells,
+                    &self.arena,
                     &self.slab,
                     idx,
                     object,
@@ -289,6 +292,7 @@ impl Gi2Index {
     #[allow(clippy::too_many_arguments)]
     fn match_in_cell(
         cells: &mut [CellIndex],
+        arena: &PostingArena,
         slab: &QuerySlab,
         idx: usize,
         object: &SpatioTextualObject,
@@ -304,7 +308,7 @@ impl Gi2Index {
             let Some(entry) = cell_index.traverse(term) else {
                 continue;
             };
-            for &s in entry.slots() {
+            for &s in entry.slots(arena) {
                 let si = s.index();
                 if sigs[si] & !osig != 0 {
                     // The object provably misses a required keyword.
@@ -354,14 +358,16 @@ impl Gi2Index {
     /// hits), consumed by the Phase-I text-split decision of the local load
     /// adjustment.
     pub fn cell_term_stats(&self, cell: CellId) -> Vec<CellTermStat> {
-        self.cells[self.grid.cell_index(cell)].term_stats()
+        let mut out = Vec::new();
+        self.cell_term_stats_with(cell, |s| out.push(s));
+        out
     }
 
     /// Streams one cell's per-term statistics to `f` without building an
     /// intermediate collection (the controller-path variant of
     /// [`Gi2Index::cell_term_stats`]).
     pub fn cell_term_stats_with<F: FnMut(CellTermStat)>(&self, cell: CellId, f: F) {
-        self.cells[self.grid.cell_index(cell)].for_each_term_stat(f);
+        self.cells[self.grid.cell_index(cell)].for_each_term_stat(&self.arena, f);
     }
 
     /// Resets the per-cell object counters (start of a new load period).
@@ -377,9 +383,10 @@ impl Gi2Index {
     /// Extracts every live query posted in `cell` that satisfies `filter`,
     /// removing those postings from the cell. Queries that are still posted
     /// in other cells of this index remain stored; queries whose last cell
-    /// was extracted are removed entirely. Returns clones of the extracted
-    /// queries in id order — this is the unit of migration of the dynamic
-    /// load adjustment (queries are migrated cell by cell).
+    /// was extracted are removed entirely; the others record the cell as
+    /// excluded. Returns clones of the extracted queries in id order — this
+    /// is the unit of migration of the dynamic load adjustment (queries are
+    /// migrated cell by cell).
     pub fn extract_cell_where<F: Fn(&StsQuery) -> bool>(
         &mut self,
         cell: CellId,
@@ -387,9 +394,15 @@ impl Gi2Index {
     ) -> Vec<StsQuery> {
         let idx = self.grid.cell_index(cell);
         let mut slots = Vec::new();
-        self.cells[idx].distinct_queries_into(&mut slots);
+        self.cells[idx].distinct_queries_into(&self.arena, &mut slots);
         let mut extracted = Vec::new();
-        let Gi2Index { slab, cells, .. } = self;
+        let Gi2Index {
+            slab,
+            cells,
+            arena,
+            grid,
+            ..
+        } = self;
         let cell_index = &mut cells[idx];
         for &slot in &slots {
             let sq = slab.get_live_mut(slot).expect("posted slots are live");
@@ -398,12 +411,13 @@ impl Gi2Index {
             }
             extracted.push(sq.query.clone());
             // Remove this cell's postings for the query.
-            for &t in &sq.posting_terms {
-                cell_index.unpost(t, slot);
+            for &t in sq.posting_terms.iter() {
+                cell_index.unpost(t, slot, arena);
             }
-            cell_index.note_removed(sq.bytes);
-            sq.cells.retain(|c| *c != cell);
-            if sq.cells.is_empty() {
+            cell_index.note_removed(sq.bytes());
+            if sq.cells(grid).any(|c| c != cell) {
+                sq.exclude(cell);
+            } else {
                 let _ = slab.free_live(slot);
             }
         }
@@ -431,7 +445,7 @@ impl Gi2Index {
     ) -> Vec<StsQuery> {
         let idx = self.grid.cell_index(cell);
         let mut slots = Vec::new();
-        self.cells[idx].distinct_queries_into(&mut slots);
+        self.cells[idx].distinct_queries_into(&self.arena, &mut slots);
         let mut out: Vec<StsQuery> = slots
             .into_iter()
             .filter_map(|slot| {
@@ -443,11 +457,15 @@ impl Gi2Index {
         out
     }
 
-    /// Approximate memory footprint of the index in bytes (posting lists,
-    /// the query slab and term statistics).
+    /// Approximate memory footprint of the index in bytes (posting entries,
+    /// spilled lists, the query slab and term statistics).
     pub fn memory_usage(&self) -> usize {
         let cells: usize = self.cells.iter().map(CellIndex::memory_usage).sum();
-        cells + self.slab.memory_usage() + self.stats.memory_usage() + std::mem::size_of::<Self>()
+        cells
+            + self.arena.memory_usage()
+            + self.slab.memory_usage()
+            + self.stats.memory_usage()
+            + std::mem::size_of::<Self>()
     }
 
     /// Iterates over all live queries, in slab order (used by the snapshot
@@ -471,11 +489,14 @@ impl Gi2Index {
         results
     }
 
-    /// Panics unless the postings and the slab agree exactly:
+    /// Panics unless the postings, the arena and the slab agree exactly:
     /// * every posted slot is live, and posted at most once per list;
-    /// * every live query is posted in exactly its cells × posting terms;
+    /// * every live query is posted in exactly its region's cells minus its
+    ///   exclusions, times its posting terms;
     /// * each cell's `num_queries` and `query_bytes` equal a recount of the
     ///   live queries posted there;
+    /// * every live arena list is referenced by exactly one entry and holds
+    ///   at least 3 slots, and every released list is empty and listed once;
     /// * the slab's capacity is its live slots plus its free list.
     pub(crate) fn audit(&self) {
         self.slab.audit();
@@ -483,12 +504,20 @@ impl Gi2Index {
         let mut bytes = vec![0usize; self.cells.len()];
         let mut expected = 0usize;
         for (slot, sq) in self.slab.iter_live() {
-            for &cell in &sq.cells {
+            for (i, &cell) in sq.excluded.iter().enumerate() {
+                let mut overlaps = self.grid.cells_overlapping_iter(&sq.query.region);
+                assert!(
+                    overlaps.any(|c| c == cell),
+                    "{cell:?} excluded off the region"
+                );
+                assert!(!sq.excluded[..i].contains(&cell), "{cell:?} excluded twice");
+            }
+            for cell in sq.cells(&self.grid) {
                 let idx = self.grid.cell_index(cell);
                 queries[idx] += 1;
-                bytes[idx] += sq.bytes;
-                for &t in &sq.posting_terms {
-                    let list = self.cells[idx].postings(t).unwrap_or_default();
+                bytes[idx] += sq.bytes();
+                for &t in sq.posting_terms.iter() {
+                    let list = self.cells[idx].postings(t, &self.arena).unwrap_or_default();
                     let n = list.iter().filter(|&&s| s == slot).count();
                     assert_eq!(n, 1, "{:?} in {cell:?} under {t:?}", sq.query.id);
                     expected += 1;
@@ -496,21 +525,24 @@ impl Gi2Index {
             }
         }
         let mut posted = 0usize;
+        let mut spilled_lists = Vec::new();
         for cell in self.grid.all_cells() {
             let idx = self.grid.cell_index(cell);
             let c = &self.cells[idx];
-            c.for_each_posting_list(|term, list| {
+            c.for_each_posting_list(&self.arena, |term, list, spilled| {
                 assert!(!list.is_empty(), "empty list under {term:?} in {cell:?}");
                 for &slot in list {
                     let live = self.slab.get_live(slot).is_some();
                     assert!(live, "free {slot:?} posted in {cell:?}");
                 }
+                spilled_lists.extend(spilled);
                 posted += list.len();
             });
             assert_eq!(c.num_queries(), queries[idx], "num_queries of {cell:?}");
             assert_eq!(c.query_bytes(), bytes[idx], "query_bytes of {cell:?}");
         }
         assert_eq!(posted, expected, "postings beyond the live queries' own");
+        self.arena.audit(&spilled_lists);
     }
 }
 

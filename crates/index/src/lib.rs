@@ -163,8 +163,9 @@ mod proptests {
         Replicate(u32, u32, u32),
         /// Register a run of single-keyword queries that share one keyword
         /// and one region, so the (cell, term) posting lists they land in
-        /// grow past the in-place capacity; later deletes and migrations
-        /// unpost them and shrink the lists back below it.
+        /// grow past the two slots an entry holds in place and spill to the
+        /// arena; later deletes and migrations unpost them and shrink the
+        /// lists back into their entries.
         HotTerm(Vec<GenQuery>),
     }
 

@@ -15,9 +15,9 @@
 //! resurrecting the old query. The generation counter is kept as an
 //! explicit witness of reuse (and is asserted on in tests).
 
-use ps2stream_geo::CellId;
+use ps2stream_geo::{CellId, UniformGrid};
 use ps2stream_model::{QueryId, StsQuery};
-use ps2stream_text::{IdMap, TermId};
+use ps2stream_text::{IdMap, RepresentativeTerms, TermId};
 
 /// Dense identifier of a slot in one worker's `QuerySlab`. Posting lists
 /// store these directly; they are only meaningful within the owning index.
@@ -25,6 +25,13 @@ use ps2stream_text::{IdMap, TermId};
 pub struct SlotId(pub u32);
 
 impl SlotId {
+    /// Fills the unused second place of a posting entry that holds one slot
+    /// (see [`crate::cell`]). Reserved: the slab never hands it out.
+    pub(crate) const EMPTY: SlotId = SlotId(u32::MAX - 1);
+    /// Marks a posting entry whose list lives in the spill arena. Reserved
+    /// like [`SlotId::EMPTY`].
+    pub(crate) const SPILLED: SlotId = SlotId(u32::MAX);
+
     /// The slot as a usize index.
     #[inline]
     pub fn index(self) -> usize {
@@ -32,18 +39,51 @@ impl SlotId {
     }
 }
 
-/// A live query and the bookkeeping needed to unpost it.
+/// A live query and the bookkeeping needed to unpost it, none of it on the
+/// heap for a paper-shaped query: its cells follow from its region, and its
+/// posting terms sit in place.
 #[derive(Debug, Clone)]
 pub(crate) struct StoredQuery {
     /// The query itself.
     pub query: StsQuery,
-    /// Approximate in-memory size (`S_g` accounting).
-    pub bytes: usize,
-    /// Cells of this index in which the query is posted.
-    pub cells: Vec<CellId>,
     /// Terms the query is posted under (least frequent keyword of each
     /// conjunction at insertion time).
-    pub posting_terms: Vec<TermId>,
+    pub posting_terms: RepresentativeTerms,
+    /// Cells of the region the query is no longer posted in, because cell
+    /// extraction moved them out. Empty, and unallocated, until then.
+    pub excluded: Box<[CellId]>,
+}
+
+impl StoredQuery {
+    /// A query as inserted: posted in every cell its region overlaps.
+    pub(crate) fn new(query: StsQuery, posting_terms: RepresentativeTerms) -> Self {
+        Self {
+            query,
+            posting_terms,
+            excluded: Box::default(),
+        }
+    }
+
+    /// Approximate in-memory size of the query (`S_g` accounting).
+    #[inline]
+    pub(crate) fn bytes(&self) -> usize {
+        self.query.memory_usage()
+    }
+
+    /// The cells of `grid` the query is posted in: those its region
+    /// overlaps, minus the excluded ones.
+    #[inline]
+    pub(crate) fn cells<'a>(&'a self, grid: &UniformGrid) -> impl Iterator<Item = CellId> + 'a {
+        grid.cells_overlapping_iter(&self.query.region)
+            .filter(|cell| !self.excluded.contains(cell))
+    }
+
+    /// Stops counting `cell` among the query's cells (cold: migration).
+    pub(crate) fn exclude(&mut self, cell: CellId) {
+        let mut excluded = std::mem::take(&mut self.excluded).into_vec();
+        excluded.push(cell);
+        self.excluded = excluded.into_boxed_slice();
+    }
 }
 
 /// One slot of the slab.
@@ -149,6 +189,10 @@ impl QuerySlab {
             self.slots[idx] = Slot::Live(stored);
             SlotId(idx as u32)
         } else {
+            assert!(
+                self.slots.len() < SlotId::EMPTY.index(),
+                "slab full: the top slot ids mark posting entries"
+            );
             self.slots.push(Slot::Live(stored));
             self.sigs.push(0);
             self.generations.push(0);
@@ -196,9 +240,14 @@ impl QuerySlab {
                     + match s {
                         Slot::Free { .. } => 0,
                         Slot::Live(sq) => {
-                            sq.bytes
-                                + sq.cells.len() * std::mem::size_of::<CellId>()
-                                + sq.posting_terms.len() * std::mem::size_of::<TermId>()
+                            sq.bytes()
+                                + std::mem::size_of_val::<[CellId]>(&sq.excluded)
+                                + match &sq.posting_terms {
+                                    RepresentativeTerms::Inline { .. } => 0,
+                                    RepresentativeTerms::Boxed(terms) => {
+                                        std::mem::size_of_val::<[TermId]>(terms)
+                                    }
+                                }
                         }
                     }
             })
@@ -243,19 +292,25 @@ mod tests {
     use ps2stream_text::BooleanExpr;
 
     fn stored(id: u64) -> StoredQuery {
-        let query = StsQuery::new(
-            QueryId(id),
-            SubscriberId(id),
-            BooleanExpr::single(TermId(1)),
-            Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-        );
-        let bytes = query.memory_usage();
-        StoredQuery {
-            query,
-            bytes,
-            cells: vec![CellId::new(0, 0)],
-            posting_terms: vec![TermId(1)],
-        }
+        let keywords = BooleanExpr::single(TermId(1));
+        let posting_terms = keywords.representative_terms(|_| 0);
+        let region = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
+        let query = StsQuery::new(QueryId(id), SubscriberId(id), keywords, region);
+        StoredQuery::new(query, posting_terms)
+    }
+
+    #[test]
+    fn cells_follow_the_region_minus_the_exclusions() {
+        let grid = UniformGrid::new(Rect::from_coords(0.0, 0.0, 4.0, 4.0), 4, 4);
+        let mut sq = stored(1);
+        sq.query.region = Rect::from_coords(0.5, 0.5, 1.5, 2.5);
+        let all: Vec<CellId> = grid.cells_overlapping(&sq.query.region);
+        assert_eq!(all.len(), 6);
+        assert_eq!(sq.cells(&grid).collect::<Vec<_>>(), all);
+        sq.exclude(all[1]);
+        sq.exclude(all[4]);
+        let kept: Vec<CellId> = sq.cells(&grid).collect();
+        assert_eq!(kept, [all[0], all[2], all[3], all[5]]);
     }
 
     #[test]
@@ -272,8 +327,7 @@ mod tests {
         let sq = slab.free_live(a);
         // the caller gets back what it needs to unpost the query
         assert_eq!(sq.query.id, QueryId(1));
-        assert_eq!(sq.cells, vec![CellId::new(0, 0)]);
-        assert_eq!(sq.posting_terms, vec![TermId(1)]);
+        assert_eq!(*sq.posting_terms, [TermId(1)]);
         assert_eq!(slab.num_live(), 1);
         assert_eq!(slab.find(QueryId(1)), None);
         assert!(slab.get_live(a).is_none());

@@ -1,11 +1,12 @@
 //! Allocation-count regression tests for the flat subscription storage.
 //!
-//! A (cell, term) posting list lives inside its table entry while it is
-//! short, and a paper-shaped keyword expression inside its query, so:
+//! A (cell, term) posting list of up to two slots lives inside its table
+//! entry, a longer one in the index's spill arena; a stored query keeps its
+//! posting terms in place and derives its cells from its region, so:
 //!
-//! * inserting a query costs a bounded number of heap allocations however
-//!   many cells it overlaps (it used to cost one `Vec` per overlapped cell
-//!   and posting term);
+//! * inserting a query costs no heap allocation per overlapped cell, and
+//!   none at all into warm tables (a free slot, entries, arena indices);
+//! * a list that spills costs one block;
 //! * matching a batch against the stored queries allocates nothing at all;
 //! * deleting a query, which unposts it from every (cell, term) list it is
 //!   in, allocates nothing either.
@@ -20,18 +21,19 @@ use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, Subscrib
 use ps2stream_text::{BooleanExpr, TermId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::mem::size_of;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Blocks this thread freed (a reallocation counts as one too).
+    static DEALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a bump of a
-// const-initialized, destructor-free thread-local `Cell`, which neither
+// the `GlobalAlloc` contract; the only addition is a bump of one of two
+// const-initialized, destructor-free thread-local `Cell`s, which neither
 // allocates nor unwinds (`try_with` declines instead of panicking once the
 // thread's locals are gone).
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -46,6 +48,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: `ptr` was returned by `alloc` above, i.e. by `System.alloc`
     // with the same `layout`, as `System.dealloc` requires.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = DEALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.dealloc(ptr, layout)
     }
 }
@@ -55,9 +58,17 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations this thread makes while running `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
+    allocations_and_frees_during(f).0
+}
+
+/// Allocations and frees this thread makes while running `f`.
+fn allocations_and_frees_during(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCATIONS.with(Cell::get), DEALLOCATIONS.with(Cell::get));
     f();
-    ALLOCATIONS.with(Cell::get) - before
+    (
+        ALLOCATIONS.with(Cell::get) - before.0,
+        DEALLOCATIONS.with(Cell::get) - before.1,
+    )
 }
 
 /// 16 × 16 cells of side 4 over a 64 × 64 space.
@@ -66,25 +77,37 @@ fn index() -> Gi2Index {
 }
 
 const QUERIES: u64 = 512;
-const TERMS: u64 = 128;
+const TERMS: u64 = 256;
 /// Every query covers the same 8 × 8 block of cells.
 const CELLS_PER_QUERY: u64 = 64;
 
+/// A two-keyword query over the fixture's 8 × 8 block of cells.
+fn block_query(id: u64, posting_term: u32, other_term: u32) -> StsQuery {
+    StsQuery::new(
+        QueryId(id),
+        SubscriberId(id),
+        BooleanExpr::and_of([TermId(posting_term), TermId(other_term)]),
+        Rect::from_coords(0.5, 0.5, 31.5, 31.5),
+    )
+}
+
 /// `QUERIES` two-keyword queries over `TERMS` distinct posting terms (term
 /// `i % TERMS`, the rarer of the two under empty statistics by id order), so
-/// every (cell, term) list ends up holding `QUERIES / TERMS` = 4 slots — the
+/// every (cell, term) list ends up holding `QUERIES / TERMS` = 2 slots — the
 /// most an entry stores in place.
 fn queries() -> Vec<StsQuery> {
     (0..QUERIES)
-        .map(|i| {
-            StsQuery::new(
-                QueryId(i),
-                SubscriberId(i),
-                BooleanExpr::and_of([TermId((i % TERMS) as u32), TermId(1_000 + i as u32)]),
-                Rect::from_coords(0.5, 0.5, 31.5, 31.5),
-            )
-        })
+        .map(|i| block_query(i, (i % TERMS) as u32, 1_000 + i as u32))
         .collect()
+}
+
+/// The number of slots posted under `term` in the fixture's first cell.
+fn list_len(idx: &Gi2Index, term: u32) -> u64 {
+    let cell = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
+    idx.cell_term_stats(cell)
+        .iter()
+        .find(|s| s.term == TermId(term))
+        .map_or(0, |s| s.queries)
 }
 
 #[test]
@@ -97,18 +120,70 @@ fn inserting_costs_allocations_per_query_not_per_overlapped_cell() {
         }
     });
     assert_eq!(idx.num_queries(), QUERIES as usize);
-    // What is left per query: its cell list, its posting terms, and the
-    // amortized growth of the slab's arrays and of 64 cell tables — 3.0 when
-    // this was written. One block per (cell, term) list costs
-    // 64 * TERMS / QUERIES = 16 per query on top.
+    assert_eq!(list_len(&idx, 0), 2);
+    // What is left per query is the amortized growth of the slab's arrays
+    // and of 64 cell tables — 1.1 when this was written. One block per
+    // (cell, term) list would cost 64 * TERMS / QUERIES = 32 per query.
     let per_query = allocations as f64 / QUERIES as f64;
     assert!(
-        per_query <= 6.0,
+        per_query <= 2.0,
         "{allocations} allocations for {QUERIES} inserts = {per_query:.1} per query \
          (each overlaps {CELLS_PER_QUERY} cells)"
     );
 }
 
+#[test]
+fn a_reinsert_into_warm_tables_allocates_nothing() {
+    let mut idx = index();
+    let queries = queries();
+    for q in &queries {
+        idx.insert(q.clone());
+    }
+    let memory = idx.memory_usage();
+    for q in &queries {
+        assert!(idx.delete_by_id(q.id));
+    }
+    assert_eq!(idx.num_queries(), 0);
+    // every query's slot, id-map room and (cell, term) buckets are free
+    // again, so each re-insert allocates nothing
+    for q in &queries {
+        let q = q.clone();
+        let id = q.id;
+        let allocations = allocations_during(|| idx.insert(q));
+        assert_eq!(allocations, 0, "re-insert of {id:?}");
+    }
+    assert_eq!(idx.num_queries(), QUERIES as usize);
+    assert_eq!(idx.memory_usage(), memory);
+}
+
+#[test]
+fn a_spilling_list_allocates_one_block() {
+    let mut idx = index();
+    for q in queries() {
+        idx.insert(q);
+    }
+    // a third query under term 0: each of its 64 two-slot lists spills
+    let third = block_query(QUERIES, 0, 7_000);
+    let allocations = allocations_during(|| idx.insert(third.clone()));
+    assert_eq!(list_len(&idx, 0), 3);
+    // one block per list, plus the amortized growth of the arena's arrays
+    // and of the slab's
+    assert!(
+        allocations <= CELLS_PER_QUERY + 20,
+        "{allocations} allocations for {CELLS_PER_QUERY} spilling lists"
+    );
+    // deleting it moves the lists back in place and frees their blocks
+    let (allocations, frees) = allocations_and_frees_during(|| {
+        assert!(idx.delete_by_id(third.id));
+    });
+    assert_eq!((allocations, frees), (0, CELLS_PER_QUERY));
+    assert_eq!(list_len(&idx, 0), 2);
+    // spilling again reuses the arena's released indices: one block per
+    // list and nothing else
+    let allocations = allocations_during(|| idx.insert(third.clone()));
+    assert_eq!(allocations, CELLS_PER_QUERY, "one block per spilling list");
+    assert_eq!(list_len(&idx, 0), 3);
+}
 #[test]
 fn matching_a_batch_allocates_nothing() {
     let mut idx = index();
@@ -169,50 +244,40 @@ fn a_delete_allocates_nothing() {
     // term: each of their 64 lists spills past the in-place capacity
     const SHARED: u32 = 5_000;
     for i in 0..6u64 {
-        idx.insert(StsQuery::new(
-            QueryId(QUERIES + i),
-            SubscriberId(i),
-            BooleanExpr::and_of([TermId(SHARED), TermId(6_000 + i as u32)]),
-            Rect::from_coords(0.5, 0.5, 31.5, 31.5),
-        ));
+        idx.insert(block_query(QUERIES + i, SHARED, 6_000 + i as u32));
     }
-    let cell = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
-    let list_len = |idx: &Gi2Index, term: u32| {
-        idx.cell_term_stats(cell)
-            .iter()
-            .find(|s| s.term == TermId(term))
-            .map_or(0, |s| s.queries)
-    };
     let deleting = |idx: &mut Gi2Index, id: u64| {
         let mut deleted = false;
-        let allocations = allocations_during(|| deleted = idx.delete_by_id(QueryId(id)));
+        let counts = allocations_and_frees_during(|| deleted = idx.delete_by_id(QueryId(id)));
         assert!(deleted, "query {id} was stored");
-        allocations
+        counts
     };
-    // in-place lists: term 0 holds queries 0, 128, 256 and 384; the last
-    // delete drops the entry
-    assert_eq!(list_len(&idx, 0), 4);
-    for id in [0, TERMS, 2 * TERMS, 3 * TERMS] {
-        assert_eq!(deleting(&mut idx, id), 0, "delete of {id} (in-place list)");
+    // in-place lists, 2 → 1 → 0: term 0 holds queries 0 and 256, and the
+    // last delete drops the entry
+    assert_eq!(list_len(&idx, 0), 2);
+    for id in [0, TERMS] {
+        assert_eq!(
+            deleting(&mut idx, id),
+            (0, 0),
+            "delete of {id} (in-place list)"
+        );
     }
     assert_eq!(list_len(&idx, 0), 0);
-    // a spilled list that stays spilled: 6 → 5
+    // a spilled list that stays spilled, 6 → 5 (and on down to 3): nothing
+    // allocated, nothing freed
     assert_eq!(list_len(&idx, SHARED), 6);
-    let before = idx.memory_usage();
-    assert_eq!(deleting(&mut idx, QUERIES), 0, "delete from a spilled list");
-    let stays_spilled = before - idx.memory_usage();
-    // a spilled list that moves back in place and frees its block: 5 → 4
-    let before = idx.memory_usage();
+    for id in QUERIES..QUERIES + 3 {
+        assert_eq!(deleting(&mut idx, id), (0, 0), "delete from a spilled list");
+    }
+    assert_eq!(list_len(&idx, SHARED), 3);
+    // a spilled list that moves back in place, 3 → 2: each of the 64 lists
+    // frees its block, and the arena's reserved free-index list takes the
+    // released indices without allocating
     assert_eq!(
-        deleting(&mut idx, QUERIES + 1),
-        0,
+        deleting(&mut idx, QUERIES + 3),
+        (0, CELLS_PER_QUERY),
         "delete that shrinks a list"
     );
-    let moves_in_place = before - idx.memory_usage();
-    assert_eq!(list_len(&idx, SHARED), 4);
-    assert!(
-        moves_in_place >= stays_spilled + CELLS_PER_QUERY as usize * size_of::<Vec<u32>>(),
-        "the {CELLS_PER_QUERY} spilled blocks were freed: {moves_in_place} vs {stays_spilled} bytes"
-    );
+    assert_eq!(list_len(&idx, SHARED), 2);
     assert_eq!(idx.num_queries(), QUERIES as usize);
 }

@@ -527,7 +527,11 @@ fn text_partition_node_restricted(
     let mut posted: Vec<(TermId, Vec<usize>)> = Vec::new();
     for &qi in &node.queries {
         let q = &sample.insertions()[qi];
-        for t in q.keywords.representative_terms(|t| stats.frequency(t)) {
+        for &t in q
+            .keywords
+            .representative_terms(|t| stats.frequency(t))
+            .iter()
+        {
             if allowed
                 .as_ref()
                 .is_some_and(|allowed| !allowed.contains(&t))

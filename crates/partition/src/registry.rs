@@ -12,8 +12,8 @@
 //! each mapping cell → registered term set, plus a per-cell count of
 //! registered terms for the early-discard check. A cell's stripe is a hash
 //! of its id. Every per-cell operation (`contains`, `probe_terms`,
-//! `insert`, `terms_of_cell`) takes exactly one stripe lock and no operation
-//! ever holds two, so the registry has no lock order to keep.
+//! `insert_all`, `terms_of_cell`) takes one stripe lock at a time and no
+//! operation ever holds two, so the registry has no lock order to keep.
 //!
 //! In steady state (the live query population stabilizes around µ,
 //! Section VI-A) almost every insertion hits the read-only fast path and
@@ -78,25 +78,35 @@ impl TermRegistry {
             .is_none_or(|c| c.load(Ordering::Relaxed) == 0)
     }
 
-    /// Registers `term` in `cell`. Read-only when the pair is already present
-    /// (the steady-state fast path); otherwise takes the cell's shard write
-    /// lock. Returns true if the pair was newly registered.
+    /// Registers `term` in `cell` (see [`TermRegistry::insert_all`]).
+    /// Returns true if the pair was newly registered.
     pub fn insert(&self, cell: u32, term: TermId) -> bool {
-        if self.contains(cell, term) {
-            return false;
-        }
-        let inserted = self
-            .shard(cell)
-            .write()
-            .entry(cell)
-            .or_default()
-            .insert(term);
-        if inserted {
-            if let Some(count) = self.cell_counts.get(cell as usize) {
-                count.fetch_add(1, Ordering::Relaxed);
+        self.insert_all(cell, &[term]) == 1
+    }
+
+    /// Registers every term of `terms` in `cell` — a query insertion's
+    /// registration in one of its cells. One shard read lock when every pair
+    /// is already present (the steady-state fast path); otherwise one shard
+    /// write lock for all of them. Returns the number of pairs newly
+    /// registered.
+    pub fn insert_all(&self, cell: u32, terms: &[TermId]) -> usize {
+        {
+            let shard = self.shard(cell).read();
+            let registered = shard.get(&cell);
+            if terms
+                .iter()
+                .all(|t| registered.is_some_and(|set| set.contains(t)))
+            {
+                return 0;
             }
         }
-        inserted
+        let mut shard = self.shard(cell).write();
+        let registered = shard.entry(cell).or_default();
+        let added = terms.iter().filter(|&&t| registered.insert(t)).count();
+        if let Some(count) = self.cell_counts.get(cell as usize) {
+            count.fetch_add(added, Ordering::Relaxed);
+        }
+        added
     }
 
     /// Probes several terms of one cell under a **single** shard read lock,
@@ -340,6 +350,8 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Op {
         Insert(u32, TermId),
+        /// Register several terms of one cell at once (duplicates allowed).
+        InsertAll(u32, Vec<TermId>),
         Contains(u32, TermId),
         /// Probe distinct terms of a cell, stopping after `stop` callbacks.
         Probe(u32, Vec<TermId>, usize),
@@ -351,6 +363,8 @@ mod tests {
     fn arb_op() -> impl Strategy<Value = Op> {
         prop_oneof![
             4 => (0..CELLS, 0..TERMS).prop_map(|(c, t)| Op::Insert(c, TermId(t))),
+            2 => (0..CELLS, proptest::collection::vec(0..TERMS, 0..4))
+                .prop_map(|(c, terms)| Op::InsertAll(c, terms.into_iter().map(TermId).collect())),
             2 => (0..CELLS, 0..TERMS).prop_map(|(c, t)| Op::Contains(c, TermId(t))),
             3 => (0..CELLS, proptest::collection::vec(0..TERMS, 0..10), 1usize..5).prop_map(
                 |(c, terms, stop)| {
@@ -380,6 +394,14 @@ mod tests {
                 match op {
                     Op::Insert(c, t) => {
                         prop_assert_eq!(r.insert(c, t), model.entry(c).or_default().insert(t));
+                    }
+                    Op::InsertAll(c, terms) => {
+                        let before = model.get(&c).map_or(0, BTreeSet::len);
+                        if !terms.is_empty() {
+                            model.entry(c).or_default().extend(terms.iter().copied());
+                        }
+                        let added = model.get(&c).map_or(0, BTreeSet::len) - before;
+                        prop_assert_eq!(r.insert_all(c, &terms), added);
                     }
                     Op::Contains(c, t) => {
                         let expected = model.get(&c).is_some_and(|s| s.contains(&t));

@@ -108,6 +108,62 @@ impl CellRouting {
     pub fn is_text_partitioned(&self) -> bool {
         !matches!(self, CellRouting::Single(_))
     }
+
+    /// Adds the workers of `terms` in this cell to `workers`, each once. A
+    /// `Single` cell adds its worker, and a shared map that `visited` has
+    /// seen already adds nothing: its workers for these terms are in.
+    #[inline]
+    fn add_workers<'t>(
+        &self,
+        terms: impl Iterator<Item = &'t TermId>,
+        visited: &mut VisitedMaps,
+        workers: &mut Vec<WorkerId>,
+    ) {
+        let map = match self {
+            CellRouting::Single(w) => return add_worker(workers, *w),
+            CellRouting::SharedTerms(map) if !visited.first_visit(map) => return,
+            CellRouting::SharedTerms(map) => &**map,
+            CellRouting::OwnedTerms(map) => map,
+        };
+        for &t in terms {
+            add_worker(workers, map.worker_for(t));
+        }
+    }
+}
+
+/// Adds `w` to `workers` unless it is there already.
+#[inline]
+fn add_worker(workers: &mut Vec<WorkerId>, w: WorkerId) {
+    if !workers.contains(&w) {
+        workers.push(w);
+    }
+}
+
+/// The shared term maps an update has looked its terms up in. A text
+/// region's cells share one map, so a query usually meets one or two; past
+/// `VISITED_MAPS` of them, maps are simply looked up again.
+#[derive(Default)]
+struct VisitedMaps {
+    maps: [usize; VISITED_MAPS],
+    len: usize,
+}
+
+const VISITED_MAPS: usize = 4;
+
+impl VisitedMaps {
+    /// True unless `map` was visited before.
+    #[inline]
+    fn first_visit(&mut self, map: &Arc<TermRouting>) -> bool {
+        let key = Arc::as_ptr(map) as usize;
+        if self.maps[..self.len].contains(&key) {
+            return false;
+        }
+        if self.len < VISITED_MAPS {
+            self.maps[self.len] = key;
+            self.len += 1;
+        }
+        true
+    }
 }
 
 /// The dispatcher routing table: a uniform grid of [`CellRouting`]s plus the
@@ -244,26 +300,21 @@ impl RoutingTable {
     }
 
     /// [`RoutingTable::route_insert`] into a caller-owned buffer, which is
-    /// cleared first. Each conjunction's least frequent keyword is looked
-    /// up in place, so with a recycled buffer an insertion whose `(cell,
-    /// term)` pairs are already registered allocates nothing.
+    /// cleared first. Each conjunction's least frequent keyword is worked out
+    /// once per query, in place; each overlapped cell then registers them
+    /// with one registry call, and their workers are looked up once per
+    /// distinct term map. With a recycled buffer, an insertion whose
+    /// `(cell, term)` pairs are already registered allocates nothing.
     pub fn route_insert_into(&self, query: &StsQuery, workers: &mut Vec<WorkerId>) {
         workers.clear();
+        let terms = query
+            .keywords
+            .representative_terms(|t| self.object_stats.frequency(t));
+        let mut visited = VisitedMaps::default();
         for cell in self.grid.cells_overlapping_iter(&query.region) {
             let idx = self.grid.cell_index(cell);
-            for conjunction in query.keywords.conjunctions() {
-                let Some(&t) = conjunction
-                    .iter()
-                    .min_by_key(|t| (self.object_stats.frequency(**t), t.0))
-                else {
-                    continue;
-                };
-                self.query_terms.insert(idx as u32, t);
-                let w = self.cells[idx].worker_for(t);
-                if !workers.contains(&w) {
-                    workers.push(w);
-                }
-            }
+            self.query_terms.insert_all(idx as u32, &terms);
+            self.cells[idx].add_workers(terms.iter(), &mut visited, workers);
         }
     }
 
@@ -291,21 +342,13 @@ impl RoutingTable {
         // absent id is a cheap no-op at the worker, and deletions are rare
         // relative to objects.
         workers.clear();
+        let mut visited = VisitedMaps::default();
         for cell in self.grid.cells_overlapping_iter(&query.region) {
-            let routing = &self.cells[self.grid.cell_index(cell)];
-            if let CellRouting::Single(w) = routing {
-                // every term of the cell goes to its one worker
-                if !workers.contains(w) {
-                    workers.push(*w);
-                }
-                continue;
-            }
-            for &t in query.keywords.conjunctions().flatten() {
-                let w = routing.worker_for(t);
-                if !workers.contains(&w) {
-                    workers.push(w);
-                }
-            }
+            self.cells[self.grid.cell_index(cell)].add_workers(
+                query.keywords.conjunctions().flatten(),
+                &mut visited,
+                workers,
+            );
         }
     }
 
@@ -684,6 +727,76 @@ mod tests {
         let owned_table =
             RoutingTable::new(grid, owned_cells, 2, Arc::new(TermStats::new()), "owned");
         assert!(owned_table.memory_usage() > 10 * shared_table.memory_usage());
+    }
+
+    #[test]
+    fn updates_route_like_a_lookup_per_cell_and_term() {
+        // 8 × 8 cells: Single cells, owned maps, and six distinct shared
+        // maps (more than an update remembers) along the diagonals
+        let grid = UniformGrid::new(bounds(), 8, 8);
+        let maps: Vec<Arc<TermRouting>> = (0..6u32)
+            .map(|m| {
+                let map = (0..12u32).map(|t| (TermId(t), WorkerId((t * 7 + m) % 5)));
+                Arc::new(TermRouting::new(map, WorkerId(m % 5)))
+            })
+            .collect();
+        let cells: Vec<CellRouting> = grid
+            .all_cells()
+            .map(|c| match (c.col + c.row) % 5 {
+                0 => CellRouting::Single(WorkerId(c.col % 5)),
+                1 => CellRouting::OwnedTerms((*maps[c.col as usize % 6]).clone()),
+                _ => CellRouting::SharedTerms(Arc::clone(&maps[(c.row + c.col) as usize % 6])),
+            })
+            .collect();
+        let mut stats = TermStats::new();
+        for t in 0..12u32 {
+            for _ in 0..(t * 5) % 7 {
+                stats.observe(&[TermId(t)]);
+            }
+        }
+        let stats = Arc::new(stats);
+        let table = RoutingTable::new(grid.clone(), cells, 5, Arc::clone(&stats), "mixed");
+        let sorted = |mut ws: Vec<WorkerId>| {
+            ws.sort();
+            ws
+        };
+        for i in 0..200u32 {
+            let terms = |k: u32| TermId((i * 5 + k * 3) % 12);
+            let keywords = match i % 3 {
+                0 => BooleanExpr::and_of([terms(0), terms(1), terms(2)]),
+                1 => BooleanExpr::or_of([terms(0), terms(1), terms(2)]),
+                _ => BooleanExpr::from_dnf([vec![terms(0), terms(1)], vec![terms(2)]]),
+            };
+            let (x, y) = ((i % 13) as f64, (i % 11) as f64);
+            let side = 1.0 + (i % 7) as f64;
+            let q = StsQuery::new(
+                QueryId(u64::from(i)),
+                SubscriberId(1),
+                keywords,
+                Rect::from_coords(x, y, x + side, y + side),
+            );
+            let mut inserts = Vec::new();
+            let mut deletes = Vec::new();
+            for cell in grid.cells_overlapping(&q.region) {
+                let routing = table.cell_routing(cell);
+                for conj in q.keywords.conjunctions() {
+                    let t = *conj
+                        .iter()
+                        .min_by_key(|t| (stats.frequency(**t), t.0))
+                        .unwrap();
+                    inserts.push(routing.worker_for(t));
+                }
+                for &t in q.keywords.conjunctions().flatten() {
+                    deletes.push(routing.worker_for(t));
+                }
+            }
+            inserts.sort();
+            inserts.dedup();
+            deletes.sort();
+            deletes.dedup();
+            assert_eq!(sorted(table.route_insert(&q)), inserts, "insert of {q:?}");
+            assert_eq!(sorted(table.route_delete(&q)), deletes, "delete of {q:?}");
+        }
     }
 
     #[test]

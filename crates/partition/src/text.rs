@@ -236,9 +236,10 @@ impl Partitioner for MetricPartitioner {
         // matching cost, rather than raw keyword occurrence.
         let mut postings: HashMap<TermId, u64> = HashMap::new();
         for q in sample.insertions() {
-            for t in q
+            for &t in q
                 .keywords
                 .representative_terms(|t| sample.object_stats().frequency(t))
+                .iter()
             {
                 *postings.entry(t).or_insert(0) += 1;
             }

@@ -51,6 +51,35 @@ enum Repr {
     Heap(Box<[TermId]>),
 }
 
+/// The representative terms of a [`BooleanExpr`]
+/// ([`BooleanExpr::representative_terms`]): sorted and distinct, and in place
+/// for up to `INLINE_TERMS` of them. 24 bytes, like the `Vec` they replace.
+/// Compare them as slices: unused inline slots hold leftovers.
+#[derive(Debug, Clone)]
+pub enum RepresentativeTerms {
+    /// `terms[..len]`.
+    Inline {
+        /// Number of terms.
+        len: u8,
+        /// The terms, then unused slots.
+        terms: [TermId; INLINE_TERMS],
+    },
+    /// More terms than fit in place.
+    Boxed(Box<[TermId]>),
+}
+
+impl std::ops::Deref for RepresentativeTerms {
+    type Target = [TermId];
+
+    #[inline]
+    fn deref(&self) -> &[TermId] {
+        match self {
+            RepresentativeTerms::Inline { len, terms } => &terms[..*len as usize],
+            RepresentativeTerms::Boxed(terms) => terms,
+        }
+    }
+}
+
 /// The conjunctions of a [`BooleanExpr`], each a sorted keyword slice
 /// borrowed from the expression.
 #[derive(Debug, Clone)]
@@ -302,21 +331,43 @@ impl BooleanExpr {
     }
 
     /// For each conjunction, the keyword minimizing `frequency`, i.e. the
-    /// least frequent (most selective) keyword. These are the terms the query
-    /// is posted / routed under.
-    pub fn representative_terms<F: Fn(TermId) -> u64>(&self, frequency: F) -> Vec<TermId> {
-        let mut out: Vec<TermId> = self
-            .conjunctions()
-            .map(|conj| {
-                *conj
-                    .iter()
-                    .min_by_key(|t| (frequency(**t), t.0))
-                    .expect("conjunctions are non-empty")
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// least frequent (most selective) keyword, sorted and deduplicated.
+    /// These are the terms the query is posted / routed under. They are
+    /// stored in place whenever the expression is (it has at most
+    /// `INLINE_TERMS` conjunctions then), so only an expression that already
+    /// lives on the heap allocates here.
+    pub fn representative_terms<F: Fn(TermId) -> u64>(&self, frequency: F) -> RepresentativeTerms {
+        let rarest = |conj: &[TermId]| {
+            *conj
+                .iter()
+                .min_by_key(|t| (frequency(**t), t.0))
+                .expect("conjunctions are non-empty")
+        };
+        let conjunctions = self.conjunctions();
+        if conjunctions.len() > INLINE_TERMS {
+            let mut out: Vec<TermId> = conjunctions.map(rarest).collect();
+            out.sort_unstable();
+            out.dedup();
+            return RepresentativeTerms::Boxed(out.into_boxed_slice());
+        }
+        let mut terms = [TermId(0); INLINE_TERMS];
+        let mut len = 0;
+        for conj in conjunctions {
+            terms[len] = rarest(conj);
+            len += 1;
+        }
+        terms[..len].sort_unstable();
+        let mut distinct = 0;
+        for i in 0..len {
+            if distinct == 0 || terms[i] != terms[distinct - 1] {
+                terms[distinct] = terms[i];
+                distinct += 1;
+            }
+        }
+        RepresentativeTerms::Inline {
+            len: distinct as u8,
+            terms,
+        }
     }
 
     /// The 64-bit match signature of the expression: the bitwise AND over
@@ -443,13 +494,24 @@ mod tests {
             _ => 0,
         };
         let and_expr = BooleanExpr::and_of([t(1), t(2), t(3)]);
-        assert_eq!(and_expr.representative_terms(freq), vec![t(2)]);
+        assert_eq!(*and_expr.representative_terms(freq), [t(2)]);
 
         let or_expr = BooleanExpr::or_of([t(1), t(3)]);
-        assert_eq!(or_expr.representative_terms(freq), vec![t(1), t(3)]);
+        assert_eq!(*or_expr.representative_terms(freq), [t(1), t(3)]);
 
         let mixed = BooleanExpr::from_dnf([vec![t(1), t(3)], vec![t(2)]]);
-        assert_eq!(mixed.representative_terms(freq), vec![t(2), t(3)]);
+        assert_eq!(*mixed.representative_terms(freq), [t(2), t(3)]);
+        // duplicates across conjunctions are dropped, in place
+        let shared = BooleanExpr::from_dnf([vec![t(2), t(3)], vec![t(1), t(2)], vec![t(3)]]);
+        let reps = shared.representative_terms(freq);
+        assert!(matches!(reps, RepresentativeTerms::Inline { len: 2, .. }));
+        assert_eq!(*reps, [t(2), t(3)]);
+        // more conjunctions than fit in place: boxed, same rule
+        let wide = BooleanExpr::or_of((1..=7).map(t));
+        let reps = wide.representative_terms(freq);
+        assert!(matches!(reps, RepresentativeTerms::Boxed(_)));
+        assert_eq!(*reps, (1..=7).map(t).collect::<Vec<_>>()[..]);
+        assert_eq!(std::mem::size_of::<RepresentativeTerms>(), 24);
     }
 
     #[test]

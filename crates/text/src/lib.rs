@@ -18,7 +18,7 @@ pub mod stats;
 pub mod token;
 pub mod vocab;
 
-pub use expr::{BooleanExpr, Conjunctions, DnfBuilder};
+pub use expr::{BooleanExpr, Conjunctions, DnfBuilder, RepresentativeTerms};
 pub use hash::{IdHasher, IdMap, IdSet};
 pub use similarity::TermDistribution;
 pub use stats::TermStats;
@@ -120,7 +120,7 @@ mod proptests {
             prop_assert_eq!(expr.is_conjunctive(), model.0.len() == 1);
             prop_assert_eq!(expr.matches_sorted(&object), model.matches_sorted(&object));
             let freq = |t: TermId| (t.0 * 7 + 3) as u64 % 11;
-            prop_assert_eq!(expr.representative_terms(freq), model.representative_terms(freq));
+            prop_assert_eq!(&*expr.representative_terms(freq), &model.representative_terms(freq)[..]);
             prop_assert_eq!(expr.signature(), model.signature());
             prop_assert_eq!(expr.all_terms(), model.all_terms());
             prop_assert_eq!(expr.num_keywords(), model.all_terms().len());
