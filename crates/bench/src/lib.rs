@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod migration_lab;
 
@@ -61,12 +62,16 @@ pub struct Scale {
 
 impl Scale {
     /// The scale factor read from `PS2_SCALE` (default 1.0).
+    ///
+    /// # Panics
+    /// Panics on a value that is not a finite number greater than zero, like
+    /// `PS2_RUNTIME`: a typo such as `0,02` must not silently run at full
+    /// scale.
     pub fn factor() -> f64 {
-        std::env::var("PS2_SCALE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|v| *v > 0.0)
-            .unwrap_or(1.0)
+        let Ok(spec) = std::env::var("PS2_SCALE") else {
+            return 1.0;
+        };
+        parse_factor(&spec).unwrap_or_else(|e| panic!("PS2_SCALE={spec:?}: {e}"))
     }
 
     /// The scale corresponding to the paper's "5M queries" configuration.
@@ -103,6 +108,15 @@ impl Scale {
             calibration_objects: (queries / 2).clamp(1_000, 40_000),
             calibration_queries: (queries / 8).clamp(200, 10_000),
         }
+    }
+}
+
+/// Parses a `PS2_SCALE` value: a finite number greater than zero.
+fn parse_factor(spec: &str) -> Result<f64, String> {
+    match spec.trim().parse::<f64>() {
+        Ok(f) if f.is_finite() && f > 0.0 => Ok(f),
+        Ok(_) => Err("expected a finite scale factor greater than 0".to_string()),
+        Err(_) => Err("expected a number such as 0.05".to_string()),
     }
 }
 
@@ -695,6 +709,16 @@ pub fn write_json_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_factor_parse_rejects_malformed_values() {
+        assert_eq!(parse_factor("0.05"), Ok(0.05));
+        assert_eq!(parse_factor(" 2 "), Ok(2.0));
+        assert_eq!(parse_factor("1e1"), Ok(10.0));
+        for bad in ["", "abc", "0,02", "0", "-1", "inf", "NaN"] {
+            assert!(parse_factor(bad).is_err(), "{bad:?} was accepted");
+        }
+    }
 
     #[test]
     fn scales_are_monotone() {

@@ -110,6 +110,10 @@ impl Ps2StreamBuilder {
     /// Panics if neither a routing table nor a calibration sample was
     /// provided. Use [`Ps2StreamBuilder::try_start`] to get the failure as a
     /// value instead.
+    #[expect(
+        clippy::panic,
+        reason = "start/finish/finish_with_checkpoints are the documented panicking wrappers re-raising a SystemError on the driver thread; try_start/try_finish return it as a value, and no executor runs this code"
+    )]
     pub fn start(self) -> RunningSystem {
         match self.try_start() {
             Ok(system) => system,
@@ -242,6 +246,10 @@ impl RunningSystem {
         let mut worker_txs = Vec::with_capacity(config.num_workers);
         let mut worker_rxs = Vec::with_capacity(config.num_workers);
         for _ in 0..config.num_workers {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "worker command channels: dispatcher fan-out and the CellPending migration barrier rely on non-blocking control sends"
+            )]
             let (tx, rx) = runtime.unbounded::<WorkerMessage>();
             worker_txs.push(tx);
             worker_rxs.push(rx);
@@ -424,6 +432,10 @@ impl RunningSystem {
             if let Some(snapshot) = &recovered.snapshot {
                 system.routing.read().import_registry(&snapshot.registry);
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "replay-duration metric at launch; the replayed update sequence and all delivered output are clock-independent"
+            )]
             let replay_start = Instant::now();
             for update in recovered.replay_updates() {
                 system.send_unlogged(StreamRecord::Update(update));
@@ -506,6 +518,10 @@ impl RunningSystem {
     /// every executor is blocked on an empty mailbox. On `threads` and
     /// `coop` it waits until the completed-tuple counters have stood still
     /// for 300 ms. Returns false if they were still moving after 30 s.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "settle()'s quiescence wait on threads/coop (under sim it returns before reading the clock); all delivered output is clock-independent"
+    )]
     pub fn settle(&mut self) -> bool {
         self.flush();
         if self.records_in == 0 || self.runtime.run_until_idle() {
@@ -552,6 +568,10 @@ impl RunningSystem {
     /// actually runs: each join below advances *all* alive executors until
     /// the joined group terminates, so migrations still land in the middle
     /// of the stream being drained.
+    #[expect(
+        clippy::panic,
+        reason = "start/finish/finish_with_checkpoints are the documented panicking wrappers re-raising a SystemError on the driver thread; try_start/try_finish return it as a value, and no executor runs this code"
+    )]
     pub fn finish(self) -> RunReport {
         match self.shutdown(false) {
             Ok((report, _)) => report,
@@ -572,6 +592,10 @@ impl RunningSystem {
     /// id). The crash-recovery tests use this to prove that a recovered
     /// deployment converges to the same per-worker index state as a freshly
     /// routed one.
+    #[expect(
+        clippy::panic,
+        reason = "start/finish/finish_with_checkpoints are the documented panicking wrappers re-raising a SystemError on the driver thread; try_start/try_finish return it as a value, and no executor runs this code"
+    )]
     pub fn finish_with_checkpoints(self) -> (RunReport, Vec<WorkerCheckpoint>) {
         match self.shutdown(true) {
             Ok(pair) => pair,

@@ -334,6 +334,10 @@ impl Worker {
     /// worker's fault schedule. Returns the envelope when it should be
     /// processed normally, or `None` when an open (or just-opened) fault
     /// window parked it.
+    #[expect(
+        clippy::expect_used,
+        reason = "fault-window takes guarded by the is_some_and check or the arm-check on the same path; the supervision state machine makes them infallible"
+    )]
     fn fault_admit(&mut self, envelope: Envelope<StreamRecord>) -> Option<Envelope<StreamRecord>> {
         let Some(sup) = self.supervision.as_mut() else {
             return Some(envelope);
@@ -506,6 +510,10 @@ impl Worker {
         self.flush_object_run();
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "migration timing metrics only; match results never depend on the clock"
+    )]
     fn handle_migrate_out(&mut self, cell: CellId, terms: Option<Vec<TermId>>, to: WorkerId) {
         let start = Instant::now();
         let queries = match &terms {
@@ -546,6 +554,10 @@ impl Worker {
         *self.pending_cells.entry(cell).or_insert(0) += 1;
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "migration timing metrics only; match results never depend on the clock"
+    )]
     fn handle_migrate_in(&mut self, cell: CellId, queries: Vec<ps2stream_model::StsQuery>) {
         let start = Instant::now();
         for q in queries {

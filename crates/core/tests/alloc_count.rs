@@ -1,4 +1,5 @@
-//! Allocation-count regression tests for the flat subscription storage.
+//! Allocation-count regression tests for the per-record paths: GI²
+//! matching and subscription storage, and dispatcher routing.
 //!
 //! A (cell, term) posting list of up to two slots lives inside its table
 //! entry, a longer one in the index's spill arena; a stored query keeps its
@@ -11,16 +12,40 @@
 //! * deleting a query, which unposts it from every (cell, term) list it is
 //!   in, allocates nothing either.
 //!
+//! Most objects die at the dispatcher (no registered keyword in their cell),
+//! so with a recycled destination buffer `RoutingTable::route_object_into`
+//! allocates nothing, for a discarded object or a routed one. Subscription
+//! updates share that buffer: `route_insert_into` allocates nothing once
+//! the query's `(cell, term)` pairs are registered, and `route_delete_into`
+//! nothing at all.
+//!
+//! The case that reaches each allocation-free function:
+//!
+//! | function | case |
+//! |---|---|
+//! | `Gi2Index::{match_batch, match_in_cell}`, `PostingEntry::{slots, note_object_hit}`, `CellIndex::traverse`, `MatchScratch::first_visit`, `BooleanExpr::{matches_sorted, conjunctions}`, `Conjunctions::next` | `matching_a_batch_allocates_nothing` |
+//! | `Gi2Index::insert`, `StoredQuery::{cells, bytes}`, `UniformGrid::{cells_overlapping_iter, cell_span}` | `a_reinsert_into_warm_tables_allocates_nothing` |
+//! | `Gi2Index::delete_by_id`, `CellIndex::unpost`, `PostingEntry::remove`, `PostingArena::release` | `a_delete_allocates_nothing` |
+//! | `RoutingTable::route_object_into`, `TermRegistry::{cell_is_empty, probe_terms}` | `routing_an_object_allocates_nothing_once_the_buffer_is_warm` |
+//! | `RoutingTable::{route_insert_into, route_delete_into}`, `CellRouting::add_workers`, `add_worker`, `TermRegistry::insert_all` | `routing_an_update_allocates_nothing_once_the_buffer_is_warm` |
+//! | `VisitedMaps::first_visit` | `routing_through_shared_term_maps_allocates_nothing` |
+//! | `TermRegistry::contains` | `registry_probes_allocate_nothing` |
+//!
 //! Own test binary: the counting `#[global_allocator]` must not leak into
-//! the crate's other tests. Counts are per thread, so the tests do not see
-//! each other or the harness.
+//! other tests. Counts are per thread, so the tests do not see each other
+//! or the harness.
 
-use ps2stream_geo::{Point, Rect};
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+use ps2stream_geo::{Point, Rect, UniformGrid};
 use ps2stream_index::{Gi2Config, Gi2Index, MatchScratch};
-use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId};
-use ps2stream_text::{BooleanExpr, TermId};
+use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId, WorkerId};
+use ps2stream_partition::{CellRouting, RoutingTable, TermRegistry, TermRouting};
+use ps2stream_text::{BooleanExpr, TermId, TermStats};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -70,6 +95,8 @@ fn allocations_and_frees_during(f: impl FnOnce()) -> (u64, u64) {
         DEALLOCATIONS.with(Cell::get) - before.1,
     )
 }
+
+// --- GI² index --------------------------------------------------------------
 
 /// 16 × 16 cells of side 4 over a 64 × 64 space.
 fn index() -> Gi2Index {
@@ -184,6 +211,7 @@ fn a_spilling_list_allocates_one_block() {
     assert_eq!(allocations, CELLS_PER_QUERY, "one block per spilling list");
     assert_eq!(list_len(&idx, 0), 3);
 }
+
 #[test]
 fn matching_a_batch_allocates_nothing() {
     let mut idx = index();
@@ -280,4 +308,205 @@ fn a_delete_allocates_nothing() {
     );
     assert_eq!(list_len(&idx, SHARED), 2);
     assert_eq!(idx.num_queries(), QUERIES as usize);
+}
+
+// --- Dispatcher routing -----------------------------------------------------
+
+/// 4 × 4 cells over 16 × 16: the left half routes to worker 0, the right
+/// half to worker 1, and cell (0, 0) is text-split so that term 2 goes to
+/// worker 1. Queries on terms 1 and 2 are registered in the left half only.
+fn table() -> RoutingTable {
+    let grid = UniformGrid::new(Rect::from_coords(0.0, 0.0, 16.0, 16.0), 4, 4);
+    let cells: Vec<CellRouting> = grid
+        .all_cells()
+        .map(|c| CellRouting::Single(WorkerId(u32::from(c.col >= 2))))
+        .collect();
+    let mut table = RoutingTable::new(grid, cells, 2, Arc::new(TermStats::new()), "alloc");
+    for (id, term) in [(1, 1), (2, 2)] {
+        table.route_insert(&StsQuery::new(
+            QueryId(id),
+            SubscriberId(id),
+            BooleanExpr::single(TermId(term)),
+            Rect::from_coords(0.5, 0.5, 7.5, 15.5),
+        ));
+    }
+    let cell = table.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
+    table.split_cell_by_terms(cell, &HashSet::from([TermId(2)]), WorkerId(1));
+    table
+}
+
+fn object(terms: &[u32], x: f64, y: f64) -> SpatioTextualObject {
+    SpatioTextualObject::new(
+        ObjectId(0),
+        terms.iter().map(|&t| TermId(t)).collect(),
+        Point::new(x, y),
+    )
+}
+
+#[test]
+fn routing_an_object_allocates_nothing_once_the_buffer_is_warm() {
+    let table = table();
+    // (object, expected destinations)
+    let cases = [
+        // outside the grid
+        (object(&[1], 40.0, 1.0), vec![]),
+        // a cell with no registered query term at all
+        (object(&[1], 13.0, 1.0), vec![]),
+        // a non-empty cell, but none of the object's terms is registered
+        (object(&[3, 4, 5], 5.0, 5.0), vec![]),
+        // routed to one worker
+        (object(&[1, 3], 5.0, 5.0), vec![WorkerId(0)]),
+        // routed to both workers through the text-split cell
+        (object(&[1, 2], 1.0, 1.0), vec![WorkerId(0), WorkerId(1)]),
+    ];
+    let mut workers = Vec::new();
+    for (o, expected) in &cases {
+        table.route_object_into(o, &mut workers);
+        assert_eq!(&workers, expected);
+        assert_eq!(&table.route_object(o), expected);
+    }
+    let allocations = allocations_during(|| {
+        for _ in 0..1_000 {
+            for (o, expected) in &cases {
+                table.route_object_into(o, &mut workers);
+                assert_eq!(workers.len(), expected.len());
+            }
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "route_object_into allocated with a warm buffer"
+    );
+    // the wrapper allocates only for an object it actually routes
+    let discarded = allocations_during(|| {
+        for (o, _) in &cases[..3] {
+            assert!(table.route_object(o).is_empty());
+        }
+    });
+    assert_eq!(discarded, 0, "a discarded object cost an allocation");
+}
+
+fn query(id: u64, keywords: BooleanExpr, region: Rect) -> StsQuery {
+    StsQuery::new(QueryId(id), SubscriberId(id), keywords, region)
+}
+
+/// Routes every case's insertion and deletion once, checking each against
+/// its expected destinations (which also warms the buffer and registers the
+/// insertions' `(cell, term)` pairs), then returns the allocations of a
+/// thousand more rounds.
+fn update_routing_allocations(table: &RoutingTable, cases: &[(StsQuery, Vec<WorkerId>)]) -> u64 {
+    let mut workers = Vec::new();
+    for (q, expected) in cases {
+        // the first insertion registers the (cell, term) pairs it is
+        // posted under; from then on, inserting it is a read-only probe
+        table.route_insert_into(q, &mut workers);
+        workers.sort();
+        assert_eq!(&workers, expected);
+        let mut wrapped = table.route_insert(q);
+        wrapped.sort();
+        assert_eq!(&wrapped, expected);
+        table.route_delete_into(q, &mut workers);
+        workers.sort();
+        assert_eq!(&workers, expected);
+    }
+    allocations_during(|| {
+        for _ in 0..1_000 {
+            for (q, expected) in cases {
+                table.route_insert_into(q, &mut workers);
+                assert_eq!(workers.len(), expected.len());
+                table.route_delete_into(q, &mut workers);
+                assert_eq!(workers.len(), expected.len());
+            }
+        }
+    })
+}
+
+#[test]
+fn routing_an_update_allocates_nothing_once_the_buffer_is_warm() {
+    // (query, expected destinations of its insertion and of its deletion)
+    let cases = [
+        // one Single cell, terms already registered by `table()`
+        (
+            query(
+                10,
+                BooleanExpr::single(TermId(1)),
+                Rect::from_coords(4.5, 4.5, 5.5, 5.5),
+            ),
+            vec![WorkerId(0)],
+        ),
+        // the text-split cell: term 2 routes to worker 1, term 1 to worker 0
+        (
+            query(
+                11,
+                BooleanExpr::or_of([TermId(1), TermId(2)]),
+                Rect::from_coords(0.5, 0.5, 1.5, 1.5),
+            ),
+            vec![WorkerId(0), WorkerId(1)],
+        ),
+        // a region across both halves of the grid, many cells
+        (
+            query(
+                12,
+                BooleanExpr::and_of([TermId(1), TermId(3)]),
+                Rect::from_coords(0.5, 0.5, 15.5, 15.5),
+            ),
+            vec![WorkerId(0), WorkerId(1)],
+        ),
+        // outside the grid
+        (
+            query(
+                13,
+                BooleanExpr::single(TermId(1)),
+                Rect::from_coords(40.0, 40.0, 41.0, 41.0),
+            ),
+            vec![],
+        ),
+    ];
+    assert_eq!(
+        update_routing_allocations(&table(), &cases),
+        0,
+        "routing an update allocated with a warm buffer"
+    );
+}
+
+#[test]
+fn routing_through_shared_term_maps_allocates_nothing() {
+    // 4 × 4 cells over 16 × 16, every cell text-partitioned by one map
+    // shared the way a Hybrid text region shares it: term 2 to worker 1,
+    // every other term to worker 0
+    let grid = UniformGrid::new(Rect::from_coords(0.0, 0.0, 16.0, 16.0), 4, 4);
+    let shared = Arc::new(TermRouting::new([(TermId(2), WorkerId(1))], WorkerId(0)));
+    let cells: Vec<CellRouting> = grid
+        .all_cells()
+        .map(|_| CellRouting::SharedTerms(Arc::clone(&shared)))
+        .collect();
+    let table = RoutingTable::new(grid, cells, 2, Arc::new(TermStats::new()), "alloc");
+    // a region across many cells: each update looks the map up once
+    let cases = [(
+        query(
+            20,
+            BooleanExpr::or_of([TermId(1), TermId(2)]),
+            Rect::from_coords(0.5, 0.5, 15.5, 15.5),
+        ),
+        vec![WorkerId(0), WorkerId(1)],
+    )];
+    assert_eq!(
+        update_routing_allocations(&table, &cases),
+        0,
+        "routing through a shared term map allocated with a warm buffer"
+    );
+}
+
+#[test]
+fn registry_probes_allocate_nothing() {
+    let registry = TermRegistry::new(16);
+    registry.insert_all(3, &[TermId(7), TermId(9)]);
+    let allocations = allocations_during(|| {
+        for _ in 0..1_000 {
+            assert!(registry.contains(3, TermId(7)));
+            assert!(!registry.contains(3, TermId(8)));
+            assert!(!registry.contains(4, TermId(7)));
+        }
+    });
+    assert_eq!(allocations, 0, "TermRegistry::contains allocated");
 }

@@ -5,7 +5,8 @@
 //!
 //! * [`frame`] — length-prefixed, CRC-checked record framing with an explicit
 //!   [`FsyncPolicy`] (`PS2_FSYNC`). Every durable byte of the workspace goes
-//!   through it (enforced by the ps2lint `durability-discipline` rule).
+//!   through it (enforced by the `write_all` ban in this crate's
+//!   `clippy.toml`).
 //! * [`oplog`] — the append-only insert/delete log; loading yields the
 //!   longest valid prefix and truncates torn tails instead of failing.
 //! * [`snapshot`] + [`store`] — atomic snapshot-then-rename checkpoints of
@@ -16,6 +17,8 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod crc;
 pub mod frame;

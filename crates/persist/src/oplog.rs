@@ -101,9 +101,10 @@ impl OpLog {
         if loaded.has_torn_tail() {
             let file = std::fs::OpenOptions::new().write(true).open(path)?;
             file.set_len(loaded.valid_bytes)?;
-            // DURABILITY: the truncation must hit the disk before new appends
-            // extend the file, or a machine crash could resurrect the torn
-            // tail in the middle of fresh records.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: the truncation must hit the disk before new appends extend the file, or a machine crash could resurrect the torn tail in the middle of fresh records"
+            )]
             file.sync_all()?;
         }
         Ok(Self {

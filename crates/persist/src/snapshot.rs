@@ -126,9 +126,10 @@ pub fn write_snapshot(dir: &Path, data: &SnapshotData) -> std::io::Result<PathBu
     }
     std::fs::rename(&tmp_path, &final_path)?;
     if let Ok(d) = std::fs::File::open(dir) {
-        // DURABILITY: the rename itself must reach the disk — without the
-        // directory fsync a machine crash can forget the publish and leave
-        // only the older snapshot visible.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "DURABILITY: the rename itself must reach the disk — without the directory fsync a machine crash can forget the publish and leave only the older snapshot visible"
+        )]
         let _ = d.sync_all();
     }
     prune_superseded(dir, data.watermark);

@@ -293,9 +293,10 @@ impl PersistentStore {
         self.log.flush()?;
         std::fs::rename(&rewrite_path, &log_path)?;
         if let Ok(d) = std::fs::File::open(&self.config.dir) {
-            // DURABILITY: the rename replacing the log must be on disk
-            // before appends continue, or a machine crash could leave a log
-            // missing both the compacted prefix and the new tail.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "DURABILITY: the rename replacing the log must be on disk before appends continue, or a machine crash could leave a log missing both the compacted prefix and the new tail"
+            )]
             let _ = d.sync_all();
         }
         let rewritten = load_log(&log_path)?;

@@ -158,6 +158,10 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
 }
 
 /// Creates a channel with unlimited capacity; `send` never blocks.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the channel constructors themselves live here"
+)]
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     wrap(cb::unbounded())
 }

@@ -216,6 +216,10 @@ pub(crate) struct PoolRuntime {
 
 impl PoolRuntime {
     /// Starts a pool of `threads` scheduler threads (at least one).
+    #[expect(
+        clippy::expect_used,
+        reason = "pool-thread spawn happens at construction before any record flows"
+    )]
     pub(crate) fn new(threads: usize) -> Self {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -307,6 +311,10 @@ impl Drop for PoolRuntime {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "task-slot takes are the scheduler's own ready/running invariant (a queued or polled task always owns its box)"
+)]
 fn pool_thread(shared: &Arc<PoolShared>) {
     loop {
         let (id, mut task) = {
@@ -454,6 +462,10 @@ impl SimRuntime {
     }
 
     /// Polls the task the seed picks next and returns its id and outcome.
+    #[expect(
+        clippy::expect_used,
+        reason = "task-slot takes are the scheduler's own ready/running invariant (a queued or polled task always owns its box)"
+    )]
     fn poll_one(&mut self) -> (usize, TaskPoll) {
         let slot = (splitmix64(&mut self.rng) % self.alive.len() as u64) as usize;
         let pick = self.alive[slot];

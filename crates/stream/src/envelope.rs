@@ -23,6 +23,10 @@ pub struct Envelope<T> {
 
 impl<T> Envelope<T> {
     /// Wraps a payload, stamping the current instant.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "ingest timestamp feeds the latency metrics only; delivered output is independent of it"
+    )]
     pub fn now(sequence: u64, payload: T) -> Self {
         Self {
             payload,

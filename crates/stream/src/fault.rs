@@ -272,6 +272,10 @@ impl FaultPlan {
     /// # Panics
     /// Panics on a malformed value (like `PS2_RUNTIME`, so a typo does not
     /// silently run fault-free).
+    #[expect(
+        clippy::panic,
+        reason = "PS2_FAULTS parse at startup; a typo must fail the launch loudly, not silently run fault-free"
+    )]
     pub fn from_env() -> Option<Self> {
         let spec = std::env::var("PS2_FAULTS").ok()?;
         if spec.trim().is_empty() {

@@ -33,6 +33,10 @@ pub struct ThroughputMeter {
 }
 
 impl Default for ThroughputMeter {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "throughput/latency meters measure real wall time; sim tests assert on delivered sets and counts, never on rates"
+    )]
     fn default() -> Self {
         Self {
             count: AtomicU64::new(0),
@@ -141,6 +145,10 @@ impl LatencyRecorder {
     /// completed now, and returns how many there were. The clock is read
     /// once for the whole set, so an executor can report what it completed
     /// during one message as one update instead of one per tuple.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "throughput/latency meters measure real wall time; sim tests assert on delivered sets and counts, never on rates"
+    )]
     pub fn record_since(&self, ingested: impl IntoIterator<Item = Instant>) -> u64 {
         let now = Instant::now();
         self.record_all(

@@ -98,6 +98,10 @@ impl RuntimeBackend {
     /// # Panics
     /// Panics on a malformed value — a typo must not silently run the
     /// default backend.
+    #[expect(
+        clippy::panic,
+        reason = "PS2_RUNTIME parse fails at launch before any record flows"
+    )]
     pub fn from_env() -> Option<Self> {
         let spec = std::env::var("PS2_RUNTIME").ok()?;
         Some(Self::parse(&spec).unwrap_or_else(|| {
@@ -152,6 +156,10 @@ impl Runtime {
     /// backend honours `capacity` (blocking backpressure), the cooperative
     /// backends return an unbounded channel because a task must never block
     /// inside a poll.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "backend policy: cooperative/sim tasks must never block mid-poll, so their channels are unbounded by construction"
+    )]
     pub fn bounded<T: Send + 'static>(&self, capacity: usize) -> (Sender<T>, Receiver<T>) {
         match self.inner {
             Inner::Threads(_) => channel::bounded(capacity),
@@ -160,6 +168,10 @@ impl Runtime {
     }
 
     /// Creates an unbounded channel on any backend.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "backend policy: cooperative/sim tasks must never block mid-poll, so their channels are unbounded by construction"
+    )]
     pub fn unbounded<T: Send + 'static>(&self) -> (Sender<T>, Receiver<T>) {
         channel::unbounded()
     }
@@ -167,6 +179,10 @@ impl Runtime {
     /// Spawns an operator onto the substrate: a dedicated OS thread on the
     /// thread backend, a pollable task on the cooperative backends (waking on
     /// its input channel).
+    #[expect(
+        clippy::expect_used,
+        reason = "OS-thread spawn at executor launch, before any record flows; there is no pipeline to degrade yet"
+    )]
     pub fn spawn_operator<O: Operator>(
         &mut self,
         name: impl Into<String>,
@@ -227,6 +243,10 @@ impl Runtime {
     ///
     /// # Panics
     /// Panics with the operator's name if it panicked.
+    #[expect(
+        clippy::panic,
+        reason = "join_tasks is the documented panic-propagating wrapper over try_join_tasks"
+    )]
     pub fn join_tasks(&mut self, handles: &[TaskHandle]) {
         if let Err(name) = self.try_join_tasks(handles) {
             panic!("executor '{name}' panicked");
