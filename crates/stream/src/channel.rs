@@ -1,49 +1,101 @@
 //! Channels of the dataflow substrate.
 //!
-//! A thin wrapper over `crossbeam-channel` adding the one capability the
-//! cooperative executor backend needs: a **notify hook** on the receiving
-//! side. When an operator task is multiplexed onto a core pool it parks
-//! (its poll returns `Blocked`) instead of blocking an OS
-//! thread on `recv`; the sender side must then tell the scheduler that the
-//! task is runnable again. Every `send`, every `send_all` burst — and the
-//! disconnection of the last sender — fires the wakers attached to the
-//! channel. On the OS-thread backend no waker is ever attached and the hook
-//! is a single relaxed atomic load, so the blocking hot path is unchanged.
+//! One multi-producer multi-consumer channel, a `Mutex<VecDeque>` plus two
+//! condvars: [`bounded`] channels block a `send` while full (the executor
+//! queues' backpressure), [`unbounded`] ones never do. Every job the
+//! executor backends need of a queue lives here, under the one lock:
 //!
-//! The whole workspace creates channels through these constructors (or
-//! through [`crate::runtime::Runtime::bounded`], which picks the right
-//! capacity semantics per backend), so swapping backends never changes
-//! operator code.
+//! - **Parked-peer counting.** The channel counts, under its mutex, the
+//!   receivers parked on `not_empty` and the senders parked on `not_full`,
+//!   and signals a condvar only when someone is parked on it: a condvar
+//!   notify is a futex syscall even with no waiter, so an uncontended `send`
+//!   or `recv` costs one lock and unlock and no syscall.
+//! - **Wake at half capacity.** A pop wakes a parked sender only once it
+//!   leaves a bounded queue at or below half its capacity, so a producer
+//!   blocked on a full queue is woken once per half queue of free space
+//!   rather than once per value (capacities 1 and 2 wake on every pop).
+//! - **Bursts.** [`Sender::send_all`] enqueues a burst under one lock per
+//!   stretch of free capacity and wakes parked receivers at most once per
+//!   stretch, where a loop of `send` would lock and possibly wake once per
+//!   value.
+//! - **Task wakers.** When an operator task is multiplexed onto a core pool
+//!   it parks (its poll returns `Blocked`) instead of blocking an OS thread
+//!   in `recv`; the sender side must then tell the scheduler that the task
+//!   is runnable again. Every `send` and `try_send`, every `send_all` burst
+//!   — and the disconnection of the last sender — fires the wakers attached
+//!   to the channel. On the OS-thread backend no waker is ever attached and
+//!   the hook is a single atomic load.
+//! - **Backlog gauge.** [`QueueDepth`] reads the number of queued messages
+//!   without holding an endpoint, for overload shedding.
+//! - **Fault shim.** [`Sender::with_fault`] diverts and later retransmits
+//!   seeded sends (see [`crate::fault`]).
+//!
+//! Every operation takes the one mutex, so producers and consumers
+//! contending on a channel serialize. The whole workspace creates channels
+//! through these constructors (or through
+//! [`crate::runtime::Runtime::bounded`], which picks the right capacity
+//! semantics per backend), so swapping backends never changes operator
+//! code.
 
+use crate::coop::{lock, wait};
 use crate::fault::EdgeFault;
-use crossbeam_channel as cb;
-pub use crossbeam_channel::{RecvError, SendError, TryRecvError, TrySendError};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
-use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+/// Error returned by [`Sender::send`] and [`Sender::send_all`] when every
+/// receiver is gone; carries the value not sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SendError<T>(pub T);
+
+/// Error returned by [`Sender::try_send`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrySendError<T> {
+    /// The channel is at capacity.
+    Full(T),
+    /// All receivers have been dropped.
+    Disconnected(T),
+}
+
+/// Error returned by [`Receiver::recv`] when the channel is empty and every
+/// sender is gone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecvError;
+
+/// Error returned by [`Receiver::try_recv`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TryRecvError {
+    /// The channel is currently empty.
+    Empty,
+    /// The channel is empty and every sender has been dropped.
+    Disconnected,
+}
 
 /// A wakeup callback attached to a channel: invoked after every successful
 /// send or burst and when the last sender disconnects.
 pub(crate) type Waker = Arc<dyn Fn() + Send + Sync>;
 
-/// The shared notify state of one channel. Wakers are attached by the
-/// cooperative runtime when it spawns the task that owns the receiving side;
-/// the OS-thread backend attaches none.
-#[derive(Default)]
-pub(crate) struct NotifySlot {
+/// The part of a channel that does not depend on its message type: the task
+/// wakers and the backlog gauge. The cooperative runtime attaches wakers
+/// here when it spawns the task that owns the receiving side; the OS-thread
+/// backend attaches none.
+pub(crate) struct Hooks {
     has_wakers: AtomicBool,
     wakers: Mutex<Vec<Waker>>,
+    /// Messages queued or being sent: the backlog gauge the overload policy
+    /// reads without holding an endpoint. A send bumps it *before* the
+    /// enqueue, so a receiver can never dequeue a message the gauge has not
+    /// counted yet; the price is that a sender blocked on a full queue
+    /// counts as backlog too.
+    depth: AtomicUsize,
 }
 
-impl NotifySlot {
-    /// Fires every attached waker. Cheap (one relaxed load) when none are
-    /// attached.
-    pub(crate) fn notify(&self) {
+impl Hooks {
+    /// Fires every attached waker. One atomic load when none are attached.
+    fn notify(&self) {
         if self.has_wakers.load(Ordering::Acquire) {
-            for waker in self.wakers.lock().iter() {
+            for waker in lock(&self.wakers).iter() {
                 waker();
             }
         }
@@ -51,23 +103,10 @@ impl NotifySlot {
 
     /// Attaches a waker. Must happen before the owning task first parks,
     /// otherwise a send racing the attachment could be missed.
-    pub(crate) fn attach(&self, waker: Waker) {
-        self.wakers.lock().push(waker);
+    pub(crate) fn attach_waker(&self, waker: Waker) {
+        lock(&self.wakers).push(waker);
         self.has_wakers.store(true, Ordering::Release);
     }
-}
-
-pub(crate) struct Hooks {
-    slot: NotifySlot,
-    /// Live `Sender` clones; the drop of the last one fires the wakers so a
-    /// parked task can observe the disconnection and finish.
-    senders: AtomicUsize,
-    /// Messages queued or being sent (maintained by the wrapper's send/recv
-    /// paths): the backlog gauge the overload policy reads without holding
-    /// an endpoint. A send bumps it *before* the enqueue, so a receiver can
-    /// never dequeue a message the gauge has not counted yet; the price is
-    /// that a sender blocked on a full queue counts as backlog too.
-    depth: AtomicUsize,
 }
 
 /// A cloneable backlog gauge for one channel, detached from both endpoints:
@@ -92,6 +131,73 @@ impl fmt::Debug for QueueDepth {
     }
 }
 
+struct State<T> {
+    queue: VecDeque<T>,
+    /// Live `Sender` clones; the channel is disconnected at zero.
+    senders: usize,
+    receivers: usize,
+    /// Receivers waiting on `not_empty`; a send notifies only when non-zero.
+    parked_receivers: usize,
+    /// Senders waiting on `not_full`; a receive notifies only when non-zero.
+    parked_senders: usize,
+}
+
+struct Shared<T> {
+    state: Mutex<State<T>>,
+    capacity: Option<usize>,
+    not_empty: Condvar,
+    not_full: Condvar,
+}
+
+impl<T> Shared<T> {
+    fn is_full(&self, state: &State<T>) -> bool {
+        self.capacity.is_some_and(|cap| state.queue.len() >= cap)
+    }
+
+    /// Waits on `not_full`, counted as a parked sender while it waits.
+    fn park_sender<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        state.parked_senders += 1;
+        let mut state = wait(&self.not_full, state);
+        state.parked_senders -= 1;
+        state
+    }
+
+    /// Wakes the receivers `pushed` new values can serve, out of `parked`
+    /// counted under the lock: none, one, or — when both exceed one — all of
+    /// them with a single notify rather than one syscall per value. A
+    /// receiver counts itself parked under the lock before it waits, so a
+    /// push that sees zero has no one to wake: the next receiver to take the
+    /// lock finds the value.
+    fn notify_receivers(&self, parked: usize, pushed: usize) {
+        if parked > 1 && pushed > 1 {
+            self.not_empty.notify_all();
+        } else if parked > 0 {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Releases the lock after a pop and wakes one parked sender, if any,
+    /// once the pop has left the queue at or below half its capacity.
+    ///
+    /// Waking at every pop of a full queue would cost the receiver a futex
+    /// syscall per value and hand the sender one free slot per wake-up; at
+    /// half capacity the woken sender refills half a queue in one go. No
+    /// wake-up is lost: a sender parks only on a full queue, and receivers
+    /// keep popping until it is empty, so the queue always passes the mark
+    /// with the sender still counted. Capacities 1 and 2 wake on every pop.
+    fn wake_sender(&self, state: MutexGuard<'_, State<T>>) {
+        // only a bounded channel ever has a parked sender
+        let parked = state.parked_senders > 0
+            && self
+                .capacity
+                .is_some_and(|cap| state.queue.len() <= cap / 2);
+        drop(state);
+        if parked {
+            self.not_full.notify_one();
+        }
+    }
+}
+
 /// The seeded drop/delay shim state shared by the clones of one faulted
 /// sender (see [`Sender::with_fault`]).
 struct FaultShim<T> {
@@ -111,17 +217,14 @@ struct FaultShim<T> {
 
 impl<T> FaultShim<T> {
     fn coin(&self) -> bool {
-        let mut state = self.rng.lock();
+        let mut state = lock(&self.rng);
         (crate::coop::splitmix64(&mut state) % 1_000_000) < u64::from(self.p_ppm)
     }
 }
 
 /// The sending half of a channel (see [`bounded`] / [`unbounded`]).
 pub struct Sender<T> {
-    /// `ManuallyDrop` so `Drop` can disconnect the inner sender *before*
-    /// firing the wakers: notifying first would let a parked task observe
-    /// `Empty` instead of `Disconnected`, park again, and never wake.
-    inner: ManuallyDrop<cb::Sender<T>>,
+    shared: Arc<Shared<T>>,
     hooks: Arc<Hooks>,
     /// Optional seeded drop/delay shim (fault injection).
     fault: Option<Arc<FaultShim<T>>>,
@@ -129,41 +232,54 @@ pub struct Sender<T> {
 
 /// The receiving half of a channel (see [`bounded`] / [`unbounded`]).
 pub struct Receiver<T> {
-    inner: cb::Receiver<T>,
+    shared: Arc<Shared<T>>,
     hooks: Arc<Hooks>,
 }
 
-fn wrap<T>(pair: (cb::Sender<T>, cb::Receiver<T>)) -> (Sender<T>, Receiver<T>) {
+fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
+    let shared = Arc::new(Shared {
+        state: Mutex::new(State {
+            queue: VecDeque::new(),
+            senders: 1,
+            receivers: 1,
+            parked_receivers: 0,
+            parked_senders: 0,
+        }),
+        capacity,
+        not_empty: Condvar::new(),
+        not_full: Condvar::new(),
+    });
     let hooks = Arc::new(Hooks {
-        slot: NotifySlot::default(),
-        senders: AtomicUsize::new(1),
+        has_wakers: AtomicBool::new(false),
+        wakers: Mutex::new(Vec::new()),
         depth: AtomicUsize::new(0),
     });
     (
         Sender {
-            inner: ManuallyDrop::new(pair.0),
+            shared: Arc::clone(&shared),
             hooks: Arc::clone(&hooks),
             fault: None,
         },
-        Receiver {
-            inner: pair.1,
-            hooks,
-        },
+        Receiver { shared, hooks },
     )
 }
 
 /// Creates a channel with a fixed capacity; `send` blocks while full.
+///
+/// # Panics
+/// Panics on `capacity == 0`: a queue of capacity 0 would block every
+/// `send` forever (rendezvous channels are not implemented).
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    wrap(cb::bounded(capacity))
+    assert!(
+        capacity > 0,
+        "bounded(0) rendezvous channels are not supported"
+    );
+    channel(Some(capacity))
 }
 
 /// Creates a channel with unlimited capacity; `send` never blocks.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the channel constructors themselves live here"
-)]
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    wrap(cb::unbounded())
+    channel(None)
 }
 
 impl<T> Sender<T> {
@@ -173,10 +289,7 @@ impl<T> Sender<T> {
             let now = fault.sent.fetch_add(1, Ordering::Relaxed) + 1;
             self.flush_due(fault, now)?;
             if fault.coin() {
-                fault
-                    .held
-                    .lock()
-                    .push_back((now + fault.redeliver_after, value));
+                lock(&fault.held).push_back((now + fault.redeliver_after, value));
                 fault.diverted.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
@@ -186,66 +299,116 @@ impl<T> Sender<T> {
 
     /// Sends every value in order, blocking while the channel is full: one
     /// lock per stretch of free capacity, at most one wake of parked
-    /// receivers per stretch, and one notify-hook call for the burst. When
-    /// every receiver is gone, returns the first value not sent; the rest
-    /// are dropped. A fault-shimmed sender sends value by value, so the
-    /// shim's diversion clock advances exactly as under `n` single sends.
+    /// receivers per stretch, and one waker call for the burst. When every
+    /// receiver is gone, returns the first value not sent; the rest are
+    /// dropped. A fault-shimmed sender sends value by value, so the shim's
+    /// diversion clock advances exactly as under `n` single sends.
+    ///
+    /// `values` is advanced while the lock is held, so it should be cheap to
+    /// iterate (a drain of a buffer, not a computation).
     pub fn send_all<I>(&self, values: I) -> Result<(), SendError<T>>
     where
         I: IntoIterator<Item = T>,
         I::IntoIter: ExactSizeIterator,
     {
-        let values = values.into_iter();
+        let mut values = values.into_iter();
         if self.fault.is_some() {
             for value in values {
                 self.send(value)?;
             }
             return Ok(());
         }
-        let len = values.len();
-        if len == 0 {
+        let Some(mut value) = values.next() else {
             return Ok(());
+        };
+        // the whole burst is backlog from here on, as under single sends
+        let mut unsent = values.len() + 1;
+        self.hooks.depth.fetch_add(unsent, Ordering::Relaxed);
+        let mut state = lock(&self.shared.state);
+        loop {
+            if state.receivers == 0 {
+                self.hooks.depth.fetch_sub(unsent, Ordering::Relaxed);
+                return Err(SendError(value));
+            }
+            if self.shared.is_full(&state) {
+                state = self.shared.park_sender(state);
+                continue;
+            }
+            state.queue.push_back(value);
+            let mut pushed = 1;
+            let rest = loop {
+                match values.next() {
+                    Some(next) if !self.shared.is_full(&state) => {
+                        state.queue.push_back(next);
+                        pushed += 1;
+                    }
+                    rest => break rest,
+                }
+            };
+            unsent -= pushed;
+            let parked = state.parked_receivers;
+            let Some(next) = rest else {
+                drop(state);
+                self.shared.notify_receivers(parked, pushed);
+                self.hooks.notify();
+                return Ok(());
+            };
+            // Full with values left: wake the receivers that will drain the
+            // queue before parking on it (the lock is released by the wait).
+            self.shared.notify_receivers(parked, pushed);
+            value = next;
         }
-        self.hooks.depth.fetch_add(len, Ordering::Relaxed);
-        let mut taken = 0usize;
-        let sent = self.inner.send_all(values.inspect(|_| taken += 1));
-        if sent.is_err() {
-            // the returned value was taken but not enqueued
-            let unsent = len - (taken - 1);
-            self.hooks.depth.fetch_sub(unsent, Ordering::Relaxed);
-            return sent;
-        }
-        self.hooks.slot.notify();
-        Ok(())
     }
 
     /// Sends a message without blocking. Fault shims do not apply here: the
     /// non-blocking path is used for control traffic that must not reorder.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         self.hooks.depth.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.inner.try_send(value) {
-            self.hooks.depth.fetch_sub(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        self.hooks.slot.notify();
-        Ok(())
+        let mut state = lock(&self.shared.state);
+        let refused = if state.receivers == 0 {
+            TrySendError::Disconnected(value)
+        } else if self.shared.is_full(&state) {
+            TrySendError::Full(value)
+        } else {
+            state.queue.push_back(value);
+            self.wake_receiver(state);
+            return Ok(());
+        };
+        self.hooks.depth.fetch_sub(1, Ordering::Relaxed);
+        Err(refused)
     }
 
     fn send_inner(&self, value: T) -> Result<(), SendError<T>> {
         self.hooks.depth.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.inner.send(value) {
-            self.hooks.depth.fetch_sub(1, Ordering::Relaxed);
-            return Err(e);
+        let mut state = lock(&self.shared.state);
+        loop {
+            if state.receivers == 0 {
+                self.hooks.depth.fetch_sub(1, Ordering::Relaxed);
+                return Err(SendError(value));
+            }
+            if !self.shared.is_full(&state) {
+                state.queue.push_back(value);
+                self.wake_receiver(state);
+                return Ok(());
+            }
+            state = self.shared.park_sender(state);
         }
-        self.hooks.slot.notify();
-        Ok(())
+    }
+
+    /// Releases the lock after a push, wakes one parked receiver if any, then
+    /// fires the task wakers.
+    fn wake_receiver(&self, state: MutexGuard<'_, State<T>>) {
+        let parked = state.parked_receivers;
+        drop(state);
+        self.shared.notify_receivers(parked, 1);
+        self.hooks.notify();
     }
 
     /// Retransmits every held message whose due send count has passed.
     fn flush_due(&self, fault: &FaultShim<T>, now: u64) -> Result<(), SendError<T>> {
         loop {
             let due = {
-                let mut held = fault.held.lock();
+                let mut held = lock(&fault.held);
                 match held.front() {
                     Some((due, _)) if *due <= now => held.pop_front().map(|(_, m)| m),
                     _ => None,
@@ -274,42 +437,44 @@ impl<T> Sender<T> {
         }));
         self
     }
-
-    /// A backlog gauge for this channel (see [`QueueDepth`]).
-    pub fn depth_handle(&self) -> QueueDepth {
-        QueueDepth {
-            hooks: Arc::clone(&self.hooks),
-        }
-    }
-
-    /// Number of messages currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the channel is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
 }
 
 impl<T> Receiver<T> {
     /// Receives a message, blocking until one is available or every sender
     /// is dropped.
     pub fn recv(&self) -> Result<T, RecvError> {
-        let value = self.inner.recv()?;
-        self.note_dequeued();
-        Ok(value)
+        let mut state = lock(&self.shared.state);
+        loop {
+            if let Some(value) = state.queue.pop_front() {
+                self.note_dequeued(state);
+                return Ok(value);
+            }
+            if state.senders == 0 {
+                return Err(RecvError);
+            }
+            state.parked_receivers += 1;
+            state = wait(&self.shared.not_empty, state);
+            state.parked_receivers -= 1;
+        }
     }
 
     /// Receives a message without blocking.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let value = self.inner.try_recv()?;
-        self.note_dequeued();
-        Ok(value)
+        let mut state = lock(&self.shared.state);
+        if let Some(value) = state.queue.pop_front() {
+            self.note_dequeued(state);
+            Ok(value)
+        } else if state.senders == 0 {
+            Err(TryRecvError::Disconnected)
+        } else {
+            Err(TryRecvError::Empty)
+        }
     }
 
-    fn note_dequeued(&self) {
+    /// Releases the lock after a pop, wakes a parked sender if the pop
+    /// reached half capacity, and takes the message off the gauge.
+    fn note_dequeued(&self, state: MutexGuard<'_, State<T>>) {
+        self.shared.wake_sender(state);
         // cannot wrap: the sender's increment happens before its enqueue,
         // which the channel's lock orders before this dequeue
         self.hooks.depth.fetch_sub(1, Ordering::Relaxed);
@@ -333,36 +498,30 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Number of messages currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the channel is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// The notify slot shared by every clone of this channel's endpoints
-    /// (the cooperative runtime attaches task wakers here).
-    pub(crate) fn notify_slot(&self) -> Arc<Hooks> {
+    /// The type-erased hooks shared by every clone of this channel's
+    /// endpoints (the cooperative runtime attaches task wakers here).
+    pub(crate) fn hooks(&self) -> Arc<Hooks> {
         Arc::clone(&self.hooks)
-    }
-}
-
-impl Hooks {
-    pub(crate) fn attach_waker(&self, waker: Waker) {
-        self.slot.attach(waker);
     }
 }
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.hooks.senders.fetch_add(1, Ordering::Relaxed);
+        lock(&self.shared.state).senders += 1;
         Self {
-            inner: ManuallyDrop::new((*self.inner).clone()),
+            shared: Arc::clone(&self.shared),
             hooks: Arc::clone(&self.hooks),
             fault: self.fault.clone(),
+        }
+    }
+}
+
+impl<T> Clone for Receiver<T> {
+    fn clone(&self) -> Self {
+        lock(&self.shared.state).receivers += 1;
+        Self {
+            shared: Arc::clone(&self.shared),
+            hooks: Arc::clone(&self.hooks),
         }
     }
 }
@@ -370,26 +529,37 @@ impl<T> Clone for Sender<T> {
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         // Loss masking: every dropping clone retransmits whatever the shared
-        // shim still holds while its own inner sender is alive, so the final
+        // shim still holds while it still counts as a sender, so the final
         // clone's drop leaves nothing diverted behind the disconnect.
         if let Some(fault) = self.fault.take() {
-            let mut held = fault.held.lock();
+            let mut held = lock(&fault.held);
             while let Some((_, message)) = held.pop_front() {
                 if self.send_inner(message).is_err() {
                     break; // receiver gone: nothing left to mask
                 }
             }
         }
-        // Disconnect the inner sender FIRST: a waker fired before the
-        // channel reports `Disconnected` would let the receiving task poll
-        // `Empty`, park again, and sleep forever (the notification below is
-        // the last one it will ever get).
-        // SAFETY: `inner` is never used again; Drop runs exactly once.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
-        if self.hooks.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // last sender gone: wake parked receivers so they can observe
-            // the disconnection and run their `finish`
-            self.hooks.slot.notify();
+        let mut state = lock(&self.shared.state);
+        state.senders -= 1;
+        if state.senders > 0 {
+            return;
+        }
+        drop(state);
+        // The channel reports `Disconnected` from here on, so the wakers
+        // fire after it: a parked task woken earlier would poll `Empty`,
+        // park again, and never be woken (this is the last notification).
+        self.shared.not_empty.notify_all();
+        self.hooks.notify();
+    }
+}
+
+impl<T> Drop for Receiver<T> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.shared.state);
+        state.receivers -= 1;
+        if state.receivers == 0 {
+            drop(state);
+            self.shared.not_full.notify_all();
         }
     }
 }
@@ -418,15 +588,6 @@ impl<T> Iterator for TryIter<'_, T> {
     }
 }
 
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            hooks: Arc::clone(&self.hooks),
-        }
-    }
-}
-
 impl<T> fmt::Debug for Sender<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("Sender { .. }")
@@ -439,25 +600,19 @@ impl<T> fmt::Debug for Receiver<T> {
     }
 }
 
-impl<'a, T> IntoIterator for &'a Receiver<T> {
-    type Item = T;
-    type IntoIter = Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn send_fires_attached_waker() {
         let (tx, rx) = unbounded::<u32>();
         let fired = Arc::new(AtomicU32::new(0));
         let observer = Arc::clone(&fired);
-        rx.notify_slot().attach_waker(Arc::new(move || {
+        rx.hooks().attach_waker(Arc::new(move || {
             observer.fetch_add(1, Ordering::SeqCst);
         }));
         tx.send(1).unwrap();
@@ -472,7 +627,7 @@ mod tests {
         let tx2 = tx.clone();
         let fired = Arc::new(AtomicU32::new(0));
         let observer = Arc::clone(&fired);
-        rx.notify_slot().attach_waker(Arc::new(move || {
+        rx.hooks().attach_waker(Arc::new(move || {
             observer.fetch_add(1, Ordering::SeqCst);
         }));
         drop(tx);
@@ -498,6 +653,20 @@ mod tests {
         // holding the gauge does not keep the channel connected
         drop(tx);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+
+        // a sender blocked on a full queue already counts as backlog
+        let (blocked, got, drained) = within_watchdog(|| {
+            let (tx, rx) = bounded::<u32>(1);
+            let gauge = rx.depth_handle();
+            tx.send(1).unwrap();
+            let (blocked, got) = thread::scope(|scope| {
+                scope.spawn(|| tx.send(2).unwrap());
+                await_parked_senders(&tx, 1);
+                (gauge.get(), [rx.recv(), rx.recv()])
+            });
+            (blocked, got, gauge.get())
+        });
+        assert_eq!((blocked, got, drained), (2, [Ok(1), Ok(2)], 0));
     }
 
     #[test]
@@ -527,7 +696,7 @@ mod tests {
                     });
                 }
             });
-            assert!(rx.is_empty());
+            assert_eq!(queued(&rx), 0);
             assert_eq!(gauge.get(), 0, "gauge drifted in round {round}");
         }
     }
@@ -546,7 +715,7 @@ mod tests {
         let gauge = rx.depth_handle();
         std::thread::scope(|scope| {
             scope.spawn(|| tx.send_all(0..5).unwrap());
-            while rx.len() < 2 {
+            while queued(&rx) < 2 {
                 std::thread::yield_now();
             }
             assert_eq!(gauge.get(), 5);
@@ -566,7 +735,7 @@ mod tests {
         let (tx, rx) = unbounded::<u32>();
         let fired = Arc::new(AtomicU32::new(0));
         let observer = Arc::clone(&fired);
-        rx.notify_slot().attach_waker(Arc::new(move || {
+        rx.hooks().attach_waker(Arc::new(move || {
             observer.fetch_add(1, Ordering::SeqCst);
         }));
         tx.send_all(vec![1, 2, 3]).unwrap();
@@ -664,5 +833,312 @@ mod tests {
         tx.send(3).unwrap();
         drop(tx);
         assert_eq!(handle.join().unwrap(), 6);
+    }
+
+    #[test]
+    fn a_waker_fired_by_the_last_sender_drop_observes_the_disconnect() {
+        let (tx, rx) = unbounded::<u32>();
+        let tx2 = tx.clone();
+        let observed = Arc::new(Mutex::new(Vec::new()));
+        // the waker polls a clone of the receiver, as a parked task would
+        let probe = Arc::new(Mutex::new(Some(rx.clone())));
+        let (seen, polled) = (Arc::clone(&observed), Arc::clone(&probe));
+        rx.hooks().attach_waker(Arc::new(move || {
+            if let Some(rx) = polled.lock().unwrap().as_ref() {
+                seen.lock().unwrap().push(rx.try_recv());
+            }
+        }));
+        drop(tx);
+        drop(tx2);
+        // breaks the receiver → waker → receiver cycle
+        probe.lock().unwrap().take();
+        assert_eq!(
+            *observed.lock().unwrap(),
+            vec![Err(TryRecvError::Disconnected)],
+            "the last drop must disconnect before it fires the wakers"
+        );
+    }
+
+    #[test]
+    fn fifo_and_disconnect() {
+        let (tx, rx) = unbounded();
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        drop(tx);
+        assert_eq!(rx.iter().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    #[test]
+    fn bounded_backpressure() {
+        let (tx, rx) = bounded(2);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
+        let handle = thread::spawn(move || {
+            for i in 3..100 {
+                tx.send(i).unwrap();
+            }
+        });
+        let got: Vec<i32> = rx.iter().collect();
+        handle.join().unwrap();
+        assert_eq!(got, (1..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn mpmc_consumes_each_message_once() {
+        let (tx, rx) = bounded(8);
+        let mut consumers = Vec::new();
+        for _ in 0..4 {
+            let rx = rx.clone();
+            consumers.push(thread::spawn(move || rx.iter().count()));
+        }
+        drop(rx);
+        for i in 0..1000 {
+            tx.send(i).unwrap();
+        }
+        drop(tx);
+        let total: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
+        assert_eq!(total, 1000);
+    }
+
+    #[test]
+    fn send_to_dropped_receiver_errors() {
+        let (tx, rx) = unbounded();
+        drop(rx);
+        assert_eq!(tx.send(7), Err(SendError(7)));
+    }
+
+    /// Runs `f` on a thread of its own and returns its result, failing the
+    /// test if `f` has not returned within a minute: a lost wakeup leaves a
+    /// thread parked forever instead of failing an assertion.
+    fn within_watchdog<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        // the channel under test must not also carry the watchdog's signal
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let run = thread::spawn(move || done_tx.send(f()).unwrap());
+        let result = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a lost wakeup left a sender or receiver parked");
+        run.join().unwrap();
+        result
+    }
+
+    /// Messages currently in the channel's queue.
+    fn queued<T>(rx: &Receiver<T>) -> usize {
+        rx.shared.state.lock().unwrap().queue.len()
+    }
+
+    /// Blocks until `n` receivers are parked on the channel's `not_empty`.
+    fn await_parked_receivers<T>(rx: &Receiver<T>, n: usize) {
+        while rx.shared.state.lock().unwrap().parked_receivers < n {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_parked_recv_is_woken_by_a_later_send() {
+        let (tx, rx) = unbounded();
+        let got = within_watchdog(move || {
+            thread::scope(|scope| {
+                let receiver = scope.spawn(|| rx.recv());
+                await_parked_receivers(&rx, 1);
+                tx.send(42).unwrap();
+                receiver.join().unwrap()
+            })
+        });
+        assert_eq!(got, Ok(42));
+    }
+
+    #[test]
+    fn send_all_preserves_order_across_a_full_channel() {
+        const N: u32 = 1_000;
+        let got = within_watchdog(|| {
+            let (tx, rx) = bounded(2);
+            let receiver = thread::spawn(move || rx.iter().collect::<Vec<u32>>());
+            tx.send(0).unwrap();
+            tx.send_all(1..N).unwrap();
+            tx.send_all(Vec::new()).unwrap();
+            tx.send(N).unwrap();
+            drop(tx);
+            receiver.join().unwrap()
+        });
+        assert_eq!(got, (0..=N).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_burst_larger_than_the_capacity_delivers_each_value_once() {
+        const N: u32 = 20_000;
+        let mut got = within_watchdog(|| {
+            let (tx, rx) = bounded(2);
+            let receivers: Vec<_> = (0..3)
+                .map(|_| {
+                    let rx = rx.clone();
+                    thread::spawn(move || rx.iter().collect::<Vec<u32>>())
+                })
+                .collect();
+            drop(rx);
+            tx.send_all(0..N).unwrap();
+            drop(tx);
+            receivers
+                .into_iter()
+                .flat_map(|r| r.join().unwrap())
+                .collect::<Vec<u32>>()
+        });
+        got.sort_unstable();
+        assert_eq!(got, (0..N).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_parked_recv_is_woken_by_send_all() {
+        let (tx, rx) = unbounded();
+        let got = within_watchdog(move || {
+            thread::scope(|scope| {
+                let receiver = scope.spawn(|| rx.recv());
+                await_parked_receivers(&rx, 1);
+                tx.send_all([1, 2, 3]).unwrap();
+                receiver.join().unwrap()
+            })
+        });
+        assert_eq!(got, Ok(1));
+    }
+
+    #[test]
+    fn one_burst_wakes_every_parked_recv_it_can_serve() {
+        // a single notify_one would leave the second receiver parked forever
+        let (tx, rx) = unbounded();
+        let mut got = within_watchdog(move || {
+            thread::scope(|scope| {
+                let a = scope.spawn(|| rx.recv());
+                let b = scope.spawn(|| rx.recv());
+                await_parked_receivers(&rx, 2);
+                tx.send_all([1, 2]).unwrap();
+                vec![a.join().unwrap().unwrap(), b.join().unwrap().unwrap()]
+            })
+        });
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2]);
+    }
+
+    #[test]
+    fn send_all_returns_the_first_unsent_value_on_disconnect() {
+        let (tx, rx) = unbounded::<u32>();
+        drop(rx);
+        assert_eq!(tx.send_all([7, 8]), Err(SendError(7)));
+
+        let (result, got) = within_watchdog(|| {
+            let (tx, rx) = bounded(2);
+            // takes three values, then drops the only receiver mid-burst
+            let receiver = thread::spawn(move || rx.iter().take(3).collect::<Vec<u32>>());
+            let result = tx.send_all(0..10);
+            (result, receiver.join().unwrap())
+        });
+        assert_eq!(got, vec![0, 1, 2]);
+        // at most two more values fit the queue before the disconnect
+        match result {
+            Err(SendError(first_unsent)) => assert!((3..=5).contains(&first_unsent)),
+            Ok(()) => panic!("a burst into a disconnected channel must fail"),
+        }
+    }
+
+    /// Sends 4 producers × 10k values through a `bounded(capacity)` channel
+    /// drained by 4 consumers, and checks each value arrives exactly once.
+    fn contended_transfer_delivers_each_value_once(capacity: usize) {
+        const PRODUCERS: u64 = 4;
+        const CONSUMERS: usize = 4;
+        const PER_PRODUCER: u64 = 10_000;
+        let mut got = within_watchdog(move || {
+            let (tx, rx) = bounded(capacity);
+            let consumers: Vec<_> = (0..CONSUMERS)
+                .map(|_| {
+                    let rx = rx.clone();
+                    thread::spawn(move || rx.iter().collect::<Vec<u64>>())
+                })
+                .collect();
+            drop(rx);
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let tx = tx.clone();
+                    thread::spawn(move || {
+                        for i in 0..PER_PRODUCER {
+                            tx.send(p * PER_PRODUCER + i).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            for p in producers {
+                p.join().unwrap();
+            }
+            consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect::<Vec<u64>>()
+        });
+        got.sort_unstable();
+        assert_eq!(
+            got,
+            (0..PRODUCERS * PER_PRODUCER).collect::<Vec<_>>(),
+            "capacity {capacity}"
+        );
+    }
+
+    #[test]
+    fn contended_bounded_channel_loses_no_wakeup() {
+        contended_transfer_delivers_each_value_once(1);
+    }
+
+    #[test]
+    fn half_capacity_wakes_lose_no_sender_under_contention() {
+        for capacity in [3, 8] {
+            contended_transfer_delivers_each_value_once(capacity);
+        }
+    }
+
+    /// Blocks until `n` senders are parked on the channel's `not_full`.
+    fn await_parked_senders<T>(tx: &Sender<T>, n: usize) {
+        while tx.shared.state.lock().unwrap().parked_senders < n {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_parked_send_is_woken_only_at_half_capacity() {
+        let (early, rest) = within_watchdog(|| {
+            let (tx, rx) = bounded(8);
+            for i in 0..8 {
+                tx.send(i).unwrap();
+            }
+            thread::scope(|scope| {
+                let sender = scope.spawn(|| tx.send(8));
+                await_parked_senders(&tx, 1);
+                // 8 → 5 queued: above half, the sender must stay parked
+                for i in 0..3 {
+                    assert_eq!(rx.recv(), Ok(i));
+                }
+                thread::sleep(Duration::from_millis(50));
+                let early = (queued(&rx), tx.shared.state.lock().unwrap().parked_senders);
+                // 5 → 4 queued reaches half: this pop wakes it
+                assert_eq!(rx.recv(), Ok(3));
+                sender.join().unwrap().unwrap();
+                (early, rx.try_iter().collect::<Vec<u32>>())
+            })
+        });
+        assert_eq!(early, (5, 1), "a pop above half capacity woke the sender");
+        assert_eq!(rest, (4..=8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn send_all_into_a_full_channel_keeps_its_order() {
+        const N: u32 = 1_000;
+        let got = within_watchdog(|| {
+            let (tx, rx) = bounded(8);
+            for i in 0..8 {
+                tx.send(i).unwrap();
+            }
+            let receiver = thread::spawn(move || rx.iter().collect::<Vec<u32>>());
+            tx.send_all(8..N).unwrap();
+            drop(tx);
+            receiver.join().unwrap()
+        });
+        assert_eq!(got, (0..N).collect::<Vec<_>>());
     }
 }

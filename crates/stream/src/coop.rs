@@ -30,13 +30,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 
 /// Locks ignoring poisoning: a panicking task is already recorded in
-/// `PoolState::panicked` and re-raised at join; the scheduler state itself
-/// stays consistent (every mutation is a small atomic section).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// `PoolState::panicked` and re-raised at join; the scheduler and channel
+/// states themselves stay consistent (every mutation is a small atomic
+/// section).
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+pub(crate) fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     condvar.wait(guard).unwrap_or_else(|e| e.into_inner())
 }
 
@@ -533,7 +534,7 @@ mod tests {
                 output: Some(mid_tx),
                 tag: 1,
             }),
-            in_rx.notify_slot(),
+            in_rx.hooks(),
         );
         let second = pool.spawn(
             "second".into(),
@@ -542,7 +543,7 @@ mod tests {
                 output: Some(out_tx),
                 tag: 10,
             }),
-            mid_rx.notify_slot(),
+            mid_rx.hooks(),
         );
         for i in 0..100 {
             in_tx.send(i).unwrap();
@@ -563,7 +564,7 @@ mod tests {
         }
         let pool = PoolRuntime::new(1);
         let (_tx, rx) = unbounded::<u64>();
-        let id = pool.spawn("boom".into(), Box::new(Boom), rx.notify_slot());
+        let id = pool.spawn("boom".into(), Box::new(Boom), rx.hooks());
         assert_eq!(pool.try_join(&[id]), Err("boom".to_string()));
     }
 

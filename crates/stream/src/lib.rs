@@ -30,7 +30,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 #![cfg_attr(
     not(test),
     deny(

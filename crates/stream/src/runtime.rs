@@ -203,7 +203,7 @@ impl Runtime {
                 TaskHandle(threads.len() - 1)
             }
             Inner::Pool(pool) => {
-                let hooks = input.notify_slot();
+                let hooks = input.hooks();
                 let task = OperatorTask::new(operator, input, emitter, RUN_BUDGET);
                 TaskHandle(pool.spawn(name, Box::new(task), hooks))
             }
