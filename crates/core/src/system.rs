@@ -24,7 +24,6 @@ use ps2stream_stream::{
     bounded, Batch, BatchingEmitter, Emitter, Envelope, FaultPlan, FaultRole, Runtime, Sender,
     TaskHandle,
 };
-use ps2stream_text::TermStats;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,7 +89,8 @@ impl Ps2StreamBuilder {
         self
     }
 
-    /// Uses an explicit, pre-built routing table (skips the partitioner).
+    /// Uses an explicit, pre-built routing table (skips the partitioner). Its
+    /// term table is the one every worker posts queries under.
     pub fn with_routing_table(mut self, routing: RoutingTable) -> Self {
         self.routing = Some(routing);
         self
@@ -125,23 +125,12 @@ impl Ps2StreamBuilder {
     /// source as [`SystemError::MissingCalibration`] instead of panicking.
     pub fn try_start(self) -> Result<RunningSystem, SystemError> {
         let config = self.config;
-        let (routing, seed_stats) = match (self.routing, self.sample) {
-            (Some(routing), sample) => {
-                let stats = sample.map(|s| s.object_stats().clone());
-                (routing, stats)
-            }
-            (None, Some(sample)) => {
-                let routing = self.partitioner.partition(&sample, config.num_workers);
-                (routing, Some(sample.object_stats().clone()))
-            }
+        let routing = match (self.routing, self.sample) {
+            (Some(routing), _) => routing,
+            (None, Some(sample)) => self.partitioner.partition(&sample, config.num_workers),
             (None, None) => return Err(SystemError::MissingCalibration),
         };
-        Ok(RunningSystem::launch(
-            config,
-            routing,
-            seed_stats,
-            self.delivery,
-        ))
+        Ok(RunningSystem::launch(config, routing, self.delivery))
     }
 }
 
@@ -183,7 +172,6 @@ impl RunningSystem {
     fn launch(
         config: SystemConfig,
         routing: RoutingTable,
-        seed_stats: Option<TermStats>,
         delivery: Option<Sender<MatchResult>>,
     ) -> Self {
         assert!(config.num_workers > 0, "at least one worker is required");
@@ -195,6 +183,8 @@ impl RunningSystem {
         let mut runtime = Runtime::new(&config.runtime);
         let metrics = SystemMetrics::new(config.num_workers);
         let bounds = routing.grid().bounds();
+        // the one posting-term table: every worker's index shares it
+        let stats = Arc::clone(routing.object_stats());
         let routing = Arc::new(RwLock::new(routing));
 
         // Fault injection: an empty plan behaves exactly like no plan. The
@@ -206,11 +196,9 @@ impl RunningSystem {
             .is_some_and(|plan| (0..config.num_workers).any(|i| plan.crash_tick(i).is_some()));
         let supervisor = Supervisor::new(config.num_workers, shadow_enabled);
 
-        // Durable subscriptions: open (and recover) the store before the
-        // workers spawn, so a recovered snapshot's term statistics can stand
-        // in for the calibration stats when no sample was provided. The
-        // recovered updates themselves are replayed after the topology is up
-        // (end of this function), through the normal dispatch path.
+        // Durable subscriptions: open (and recover) the store. The recovered
+        // updates are replayed after the topology is up (end of this
+        // function), through the normal dispatch path.
         // An unopenable store degrades the run to non-durable instead of
         // aborting it: matching is unaffected, the failure is logged and
         // counted, and the report simply carries no persistence section.
@@ -230,15 +218,6 @@ impl RunningSystem {
                 }
             }
         });
-        let seed_stats = seed_stats.or_else(|| {
-            store_state
-                .as_ref()
-                .and_then(|(_, recovered)| recovered.snapshot.as_ref())
-                .map(|snapshot| snapshot.stats.clone())
-        });
-        if let (Some((store, _)), Some(stats)) = (&mut store_state, &seed_stats) {
-            store.set_stats(stats.clone());
-        }
 
         // channels (capacities apply on the thread backend; the cooperative
         // backends make every channel unbounded so tasks never block)
@@ -286,9 +265,7 @@ impl RunningSystem {
         for (i, rx) in worker_rxs.into_iter().enumerate() {
             let mut index =
                 Gi2Index::new(Gi2Config::new(bounds).with_granularity_exp(config.grid_exp));
-            if let Some(stats) = &seed_stats {
-                index.set_term_stats(stats.clone());
-            }
+            index.set_term_stats(Arc::clone(&stats));
             // worker → merger drop/delay faults ride a per-worker channel shim
             let merger_txs = match (worker_merger_fault, &faults) {
                 (Some(fault), Some(plan)) => merger_txs
@@ -322,19 +299,9 @@ impl RunningSystem {
                     wedge: plan.wedge_window(i),
                     recovery_lag: 3,
                 };
-                let rebuild_stats = seed_stats.clone();
-                let grid_exp = config.grid_exp;
                 worker = worker.with_supervision(
                     Arc::clone(&supervisor),
                     Arc::clone(&routing),
-                    Box::new(move || {
-                        let mut index =
-                            Gi2Index::new(Gi2Config::new(bounds).with_granularity_exp(grid_exp));
-                        if let Some(stats) = &rebuild_stats {
-                            index.set_term_stats(stats.clone());
-                        }
-                        index
-                    }),
                     worker_faults,
                 );
             }
@@ -752,5 +719,150 @@ mod tests {
         }
         assert_eq!(report.matches_delivered, expected);
         assert!(report.throughput_tps > 0.0);
+    }
+
+    /// Runs a skewed stream through a system built by `builder` and checks
+    /// every (cell, term) each worker posts under against the routing
+    /// table: the pair is registered in `H2`, and the term routes to that
+    /// worker. Term 3 is rare in the calibration sample and term 2 common,
+    /// so both sides post `AND(2, 3)` under term 3 — unless a worker picks
+    /// from the stream, in which term 3 is by far the commonest, or from an
+    /// empty table, which breaks the tie by the lower id. Returns the run's
+    /// report.
+    fn assert_workers_post_under_routed_terms(builder: Ps2StreamBuilder) -> RunReport {
+        use crate::messages::WorkerStatsReport;
+        use ps2stream_geo::{Point, Rect};
+        use ps2stream_model::{ObjectId, QueryId, QueryUpdate, SpatioTextualObject};
+        use ps2stream_model::{StsQuery, SubscriberId};
+        use ps2stream_text::{BooleanExpr, TermId};
+
+        let mut system = builder.start();
+        // each query lies inside one grid cell of a hot spot on the diagonal
+        let spot = |k: u64| 8.0 * k as f64 + 4.5;
+        let insert = |id: u64, k: u64, terms: &[u32]| {
+            let (lo, hi) = (spot(k) - 0.3, spot(k) + 0.3);
+            let keywords = BooleanExpr::and_of(terms.iter().map(|&t| TermId(t)));
+            let query = StsQuery::new(
+                QueryId(id),
+                SubscriberId(id),
+                keywords,
+                Rect::from_coords(lo, lo, hi, hi),
+            );
+            StreamRecord::Update(QueryUpdate::Insert(query))
+        };
+        for k in 0..8 {
+            system.send(insert(k, k, &[3]));
+        }
+        assert!(system.settle());
+        for i in 0..800u64 {
+            let at = Point::new(spot(i % 8), spot(i % 8));
+            let object = SpatioTextualObject::new(ObjectId(i), vec![TermId(3)], at);
+            system.send(StreamRecord::Object(object));
+        }
+        assert!(system.settle());
+        for k in 0..8 {
+            system.send(insert(100 + k, k, &[2, 3]));
+        }
+        assert!(system.settle());
+        let (tx, rx) = bounded::<WorkerStatsReport>(system.worker_txs.len());
+        for worker in &system.worker_txs {
+            let reply = tx.clone();
+            let _ = worker.send(WorkerMessage::CollectStats { reply });
+        }
+        assert!(system.settle());
+        let routing = system.routing();
+        let table = routing.read();
+        let mut postings = 0;
+        for _ in 0..system.worker_txs.len() {
+            let report = rx.recv().expect("every worker reports");
+            for cell in &report.cells {
+                let registered = table.cell_query_terms(cell.cell);
+                let routed = table.cell_worker_terms(cell.cell);
+                let here = routed.get(&report.worker);
+                for load in cell.term_loads.iter().filter(|l| l.queries > 0) {
+                    postings += 1;
+                    assert!(
+                        registered.contains(&load.term),
+                        "{:?} posts in {:?} under {:?}, which H2 lacks",
+                        report.worker,
+                        cell.cell,
+                        load.term
+                    );
+                    assert!(
+                        here.is_some_and(|terms| terms.contains(&load.term)),
+                        "{:?} posts in {:?} under {:?}, which routes elsewhere",
+                        report.worker,
+                        cell.cell,
+                        load.term
+                    );
+                }
+            }
+        }
+        assert_eq!(postings, 8, "one (cell, term) posting per hot spot");
+        drop(table);
+        system.finish()
+    }
+
+    /// The sample behind [`assert_workers_post_under_routed_terms`]: term 3
+    /// in one object, term 2 in 49, over the whole space.
+    fn skew_sample() -> WorkloadSample {
+        use ps2stream_geo::{Point, Rect};
+        use ps2stream_model::{ObjectId, SpatioTextualObject};
+        use ps2stream_text::TermId;
+        let objects = (0..200u64)
+            .map(|i| {
+                let mut terms = vec![TermId(10 + (i % 5) as u32)];
+                if i == 0 {
+                    terms.push(TermId(3));
+                } else if i % 4 == 0 {
+                    terms.push(TermId(2));
+                }
+                terms.sort_unstable();
+                let at = Point::new((i * 7 % 64) as f64 + 0.5, (i * 13 % 64) as f64 + 0.5);
+                SpatioTextualObject::new(ObjectId(i), terms, at)
+            })
+            .collect();
+        WorkloadSample::new(
+            Rect::from_coords(0.0, 0.0, 64.0, 64.0),
+            objects,
+            Vec::new(),
+            Vec::new(),
+        )
+    }
+
+    fn skew_config() -> SystemConfig {
+        SystemConfig {
+            num_dispatchers: 1,
+            num_workers: 3,
+            num_mergers: 1,
+            runtime: ps2stream_stream::RuntimeBackend::deterministic(7),
+            faults: None,
+            ..SystemConfig::default()
+        }
+    }
+
+    #[test]
+    fn workers_post_under_the_routed_terms_with_a_sample() {
+        let builder = Ps2StreamBuilder::new(skew_config()).with_calibration_sample(skew_sample());
+        assert_workers_post_under_routed_terms(builder);
+    }
+
+    #[test]
+    fn workers_post_under_the_routed_terms_with_a_routing_table() {
+        let routing = HybridPartitioner::default().partition(&skew_sample(), 3);
+        let builder = Ps2StreamBuilder::new(skew_config()).with_routing_table(routing);
+        assert_workers_post_under_routed_terms(builder);
+    }
+
+    #[test]
+    fn respawned_workers_post_under_the_routed_terms() {
+        let plan = "crash:worker:0@tick=200;crash:worker:1@tick=200;crash:worker:2@tick=200";
+        let config = SystemConfig {
+            faults: Some(FaultPlan::parse(plan).unwrap()),
+            ..skew_config()
+        };
+        let builder = Ps2StreamBuilder::new(config).with_calibration_sample(skew_sample());
+        let report = assert_workers_post_under_routed_terms(builder);
+        assert!(report.faults.worker_respawns > 0, "no worker crashed");
     }
 }

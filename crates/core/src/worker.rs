@@ -47,9 +47,6 @@ use std::time::Instant;
 struct Supervision {
     supervisor: Arc<Supervisor>,
     routing: Arc<RwLock<RoutingTable>>,
-    /// Builds a fresh (empty, stats-seeded) GI² index — what a respawned
-    /// worker starts from before the shadow-log replay.
-    rebuild: Box<dyn FnMut() -> Gi2Index + Send>,
     faults: WorkerFaults,
     /// Stream records admitted so far — the deterministic fault clock
     /// (control messages do not tick).
@@ -161,20 +158,18 @@ impl Worker {
     }
 
     /// Arms the supervised-recovery machinery: `faults` is this worker's
-    /// slice of the system fault plan, `rebuild` constructs the fresh index
-    /// a respawn starts from, and the supervisor's shadow log + the live
-    /// routing table are the recovery sources.
+    /// slice of the system fault plan, and the supervisor's shadow log + the
+    /// live routing table are the recovery sources. A respawn starts from
+    /// the index emptied in place (same grid, same shared term table).
     pub fn with_supervision(
         mut self,
         supervisor: Arc<Supervisor>,
         routing: Arc<RwLock<RoutingTable>>,
-        rebuild: Box<dyn FnMut() -> Gi2Index + Send>,
         faults: WorkerFaults,
     ) -> Self {
         self.supervision = Some(Supervision {
             supervisor,
             routing,
-            rebuild,
             faults,
             records_seen: 0,
             window: None,
@@ -358,8 +353,7 @@ impl Worker {
                     until: tick.saturating_add(sup.faults.recovery_lag.max(1)),
                 });
                 sup.parked.append(&mut self.object_run);
-                let fresh = (sup.rebuild)();
-                self.index = fresh;
+                self.index.clear();
                 self.metrics
                     .faults
                     .worker_crashes
@@ -1047,12 +1041,7 @@ mod tests {
             Arc::clone(&metrics),
             16,
         )
-        .with_supervision(
-            Arc::clone(&supervisor),
-            routing_one_worker(),
-            Box::new(gi2),
-            faults,
-        );
+        .with_supervision(Arc::clone(&supervisor), routing_one_worker(), faults);
 
         // the insert both travels to the worker and lands in the shadow log
         // (exactly what `RunningSystem::send` does)
@@ -1119,7 +1108,7 @@ mod tests {
             Arc::clone(&metrics),
             16,
         )
-        .with_supervision(supervisor, routing_one_worker(), Box::new(gi2), faults);
+        .with_supervision(supervisor, routing_one_worker(), faults);
 
         let mut batch = Batch::new();
         batch.push(Envelope::now(
@@ -1178,12 +1167,7 @@ mod tests {
             Arc::clone(&metrics),
             16,
         )
-        .with_supervision(
-            Supervisor::new(1, false),
-            routing_one_worker(),
-            Box::new(gi2),
-            faults,
-        );
+        .with_supervision(Supervisor::new(1, false), routing_one_worker(), faults);
 
         let mut batch = Batch::new();
         for seq in 1..=5u64 {

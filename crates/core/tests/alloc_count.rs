@@ -240,7 +240,7 @@ fn matching_a_batch_allocates_nothing() {
         .collect();
     let mut scratch = MatchScratch::new();
     let mut delivered = 0usize;
-    // the first pass sizes the scratch buffers and the term statistics
+    // the first pass sizes the scratch buffers
     idx.match_batch(objects.iter(), &mut scratch, |_, _, r| delivered += r.len());
     assert!(delivered > 0, "the batch must actually match something");
     let mut again = 0usize;

@@ -30,10 +30,15 @@
 //!   walks): every posted slot is live, so there is no liveness branch and
 //!   no compaction in the candidate loop;
 //! * [`Gi2Index::match_batch`] amortizes the work counters and the visit
-//!   array's sizing across a whole batch of objects; term-statistics
-//!   observation stays inside the per-object loop (a separate up-front pass
-//!   over the batch would walk every term slice twice and trash the cache
-//!   before matching starts).
+//!   array's sizing across a whole batch of objects.
+//!
+//! # One posting-term table
+//!
+//! A query's posting terms are picked from the routing table's frozen
+//! [`TermStats`], shared through one `Arc` by the dispatchers and every
+//! worker's index: a worker posts a query under exactly the (cell, term)
+//! keys the dispatcher registered in `H2` for it. Matching never updates the
+//! table, and its bytes are counted once, on the routing side.
 
 use crate::cell::{CellIndex, CellTermStat, PostingArena};
 use crate::scratch::MatchScratch;
@@ -41,6 +46,7 @@ use crate::slab::{QuerySlab, Slot, StoredQuery};
 use ps2stream_geo::{CellId, Rect, UniformGrid};
 use ps2stream_model::{MatchResult, QueryId, SpatioTextualObject, StsQuery};
 use ps2stream_text::{terms_signature, TermStats};
+use std::sync::Arc;
 
 /// Configuration of a GI² index.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,8 +104,9 @@ pub struct Gi2Index {
     arena: PostingArena,
     /// Slab of stored queries; posting lists reference its live slots.
     slab: QuerySlab,
-    /// Term statistics used to pick the least frequent keyword at insertion.
-    stats: TermStats,
+    /// The shared term table used to pick the least frequent keyword at
+    /// insertion (see the module docs).
+    stats: Arc<TermStats>,
     /// Counters for the matching work performed (used by the load model).
     matches_checked: u64,
     objects_processed: u64,
@@ -108,32 +115,37 @@ pub struct Gi2Index {
 }
 
 impl Gi2Index {
-    /// Creates an empty index.
+    /// Creates an empty index over an empty term table.
     pub fn new(config: Gi2Config) -> Self {
         let grid = UniformGrid::with_power_of_two(config.bounds, config.granularity_exp);
+        Self::empty(grid, Arc::default())
+    }
+
+    fn empty(grid: UniformGrid, stats: Arc<TermStats>) -> Self {
         let cells = vec![CellIndex::new(); grid.num_cells()];
         Self {
             grid,
             cells,
             arena: PostingArena::default(),
             slab: QuerySlab::new(),
-            stats: TermStats::new(),
+            stats,
             matches_checked: 0,
             objects_processed: 0,
             signature_rejections: 0,
         }
     }
 
-    /// Seeds the term statistics used for least-frequent-keyword selection
-    /// (e.g. from a corpus sample distributed by the dispatchers).
-    pub fn set_term_stats(&mut self, stats: TermStats) {
-        self.stats = stats;
+    /// Sets the term table used for least-frequent-keyword selection: the
+    /// routing table's, so that worker and dispatcher pick the same posting
+    /// terms.
+    pub fn set_term_stats(&mut self, stats: impl Into<Arc<TermStats>>) {
+        self.stats = stats.into();
     }
 
-    /// The term statistics accumulated from every matched object (exposed for
-    /// snapshots, and so tests can pin them independent of the batch size).
-    pub fn term_stats(&self) -> &TermStats {
-        &self.stats
+    /// Drops every query and counter, keeping the grid and the shared term
+    /// table: what a crashed worker respawns from.
+    pub fn clear(&mut self) {
+        *self = Self::empty(self.grid.clone(), Arc::clone(&self.stats));
     }
 
     /// The grid geometry of the index.
@@ -239,13 +251,6 @@ impl Gi2Index {
     /// query. Steady state performs **no allocation**. Amortized across the
     /// batch: the work counters and the sizing of the scratch's visit array
     /// (no query mutation can occur mid-batch).
-    ///
-    /// Term statistics are observed **inside** the per-object loop, not in a
-    /// separate up-front pass: walking every object's term slice before
-    /// matching even starts would evict the posting lists from cache and walk
-    /// the batch twice. Objects are observed in batch order, so the resulting
-    /// [`TermStats`] do not depend on how a stream is cut into batches
-    /// (pinned by `term_stats_do_not_depend_on_batch_size`).
     pub fn match_batch<'a, I, F>(&mut self, objects: I, scratch: &mut MatchScratch, mut sink: F)
     where
         I: Iterator<Item = &'a SpatioTextualObject>,
@@ -258,7 +263,6 @@ impl Gi2Index {
         let mut processed = 0u64;
         for (i, object) in objects.enumerate() {
             processed += 1;
-            self.stats.observe(&object.terms);
             scratch.results.clear();
             if let Some(cell) = self.grid.cell_of(&object.location) {
                 let idx = self.grid.cell_index(cell);
@@ -458,14 +462,11 @@ impl Gi2Index {
     }
 
     /// Approximate memory footprint of the index in bytes (posting entries,
-    /// spilled lists, the query slab and term statistics).
+    /// spilled lists and the query slab; the shared term table is counted
+    /// with the routing table).
     pub fn memory_usage(&self) -> usize {
         let cells: usize = self.cells.iter().map(CellIndex::memory_usage).sum();
-        cells
-            + self.arena.memory_usage()
-            + self.slab.memory_usage()
-            + self.stats.memory_usage()
-            + std::mem::size_of::<Self>()
+        cells + self.arena.memory_usage() + self.slab.memory_usage() + std::mem::size_of::<Self>()
     }
 
     /// Iterates over all live queries, in slab order (used by the snapshot
@@ -628,9 +629,8 @@ mod tests {
 
     /// Everything matching leaves behind in the index, for comparing two
     /// indexes that must have done bit-identical work.
-    fn work_done(idx: &Gi2Index) -> (TermStats, [u64; 3], usize, usize) {
+    fn work_done(idx: &Gi2Index) -> ([u64; 3], usize, usize) {
         (
-            idx.term_stats().clone(),
             [
                 idx.objects_processed(),
                 idx.matches_checked(),
@@ -714,50 +714,9 @@ mod tests {
     }
 
     #[test]
-    fn term_stats_do_not_depend_on_batch_size() {
-        // However a stream is cut into batches, the index observes every
-        // object exactly once and in stream order (observation is folded
-        // into the match loop — this pins that no object is observed twice,
-        // skipped, or observed out of order).
-        let mut batched = Gi2Index::new(config());
-        for i in 0..10u64 {
-            batched.insert(query(
-                i,
-                &[(i % 4) as u32],
-                Rect::from_coords(0.0, 0.0, 8.0, 8.0),
-            ));
-        }
-        let mut singles = batched.clone();
-        let objects: Vec<SpatioTextualObject> = (0..30u64)
-            .map(|i| {
-                object(
-                    i,
-                    &[(i % 7) as u32, 20 + (i % 3) as u32],
-                    (i % 16) as f64,
-                    ((i * 5) % 16) as f64,
-                )
-            })
-            .collect();
-        let mut scratch = MatchScratch::new();
-        match_chunked(&mut batched, &mut scratch, &objects, 8);
-        match_chunked(&mut singles, &mut scratch, &objects, 1);
-        let mut observed = TermStats::new();
-        for o in &objects {
-            observed.observe(&o.terms);
-        }
-        assert_eq!(batched.term_stats(), &observed);
-        assert_eq!(singles.term_stats(), &observed);
-        assert_eq!(batched.term_stats().num_docs(), objects.len() as u64);
-
-        // an empty batch observes nothing and changes nothing
-        batched.match_batch([].iter(), &mut scratch, |_, _, _| unreachable!());
-        assert_eq!(work_done(&batched), work_done(&singles));
-    }
-
-    #[test]
     fn match_batch_observes_objects_in_cells_whose_queries_were_all_deleted() {
         // A cell whose queries were all deleted holds no posting any more,
-        // yet its objects are still observed and counted, at any batch size.
+        // yet its objects are still counted, at any batch size.
         let mut batched = Gi2Index::new(config());
         for i in 0..4u64 {
             batched.insert(query(i, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5)));
@@ -777,7 +736,6 @@ mod tests {
                 got.iter().all(Vec::is_empty),
                 "deleted query must not match"
             );
-            assert_eq!(idx.term_stats().num_docs(), objects.len() as u64);
             assert_eq!(idx.cell_loads()[0].objects, objects.len() as u64);
             assert_eq!(idx.matches_checked(), 0);
             idx.audit();

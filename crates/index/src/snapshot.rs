@@ -1,36 +1,30 @@
 //! Canonical serialization of a [`Gi2Index`].
 //!
-//! The snapshot is *canonical*, not structural: it stores the grid geometry,
-//! the term statistics and the live queries in ascending-id order — never the
-//! slab slot layout or the posting lists. Slot numbers depend on the whole
+//! The snapshot is *canonical*, not structural: it stores the grid geometry
+//! and the live queries in ascending-id order — never the slab slot layout or
+//! the posting lists. Slot numbers depend on the whole
 //! insert/delete/migration history, so two indexes holding the same queries
 //! can disagree on every slot; the canonical form makes "recovered by replay"
-//! and "freshly routed" byte-comparable, and rebuilding the postings on load
-//! also re-picks each query's least-frequent posting term under the restored
-//! statistics.
+//! and "freshly routed" byte-comparable. The term table is not part of an
+//! index's state (it is the routing table's, shared), so it is not stored.
 
 use crate::gi2::{Gi2Config, Gi2Index};
 use ps2stream_model::wire::{self, WireError, WireReader};
 use ps2stream_model::StsQuery;
-use ps2stream_text::TermStats;
 
 /// The decoded contents of an index snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotParts {
     /// Grid geometry of the snapshotted index.
     pub config: Gi2Config,
-    /// Term statistics at snapshot time.
-    pub stats: TermStats,
     /// Live queries in ascending-id order.
     pub queries: Vec<StsQuery>,
 }
 
 impl SnapshotParts {
-    /// Rebuilds an index: statistics first (so posting-term selection sees
-    /// them), then every query.
+    /// Rebuilds an index holding every query, over an empty term table.
     pub fn build_index(&self) -> Gi2Index {
         let mut index = Gi2Index::new(self.config.clone());
-        index.set_term_stats(self.stats.clone());
         for q in &self.queries {
             index.insert(q.clone());
         }
@@ -43,12 +37,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotParts, WireError> {
     let mut r = WireReader::new(bytes);
     let bounds = wire::decode_rect(&mut r)?;
     let granularity_exp = r.u32()?;
-    let num_docs = r.u64()?;
-    let ncounts = r.count()?;
-    let mut counts = Vec::with_capacity(ncounts as usize);
-    for _ in 0..ncounts {
-        counts.push(r.u64()?);
-    }
     let nqueries = r.count()?;
     let mut queries = Vec::with_capacity(nqueries as usize);
     for _ in 0..nqueries {
@@ -59,26 +47,19 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotParts, WireError> {
     }
     Ok(SnapshotParts {
         config: Gi2Config::new(bounds).with_granularity_exp(granularity_exp),
-        stats: TermStats::from_parts(counts, num_docs),
         queries,
     })
 }
 
 impl Gi2Index {
     /// Serializes this index in canonical form (see the module docs). Two
-    /// indexes holding the same live queries under the same statistics
-    /// produce identical bytes regardless of their internal slot layout.
+    /// indexes holding the same live queries produce identical bytes
+    /// regardless of their internal slot layout.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let grid = self.grid();
         wire::encode_rect(&mut out, &grid.bounds());
         wire::put_u32(&mut out, grid.nx().trailing_zeros());
-        let stats = self.term_stats();
-        wire::put_u64(&mut out, stats.num_docs());
-        wire::put_u32(&mut out, stats.counts().len() as u32);
-        for &c in stats.counts() {
-            wire::put_u64(&mut out, c);
-        }
         let mut queries: Vec<&StsQuery> = self.queries().collect();
         queries.sort_by_key(|q| q.id);
         wire::put_u32(&mut out, queries.len() as u32);
@@ -140,7 +121,6 @@ mod tests {
         }
         let restored = Gi2Index::from_snapshot_bytes(&idx.snapshot_bytes()).unwrap();
         assert_eq!(restored.num_queries(), idx.num_queries());
-        assert_eq!(restored.term_stats(), idx.term_stats());
         for i in 0..25u64 {
             let o = object(
                 100 + i,
@@ -189,9 +169,6 @@ mod tests {
         b.delete_by_id(QueryId(3));
         b.insert(qs[3].clone());
         assert_eq!(a.num_queries(), b.num_queries());
-        // equalize the stats (b observed one object above)
-        let stats = a.term_stats().clone();
-        b.set_term_stats(stats);
         assert_eq!(a.snapshot_bytes(), b.snapshot_bytes());
     }
 

@@ -184,7 +184,8 @@ pub struct RoutingTable {
     query_terms: TermRegistry,
     num_workers: usize,
     /// Object term frequencies used to pick the least frequent keyword when
-    /// routing queries.
+    /// routing queries: the one posting-term table, which every worker's
+    /// GI² index shares.
     object_stats: Arc<TermStats>,
     strategy: String,
 }
@@ -239,6 +240,12 @@ impl RoutingTable {
     /// Name of the partitioning strategy that produced this table.
     pub fn strategy(&self) -> &str {
         &self.strategy
+    }
+
+    /// The frozen term table posting terms are picked from (see
+    /// [`RoutingTable::route_insert_into`]); workers post under its choice.
+    pub fn object_stats(&self) -> &Arc<TermStats> {
+        &self.object_stats
     }
 
     /// The routing of one cell.
@@ -335,12 +342,10 @@ impl RoutingTable {
         // query, and that is a strictly wider set than the insertion's
         // representative-term routing: text-split migrations *replicate* a
         // query to the worker owning any of its terms in a cell (the
-        // straddling-query rule of `Gi2Index::replicate_cell_where`), and
-        // the registry's and the workers' representative-term choices can
-        // drift as term statistics evolve. Routing the delete by **all** of
-        // the query's terms covers every such worker; a delete for an
-        // absent id is a cheap no-op at the worker, and deletions are rare
-        // relative to objects.
+        // straddling-query rule of `Gi2Index::replicate_cell_where`).
+        // Routing the delete by **all** of the query's terms covers every
+        // such worker; a delete for an absent id is a cheap no-op at the
+        // worker, and deletions are rare relative to objects.
         workers.clear();
         let mut visited = VisitedMaps::default();
         for cell in self.grid.cells_overlapping_iter(&query.region) {
@@ -408,10 +413,11 @@ impl RoutingTable {
     }
 
     /// Approximate dispatcher memory footprint in bytes: grid cells, `H2`
-    /// filters and term maps; routing maps shared between cells via `Arc` are
-    /// counted once.
+    /// filters, term maps and the posting-term table; routing maps shared
+    /// between cells via `Arc` are counted once, and so is the term table
+    /// the workers share.
     pub fn memory_usage(&self) -> usize {
-        let mut total = std::mem::size_of::<Self>();
+        let mut total = std::mem::size_of::<Self>() + self.object_stats.memory_usage();
         total += self.cells.len() * std::mem::size_of::<CellRouting>();
         let mut seen_shared: HashSet<*const TermRouting> = HashSet::new();
         for c in &self.cells {
@@ -724,9 +730,24 @@ mod tests {
         let owned_cells: Vec<CellRouting> = (0..grid.num_cells())
             .map(|_| CellRouting::OwnedTerms((*shared).clone()))
             .collect();
-        let owned_table =
-            RoutingTable::new(grid, owned_cells, 2, Arc::new(TermStats::new()), "owned");
+        let owned_table = RoutingTable::new(
+            grid.clone(),
+            owned_cells,
+            2,
+            Arc::new(TermStats::new()),
+            "owned",
+        );
         assert!(owned_table.memory_usage() > 10 * shared_table.memory_usage());
+        // the posting-term table the workers share is counted here, once
+        let mut stats = TermStats::new();
+        stats.observe(&[TermId(999)]);
+        let grown = stats.memory_usage() - TermStats::new().memory_usage();
+        let cells = shared_table.cells.clone();
+        let with_stats = RoutingTable::new(grid, cells, 2, Arc::new(stats), "stats");
+        assert_eq!(
+            with_stats.memory_usage(),
+            shared_table.memory_usage() + grown
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Atomic snapshots of the durable subscription state.
 //!
 //! A snapshot captures, at operation watermark `W`: the live query set (the
-//! GI² slab contents, in canonical ascending-id order), the term-frequency
-//! statistics that drive posting-term selection, and the routing table's
-//! per-cell term registry. Recovery loads the newest *valid* snapshot and
-//! replays only log records with `seq > W`.
+//! GI² slab contents, in canonical ascending-id order) and the routing
+//! table's per-cell term registry. Term statistics are not persisted: they
+//! are the routing table's, frozen at calibration. Recovery loads the newest
+//! *valid* snapshot and replays only log records with `seq > W`; a snapshot
+//! of an older layout fails its magic check and is skipped like a torn one.
 //!
 //! # Atomicity
 //!
@@ -17,11 +18,11 @@
 use crate::frame::{FrameScanner, FrameWriter, FsyncPolicy};
 use ps2stream_model::wire::{self, WireError, WireReader};
 use ps2stream_model::StsQuery;
-use ps2stream_text::{TermId, TermStats};
+use ps2stream_text::TermId;
 use std::path::{Path, PathBuf};
 
 /// Leading payload magic (version-bearing).
-const MAGIC: &[u8; 8] = b"PS2SNAP1";
+const MAGIC: &[u8; 8] = b"PS2SNAP2";
 
 /// Everything a snapshot captures.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -29,8 +30,6 @@ pub struct SnapshotData {
     /// Operation watermark: every logged op with `seq <= watermark` is
     /// reflected in this snapshot; replay skips them.
     pub watermark: u64,
-    /// Term-frequency statistics at the watermark.
-    pub stats: TermStats,
     /// Term-registry export: `(cell, ascending term ids)` per non-empty cell,
     /// ascending by cell.
     pub registry: Vec<(u32, Vec<TermId>)>,
@@ -43,12 +42,6 @@ impl SnapshotData {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         wire::put_u64(&mut out, self.watermark);
-        wire::put_u64(&mut out, self.stats.num_docs());
-        let counts = self.stats.counts();
-        wire::put_u32(&mut out, counts.len() as u32);
-        for &c in counts {
-            wire::put_u64(&mut out, c);
-        }
         wire::put_u32(&mut out, self.registry.len() as u32);
         for (cell, terms) in &self.registry {
             wire::put_u32(&mut out, *cell);
@@ -70,13 +63,6 @@ impl SnapshotData {
         }
         let mut r = WireReader::new(&payload[MAGIC.len()..]);
         let watermark = r.u64()?;
-        let num_docs = r.u64()?;
-        let ncounts = r.count()?;
-        let mut counts = Vec::with_capacity(ncounts as usize);
-        for _ in 0..ncounts {
-            counts.push(r.u64()?);
-        }
-        let stats = TermStats::from_parts(counts, num_docs);
         let ncells = r.count()?;
         let mut registry = Vec::with_capacity(ncells as usize);
         for _ in 0..ncells {
@@ -98,7 +84,6 @@ impl SnapshotData {
         }
         Ok(Self {
             watermark,
-            stats,
             registry,
             queries,
         })
@@ -213,12 +198,8 @@ mod tests {
     }
 
     fn sample(watermark: u64) -> SnapshotData {
-        let mut stats = TermStats::new();
-        stats.observe(&[TermId(1), TermId(2)]);
-        stats.observe(&[TermId(1)]);
         SnapshotData {
             watermark,
-            stats,
             registry: vec![(0, vec![TermId(1)]), (5, vec![TermId(2), TermId(9)])],
             queries: vec![q(1), q(2), q(3)],
         }
@@ -256,7 +237,7 @@ mod tests {
         let dir = tmp_dir("fallback");
         write_snapshot(&dir, &sample(10)).unwrap();
         // forge a newer, torn snapshot (bypassing write_snapshot's pruning)
-        std::fs::write(snapshot_path(&dir, 99), b"PS2SNAP1 torn garbage").unwrap();
+        std::fs::write(snapshot_path(&dir, 99), b"PS2SNAP2 torn garbage").unwrap();
         assert_eq!(load_latest_snapshot(&dir).unwrap().watermark, 10);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -21,7 +21,7 @@ use crate::oplog::{load_log, LoggedOp, OpLog};
 use crate::snapshot::{load_latest_snapshot, write_snapshot, SnapshotData};
 use ps2stream_model::wire;
 use ps2stream_model::{QueryUpdate, StsQuery};
-use ps2stream_text::{TermId, TermStats};
+use ps2stream_text::TermId;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -136,10 +136,6 @@ pub struct PersistentStore {
     ops_since_snapshot: u64,
     /// Live queries by raw id — the compaction and snapshot source.
     live: BTreeMap<u64, StsQuery>,
-    /// Term statistics persisted with each snapshot (seeded by the caller;
-    /// recovery hands them back so a restarted system does not need the
-    /// original calibration sample).
-    stats: TermStats,
     /// Size of the most recent snapshot file, bytes.
     last_snapshot_bytes: u64,
     /// Snapshots written by this store instance.
@@ -178,11 +174,6 @@ impl PersistentStore {
             truncated_bytes,
         };
         let live = recovered.live_queries();
-        let stats = recovered
-            .snapshot
-            .as_ref()
-            .map(|s| s.stats.clone())
-            .unwrap_or_default();
         Ok((
             Self {
                 config,
@@ -190,7 +181,6 @@ impl PersistentStore {
                 next_seq,
                 ops_since_snapshot: 0,
                 live,
-                stats,
                 last_snapshot_bytes: 0,
                 snapshots_written: 0,
                 ops_logged: 0,
@@ -223,12 +213,6 @@ impl PersistentStore {
         })
     }
 
-    /// Seeds the term statistics persisted with future snapshots (typically
-    /// the calibration-sample stats the routing table was built from).
-    pub fn set_stats(&mut self, stats: TermStats) {
-        self.stats = stats;
-    }
-
     /// Logs one update and applies it to the live map. Returns `true` when
     /// the snapshot interval has elapsed — the caller should then invoke
     /// [`PersistentStore::snapshot_now`] with its registry export.
@@ -259,7 +243,6 @@ impl PersistentStore {
         let watermark = self.next_seq - 1;
         let data = SnapshotData {
             watermark,
-            stats: self.stats.clone(),
             registry,
             queries: self.live.values().cloned().collect(),
         };
@@ -467,6 +450,46 @@ mod tests {
         assert_eq!(
             store.live_queries().map(|q| q.id.0).collect::<Vec<_>>(),
             vec![1, 3, 4, 8]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_old_layout_snapshot_is_skipped_for_the_log() {
+        // A `PS2SNAP1` snapshot carried term statistics between the
+        // watermark and the registry. Recovery must skip it, never parse it
+        // as the current layout, and rebuild the live set from the log.
+        let dir = tmp_dir("oldsnap");
+        {
+            let (mut store, _) = PersistentStore::open(cfg(&dir)).unwrap();
+            for i in 1..=3 {
+                store.log_update(&QueryUpdate::Insert(q(i))).unwrap();
+            }
+            store.log_update(&QueryUpdate::Delete(q(2))).unwrap();
+        }
+        let mut old = b"PS2SNAP1".to_vec();
+        wire::put_u64(&mut old, 4); // watermark: covers the whole log
+        wire::put_u64(&mut old, 2); // documents observed
+        wire::put_u32(&mut old, 2); // per-term counts
+        wire::put_u64(&mut old, 1);
+        wire::put_u64(&mut old, 2);
+        wire::put_u32(&mut old, 1); // registry: one cell, one term
+        wire::put_u32(&mut old, 0);
+        wire::put_u32(&mut old, 1);
+        wire::put_u32(&mut old, 7);
+        wire::put_u32(&mut old, 1); // live queries
+        wire::encode_query(&mut old, &q(7));
+        let path = crate::snapshot::snapshot_path(&dir, 4);
+        let mut w = FrameWriter::create(&path, FsyncPolicy::Always).unwrap();
+        w.append(&old).unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let (store, recovered) = PersistentStore::open(cfg(&dir)).unwrap();
+        assert!(recovered.snapshot.is_none(), "the old layout is skipped");
+        assert_eq!(recovered.tail.len(), 4, "the whole log replays");
+        assert_eq!(
+            store.live_queries().map(|q| q.id.0).collect::<Vec<_>>(),
+            vec![1, 3]
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -201,21 +201,6 @@ mod proptests {
         }
 
         #[test]
-        fn stats_least_frequent_minimizes_frequency(
-            docs in proptest::collection::vec(arb_terms(20, 10), 1..30),
-            probe in proptest::collection::vec((0u32..20).prop_map(TermId), 1..6),
-        ) {
-            let mut stats = TermStats::new();
-            for d in &docs {
-                stats.observe(d);
-            }
-            let chosen = stats.least_frequent(&probe);
-            for t in &probe {
-                prop_assert!(stats.frequency(chosen) <= stats.frequency(*t));
-            }
-        }
-
-        #[test]
         fn tokenizer_output_sorted_unique(text in "[a-zA-Z0-9 ,.!?#]{0,200}") {
             let tok = Tokenizer::new(Vocabulary::new());
             let ids = tok.tokenize(&text);
