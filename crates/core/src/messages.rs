@@ -28,18 +28,20 @@ pub enum WorkerMessage {
     /// Control: the receiving worker is the destination of an in-flight cell
     /// hand-off. Sent by the adjustment controller *while it still holds the
     /// routing-table write lock*, so it is guaranteed to sit in the worker's
-    /// queue before any record routed by the updated table. The worker parks
-    /// objects of `cell` until the matching [`WorkerMessage::MigrateIn`]
-    /// arrives — closing the window in which an object could reach the new
-    /// owner before the migrated queries do (a lost match).
+    /// queue before any record routed by the updated table. From here until
+    /// every owed [`WorkerMessage::MigrateIn`] has arrived, the worker parks
+    /// every routed record — objects and subscription updates alike — in
+    /// arrival order, so no object reaches the new owner before the migrated
+    /// queries (a lost match), and no update lands before the older copy of
+    /// its query that the `MigrateIn` carries (a deleted query matching).
     CellPending {
         /// The cell being handed over.
         cell: CellId,
     },
-    /// Control: queries migrated from another worker; index them, then replay
-    /// any records parked for the hand-off of `cell`. Always sent by the
-    /// migration source (even with no queries) so the destination's pending
-    /// marker is released.
+    /// Control: queries migrated from another worker; index them, then, once
+    /// no other hand-off is pending, replay the parked records. Always sent
+    /// by the migration source (even with no queries) so the destination's
+    /// pending hand-off is released.
     MigrateIn {
         /// The cell whose hand-off this message completes.
         cell: CellId,

@@ -391,14 +391,10 @@ impl RunningSystem {
             replay_time: Duration::ZERO,
         };
 
-        // Replay whatever the store recovered: import the snapshot's term
-        // registry (belt and braces — routing the inserts rebuilds it too),
-        // then push the recovered updates through the normal input path
-        // without re-logging them.
+        // Replay whatever the store recovered through the normal input path
+        // without re-logging it: routing the inserts re-registers their
+        // `H2` terms.
         if let Some((store, recovered)) = store_state.take() {
-            if let Some(snapshot) = &recovered.snapshot {
-                system.routing.read().import_registry(&snapshot.registry);
-            }
             #[expect(
                 clippy::disallowed_methods,
                 reason = "replay-duration metric at launch; the replayed update sequence and all delivered output are clock-independent"
@@ -433,8 +429,7 @@ impl RunningSystem {
             if let Some(store) = &mut self.store {
                 match store.log_update(update) {
                     Ok(true) => {
-                        let registry = self.routing.read().registry_export();
-                        if let Err(error) = store.snapshot_now(registry) {
+                        if let Err(error) = store.snapshot_now() {
                             failure = Some(format!("subscription snapshot failed: {error}"));
                         }
                     }

@@ -13,15 +13,18 @@
 //!
 //! # Lossless cell hand-off
 //!
-//! When a cell is migrated *to* this worker, objects of that cell can arrive
-//! (routed by the already-updated table) before the queries do. A
+//! When a cell is migrated *to* this worker, records routed by the
+//! already-updated table can arrive before the migrated queries do. A
 //! [`WorkerMessage::CellPending`] barrier — enqueued by the controller under
-//! the routing-table write lock, hence ahead of any such object — makes the
-//! worker park those objects; the [`WorkerMessage::MigrateIn`] completing the
-//! hand-off indexes the queries and replays the parked records in arrival
-//! order. Query updates are *not* parked: they are applied immediately
-//! because a query may span cells that are not in hand-off, and delaying it
-//! would un-index it from those cells' perspective.
+//! the routing-table write lock, hence ahead of any such record — opens a
+//! hand-off, and the [`WorkerMessage::MigrateIn`] that carries the queries
+//! closes it. The worker keeps one park list with one rule: while a
+//! hand-off towards it is pending or a fault window is open, every routed
+//! record — object or subscription update — parks in arrival order; once
+//! neither holds, the list replays through the one admission path. An
+//! update routed by the new table therefore lands after the copy of its
+//! query that the `MigrateIn` carries, and after the objects that arrived
+//! before it.
 
 use crate::messages::{MergerMessage, WorkerCheckpoint, WorkerMessage, WorkerStatsReport};
 use crate::metrics::SystemMetrics;
@@ -30,20 +33,18 @@ use parking_lot::RwLock;
 use ps2stream_balance::{CellLoadInfo, TermLoad};
 use ps2stream_geo::CellId;
 use ps2stream_index::{Gi2Index, MatchScratch};
-use ps2stream_model::{MatchResult, QueryUpdate, SpatioTextualObject, StreamRecord, WorkerId};
+use ps2stream_model::{MatchResult, QueryUpdate, StreamRecord, WorkerId};
 use ps2stream_partition::{RoutingTable, WorkerLoad};
 use ps2stream_stream::{
     Batch, BatchBuffer, Emitter, Envelope, Operator, QueueDepth, Receiver, Sender,
 };
 use ps2stream_text::TermId;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Supervision plumbing armed by the launcher when the system carries a
-/// fault plan: this worker's fault schedule, the recovery sources, and the
-/// parking buffer of an open fault window.
+/// fault plan: this worker's fault schedule and the recovery sources.
 struct Supervision {
     supervisor: Arc<Supervisor>,
     routing: Arc<RwLock<RoutingTable>>,
@@ -52,24 +53,17 @@ struct Supervision {
     /// (control messages do not tick).
     records_seen: u64,
     window: Option<FaultWindow>,
-    /// Records parked by the open window, in arrival order.
-    parked: Vec<Envelope<StreamRecord>>,
 }
 
-/// An open fault window. It closes when its last tick arrives, or early at
-/// drain/checkpoint/shutdown so no parked record is ever lost.
-enum FaultWindow {
-    /// A crash fired: the in-memory index is gone; restore it from the
-    /// supervisor's shadow log before replaying the parked records.
-    Recovering {
-        /// Tick (exclusive) at which the respawn completes.
-        until: u64,
-    },
-    /// A wedge fired: the worker stalls without state loss.
-    Wedged {
-        /// Tick (exclusive) at which the stall ends.
-        until: u64,
-    },
+/// An open fault window: a crash (the in-memory index is gone and is
+/// restored from the supervisor's shadow log when the window closes) or a
+/// wedge (the worker stalls without state loss). It closes when its last
+/// tick arrives, or early at checkpoint/shutdown/drain.
+struct FaultWindow {
+    /// Tick (exclusive) at which the respawn completes or the stall ends.
+    until: u64,
+    /// A crash, not a wedge: the index must be restored at the close.
+    crashed: bool,
 }
 
 /// A worker executor.
@@ -104,12 +98,11 @@ pub struct Worker {
     /// unmatched objects) during the current run, recorded once at its end
     /// (recycled).
     completed: Vec<Instant>,
-    /// Cells with an in-flight hand-off *towards* this worker: the number of
-    /// `MigrateIn` messages still owed per cell.
-    pending_cells: HashMap<CellId, u32>,
-    /// Objects parked while their cell's hand-off is pending, in arrival
-    /// order.
-    parked: HashMap<CellId, Vec<Envelope<StreamRecord>>>,
+    /// Hand-offs *towards* this worker whose `MigrateIn` is still owed.
+    pending_handoffs: u32,
+    /// Records routed here while a hand-off is pending or a fault window is
+    /// open, in arrival order.
+    parked: Vec<Envelope<StreamRecord>>,
     /// A `Shutdown` arrived while hand-offs were pending; stop as soon as
     /// the last one completes.
     shutdown_requested: bool,
@@ -148,8 +141,8 @@ impl Worker {
             object_run: Vec::new(),
             run_results: Vec::new(),
             completed: Vec::new(),
-            pending_cells: HashMap::new(),
-            parked: HashMap::new(),
+            pending_handoffs: 0,
+            parked: Vec::new(),
             shutdown_requested: false,
             stopped: false,
             supervision: None,
@@ -173,7 +166,6 @@ impl Worker {
             faults,
             records_seen: 0,
             window: None,
-            parked: Vec::new(),
         });
         self
     }
@@ -221,36 +213,27 @@ impl Worker {
         }
     }
 
-    /// The cell an object must park behind because its hand-off is still
-    /// pending.
-    fn parking_cell(&self, object: &SpatioTextualObject) -> Option<CellId> {
-        if self.pending_cells.is_empty() {
-            return None;
-        }
-        self.index
-            .grid()
-            .cell_of(&object.location)
-            .filter(|cell| self.pending_cells.contains_key(cell))
+    /// True while routed records must park: a hand-off towards this worker
+    /// is pending or a fault window is open.
+    fn parking(&self) -> bool {
+        self.pending_handoffs > 0
+            || self
+                .supervision
+                .as_ref()
+                .is_some_and(|s| s.window.is_some())
     }
 
     /// Admits one routed record — the only way a record, live or replayed,
     /// reaches the index. An object joins the run that
-    /// [`Worker::flush_object_run`] matches as one batch, unless its cell has
-    /// a pending hand-off: then it parks until the migrated queries arrive.
-    /// An update is applied at once, but the run so far is matched first, so
-    /// an insert/delete cannot affect objects that arrived before it.
+    /// [`Worker::flush_object_run`] matches as one batch. An update is
+    /// applied at once, but the run so far is matched first, so an
+    /// insert/delete cannot affect objects that arrived before it.
     fn admit(&mut self, envelope: Envelope<StreamRecord>) {
         // the ingest instant outlives the payload, which an insert moves into
         // the index
         let ingested_at = envelope.ingested_at;
         match envelope.payload {
-            StreamRecord::Object(ref o) => match self.parking_cell(o) {
-                None => self.object_run.push(envelope),
-                Some(cell) => {
-                    self.flush_object_run();
-                    self.parked.entry(cell).or_default().push(envelope);
-                }
-            },
+            StreamRecord::Object(_) => self.object_run.push(envelope),
             StreamRecord::Update(update) => {
                 self.flush_object_run();
                 match update {
@@ -258,9 +241,12 @@ impl Worker {
                         self.period_load.insertions += 1;
                         self.index.insert(q);
                     }
+                    // a deletion reaches every worker: only one that held
+                    // the query counts it
                     QueryUpdate::Delete(q) => {
-                        self.period_load.deletions += 1;
-                        self.index.delete(&q);
+                        if self.index.delete(&q) {
+                            self.period_load.deletions += 1;
+                        }
                     }
                 }
                 // tuple finished here
@@ -269,10 +255,14 @@ impl Worker {
         }
     }
 
-    /// Re-admits parked records in arrival order and matches them; their
-    /// results leave with the rest of the run's.
-    fn replay(&mut self, parked: Vec<Envelope<StreamRecord>>) {
-        for envelope in parked {
+    /// Replays the park list through [`Worker::admit`] in arrival order,
+    /// unless a hand-off or a fault window still holds it; the results leave
+    /// with the rest of the run's.
+    fn release(&mut self) {
+        if self.parking() {
+            return;
+        }
+        for envelope in std::mem::take(&mut self.parked) {
             self.admit(envelope);
         }
         self.flush_object_run();
@@ -325,20 +315,15 @@ impl Worker {
         self.object_run.clear();
     }
 
-    /// Advances the fault clock for one routed record and applies this
-    /// worker's fault schedule. Returns the envelope when it should be
-    /// processed normally, or `None` when an open (or just-opened) fault
-    /// window parked it.
-    #[expect(
-        clippy::expect_used,
-        reason = "fault-window takes guarded by the is_some_and check or the arm-check on the same path; the supervision state machine makes them infallible"
-    )]
-    fn fault_admit(&mut self, envelope: Envelope<StreamRecord>) -> Option<Envelope<StreamRecord>> {
+    /// Advances the fault clock for one routed record and opens the window
+    /// this worker's fault schedule names for its tick. Returns true when
+    /// the open window closes after this record: its last tick has arrived.
+    fn fault_tick(&mut self) -> bool {
         let Some(sup) = self.supervision.as_mut() else {
-            return Some(envelope);
+            return false;
         };
         if sup.faults.is_inert() && sup.window.is_none() {
-            return Some(envelope);
+            return false;
         }
         sup.records_seen += 1;
         let tick = sup.records_seen;
@@ -346,74 +331,56 @@ impl Worker {
             if sup.faults.crash_at == Some(tick) {
                 // Fire the crash: the in-memory index dies here. Objects
                 // already admitted into the batched run but not yet matched
-                // die unprocessed with it — they park ahead of the trigger
-                // and replay after the restore, preserving arrival order.
+                // die unprocessed with it; they arrived before every parked
+                // record, so they lead the park list.
                 sup.faults.crash_at = None;
-                sup.window = Some(FaultWindow::Recovering {
+                sup.window = Some(FaultWindow {
                     until: tick.saturating_add(sup.faults.recovery_lag.max(1)),
+                    crashed: true,
                 });
-                sup.parked.append(&mut self.object_run);
+                let unmatched = std::mem::take(&mut self.object_run);
+                self.metrics
+                    .faults
+                    .replayed_records
+                    .fetch_add(unmatched.len() as u64, Ordering::Relaxed);
+                self.parked.splice(0..0, unmatched);
                 self.index.clear();
                 self.metrics
                     .faults
                     .worker_crashes
                     .fetch_add(1, Ordering::Relaxed);
-            } else if sup.faults.wedge.is_some_and(|(at, _)| at == tick) {
-                let (_, duration) = sup.faults.wedge.take().expect("wedge checked above");
-                sup.window = Some(FaultWindow::Wedged {
+            } else if let Some((_, duration)) = sup.faults.wedge.filter(|&(at, _)| at == tick) {
+                sup.faults.wedge = None;
+                sup.window = Some(FaultWindow {
                     until: tick.saturating_add(duration.max(1)),
+                    crashed: false,
                 });
             } else {
-                return Some(envelope);
+                return false;
             }
         }
-        // a window is open: park this record, closing the window once its
-        // last tick has arrived
-        let sup = self.supervision.as_mut().expect("armed above");
-        let (until, wedged) = match sup.window {
-            Some(FaultWindow::Recovering { until }) => (until, false),
-            Some(FaultWindow::Wedged { until }) => (until, true),
-            None => unreachable!("window opened or already open"),
-        };
-        sup.parked.push(envelope);
-        if wedged {
-            self.metrics
-                .faults
-                .wedge_parks
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if tick.saturating_add(1) >= until {
-            self.close_fault_window();
-        }
-        None
+        sup.window
+            .as_ref()
+            .is_some_and(|w| tick.saturating_add(1) >= w.until)
     }
 
     /// Closes an open fault window (also called early at checkpoint /
-    /// shutdown / drain, so parked records are never lost): a recovering
-    /// worker first restores its index from the shadow log, then the parked
-    /// records replay in arrival order.
+    /// shutdown / drain, so parked records are never lost): a crashed
+    /// worker first restores its index from the shadow log, then the park
+    /// list replays unless a hand-off still holds it.
     fn close_fault_window(&mut self) {
-        let Some(sup) = self.supervision.as_mut() else {
+        let Some(window) = self.supervision.as_mut().and_then(|s| s.window.take()) else {
             return;
         };
-        let Some(window) = sup.window.take() else {
-            return;
-        };
-        let parked = std::mem::take(&mut sup.parked);
-        if matches!(window, FaultWindow::Recovering { .. }) {
-            // The shadow-log prefix strictly before the first parked record
-            // is exactly the update history the dead index had applied: the
-            // parked run contains no updates (an update always flushes the
-            // object run), and per-channel FIFO delivered every earlier
-            // update before the trigger.
-            let cutoff = parked.first().map_or(u64::MAX, |e| e.sequence);
+        if window.crashed {
+            // Every record ahead of the first parked one was applied and
+            // every record from it on is parked, so the shadow-log prefix
+            // strictly before it is exactly the update history the dead
+            // index had applied.
+            let cutoff = self.parked.first().map_or(u64::MAX, |e| e.sequence);
             self.respawn(cutoff);
         }
-        self.metrics
-            .faults
-            .replayed_records
-            .fetch_add(parked.len() as u64, Ordering::Relaxed);
-        self.replay(parked);
+        self.release();
     }
 
     /// Restores a crashed worker's index: replays the shadow-log prefix
@@ -495,10 +462,25 @@ impl Worker {
         (!kept.is_empty()).then_some(kept)
     }
 
+    /// Admits or parks each routed record of one `Records` message, in
+    /// order, advancing the fault clock once per record.
     fn handle_records(&mut self, records: Batch<StreamRecord>) {
         for envelope in records {
-            if let Some(envelope) = self.fault_admit(envelope) {
+            let window_closes = self.fault_tick();
+            if self.parking() {
+                if let Some(window) = self.supervision.as_ref().and_then(|s| s.window.as_ref()) {
+                    let faults = &self.metrics.faults;
+                    faults.replayed_records.fetch_add(1, Ordering::Relaxed);
+                    if !window.crashed {
+                        faults.wedge_parks.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                self.parked.push(envelope);
+            } else {
                 self.admit(envelope);
+            }
+            if window_closes {
+                self.close_fault_window();
             }
         }
         self.flush_object_run();
@@ -542,17 +524,11 @@ impl Worker {
             .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
     }
 
-    /// Marks a cell as awaiting an inbound hand-off (objects of that cell
-    /// park until the matching `MigrateIn` arrives).
-    fn handle_cell_pending(&mut self, cell: CellId) {
-        *self.pending_cells.entry(cell).or_insert(0) += 1;
-    }
-
     #[expect(
         clippy::disallowed_methods,
         reason = "migration timing metrics only; match results never depend on the clock"
     )]
-    fn handle_migrate_in(&mut self, cell: CellId, queries: Vec<ps2stream_model::StsQuery>) {
+    fn handle_migrate_in(&mut self, queries: Vec<ps2stream_model::StsQuery>) {
         let start = Instant::now();
         for q in queries {
             self.index.insert(q);
@@ -561,18 +537,11 @@ impl Worker {
             .migration
             .migration_time_us
             .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-        // Release the hand-off barrier and replay parked records in arrival
-        // order once every MigrateIn owed for the cell has landed.
-        if let Some(owed) = self.pending_cells.get_mut(&cell) {
-            *owed -= 1;
-            if *owed == 0 {
-                self.pending_cells.remove(&cell);
-                let parked = self.parked.remove(&cell).unwrap_or_default();
-                self.replay(parked);
-                if self.shutdown_requested && self.pending_cells.is_empty() {
-                    self.stopped = true;
-                }
-            }
+        // the last MigrateIn owed releases the park list
+        self.pending_handoffs = self.pending_handoffs.saturating_sub(1);
+        if self.pending_handoffs == 0 {
+            self.release();
+            self.stopped |= self.shutdown_requested;
         }
     }
 
@@ -634,8 +603,8 @@ impl Worker {
             WorkerMessage::MigrateCell { cell, terms, to } => {
                 self.handle_migrate_out(cell, terms, to)
             }
-            WorkerMessage::CellPending { cell } => self.handle_cell_pending(cell),
-            WorkerMessage::MigrateIn { cell, queries } => self.handle_migrate_in(cell, queries),
+            WorkerMessage::CellPending { .. } => self.pending_handoffs += 1,
+            WorkerMessage::MigrateIn { queries, .. } => self.handle_migrate_in(queries),
             WorkerMessage::CollectStats { reply } => {
                 let _ = reply.send(self.stats_report());
             }
@@ -655,11 +624,8 @@ impl Worker {
                 // Hand-offs still owed to this worker will complete (the
                 // source processes its MigrateCell before its own Shutdown),
                 // so defer termination until the parked records replay.
-                if self.pending_cells.is_empty() {
-                    self.stopped = true;
-                } else {
-                    self.shutdown_requested = true;
-                }
+                self.stopped = self.pending_handoffs == 0;
+                self.shutdown_requested = true;
             }
         }
     }
@@ -703,7 +669,7 @@ impl Operator for Worker {
 
     fn finish(&mut self, _emitter: &Emitter<()>) {
         // an input drain (every upstream sender gone) can also end the
-        // worker: replay any still-parked fault-window records first
+        // worker: replay the park list first unless a hand-off holds it
         self.close_fault_window();
         self.flush_object_run();
         self.flush_matches();
@@ -725,6 +691,7 @@ mod tests {
     use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId};
     use ps2stream_stream::{bounded, unbounded, Batch, Envelope};
     use ps2stream_text::BooleanExpr;
+    use std::collections::HashMap;
 
     fn gi2() -> Gi2Index {
         Gi2Index::new(
@@ -1333,5 +1300,200 @@ mod tests {
         assert_eq!(b.index().num_queries(), 1);
         assert!(metrics.migration.bytes_moved.load(Ordering::Relaxed) > 0);
         assert_eq!(metrics.migration.moves.load(Ordering::Relaxed), 1);
+    }
+
+    /// Two workers over [`gi2`]'s grid, with the routing table a dispatcher
+    /// would use: cell (0, 0) is worker 0's and every other cell worker 1's.
+    /// Records are routed through the table one at a time, and the
+    /// controller's hand-off messages are sent by hand, in the order
+    /// `AdjustmentController::apply_plan` sends them; each worker handles
+    /// its inbox only when told to.
+    struct Handoff {
+        table: RoutingTable,
+        peers: Vec<Sender<WorkerMessage>>,
+        inboxes: Vec<Receiver<WorkerMessage>>,
+        workers: Vec<Worker>,
+        merger: Receiver<MergerMessage>,
+        sequence: u64,
+    }
+
+    /// Cells (0, 0) and (1, 0) of [`gi2`]'s grid.
+    const C1: CellId = CellId::new(0, 0);
+    const C2: CellId = CellId::new(1, 0);
+
+    impl Handoff {
+        fn new() -> Self {
+            let grid =
+                ps2stream_geo::UniformGrid::new(Rect::from_coords(0.0, 0.0, 16.0, 16.0), 8, 8);
+            let cells = grid
+                .all_cells()
+                .map(|c| ps2stream_partition::CellRouting::Single(WorkerId(u32::from(c != C1))))
+                .collect();
+            let table = RoutingTable::new(
+                grid,
+                cells,
+                2,
+                Arc::new(ps2stream_text::TermStats::new()),
+                "handoff",
+            );
+            let (peers, inboxes): (Vec<_>, Vec<_>) = (0..2).map(|_| unbounded()).unzip();
+            let (merger_tx, merger) = unbounded::<MergerMessage>();
+            let metrics = SystemMetrics::new(2);
+            let workers = (0..2)
+                .map(|w| {
+                    Worker::new(
+                        WorkerId(w),
+                        gi2(),
+                        peers.clone(),
+                        vec![merger_tx.clone()],
+                        Arc::clone(&metrics),
+                        16,
+                    )
+                })
+                .collect();
+            Self {
+                table,
+                peers,
+                inboxes,
+                workers,
+                merger,
+                sequence: 0,
+            }
+        }
+
+        /// Routes one record the way the dispatcher does and enqueues it at
+        /// every destination.
+        fn route(&mut self, record: StreamRecord) {
+            let targets = match &record {
+                StreamRecord::Object(o) => self.table.route_object(o),
+                StreamRecord::Update(QueryUpdate::Insert(q)) => self.table.route_insert(q),
+                StreamRecord::Update(QueryUpdate::Delete(q)) => self.table.route_delete(q),
+            };
+            self.sequence += 1;
+            for w in targets {
+                let envelope = Envelope::now(self.sequence, record.clone());
+                self.peers[w.index()]
+                    .send(WorkerMessage::Records(Batch::of_one(envelope)))
+                    .unwrap();
+            }
+        }
+
+        /// Starts a whole-cell move: the table changes and the destination's
+        /// barrier is armed (under the routing write lock, in the system),
+        /// then the source is told to hand the cell over.
+        fn start_move(&mut self, cell: CellId, from: u32, to: u32) {
+            self.peers[to as usize]
+                .send(WorkerMessage::CellPending { cell })
+                .unwrap();
+            self.table.reassign_cell(cell, WorkerId(to));
+            self.peers[from as usize]
+                .send(WorkerMessage::MigrateCell {
+                    cell,
+                    terms: None,
+                    to: WorkerId(to),
+                })
+                .unwrap();
+        }
+
+        /// Worker `w` handles everything waiting in its inbox; false if
+        /// nothing was waiting.
+        fn pump(&mut self, w: usize) -> bool {
+            let mut handled = false;
+            while let Ok(message) = self.inboxes[w].try_recv() {
+                self.workers[w].process(message, &Emitter::sink());
+                handled = true;
+            }
+            handled
+        }
+
+        /// Both workers handle their inboxes until both are empty.
+        fn settle(&mut self) {
+            while self.pump(0) | self.pump(1) {}
+        }
+
+        /// The `(query, object)` pairs delivered since the last call.
+        fn delivered(&self) -> Vec<(u64, u64)> {
+            let mut pairs = Vec::new();
+            while let Ok(MergerMessage::Matches(batch)) = self.merger.try_recv() {
+                for record in batch.records() {
+                    pairs.extend(record.payload.iter().map(|m| (m.query_id.0, m.object_id.0)));
+                }
+            }
+            pairs.sort_unstable();
+            pairs
+        }
+    }
+
+    fn insert(q: &StsQuery) -> StreamRecord {
+        StreamRecord::Update(QueryUpdate::Insert(q.clone()))
+    }
+
+    fn delete(q: &StsQuery) -> StreamRecord {
+        StreamRecord::Update(QueryUpdate::Delete(q.clone()))
+    }
+
+    #[test]
+    fn a_delete_reaches_the_stale_copy_a_later_move_makes_reachable() {
+        let mut h = Handoff::new();
+        // q spans C1 (worker 0) and C2 (worker 1), so both index it
+        let q = query(1, 7, Rect::from_coords(1.0, 0.5, 3.0, 1.5));
+        h.route(insert(&q));
+        h.settle();
+        // C1 moves to worker 1; worker 0 keeps q for C2, which it does not
+        // own
+        h.start_move(C1, 0, 1);
+        h.settle();
+        h.route(delete(&q));
+        h.settle();
+        // C2 moves back to worker 0, whose copy of q now sees C2's objects
+        h.start_move(C2, 1, 0);
+        h.settle();
+        h.route(StreamRecord::Object(object(100, 7, 3.0, 1.0)));
+        h.settle();
+        assert_eq!(h.delivered(), vec![], "the deleted query matched");
+    }
+
+    #[test]
+    fn a_delete_ahead_of_the_migrated_copy_still_wins() {
+        let mut h = Handoff::new();
+        let q = query(1, 7, Rect::from_coords(0.5, 0.5, 1.5, 1.5));
+        h.route(insert(&q));
+        h.settle();
+        h.start_move(C1, 0, 1);
+        h.route(delete(&q));
+        // the destination sees the delete after CellPending but before the
+        // MigrateIn that carries q
+        h.pump(1);
+        h.pump(0);
+        h.settle();
+        h.route(StreamRecord::Object(object(100, 7, 1.0, 1.0)));
+        h.settle();
+        assert_eq!(
+            h.delivered(),
+            vec![],
+            "the migrated copy outlived the delete"
+        );
+    }
+
+    #[test]
+    fn an_object_parked_before_a_delete_still_matches_the_query() {
+        let mut h = Handoff::new();
+        // q spans C1 (worker 0) and C2 (worker 1)
+        let q = query(1, 7, Rect::from_coords(1.0, 0.5, 3.0, 1.5));
+        h.route(insert(&q));
+        h.settle();
+        h.start_move(C1, 0, 1);
+        // worker 1 sees, in order: an object of the pending cell, the
+        // delete, and an object of a cell it already owns
+        h.route(StreamRecord::Object(object(100, 7, 1.0, 1.0)));
+        h.route(delete(&q));
+        h.route(StreamRecord::Object(object(101, 7, 3.0, 1.0)));
+        h.pump(1);
+        h.settle();
+        assert_eq!(
+            h.delivered(),
+            vec![(1, 100)],
+            "the object ahead of the delete matches, the one after it does not"
+        );
     }
 }

@@ -153,33 +153,6 @@ impl TermRegistry {
             .all(|c| c.load(Ordering::Relaxed) == 0)
     }
 
-    /// Exports every registration in canonical order — cells ascending, each
-    /// cell's terms ascending. This is the form embedded in durability
-    /// snapshots: deterministic bytes regardless of hash-map iteration order.
-    pub fn export_cells(&self) -> Vec<(u32, Vec<TermId>)> {
-        let mut out: Vec<(u32, Vec<TermId>)> = Vec::new();
-        for shard in &self.shards {
-            for (&cell, terms) in shard.read().iter() {
-                let mut sorted: Vec<TermId> = terms.iter().copied().collect();
-                sorted.sort_unstable();
-                out.push((cell, sorted));
-            }
-        }
-        out.sort_unstable_by_key(|(cell, _)| *cell);
-        out
-    }
-
-    /// Re-registers an exported registration set (idempotent — pairs already
-    /// present are left alone, so importing before a log replay that
-    /// re-inserts the same queries is harmless).
-    pub fn import_cells(&self, cells: &[(u32, Vec<TermId>)]) {
-        for (cell, terms) in cells {
-            for &t in terms {
-                self.insert(*cell, t);
-            }
-        }
-    }
-
     /// Approximate memory footprint in bytes.
     pub fn memory_usage(&self) -> usize {
         let mut materialized_cells = 0usize;
@@ -311,37 +284,6 @@ mod tests {
         assert_eq!(r.len(), 500);
     }
 
-    #[test]
-    fn export_import_roundtrips_canonically() {
-        let r = TermRegistry::new(32);
-        for i in 0..300u32 {
-            r.insert(i % 24, TermId(i % 61));
-        }
-        let exported = r.export_cells();
-        let cells: Vec<u32> = exported.iter().map(|(c, _)| *c).collect();
-        let mut sorted = cells.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(cells, sorted, "cells ascending, each once");
-        assert_eq!(
-            exported.iter().map(|(_, t)| t.len()).sum::<usize>(),
-            r.len()
-        );
-        let fresh = TermRegistry::new(32);
-        fresh.import_cells(&exported);
-        assert_eq!(fresh.len(), r.len());
-        for (cell, terms) in &exported {
-            assert_eq!(
-                fresh.terms_of_cell(*cell),
-                terms.iter().copied().collect::<HashSet<_>>()
-            );
-        }
-        // importing twice changes nothing, and the export is deterministic
-        fresh.import_cells(&exported);
-        assert_eq!(fresh.len(), r.len());
-        assert_eq!(fresh.export_cells(), exported);
-    }
-
     // small spaces so probes often hit several registered terms and stop early
     const CELLS: u32 = 6;
     const TERMS: u32 = 12;
@@ -356,8 +298,6 @@ mod tests {
         /// Probe distinct terms of a cell, stopping after `stop` callbacks.
         Probe(u32, Vec<TermId>, usize),
         TermsOf(u32),
-        /// Export, import into a fresh registry, and continue on that one.
-        Roundtrip,
     }
 
     fn arb_op() -> impl Strategy<Value = Op> {
@@ -374,7 +314,6 @@ mod tests {
                 }
             ),
             1 => (0..CELLS).prop_map(Op::TermsOf),
-            1 => Just(Op::Roundtrip),
         ]
     }
 
@@ -383,12 +322,12 @@ mod tests {
 
         /// The flat registry behaves exactly like a `BTreeMap` of per-cell
         /// term sets: probes yield each registered input term once, in
-        /// input order, and exports are canonical and import-stable.
+        /// input order.
         #[test]
         fn registry_matches_a_reference_model(
             ops in proptest::collection::vec(arb_op(), 1..80),
         ) {
-            let mut r = TermRegistry::new(CELLS as usize);
+            let r = TermRegistry::new(CELLS as usize);
             let mut model: BTreeMap<u32, BTreeSet<TermId>> = BTreeMap::new();
             for op in ops {
                 match op {
@@ -425,18 +364,6 @@ mod tests {
                         let expected: HashSet<TermId> =
                             model.get(&c).into_iter().flatten().copied().collect();
                         prop_assert_eq!(r.terms_of_cell(c), expected);
-                    }
-                    Op::Roundtrip => {
-                        let exported = r.export_cells();
-                        let expected: Vec<(u32, Vec<TermId>)> = model
-                            .iter()
-                            .map(|(c, s)| (*c, s.iter().copied().collect()))
-                            .collect();
-                        prop_assert_eq!(&exported, &expected);
-                        let fresh = TermRegistry::new(CELLS as usize);
-                        fresh.import_cells(&exported);
-                        prop_assert_eq!(fresh.export_cells(), exported);
-                        r = fresh;
                     }
                 }
                 for c in 0..CELLS {

@@ -5,9 +5,10 @@
 //! stores two hash maps: `H1` maps terms of the complete term set to worker
 //! ids, and `H2` maps terms appearing in registered STS queries to worker
 //! ids. Objects are routed by looking up their terms in `H2` of their cell
-//! (and discarded when no term is present); query insertions/deletions are
-//! routed by looking up the least frequent keyword of each conjunction in
-//! `H1` of every overlapped cell, updating `H2` along the way.
+//! (and discarded when no term is present); query insertions are routed by
+//! looking up the least frequent keyword of each conjunction in `H1` of
+//! every overlapped cell, updating `H2` along the way. Deletions go to every
+//! worker (see [`RoutingTable::route_delete`]).
 //!
 //! [`RoutingTable`] is that structure, generalized so that the same type can
 //! express the output of every partitioning strategy:
@@ -325,36 +326,24 @@ impl RoutingTable {
         }
     }
 
-    /// Routes an STS query deletion: every worker that may hold a copy of
-    /// the query, a superset of the insertion's destinations (see below).
-    /// `H2` is left untouched: a stale filter term only costs an object a
-    /// trip to a worker that matches nothing, and nothing prunes `H2`.
+    /// Routes an STS query deletion: every worker. A worker may hold a copy
+    /// of a query that no routing of its terms reaches any more — a text
+    /// split replicates a query, and a whole-cell move leaves it in the
+    /// source's other cells — and a later move can make that copy reachable
+    /// again; a worker without the id does nothing. `H2` is left untouched:
+    /// a stale filter term only costs an object a trip to a worker that
+    /// matches nothing, and nothing prunes `H2`.
     pub fn route_delete(&self, query: &StsQuery) -> Vec<WorkerId> {
-        let mut workers = Vec::with_capacity(2);
+        let mut workers = Vec::with_capacity(self.num_workers);
         self.route_delete_into(query, &mut workers);
         workers
     }
 
     /// [`RoutingTable::route_delete`] into a caller-owned buffer, which is
     /// cleared first: with a recycled buffer it allocates nothing.
-    pub fn route_delete_into(&self, query: &StsQuery, workers: &mut Vec<WorkerId>) {
-        // A deletion must reach every worker that could hold a copy of the
-        // query, and that is a strictly wider set than the insertion's
-        // representative-term routing: text-split migrations *replicate* a
-        // query to the worker owning any of its terms in a cell (the
-        // straddling-query rule of `Gi2Index::replicate_cell_where`).
-        // Routing the delete by **all** of the query's terms covers every
-        // such worker; a delete for an absent id is a cheap no-op at the
-        // worker, and deletions are rare relative to objects.
+    pub fn route_delete_into(&self, _query: &StsQuery, workers: &mut Vec<WorkerId>) {
         workers.clear();
-        let mut visited = VisitedMaps::default();
-        for cell in self.grid.cells_overlapping_iter(&query.region) {
-            self.cells[self.grid.cell_index(cell)].add_workers(
-                query.keywords.conjunctions().flatten(),
-                &mut visited,
-                workers,
-            );
-        }
+        workers.extend((0..self.num_workers as u32).map(WorkerId));
     }
 
     /// Has no effect: the `H2` registry has one fixed flat layout. Survives
@@ -362,18 +351,6 @@ impl RoutingTable {
     /// `reshard_for_topology(1, None)`; the next PR allowed to edit that
     /// crate deletes it.
     pub fn reshard_for_topology(&mut self, _num_nodes: usize, _shards_per_group: Option<usize>) {}
-
-    /// Exports the `H2` registry in canonical order for embedding in a
-    /// durability snapshot (see `TermRegistry::export_cells`).
-    pub fn registry_export(&self) -> Vec<(u32, Vec<TermId>)> {
-        self.query_terms.export_cells()
-    }
-
-    /// Re-registers a snapshot's registry export. Idempotent: replaying the
-    /// recovered query log afterwards re-inserts the same pairs harmlessly.
-    pub fn import_registry(&self, cells: &[(u32, Vec<TermId>)]) {
-        self.query_terms.import_cells(cells);
-    }
 
     /// Reassigns an entire cell to a different worker (local load adjustment
     /// migrating a cell). The cell becomes [`CellRouting::Single`].
@@ -529,7 +506,7 @@ mod tests {
         let mut workers = table.route_insert(&q);
         workers.sort();
         assert_eq!(workers, vec![WorkerId(0), WorkerId(1)]);
-        // deletions route to the same workers
+        // a deletion reaches every worker, here the same two
         let mut del = table.route_delete(&q);
         del.sort();
         assert_eq!(del, vec![WorkerId(0), WorkerId(1)]);
@@ -630,9 +607,9 @@ mod tests {
     fn delete_reaches_text_split_replicas() {
         // Regression: a text split moving a *non-representative* term of a
         // query replicates the query to the destination worker (the
-        // worker-side straddling rule), so the deletion must be routed by
-        // ALL the query's terms — representative-term routing would miss
-        // the replica and leave it matching forever.
+        // worker-side straddling rule), so the deletion must reach workers
+        // that representative-term routing would miss, or the replica
+        // keeps matching forever.
         let mut table = split_table();
         // AND(3, 4): with uniform stats the representative term is TermId(3)
         let q = qry(1, &[3, 4], Rect::from_coords(0.0, 0.0, 4.0, 4.0));
@@ -781,6 +758,7 @@ mod tests {
             ws.sort();
             ws
         };
+        let everyone: Vec<WorkerId> = (0..5).map(WorkerId).collect();
         for i in 0..200u32 {
             let terms = |k: u32| TermId((i * 5 + k * 3) % 12);
             let keywords = match i % 3 {
@@ -797,7 +775,6 @@ mod tests {
                 Rect::from_coords(x, y, x + side, y + side),
             );
             let mut inserts = Vec::new();
-            let mut deletes = Vec::new();
             for cell in grid.cells_overlapping(&q.region) {
                 let routing = table.cell_routing(cell);
                 for conj in q.keywords.conjunctions() {
@@ -807,16 +784,12 @@ mod tests {
                         .unwrap();
                     inserts.push(routing.worker_for(t));
                 }
-                for &t in q.keywords.conjunctions().flatten() {
-                    deletes.push(routing.worker_for(t));
-                }
             }
             inserts.sort();
             inserts.dedup();
-            deletes.sort();
-            deletes.dedup();
             assert_eq!(sorted(table.route_insert(&q)), inserts, "insert of {q:?}");
-            assert_eq!(sorted(table.route_delete(&q)), deletes, "delete of {q:?}");
+            // a deletion reaches every worker
+            assert_eq!(sorted(table.route_delete(&q)), everyone, "delete of {q:?}");
         }
     }
 

@@ -10,8 +10,8 @@
 //! * [`oplog`] — the append-only insert/delete log; loading yields the
 //!   longest valid prefix and truncates torn tails instead of failing.
 //! * [`snapshot`] + [`store`] — atomic snapshot-then-rename checkpoints of
-//!   the live query set and term-registry export, plus log compaction
-//!   rewriting the log from the live map.
+//!   the live query set, plus log compaction rewriting the log from the
+//!   live map.
 //!
 //! See `docs/PERSISTENCE.md` for the file formats and recovery semantics.
 

@@ -1,11 +1,12 @@
 //! Atomic snapshots of the durable subscription state.
 //!
-//! A snapshot captures, at operation watermark `W`: the live query set (the
-//! GI² slab contents, in canonical ascending-id order) and the routing
-//! table's per-cell term registry. Term statistics are not persisted: they
-//! are the routing table's, frozen at calibration. Recovery loads the newest
-//! *valid* snapshot and replays only log records with `seq > W`; a snapshot
-//! of an older layout fails its magic check and is skipped like a torn one.
+//! A snapshot captures, at operation watermark `W`, the live query set in
+//! canonical ascending-id order. Routing state is not persisted: the term
+//! statistics are the routing table's, frozen at calibration, and replaying
+//! the recovered inserts through the table re-registers every `H2` term.
+//! Recovery loads the newest *valid* snapshot and replays only log records
+//! with `seq > W`; a snapshot of an older layout fails its magic check and
+//! is skipped like a torn one.
 //!
 //! # Atomicity
 //!
@@ -18,11 +19,10 @@
 use crate::frame::{FrameScanner, FrameWriter, FsyncPolicy};
 use ps2stream_model::wire::{self, WireError, WireReader};
 use ps2stream_model::StsQuery;
-use ps2stream_text::TermId;
 use std::path::{Path, PathBuf};
 
 /// Leading payload magic (version-bearing).
-const MAGIC: &[u8; 8] = b"PS2SNAP2";
+const MAGIC: &[u8; 8] = b"PS2SNAP3";
 
 /// Everything a snapshot captures.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -30,9 +30,6 @@ pub struct SnapshotData {
     /// Operation watermark: every logged op with `seq <= watermark` is
     /// reflected in this snapshot; replay skips them.
     pub watermark: u64,
-    /// Term-registry export: `(cell, ascending term ids)` per non-empty cell,
-    /// ascending by cell.
-    pub registry: Vec<(u32, Vec<TermId>)>,
     /// Live queries in ascending-id order.
     pub queries: Vec<StsQuery>,
 }
@@ -42,14 +39,6 @@ impl SnapshotData {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         wire::put_u64(&mut out, self.watermark);
-        wire::put_u32(&mut out, self.registry.len() as u32);
-        for (cell, terms) in &self.registry {
-            wire::put_u32(&mut out, *cell);
-            wire::put_u32(&mut out, terms.len() as u32);
-            for t in terms {
-                wire::put_u32(&mut out, t.0);
-            }
-        }
         wire::put_u32(&mut out, self.queries.len() as u32);
         for q in &self.queries {
             wire::encode_query(&mut out, q);
@@ -63,17 +52,6 @@ impl SnapshotData {
         }
         let mut r = WireReader::new(&payload[MAGIC.len()..]);
         let watermark = r.u64()?;
-        let ncells = r.count()?;
-        let mut registry = Vec::with_capacity(ncells as usize);
-        for _ in 0..ncells {
-            let cell = r.u32()?;
-            let nterms = r.count()?;
-            let mut terms = Vec::with_capacity(nterms as usize);
-            for _ in 0..nterms {
-                terms.push(TermId(r.u32()?));
-            }
-            registry.push((cell, terms));
-        }
         let nqueries = r.count()?;
         let mut queries = Vec::with_capacity(nqueries as usize);
         for _ in 0..nqueries {
@@ -82,11 +60,7 @@ impl SnapshotData {
         if r.remaining() > 0 {
             return Err(WireError::TrailingBytes(r.remaining()));
         }
-        Ok(Self {
-            watermark,
-            registry,
-            queries,
-        })
+        Ok(Self { watermark, queries })
     }
 }
 
@@ -186,7 +160,7 @@ mod tests {
     use super::*;
     use ps2stream_geo::Rect;
     use ps2stream_model::{QueryId, SubscriberId};
-    use ps2stream_text::BooleanExpr;
+    use ps2stream_text::{BooleanExpr, TermId};
 
     fn q(id: u64) -> StsQuery {
         StsQuery::new(
@@ -200,7 +174,6 @@ mod tests {
     fn sample(watermark: u64) -> SnapshotData {
         SnapshotData {
             watermark,
-            registry: vec![(0, vec![TermId(1)]), (5, vec![TermId(2), TermId(9)])],
             queries: vec![q(1), q(2), q(3)],
         }
     }
@@ -237,7 +210,7 @@ mod tests {
         let dir = tmp_dir("fallback");
         write_snapshot(&dir, &sample(10)).unwrap();
         // forge a newer, torn snapshot (bypassing write_snapshot's pruning)
-        std::fs::write(snapshot_path(&dir, 99), b"PS2SNAP2 torn garbage").unwrap();
+        std::fs::write(snapshot_path(&dir, 99), b"PS2SNAP3 torn garbage").unwrap();
         assert_eq!(load_latest_snapshot(&dir).unwrap().watermark, 10);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -21,7 +21,6 @@ use crate::oplog::{load_log, LoggedOp, OpLog};
 use crate::snapshot::{load_latest_snapshot, write_snapshot, SnapshotData};
 use ps2stream_model::wire;
 use ps2stream_model::{QueryUpdate, StsQuery};
-use ps2stream_text::TermId;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -215,7 +214,7 @@ impl PersistentStore {
 
     /// Logs one update and applies it to the live map. Returns `true` when
     /// the snapshot interval has elapsed — the caller should then invoke
-    /// [`PersistentStore::snapshot_now`] with its registry export.
+    /// [`PersistentStore::snapshot_now`].
     pub fn log_update(&mut self, update: &QueryUpdate) -> std::io::Result<bool> {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -237,13 +236,11 @@ impl PersistentStore {
     }
 
     /// Writes a snapshot of the live state at the current watermark, then
-    /// compacts the log (rewrites it from the live map). `registry` is the
-    /// routing table's term-registry export to embed.
-    pub fn snapshot_now(&mut self, registry: Vec<(u32, Vec<TermId>)>) -> std::io::Result<()> {
+    /// compacts the log (rewrites it from the live map).
+    pub fn snapshot_now(&mut self) -> std::io::Result<()> {
         let watermark = self.next_seq - 1;
         let data = SnapshotData {
             watermark,
-            registry,
             queries: self.live.values().cloned().collect(),
         };
         let path = write_snapshot(&self.config.dir, &data)?;
@@ -344,7 +341,7 @@ mod tests {
     use super::*;
     use ps2stream_geo::Rect;
     use ps2stream_model::{QueryId, SubscriberId};
-    use ps2stream_text::BooleanExpr;
+    use ps2stream_text::{BooleanExpr, TermId};
 
     fn q(id: u64) -> StsQuery {
         StsQuery::new(
@@ -407,7 +404,7 @@ mod tests {
                 store.log_update(&QueryUpdate::Insert(q(i))).unwrap();
             }
             store.log_update(&QueryUpdate::Delete(q(2))).unwrap();
-            store.snapshot_now(vec![(3, vec![TermId(1)])]).unwrap();
+            store.snapshot_now().unwrap();
             // tail past the watermark
             store.log_update(&QueryUpdate::Insert(q(9))).unwrap();
             store.log_update(&QueryUpdate::Delete(q(4))).unwrap();
@@ -418,7 +415,6 @@ mod tests {
             snap.queries.iter().map(|q| q.id.0).collect::<Vec<_>>(),
             vec![1, 3, 4, 5]
         );
-        assert_eq!(snap.registry, vec![(3, vec![TermId(1)])]);
         assert_eq!(recovered.tail.len(), 2, "only ops past the watermark");
         assert_eq!(
             store.live_queries().map(|q| q.id.0).collect::<Vec<_>>(),
@@ -436,7 +432,7 @@ mod tests {
                 store.log_update(&QueryUpdate::Insert(q(i))).unwrap();
             }
             store.log_update(&QueryUpdate::Delete(q(2))).unwrap();
-            store.snapshot_now(vec![]).unwrap();
+            store.snapshot_now().unwrap();
             store.log_update(&QueryUpdate::Insert(q(8))).unwrap();
         }
         // destroy every snapshot: the rewritten log alone must suffice
@@ -456,8 +452,8 @@ mod tests {
 
     #[test]
     fn an_old_layout_snapshot_is_skipped_for_the_log() {
-        // A `PS2SNAP1` snapshot carried term statistics between the
-        // watermark and the registry. Recovery must skip it, never parse it
+        // A `PS2SNAP2` snapshot carried the term registry between the
+        // watermark and the queries. Recovery must skip it, never parse it
         // as the current layout, and rebuild the live set from the log.
         let dir = tmp_dir("oldsnap");
         {
@@ -467,12 +463,8 @@ mod tests {
             }
             store.log_update(&QueryUpdate::Delete(q(2))).unwrap();
         }
-        let mut old = b"PS2SNAP1".to_vec();
+        let mut old = b"PS2SNAP2".to_vec();
         wire::put_u64(&mut old, 4); // watermark: covers the whole log
-        wire::put_u64(&mut old, 2); // documents observed
-        wire::put_u32(&mut old, 2); // per-term counts
-        wire::put_u64(&mut old, 1);
-        wire::put_u64(&mut old, 2);
         wire::put_u32(&mut old, 1); // registry: one cell, one term
         wire::put_u32(&mut old, 0);
         wire::put_u32(&mut old, 1);
@@ -504,7 +496,7 @@ mod tests {
         assert!(!store.log_update(&QueryUpdate::Insert(q(1))).unwrap());
         assert!(!store.log_update(&QueryUpdate::Insert(q(2))).unwrap());
         assert!(store.log_update(&QueryUpdate::Insert(q(3))).unwrap());
-        store.snapshot_now(vec![]).unwrap();
+        store.snapshot_now().unwrap();
         assert_eq!(store.snapshots_written(), 1);
         assert!(store.snapshot_bytes() > 0);
         assert!(!store.log_update(&QueryUpdate::Insert(q(4))).unwrap());

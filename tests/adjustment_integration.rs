@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::sync::Mutex;
 
 mod sim_support;
-use sim_support::{brute_force, skewed_sample};
+use sim_support::{inserts_then_objects, owed, skewed_sample};
 
 /// On the concurrent backends a stats round completes only once the hot
 /// worker has drained the records routed before the request. Two pipelines
@@ -24,7 +24,7 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 fn adjustment_migrates_cells_and_keeps_results_correct() {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let sample = skewed_sample(4_000, 200, 31);
-    let once = brute_force(&sample);
+    let once = owed(&inserts_then_objects(&sample));
     assert!(!once.is_empty());
     // the objects stream in five passes under fresh ids, so the controller
     // migrates while traffic is flowing

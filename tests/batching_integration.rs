@@ -8,23 +8,14 @@ use ps2stream_stream::unbounded;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-fn brute_force(sample: &WorkloadSample) -> HashSet<(QueryId, ObjectId)> {
-    let mut expected = HashSet::new();
-    for o in sample.objects() {
-        for q in sample.insertions() {
-            if q.matches(o) {
-                expected.insert((q.id, o.id));
-            }
-        }
-    }
-    expected
-}
+mod sim_support;
+use sim_support::{inserts_then_objects, owed};
 
 #[test]
 fn four_dispatchers_with_batching_deliver_exact_matches() {
     let sample =
         ps2stream_workload::build_sample(DatasetSpec::tiny(), QueryClass::Q1, 800, 160, 29);
-    let expected = brute_force(&sample);
+    let expected = owed(&inserts_then_objects(&sample));
     assert!(!expected.is_empty(), "workload must produce matches");
 
     let (delivery_tx, delivery_rx) = unbounded::<MatchResult>();
@@ -187,7 +178,8 @@ mod equivalence {
 
         /// The batched pipeline delivers exactly the same deduplicated match
         /// set as the unbatched (batch size 1) pipeline on any interleaved
-        /// stream of insertions, deletions and objects.
+        /// stream of insertions, deletions and objects: the set the
+        /// reference model owes it.
         #[test]
         fn batched_and_unbatched_pipelines_are_equivalent(
             queries in proptest::collection::vec(arb_query(), 1..25),
@@ -197,6 +189,7 @@ mod equivalence {
             let unbatched = run_pipeline(&records, 1);
             let batched = run_pipeline(&records, 32);
             prop_assert_eq!(&unbatched, &batched);
+            prop_assert_eq!(&batched, &owed(&records));
         }
     }
 }

@@ -25,7 +25,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 
 mod sim_support;
-use sim_support::brute_force;
+use sim_support::{inserts_then_objects, owed};
 
 const SEEDS: [u64; 5] = [11, 23, 37, 41, 53];
 
@@ -118,7 +118,7 @@ fn faulted_sim_runs_deliver_the_fault_free_set() {
         let clean = as_set(&clean_log);
         assert_eq!(
             clean,
-            brute_force(&sample),
+            owed(&inserts_then_objects(&sample)),
             "seed {seed}: the fault-free run must match the oracle"
         );
         assert_eq!(clean_report.faults, FaultReport::default());
@@ -191,7 +191,7 @@ fn faulted_sim_runs_replay_byte_identically() {
 fn faulted_thread_runs_deliver_the_brute_force_set() {
     for seed in [11u64, 53] {
         let sample = uniform_sample(seed);
-        let expected = brute_force(&sample);
+        let expected = owed(&inserts_then_objects(&sample));
         for (name, plan) in fault_plans(seed) {
             let (log, report) = run_with(
                 &sample,
@@ -227,7 +227,7 @@ fn faulted_thread_runs_deliver_the_brute_force_set() {
 #[test]
 fn overload_shedding_degrades_without_duplicating_or_inventing() {
     let sample = uniform_sample(37);
-    let oracle = brute_force(&sample);
+    let oracle = owed(&inserts_then_objects(&sample));
 
     // worker-side shedding: objects dropped before matching
     let (log, report) = run_with(
@@ -288,7 +288,7 @@ fn worker_crashes_leave_the_durable_store_consistent() {
         Some(StoreConfig::new(&dir)),
     );
     assert_eq!(report.faults.worker_crashes, 2);
-    assert_eq!(as_set(&log), brute_force(&sample));
+    assert_eq!(as_set(&log), owed(&inserts_then_objects(&sample)));
     assert_eq!(report.faults.persist_errors, 0);
 
     let recovered = PersistentStore::peek(&StoreConfig::new(&dir)).unwrap();

@@ -14,7 +14,7 @@
 //! The suite also runs on whatever backend `PS2_RUNTIME` selects (CI runs it
 //! under `sim` and `threads`): on a concurrent backend delivery *order* is
 //! scheduling-dependent, so those assertions weaken to set equality against
-//! the `sim_support` brute-force oracle.
+//! the `sim_support` reference model.
 
 use ps2stream::prelude::*;
 use ps2stream_stream::{unbounded, RuntimeBackend};
@@ -22,7 +22,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 
 mod sim_support;
-use sim_support::{brute_force, skewed_sample};
+use sim_support::{owed, skewed_sample};
 
 /// Five workload seeds, four seeded crash ticks each = the 20 crash points.
 const SEEDS: [u64; 5] = [11, 23, 37, 41, 53];
@@ -63,17 +63,14 @@ fn live_ids(updates: &[QueryUpdate]) -> HashSet<QueryId> {
     live
 }
 
-/// Ground truth: the `sim_support` brute-force oracle restricted to the
-/// queries that survive the churn (deletes all precede the object phase).
+/// Ground truth: what the stream `updates ++ objects` owes.
 fn expected_matches(
     sample: &WorkloadSample,
     updates: &[QueryUpdate],
 ) -> HashSet<(QueryId, ObjectId)> {
-    let live = live_ids(updates);
-    brute_force(sample)
-        .into_iter()
-        .filter(|(q, _)| live.contains(q))
-        .collect()
+    let updates = updates.iter().cloned().map(StreamRecord::Update);
+    let objects = sample.objects().iter().cloned().map(StreamRecord::Object);
+    owed(&updates.chain(objects).collect::<Vec<_>>())
 }
 
 /// Crash ticks inside the churn phase, seeded and strictly increasing.
@@ -207,7 +204,7 @@ fn sim_kill_and_recover_is_byte_identical_to_the_unkilled_run() {
                 .map(|m| (m.query_id, m.object_id))
                 .collect::<HashSet<_>>(),
             expected,
-            "seed {seed}: the unkilled run must already match brute force"
+            "seed {seed}: the unkilled run must already match the reference model"
         );
         for crash_at in crash_ticks(seed, updates.len()) {
             let dir = fresh_dir(&format!("byteid-{seed}-{crash_at}"));
@@ -256,7 +253,7 @@ fn sim_kill_and_recover_is_byte_identical_to_the_unkilled_run() {
 /// The same kill-and-recover flow on whatever backend `PS2_RUNTIME` selects
 /// (CI: `sim` and `threads`). Delivery order is scheduling-dependent on a
 /// concurrent backend, so the guarantees checked are the delivered *set*
-/// (against the brute-force oracle) and the canonical index serialization.
+/// (against the reference model) and the canonical index serialization.
 #[test]
 fn session_backend_recovery_preserves_the_match_set() {
     let seed = 29;
@@ -390,9 +387,7 @@ fn snapshot_during_cell_handoff_neither_loses_nor_duplicates() {
 
     // snapshot mid-barrier, then recover from disk: the in-flight queries
     // must be present exactly once
-    store
-        .snapshot_now(vec![(0, vec![TermId(7)]), (72, vec![TermId(9)])])
-        .unwrap();
+    store.snapshot_now().unwrap();
     drop(store);
     let (reopened, recovered_state) = PersistentStore::open(pure_log_store(&dir)).unwrap();
     assert_eq!(recovered_state.truncated_bytes, 0);

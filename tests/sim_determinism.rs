@@ -21,7 +21,7 @@ use ps2stream_stream::{unbounded, RuntimeBackend};
 use std::collections::HashSet;
 
 mod sim_support;
-use sim_support::{brute_force, skewed_sample};
+use sim_support::{inserts_then_objects, owed, skewed_sample};
 
 /// Runs the skewed migration scenario on the given backend and returns the
 /// delivered-match log (in delivery order) plus the run report.
@@ -86,7 +86,7 @@ fn same_seed_replays_a_byte_identical_match_log() {
 #[test]
 fn different_interleaving_seeds_agree_on_the_delivered_set() {
     let sample = skewed_sample(1_200, 200, 23);
-    let expected = brute_force(&sample);
+    let expected = owed(&inserts_then_objects(&sample));
     assert!(!expected.is_empty());
     let mut logs = Vec::new();
     for seed in [1u64, 7, 99, 1234, 0xDEAD_BEEF] {

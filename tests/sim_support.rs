@@ -1,10 +1,10 @@
-//! Helpers shared by the integration suites. The migration suites
-//! (`sim_determinism.rs`, `sim_migration_sweep.rs`,
-//! `adjustment_integration.rs`) must drive the *same* skewed migration
-//! scenario, so the workload construction lives in one place.
+//! Helpers shared by the integration suites: the one reference model
+//! ([`owed`]) every suite checks delivery against, and the skewed migration
+//! scenario that the migration suites (`sim_determinism.rs`,
+//! `sim_migration_sweep.rs`, `adjustment_integration.rs`) must all drive.
 
 use ps2stream::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// A hot-spot workload (all queries and objects in one small region) so a
 /// grid-partitioned deployment starts imbalanced and the adjustment
@@ -31,15 +31,35 @@ pub fn skewed_sample(n_objects: usize, n_queries: usize, seed: u64) -> WorkloadS
     WorkloadSample::from_objects_and_queries(spec.bounds, objects, queries)
 }
 
-/// The ground-truth match set every correct run must deliver exactly.
-pub fn brute_force(sample: &WorkloadSample) -> HashSet<(QueryId, ObjectId)> {
-    let mut expected = HashSet::new();
-    for o in sample.objects() {
-        for q in sample.insertions() {
-            if q.matches(o) {
-                expected.insert((q.id, o.id));
+/// The sample's queries inserted up front, then its objects: the stream
+/// most suites feed.
+#[allow(dead_code)] // not every suite feeds a sample as is
+pub fn inserts_then_objects(sample: &WorkloadSample) -> Vec<StreamRecord> {
+    let inserts = sample.insertions().iter().cloned().map(QueryUpdate::Insert);
+    inserts
+        .map(StreamRecord::Update)
+        .chain(sample.objects().iter().cloned().map(StreamRecord::Object))
+        .collect()
+}
+
+/// The reference model: the match set a correct run owes `records`, fed in
+/// this order. Each object is owed to every query live at its position —
+/// inserted before it and not deleted since.
+pub fn owed(records: &[StreamRecord]) -> HashSet<(QueryId, ObjectId)> {
+    let mut live: HashMap<QueryId, &StsQuery> = HashMap::new();
+    let mut owed = HashSet::new();
+    for record in records {
+        match record {
+            StreamRecord::Update(QueryUpdate::Insert(q)) => {
+                live.insert(q.id, q);
+            }
+            StreamRecord::Update(QueryUpdate::Delete(q)) => {
+                live.remove(&q.id);
+            }
+            StreamRecord::Object(o) => {
+                owed.extend(live.values().filter(|q| q.matches(o)).map(|q| (q.id, o.id)));
             }
         }
     }
-    expected
+    owed
 }

@@ -7,6 +7,9 @@ use ps2stream_partition::all_partitioners;
 use ps2stream_stream::{bounded, unbounded};
 use std::collections::HashSet;
 
+mod sim_support;
+use sim_support::{inserts_then_objects, owed};
+
 /// Runs one deployment over the sample and returns the delivered
 /// (query, object) pairs together with the run report.
 fn run_system(
@@ -40,22 +43,10 @@ fn run_system(
     (delivered, report)
 }
 
-fn brute_force(sample: &WorkloadSample) -> HashSet<(QueryId, ObjectId)> {
-    let mut expected = HashSet::new();
-    for o in sample.objects() {
-        for q in sample.insertions() {
-            if q.matches(o) {
-                expected.insert((q.id, o.id));
-            }
-        }
-    }
-    expected
-}
-
 #[test]
 fn every_partitioning_strategy_delivers_exactly_the_correct_matches() {
     let sample = ps2stream_workload::build_sample(DatasetSpec::tiny(), QueryClass::Q1, 600, 120, 7);
-    let expected = brute_force(&sample);
+    let expected = owed(&inserts_then_objects(&sample));
     assert!(
         !expected.is_empty(),
         "the test workload should produce matches"
@@ -76,7 +67,7 @@ fn every_partitioning_strategy_delivers_exactly_the_correct_matches() {
 fn q2_workload_with_or_queries_is_also_exact() {
     let sample =
         ps2stream_workload::build_sample(DatasetSpec::tweets_uk(), QueryClass::Q2, 800, 150, 11);
-    let expected = brute_force(&sample);
+    let expected = owed(&inserts_then_objects(&sample));
     let (delivered, report) = run_system(Box::new(HybridPartitioner::default()), &sample, 6);
     assert_eq!(delivered, expected);
     assert!(report.duplicates_removed < report.matches_delivered.max(1) * 3);
@@ -88,7 +79,7 @@ fn a_full_delivery_channel_loses_and_repeats_nothing() {
     // outgrow it and park on the full channel mid-burst.
     let sample =
         ps2stream_workload::build_sample(DatasetSpec::tweets_uk(), QueryClass::Q2, 800, 150, 11);
-    let expected = brute_force(&sample);
+    let expected = owed(&inserts_then_objects(&sample));
     let (delivery_tx, delivery_rx) = bounded::<MatchResult>(4);
     let subscriber = std::thread::spawn(move || {
         delivery_rx
@@ -141,35 +132,24 @@ fn deletions_stop_deliveries_cluster_wide() {
     .with_calibration_sample(sample.clone())
     .with_delivery(delivery_tx)
     .start();
-    for q in sample.insertions() {
-        system.send(StreamRecord::Update(QueryUpdate::Insert(q.clone())));
-    }
-    let (deleted, kept): (Vec<_>, Vec<_>) = sample
-        .insertions()
-        .iter()
-        .enumerate()
-        .partition(|(i, _)| i % 2 == 0);
-    for (_, q) in &deleted {
-        system.send(StreamRecord::Update(QueryUpdate::Delete((*q).clone())));
-    }
-    for o in sample.objects() {
-        system.send(StreamRecord::Object(o.clone()));
+    let deleted: Vec<&StsQuery> = sample.insertions().iter().step_by(2).collect();
+    let inserts = sample.insertions().iter().cloned().map(QueryUpdate::Insert);
+    let deletes = deleted.iter().map(|q| QueryUpdate::Delete((*q).clone()));
+    let records: Vec<StreamRecord> = inserts
+        .chain(deletes)
+        .map(StreamRecord::Update)
+        .chain(sample.objects().iter().cloned().map(StreamRecord::Object))
+        .collect();
+    for record in &records {
+        system.send(record.clone());
     }
     let report = system.finish();
     let delivered: HashSet<(QueryId, ObjectId)> = delivery_rx
         .try_iter()
         .map(|m| (m.query_id, m.object_id))
         .collect();
-    let mut expected = HashSet::new();
-    for o in sample.objects() {
-        for (_, q) in &kept {
-            if q.matches(o) {
-                expected.insert((q.id, o.id));
-            }
-        }
-    }
-    assert_eq!(delivered, expected);
-    let deleted_ids: HashSet<QueryId> = deleted.iter().map(|(_, q)| q.id).collect();
+    assert_eq!(delivered, owed(&records));
+    let deleted_ids: HashSet<QueryId> = deleted.iter().map(|q| q.id).collect();
     assert!(delivered.iter().all(|(q, _)| !deleted_ids.contains(q)));
     assert!(report.records_in > 0);
 }
@@ -178,7 +158,7 @@ fn deletions_stop_deliveries_cluster_wide() {
 fn scaling_the_worker_count_does_not_change_the_results() {
     let sample =
         ps2stream_workload::build_sample(DatasetSpec::tweets_us(), QueryClass::Q3, 700, 120, 17);
-    let expected = brute_force(&sample);
+    let expected = owed(&inserts_then_objects(&sample));
     for workers in [1usize, 2, 8, 16] {
         let (delivered, _) = run_system(Box::new(HybridPartitioner::default()), &sample, workers);
         assert_eq!(delivered, expected, "workers = {workers}");
