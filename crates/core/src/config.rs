@@ -102,7 +102,10 @@ pub struct SystemConfig {
     /// unaffected; only channel traffic is amortized. `1` reproduces the
     /// previous record-at-a-time behaviour. **Default: 16.**
     pub batch_size: usize,
-    /// GI² / gridt grid granularity exponent (2⁶×2⁶ in the paper).
+    /// Grid granularity exponent of the workers' GI² indexes (2⁶×2⁶ in the
+    /// paper). The dispatchers' gridt routing grid is the partitioner's own
+    /// `grid_exp`, which is at most
+    /// [`MAX_GRID_EXP`](ps2stream_partition::text::MAX_GRID_EXP).
     pub grid_exp: u32,
     /// Cost constants of the load model.
     pub costs: CostConstants,
@@ -120,7 +123,7 @@ pub struct SystemConfig {
     /// this config field by field; the next PR allowed to edit that crate
     /// deletes it.
     pub pinning: bool,
-    /// Has no effect: the `H2` term registry has one fixed flat layout. The
+    /// Has no effect: the `H2` term registry has one fixed layout. The
     /// field survives only because the frozen `crates/benchmark/` builds
     /// this config field by field; the next PR allowed to edit that crate
     /// deletes it.

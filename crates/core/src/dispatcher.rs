@@ -9,11 +9,14 @@
 //! The hot path is batch-oriented and read-mostly: records arrive in
 //! [`Batch`]es, every routing decision — objects, insertions **and**
 //! deletions — takes only a *read* lock on the shared table (insertions
-//! register their terms through the table's sharded
-//! [`ps2stream_partition::TermRegistry`]), and routed records accumulate in
-//! per-worker reorder buffers that are flushed as [`WorkerMessage::Records`]
-//! batches. Adding dispatchers therefore scales the ingest path instead of
-//! serializing it on a table-level write lock.
+//! register their terms, and deletions unregister them, through the
+//! table's [`ps2stream_partition::TermRegistry`], which has its own lock),
+//! and routed records accumulate in per-worker reorder buffers that are
+//! flushed as [`WorkerMessage::Records`] batches. No dispatcher takes the
+//! table's write lock in steady state, but all of them share the
+//! registry's one lock: every query update takes it for writing, briefly,
+//! and every object probe in an occupied cell takes it for reading, so
+//! update-heavy streams serialize there as dispatchers are added.
 //!
 //! A dispatcher routes a whole run of input batches (see
 //! [`Operator::process_run`]) under one read guard and flushes each
@@ -128,8 +131,8 @@ impl Dispatcher {
         let mut targets = std::mem::take(&mut self.targets);
         match &envelope.payload {
             StreamRecord::Object(o) => routing.route_object_into(o, &mut targets),
-            // steady state: term registration goes through the sharded
-            // registry, so even insertions need only the read lock
+            // term (un)registration goes through the registry's own lock,
+            // so updates need only the table's read lock
             StreamRecord::Update(QueryUpdate::Insert(q)) => {
                 routing.route_insert_into(q, &mut targets)
             }

@@ -1,10 +1,16 @@
 //! The merger executor.
 //!
-//! Workers may produce the same (query, object) match more than once when a
-//! query is replicated on several workers (space partitioning duplicates
-//! queries across region boundaries, a text-split cell migration replicates
-//! the queries straddling the split). The merger removes those duplicates
-//! and delivers the remaining results to the subscribers (Section III-B).
+//! Workers may produce the same (query, object) match more than once. Almost
+//! all such duplicates come from over-posting: a worker posts a query under
+//! its posting terms in every cell its region overlaps, not only in the
+//! (cell, term) pairs the routing table sends to it, so an object in a
+//! text-partitioned cell whose terms route to two workers reaches both, and
+//! both find the query. A prototype that posted only the routed pairs cut
+//! the duplicates of a `match-heavy` benchmark round from about 139 000 to
+//! 348. The rest come from queries whose posting terms route to different
+//! workers in one cell, and from the replicas a text-split cell migration
+//! makes. The merger removes the duplicates and delivers the remaining
+//! results to the subscribers (Section III-B).
 //!
 //! Deduplication state is bounded: only the most recent `capacity` objects
 //! keep a per-object set of delivered queries. Eviction is

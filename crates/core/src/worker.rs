@@ -401,14 +401,16 @@ impl Worker {
         let mut restored = 0u64;
         {
             let table = routing.read();
+            let mut destinations = Vec::new();
             for (_, update) in updates {
                 match update {
                     QueryUpdate::Insert(q) => {
-                        // `route_insert` is deterministic for a fixed table
-                        // and term statistics, and its H2 registration is
-                        // idempotent, so re-routing reproduces the original
-                        // dispatch decision.
-                        if table.route_insert(&q).contains(&self.id) {
+                        // the dispatch decision, looked up again: it is
+                        // deterministic for a fixed table and term table,
+                        // and registers nothing, since the dispatcher
+                        // counted this insertion in H2 already
+                        table.insert_destinations_into(&q, &mut destinations);
+                        if destinations.contains(&self.id) {
                             self.index.insert(q);
                             restored += 1;
                         }
@@ -691,7 +693,7 @@ mod tests {
     use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId};
     use ps2stream_stream::{bounded, unbounded, Batch, Envelope};
     use ps2stream_text::BooleanExpr;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     fn gi2() -> Gi2Index {
         Gi2Index::new(
@@ -1054,6 +1056,79 @@ mod tests {
         assert_eq!(metrics.faults.worker_respawns.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.faults.restored_updates.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.faults.replayed_records.load(Ordering::Relaxed), 3);
+    }
+
+    /// Routes three updates through a shared one-worker table, as the
+    /// dispatcher does (insert q1, insert q2, delete q2), then five objects,
+    /// through one worker with `crash_at`; deletes q1 once the worker is
+    /// done. Returns `H2` as every cell's registered terms.
+    fn h2_after_a_run(crash_at: Option<u64>) -> Vec<HashSet<TermId>> {
+        let metrics = SystemMetrics::new(1);
+        let (worker_tx, worker_rx) = unbounded::<WorkerMessage>();
+        let (merger_tx, _merger_rx) = bounded::<MergerMessage>(64);
+        let supervisor = Supervisor::new(1, true);
+        let routing = routing_one_worker();
+        let faults = WorkerFaults {
+            crash_at,
+            wedge: None,
+            recovery_lag: 2,
+        };
+        let worker = Worker::new(
+            WorkerId(0),
+            gi2(),
+            vec![worker_tx.clone()],
+            vec![merger_tx],
+            Arc::clone(&metrics),
+            16,
+        )
+        .with_supervision(Arc::clone(&supervisor), Arc::clone(&routing), faults);
+        let region = Rect::from_coords(0.0, 0.0, 8.0, 8.0);
+        let (q1, q2) = (query(1, 7, region), query(2, 8, region));
+        let updates = [
+            QueryUpdate::Insert(q1.clone()),
+            QueryUpdate::Insert(q2.clone()),
+            QueryUpdate::Delete(q2),
+        ];
+        let mut batch = Batch::new();
+        for (seq, update) in (1..).zip(updates) {
+            match &update {
+                QueryUpdate::Insert(q) => routing.read().route_insert(q),
+                QueryUpdate::Delete(q) => routing.read().route_delete(q),
+            };
+            supervisor.observe_update(seq, &update);
+            batch.push(Envelope::now(seq, StreamRecord::Update(update)));
+        }
+        for seq in 4..=8u64 {
+            batch.push(Envelope::now(
+                seq,
+                StreamRecord::Object(object(seq, 7, 2.0, 2.0)),
+            ));
+        }
+        worker_tx.send(WorkerMessage::Records(batch)).unwrap();
+        worker_tx.send(WorkerMessage::Shutdown).unwrap();
+        let worker = worker.run(worker_rx);
+        assert_eq!(worker.index().num_queries(), 1);
+        let expected_respawns = u64::from(crash_at.is_some());
+        assert_eq!(
+            metrics.faults.worker_respawns.load(Ordering::Relaxed),
+            expected_respawns
+        );
+        let table = routing.read();
+        table.route_delete(&q1);
+        table
+            .grid()
+            .all_cells()
+            .map(|cell| table.cell_query_terms(cell))
+            .collect()
+    }
+
+    #[test]
+    fn a_respawn_leaves_h2_as_the_crash_free_run_does() {
+        // re-registering the replayed inserts would count q1 twice, so its
+        // delete would leave it registered, and would bring back q2
+        let crash_free = h2_after_a_run(None);
+        assert!(crash_free.iter().all(HashSet::is_empty));
+        assert_eq!(h2_after_a_run(Some(5)), crash_free);
     }
 
     #[test]

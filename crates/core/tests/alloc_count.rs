@@ -15,9 +15,11 @@
 //! Most objects die at the dispatcher (no registered keyword in their cell),
 //! so with a recycled destination buffer `RoutingTable::route_object_into`
 //! allocates nothing, for a discarded object or a routed one. Subscription
-//! updates share that buffer: `route_insert_into` allocates nothing once
-//! the query's `(cell, term)` pairs are registered, and `route_delete_into`,
-//! which names every worker, nothing at all.
+//! updates share that buffer: once the registry has a table for each of
+//! the query's posting terms, and room for its `(cell, term)` pairs,
+//! neither `route_insert_into`, which counts the pairs, nor
+//! `route_delete_into`, which names every worker and uncounts them,
+//! allocates.
 //!
 //! The case that reaches each allocation-free function:
 //!
@@ -27,7 +29,7 @@
 //! | `Gi2Index::insert`, `StoredQuery::{cells, bytes}`, `UniformGrid::{cells_overlapping_iter, cell_span}` | `a_reinsert_into_warm_tables_allocates_nothing` |
 //! | `Gi2Index::delete_by_id`, `CellIndex::unpost`, `PostingEntry::remove`, `PostingArena::release` | `a_delete_allocates_nothing` |
 //! | `RoutingTable::route_object_into`, `TermRegistry::{cell_is_empty, probe_terms}` | `routing_an_object_allocates_nothing_once_the_buffer_is_warm` |
-//! | `RoutingTable::{route_insert_into, route_delete_into}`, `CellRouting::add_workers`, `add_worker`, `TermRegistry::insert_all` | `routing_an_update_allocates_nothing_once_the_buffer_is_warm` |
+//! | `RoutingTable::{route_insert_into, route_delete_into}`, `CellRouting::add_workers`, `add_worker`, `TermRegistry::{register, unregister}` | `routing_an_update_allocates_nothing_once_the_buffer_is_warm` |
 //! | `VisitedMaps::first_visit` | `routing_through_shared_term_maps_allocates_nothing` |
 //! | `TermRegistry::contains` | `registry_probes_allocate_nothing` |
 //!
@@ -41,7 +43,7 @@ use ps2stream_geo::{Point, Rect, UniformGrid};
 use ps2stream_index::{Gi2Config, Gi2Index, MatchScratch};
 use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId, WorkerId};
 use ps2stream_partition::{CellRouting, RoutingTable, TermRegistry, TermRouting};
-use ps2stream_text::{BooleanExpr, TermId, TermStats};
+use ps2stream_text::{BooleanExpr, RepresentativeTerms, TermId, TermStats};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -390,25 +392,30 @@ fn query(id: u64, keywords: BooleanExpr, region: Rect) -> StsQuery {
     StsQuery::new(QueryId(id), SubscriberId(id), keywords, region)
 }
 
-/// Routes every case's insertion and deletion once, checking the insertion
+/// Routes every case's insertion and deletion twice, checking the insertion
 /// against its expected destinations and the deletion against every worker
-/// (which also warms the buffer and registers the insertions' `(cell, term)`
-/// pairs), then returns the allocations of a thousand more rounds.
+/// (which also warms the buffer and gives the insertions' posting terms
+/// their cell tables), then returns the allocations of a thousand more
+/// rounds. Each deletion uncounts what its insertion counted, so a pair no
+/// other query holds is removed and added again every round.
 fn update_routing_allocations(table: &RoutingTable, cases: &[(StsQuery, Vec<WorkerId>)]) -> u64 {
     let everyone: Vec<WorkerId> = (0..table.num_workers() as u32).map(WorkerId).collect();
     let mut workers = Vec::new();
     for (q, expected) in cases {
-        // the first insertion registers the (cell, term) pairs it is
-        // posted under; from then on, inserting it is a read-only probe
+        // the first insertion gives each posting term its cell table; from
+        // then on, a cycle counts and uncounts pairs in place
         table.route_insert_into(q, &mut workers);
         workers.sort();
         assert_eq!(&workers, expected);
-        let mut wrapped = table.route_insert(q);
-        wrapped.sort();
-        assert_eq!(&wrapped, expected);
         table.route_delete_into(q, &mut workers);
         workers.sort();
         assert_eq!(workers, everyone);
+        let mut wrapped = table.route_insert(q);
+        wrapped.sort();
+        assert_eq!(&wrapped, expected);
+        let mut wrapped = table.route_delete(q);
+        wrapped.sort();
+        assert_eq!(wrapped, everyone);
     }
     allocations_during(|| {
         for _ in 0..1_000 {
@@ -500,8 +507,9 @@ fn routing_through_shared_term_maps_allocates_nothing() {
 
 #[test]
 fn registry_probes_allocate_nothing() {
-    let registry = TermRegistry::new(16);
-    registry.insert_all(3, &[TermId(7), TermId(9)]);
+    let registry = TermRegistry::new(16, 1);
+    let terms = RepresentativeTerms::Boxed(Box::new([TermId(7), TermId(9)]));
+    registry.register(QueryId(1), terms, Some((3, 3)));
     let allocations = allocations_during(|| {
         for _ in 0..1_000 {
             assert!(registry.contains(3, TermId(7)));

@@ -150,8 +150,9 @@ impl UniformGrid {
     }
 
     /// The lowest and highest cells overlapping `rect`, or `None` if it
-    /// does not intersect the grid bounds.
-    fn cell_span(&self, rect: &Rect) -> Option<(CellId, CellId)> {
+    /// does not intersect the grid bounds: the corners of the block of cells
+    /// [`UniformGrid::cells_overlapping_iter`] walks.
+    pub fn cell_span(&self, rect: &Rect) -> Option<(CellId, CellId)> {
         let clipped = self.bounds.intersection(rect)?;
         Some((
             self.cell_of_clamped(&clipped.min),

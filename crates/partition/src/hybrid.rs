@@ -32,7 +32,9 @@ use std::sync::Arc;
 /// Configuration of the hybrid partitioner.
 #[derive(Debug, Clone)]
 pub struct HybridConfig {
-    /// Routing-grid granularity exponent (2⁶×2⁶ by default, as in the paper).
+    /// Routing-grid granularity exponent (2⁶×2⁶ by default, as in the paper). At most
+    /// [`MAX_GRID_EXP`](crate::text::MAX_GRID_EXP): building a finer routing
+    /// table panics.
     pub grid_exp: u32,
     /// Text-similarity threshold `δ` above which a subspace is considered
     /// unsuitable for text partitioning (Algorithm 1, line 5).

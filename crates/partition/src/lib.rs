@@ -168,5 +168,51 @@ mod proptests {
                 }
             }
         }
+
+        /// `H2` holds only the pairs of live queries: once every inserted
+        /// query is deleted, in another order and twice over, no cell has a
+        /// registered term left and every object dies at the dispatcher.
+        #[test]
+        fn deleting_every_query_empties_h2(
+            objects in proptest::collection::vec((0u64..10_000).prop_flat_map(arb_object), 1..40),
+            queries in proptest::collection::vec((0u64..10_000).prop_flat_map(arb_query), 1..25),
+            workers in 1usize..9,
+        ) {
+            let mut ids = std::collections::HashSet::new();
+            let queries: Vec<StsQuery> =
+                queries.into_iter().filter(|q| ids.insert(q.id)).collect();
+            let bounds = Rect::from_coords(0.0, 0.0, 64.0, 64.0);
+            let sample = WorkloadSample::from_objects_and_queries(
+                bounds,
+                objects.clone(),
+                queries.clone(),
+            );
+            for p in all_partitioners() {
+                let table = p.partition(&sample, workers);
+                for q in &queries {
+                    table.route_insert(q);
+                }
+                // every region lies in the grid, so something is registered
+                prop_assert!(table
+                    .grid()
+                    .all_cells()
+                    .any(|cell| !table.cell_query_terms(cell).is_empty()));
+                for q in queries.iter().rev() {
+                    table.route_delete(q);
+                }
+                for q in &queries {
+                    table.route_delete(q);
+                }
+                for cell in table.grid().all_cells() {
+                    prop_assert!(
+                        table.cell_query_terms(cell).is_empty(),
+                        "{}: {:?} keeps terms", p.name(), cell
+                    );
+                }
+                for o in &objects {
+                    prop_assert!(table.route_object(o).is_empty(), "{}: {:?} routed", p.name(), o.id);
+                }
+            }
+        }
     }
 }

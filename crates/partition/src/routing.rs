@@ -8,7 +8,8 @@
 //! (and discarded when no term is present); query insertions are routed by
 //! looking up the least frequent keyword of each conjunction in `H1` of
 //! every overlapped cell, updating `H2` along the way. Deletions go to every
-//! worker (see [`RoutingTable::route_delete`]).
+//! worker and unregister what their insertion registered (see
+//! [`RoutingTable::route_delete`]).
 //!
 //! [`RoutingTable`] is that structure, generalized so that the same type can
 //! express the output of every partitioning strategy:
@@ -24,7 +25,7 @@
 use crate::registry::TermRegistry;
 use ps2stream_geo::{CellId, Rect, UniformGrid};
 use ps2stream_model::{SpatioTextualObject, StsQuery, WorkerId};
-use ps2stream_text::{IdMap, TermId, TermStats};
+use ps2stream_text::{IdMap, RepresentativeTerms, TermId, TermStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -170,8 +171,8 @@ impl VisitedMaps {
 /// The dispatcher routing table: a uniform grid of [`CellRouting`]s plus the
 /// per-cell `H2` query-term filters.
 ///
-/// The `H2` filters live in a sharded, read-mostly [`TermRegistry`], so
-/// [`RoutingTable::route_insert`] takes `&self`: several dispatcher executors
+/// The `H2` filters live in a counted [`TermRegistry`] behind its own lock,
+/// so [`RoutingTable::route_insert`] takes `&self`: several dispatcher executors
 /// sharing this table behind an `RwLock` route objects, insertions **and**
 /// deletions under read locks; the table-level write lock is only needed for
 /// the control-path mutations of the dynamic load adjustment
@@ -180,8 +181,8 @@ impl VisitedMaps {
 pub struct RoutingTable {
     grid: UniformGrid,
     cells: Vec<CellRouting>,
-    /// `H2`: for each cell, the terms under which at least one registered
-    /// query is posted. Objects containing none of these terms are discarded.
+    /// `H2`: for each cell, the terms under which at least one live query
+    /// is posted. Objects containing none of these terms are discarded.
     query_terms: TermRegistry,
     num_workers: usize,
     /// Object term frequencies used to pick the least frequent keyword when
@@ -195,7 +196,11 @@ impl RoutingTable {
     /// Creates a routing table from per-cell routings.
     ///
     /// # Panics
-    /// Panics if `cells.len() != grid.num_cells()` or `num_workers == 0`.
+    /// Panics if `cells.len() != grid.num_cells()`, if the grid has more
+    /// than [`MAX_CELLS`](crate::registry::MAX_CELLS) = 2^16 cells (an `H2`
+    /// pair stores its cell as a `u16`, so a partitioner's `grid_exp` is at
+    /// most [`MAX_GRID_EXP`](crate::text::MAX_GRID_EXP)) or if
+    /// `num_workers == 0`.
     pub fn new(
         grid: UniformGrid,
         cells: Vec<CellRouting>,
@@ -209,7 +214,14 @@ impl RoutingTable {
             "RoutingTable: one CellRouting required per grid cell"
         );
         assert!(num_workers > 0, "RoutingTable requires at least one worker");
-        let query_terms = TermRegistry::new(cells.len());
+        assert!(
+            grid.num_cells() <= crate::registry::MAX_CELLS,
+            "RoutingTable: a routing grid has at most 2^16 cells (grid_exp <= {}), got {} x {}",
+            crate::text::MAX_GRID_EXP,
+            grid.nx(),
+            grid.ny()
+        );
+        let query_terms = TermRegistry::new(grid.nx() as usize, grid.ny() as usize);
         Self {
             grid,
             cells,
@@ -296,11 +308,13 @@ impl RoutingTable {
     }
 
     /// Routes an STS query insertion: the set of workers that must index it.
-    /// Updates the per-cell `H2` filters with the query's posting terms.
+    /// Registers the query's posting terms in the `H2` filters of every cell
+    /// its region overlaps.
     ///
-    /// Takes `&self`: the `H2` registration goes through the sharded
-    /// [`TermRegistry`], so concurrent dispatchers insert queries without a
-    /// table-level write lock (the steady-state requirement of Section IV-C).
+    /// Takes `&self`: the `H2` registration goes through the
+    /// [`TermRegistry`]'s own lock, so concurrent dispatchers insert queries
+    /// without a table-level write lock (the steady-state requirement of
+    /// Section IV-C).
     pub fn route_insert(&self, query: &StsQuery) -> Vec<WorkerId> {
         let mut workers = Vec::with_capacity(2);
         self.route_insert_into(query, &mut workers);
@@ -309,30 +323,62 @@ impl RoutingTable {
 
     /// [`RoutingTable::route_insert`] into a caller-owned buffer, which is
     /// cleared first. Each conjunction's least frequent keyword is worked out
-    /// once per query, in place; each overlapped cell then registers them
-    /// with one registry call, and their workers are looked up once per
-    /// distinct term map. With a recycled buffer, an insertion whose
-    /// `(cell, term)` pairs are already registered allocates nothing.
+    /// once per query, in place; the workers are looked up as
+    /// [`RoutingTable::insert_destinations_into`] does, and the query's block
+    /// of cells is registered under each posting term in one locked pass.
+    /// With a recycled buffer, an insertion allocates nothing once the
+    /// registry has a cell table with room for its cells for each of its
+    /// posting terms (or a spare one) and room for its id.
     pub fn route_insert_into(&self, query: &StsQuery, workers: &mut Vec<WorkerId>) {
+        let terms = self.posting_terms(query);
+        self.add_insert_workers(query, &terms, workers);
+        let block = self
+            .grid
+            .cell_span(&query.region)
+            .map(|(lo, hi)| (self.grid.cell_index(lo), self.grid.cell_index(hi)));
+        self.query_terms.register(query.id, terms, block);
+    }
+
+    /// The workers an insertion of `query` is routed to, into a cleared
+    /// `workers`, **without** registering it in `H2`: a worker that replays
+    /// an insertion to decide whether the query is its own uses this.
+    /// A term's worker is looked up once per distinct shared term map (a
+    /// region's cells share one, so a query meets one or two), once per
+    /// `OwnedTerms` cell, and not at all in a `Single` cell.
+    pub fn insert_destinations_into(&self, query: &StsQuery, workers: &mut Vec<WorkerId>) {
+        let terms = self.posting_terms(query);
+        self.add_insert_workers(query, &terms, workers);
+    }
+
+    fn add_insert_workers(&self, query: &StsQuery, terms: &[TermId], workers: &mut Vec<WorkerId>) {
         workers.clear();
-        let terms = query
-            .keywords
-            .representative_terms(|t| self.object_stats.frequency(t));
         let mut visited = VisitedMaps::default();
         for cell in self.grid.cells_overlapping_iter(&query.region) {
             let idx = self.grid.cell_index(cell);
-            self.query_terms.insert_all(idx as u32, &terms);
             self.cells[idx].add_workers(terms.iter(), &mut visited, workers);
         }
+    }
+
+    /// The query's posting terms: each conjunction's least frequent keyword
+    /// under the frozen term table, as the workers pick them.
+    fn posting_terms(&self, query: &StsQuery) -> RepresentativeTerms {
+        query
+            .keywords
+            .representative_terms(|t| self.object_stats.frequency(t))
     }
 
     /// Routes an STS query deletion: every worker. A worker may hold a copy
     /// of a query that no routing of its terms reaches any more — a text
     /// split replicates a query, and a whole-cell move leaves it in the
     /// source's other cells — and a later move can make that copy reachable
-    /// again; a worker without the id does nothing. `H2` is left untouched:
-    /// a stale filter term only costs an object a trip to a worker that
-    /// matches nothing, and nothing prunes `H2`.
+    /// again; a worker without the id does nothing.
+    ///
+    /// The deletion also unregisters the `(cell, term)` pairs the id's
+    /// insertion registered, so `H2` holds only the pairs of live queries.
+    /// Like a worker, it goes by the id alone: what the registry recorded
+    /// at the insertion is uncounted, whatever region or keywords the
+    /// deletion carries, and a repeated deletion, or one of an id that was
+    /// never inserted, leaves `H2` as it is (see [`TermRegistry`]).
     pub fn route_delete(&self, query: &StsQuery) -> Vec<WorkerId> {
         let mut workers = Vec::with_capacity(self.num_workers);
         self.route_delete_into(query, &mut workers);
@@ -341,12 +387,13 @@ impl RoutingTable {
 
     /// [`RoutingTable::route_delete`] into a caller-owned buffer, which is
     /// cleared first: with a recycled buffer it allocates nothing.
-    pub fn route_delete_into(&self, _query: &StsQuery, workers: &mut Vec<WorkerId>) {
+    pub fn route_delete_into(&self, query: &StsQuery, workers: &mut Vec<WorkerId>) {
         workers.clear();
         workers.extend((0..self.num_workers as u32).map(WorkerId));
+        self.query_terms.unregister(query.id);
     }
 
-    /// Has no effect: the `H2` registry has one fixed flat layout. Survives
+    /// Has no effect: the `H2` registry has one fixed layout. Survives
     /// only because the frozen `crates/benchmark/` replay still calls
     /// `reshard_for_topology(1, None)`; the next PR allowed to edit that
     /// crate deletes it.
@@ -478,6 +525,41 @@ mod tests {
         assert_eq!(table.route_object(&obj(&[1], 1.0, 1.0)), vec![WorkerId(0)]);
         // a different term in the same cell is still discarded
         assert!(table.route_object(&obj(&[2], 1.0, 1.0)).is_empty());
+    }
+
+    #[test]
+    fn a_deletion_unregisters_what_its_id_registered_whatever_it_carries() {
+        let table = split_table();
+        let left = Rect::from_coords(0.0, 0.0, 4.0, 4.0);
+        let right = Rect::from_coords(12.0, 12.0, 16.0, 16.0);
+        table.route_insert(&qry(1, &[1], left));
+        table.route_insert(&qry(2, &[1], right));
+        // query 2's deletion carries query 1's region: it must still take
+        // away query 2's pair, and leave query 1's
+        table.route_delete(&qry(2, &[1], left));
+        assert_eq!(table.route_object(&obj(&[1], 1.0, 1.0)), vec![WorkerId(0)]);
+        assert!(table.route_object(&obj(&[1], 13.0, 13.0)).is_empty());
+        // a re-insertion under a live id replaces its pairs
+        table.route_insert(&qry(1, &[3], right));
+        assert!(table.route_object(&obj(&[1], 1.0, 1.0)).is_empty());
+        assert_eq!(
+            table.route_object(&obj(&[3], 13.0, 13.0)),
+            vec![WorkerId(1)]
+        );
+        table.route_delete(&qry(1, &[1], left));
+        assert!(table.route_object(&obj(&[3], 13.0, 13.0)).is_empty());
+        assert!(table
+            .grid()
+            .all_cells()
+            .all(|c| table.cell_query_terms(c).is_empty()));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^16 cells")]
+    fn a_routing_grid_finer_than_2_to_the_8_is_refused() {
+        let grid = UniformGrid::with_power_of_two(bounds(), 9);
+        let cells = vec![CellRouting::Single(WorkerId(0)); grid.num_cells()];
+        RoutingTable::new(grid, cells, 1, Arc::new(TermStats::new()), "too-fine");
     }
 
     #[test]

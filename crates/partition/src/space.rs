@@ -41,7 +41,9 @@ fn finish_table(
 /// queries overlapping it).
 #[derive(Debug, Clone)]
 pub struct GridPartitioner {
-    /// Routing-grid granularity exponent (the paper uses 2⁶×2⁶).
+    /// Routing-grid granularity exponent (the paper uses 2⁶×2⁶). At most
+    /// [`MAX_GRID_EXP`](crate::text::MAX_GRID_EXP): building a finer routing
+    /// table panics.
     pub grid_exp: u32,
 }
 
@@ -84,7 +86,9 @@ impl Partitioner for GridPartitioner {
 /// the worker owning the kd-tree leaf that contains the cell center.
 #[derive(Debug, Clone)]
 pub struct KdTreePartitioner {
-    /// Routing-grid granularity exponent.
+    /// Routing-grid granularity exponent. At most
+    /// [`MAX_GRID_EXP`](crate::text::MAX_GRID_EXP): building a finer routing
+    /// table panics.
     pub grid_exp: u32,
 }
 
@@ -133,7 +137,9 @@ impl Partitioner for KdTreePartitioner {
 /// of the closest covering leaf.
 #[derive(Debug, Clone)]
 pub struct RTreePartitioner {
-    /// Routing-grid granularity exponent.
+    /// Routing-grid granularity exponent. At most
+    /// [`MAX_GRID_EXP`](crate::text::MAX_GRID_EXP): building a finer routing
+    /// table panics.
     pub grid_exp: u32,
     /// R-tree node capacity used for the STR packing.
     pub node_capacity: usize,

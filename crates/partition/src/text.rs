@@ -28,6 +28,10 @@ use std::sync::Arc;
 /// Default routing-grid granularity exponent (a 2⁶×2⁶ grid, as in the paper).
 pub const DEFAULT_GRID_EXP: u32 = 6;
 
+/// The finest routing grid, 2⁸×2⁸: an `H2` pair stores its cell as a `u16`,
+/// so a routing table has at most 2^16 cells.
+pub const MAX_GRID_EXP: u32 = 8;
+
 /// Gathers the lexicon of a sample: every term appearing in objects or query
 /// keywords, together with its object and query document frequencies.
 fn lexicon(sample: &WorkloadSample) -> Vec<(TermId, u64, u64)> {
@@ -79,7 +83,9 @@ fn table_from_term_assignment(
 /// of the terms across workers.
 #[derive(Debug, Clone)]
 pub struct FrequencyPartitioner {
-    /// Routing-grid granularity exponent.
+    /// Routing-grid granularity exponent. At most
+    /// [`MAX_GRID_EXP`]: building a finer routing
+    /// table panics.
     pub grid_exp: u32,
 }
 
@@ -114,7 +120,9 @@ impl Partitioner for FrequencyPartitioner {
 /// subject to a load-balance constraint.
 #[derive(Debug, Clone)]
 pub struct HypergraphPartitioner {
-    /// Routing-grid granularity exponent.
+    /// Routing-grid granularity exponent. At most
+    /// [`MAX_GRID_EXP`]: building a finer routing
+    /// table panics.
     pub grid_exp: u32,
     /// Allowed imbalance: a worker may exceed the average load by this factor
     /// before the affinity heuristic is overridden.
@@ -212,7 +220,9 @@ impl Partitioner for HypergraphPartitioner {
 /// LPT over that metric.
 #[derive(Debug, Clone)]
 pub struct MetricPartitioner {
-    /// Routing-grid granularity exponent.
+    /// Routing-grid granularity exponent. At most
+    /// [`MAX_GRID_EXP`]: building a finer routing
+    /// table panics.
     pub grid_exp: u32,
 }
 

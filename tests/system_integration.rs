@@ -155,6 +155,74 @@ fn deletions_stop_deliveries_cluster_wide() {
 }
 
 #[test]
+fn repeated_and_unknown_deletes_leave_live_queries_routed() {
+    // Every live query q shares all its (cell, term) pairs with a copy
+    // under a fresh id that is inserted and deleted twice, and with a
+    // ghost under another fresh id that is deleted without ever being
+    // inserted. A third id is inserted with a region outside the grid and
+    // deleted carrying q's region. Were H2's counts not guarded by the
+    // live ids and what each registered, each extra delete would uncount
+    // one of q's pairs and q's objects would die at the dispatcher.
+    let sample =
+        ps2stream_workload::build_sample(DatasetSpec::tiny(), QueryClass::Q1, 500, 100, 19);
+    let (delivery_tx, delivery_rx) = unbounded::<MatchResult>();
+    let config = SystemConfig {
+        num_dispatchers: 1,
+        num_workers: 3,
+        num_mergers: 1,
+        ..SystemConfig::default()
+    }
+    .with_runtime(RuntimeBackend::deterministic(19));
+    let mut system = Ps2StreamBuilder::new(config)
+        .with_partitioner(Box::new(HybridPartitioner::default()))
+        .with_calibration_sample(sample.clone())
+        .with_delivery(delivery_tx)
+        .start();
+    let bounds = sample.bounds();
+    let outside = Rect::from_coords(
+        bounds.max.x + 1.0,
+        bounds.max.y + 1.0,
+        bounds.max.x + 2.0,
+        bounds.max.y + 2.0,
+    );
+    let under = |q: &StsQuery, offset: u64, region: Rect| {
+        StsQuery::new(
+            QueryId(q.id.0 + offset),
+            q.subscriber,
+            q.keywords.clone(),
+            region,
+        )
+    };
+    let mut updates: Vec<QueryUpdate> = Vec::new();
+    for q in sample.insertions() {
+        let copy = under(q, 1_000_000, q.region);
+        updates.push(QueryUpdate::Insert(q.clone()));
+        updates.push(QueryUpdate::Insert(copy.clone()));
+        updates.push(QueryUpdate::Delete(copy.clone()));
+        updates.push(QueryUpdate::Delete(copy));
+        updates.push(QueryUpdate::Delete(under(q, 2_000_000, q.region)));
+        updates.push(QueryUpdate::Insert(under(q, 3_000_000, outside)));
+        updates.push(QueryUpdate::Delete(under(q, 3_000_000, q.region)));
+    }
+    let records: Vec<StreamRecord> = updates
+        .into_iter()
+        .map(StreamRecord::Update)
+        .chain(sample.objects().iter().cloned().map(StreamRecord::Object))
+        .collect();
+    for record in &records {
+        system.send(record.clone());
+    }
+    system.finish();
+    let delivered: HashSet<(QueryId, ObjectId)> = delivery_rx
+        .try_iter()
+        .map(|m| (m.query_id, m.object_id))
+        .collect();
+    let expected = owed(&records);
+    assert!(!expected.is_empty(), "vacuous oracle");
+    assert_eq!(delivered, expected);
+}
+
+#[test]
 fn scaling_the_worker_count_does_not_change_the_results() {
     let sample =
         ps2stream_workload::build_sample(DatasetSpec::tweets_us(), QueryClass::Q3, 700, 120, 17);
