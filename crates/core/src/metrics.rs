@@ -30,9 +30,11 @@ pub struct MigrationMetrics {
 pub struct FaultMetrics {
     /// Worker crashes fired by the fault plan (in-memory index destroyed).
     pub worker_crashes: AtomicU64,
-    /// Workers respawned (index restored from the supervisor's shadow log).
+    /// Workers respawned (index restored from the worker's own log of the
+    /// changes it applied).
     pub worker_respawns: AtomicU64,
-    /// Subscription updates re-applied from the shadow log during respawns.
+    /// Logged index changes (insert, delete, cell extract) replayed during
+    /// respawns.
     pub restored_updates: AtomicU64,
     /// Records parked during crash/wedge windows and replayed afterwards.
     pub replayed_records: AtomicU64,
@@ -151,9 +153,9 @@ pub struct PersistenceReport {
 pub struct FaultReport {
     /// Worker crashes fired by the fault plan.
     pub worker_crashes: u64,
-    /// Workers respawned from the supervisor's shadow log.
+    /// Workers respawned from their own log of applied index changes.
     pub worker_respawns: u64,
-    /// Subscription updates re-applied during respawns.
+    /// Logged index changes replayed during respawns.
     pub restored_updates: u64,
     /// Records parked during crash/wedge windows and replayed afterwards.
     pub replayed_records: u64,

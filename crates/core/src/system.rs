@@ -146,9 +146,6 @@ pub struct RunningSystem {
     metrics: Arc<SystemMetrics>,
     routing: Arc<RwLock<RoutingTable>>,
     worker_txs: Vec<Sender<WorkerMessage>>,
-    /// Shared supervision state: the crash-recovery shadow log plus
-    /// peer-death flags (see [`Supervisor`]).
-    supervisor: Arc<Supervisor>,
     /// The execution substrate every executor below runs on. On the
     /// deterministic backend the executors make progress only while
     /// [`RunningSystem::finish`] joins them.
@@ -187,14 +184,9 @@ impl RunningSystem {
         let stats = Arc::clone(routing.object_stats());
         let routing = Arc::new(RwLock::new(routing));
 
-        // Fault injection: an empty plan behaves exactly like no plan. The
-        // shadow subscription log only costs anything when a worker crash is
-        // actually scheduled.
+        // Fault injection: an empty plan behaves exactly like no plan.
         let faults: Option<FaultPlan> = config.faults.clone().filter(|plan| !plan.is_empty());
-        let shadow_enabled = faults
-            .as_ref()
-            .is_some_and(|plan| (0..config.num_workers).any(|i| plan.crash_tick(i).is_some()));
-        let supervisor = Supervisor::new(config.num_workers, shadow_enabled);
+        let supervisor = Supervisor::new(config.num_workers, false);
 
         // Durable subscriptions: open (and recover) the store. The recovered
         // updates are replayed after the topology is up (end of this
@@ -292,18 +284,13 @@ impl RunningSystem {
                 worker = worker.with_overload(rx.depth_handle(), worker_mailbox);
             }
             if let Some(plan) = &faults {
-                // arm supervision on every worker; the fault schedule itself
-                // is usually inert for most of them
-                let worker_faults = WorkerFaults {
+                // arm fault injection on every worker; the fault schedule
+                // itself is usually inert for most of them
+                worker = worker.with_faults(WorkerFaults {
                     crash_at: plan.crash_tick(i),
                     wedge: plan.wedge_window(i),
                     recovery_lag: 3,
-                };
-                worker = worker.with_supervision(
-                    Arc::clone(&supervisor),
-                    Arc::clone(&routing),
-                    worker_faults,
-                );
+                });
             }
             workers.push(runtime.spawn_operator(
                 format!("worker-{i}"),
@@ -380,7 +367,6 @@ impl RunningSystem {
             metrics,
             routing,
             worker_txs,
-            supervisor,
             runtime,
             dispatchers,
             workers,
@@ -450,15 +436,10 @@ impl RunningSystem {
     }
 
     /// The input path proper: stamps, sequences and emits one record. Also
-    /// used to replay recovered updates, which must not be re-logged (but
-    /// must still reach the supervisor's shadow log: a worker crashing after
-    /// a durable restart recovers replayed subscriptions too).
+    /// used to replay recovered updates, which must not be re-logged.
     fn send_unlogged(&mut self, record: StreamRecord) {
         self.records_in += 1;
         self.sequence += 1;
-        if let StreamRecord::Update(update) = &record {
-            self.supervisor.observe_update(self.sequence, update);
-        }
         if let Some(input) = &mut self.input {
             input.emit_to(0, Envelope::now(self.sequence, record));
         }

@@ -25,16 +25,28 @@
 //! update routed by the new table therefore lands after the copy of its
 //! query that the `MigrateIn` carries, and after the objects that arrived
 //! before it.
+//!
+//! # Crash recovery
+//!
+//! A worker armed with a fault schedule ([`Worker::with_faults`]) logs, while
+//! a crash is still scheduled, every change it applies to its index: each
+//! insert, each delete that found its query, and each whole-cell extract.
+//! The crash empties the index and takes the log; records park until the
+//! window closes, and the respawn then replays the log onto the empty index
+//! before the park list. What a worker held is a matter of its own history,
+//! so the respawn reads neither the routing table, which a migration may
+//! have changed since, nor ingest sequence numbers, which racing
+//! dispatchers deliver out of order. Any control message closes an open
+//! window first, so a hand-off on either side meets the restored index.
 
 use crate::messages::{MergerMessage, WorkerCheckpoint, WorkerMessage, WorkerStatsReport};
 use crate::metrics::SystemMetrics;
-use crate::supervisor::{Supervisor, WorkerFaults};
-use parking_lot::RwLock;
+use crate::supervisor::WorkerFaults;
 use ps2stream_balance::{CellLoadInfo, TermLoad};
 use ps2stream_geo::CellId;
 use ps2stream_index::{Gi2Index, MatchScratch};
-use ps2stream_model::{MatchResult, QueryUpdate, StreamRecord, WorkerId};
-use ps2stream_partition::{RoutingTable, WorkerLoad};
+use ps2stream_model::{MatchResult, QueryId, QueryUpdate, StreamRecord, StsQuery, WorkerId};
+use ps2stream_partition::WorkerLoad;
 use ps2stream_stream::{
     Batch, BatchBuffer, Emitter, Envelope, Operator, QueueDepth, Receiver, Sender,
 };
@@ -43,27 +55,39 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Supervision plumbing armed by the launcher when the system carries a
-/// fault plan: this worker's fault schedule and the recovery sources.
+/// Fault-injection plumbing armed by the launcher when the system carries a
+/// fault plan: this worker's fault schedule and the history a respawn
+/// restores from.
 struct Supervision {
-    supervisor: Arc<Supervisor>,
-    routing: Arc<RwLock<RoutingTable>>,
     faults: WorkerFaults,
     /// Stream records admitted so far — the deterministic fault clock
     /// (control messages do not tick).
     records_seen: u64,
     window: Option<FaultWindow>,
+    /// The changes applied to the index, in the order applied; logged only
+    /// while a crash is still scheduled.
+    history: Vec<IndexChange>,
+}
+
+/// One change a worker applied to its index: the history a respawn replays.
+/// A text split's `replicate_cell_where` changes nothing, so it has no entry.
+enum IndexChange {
+    Insert(StsQuery),
+    Delete(QueryId),
+    /// A whole-cell hand-off to a peer.
+    Extract(CellId),
 }
 
 /// An open fault window: a crash (the in-memory index is gone and is
-/// restored from the supervisor's shadow log when the window closes) or a
-/// wedge (the worker stalls without state loss). It closes when its last
-/// tick arrives, or early at checkpoint/shutdown/drain.
+/// restored from its history when the window closes) or a wedge (the worker
+/// stalls without state loss). It closes when its last tick arrives, or
+/// early at any control message or at drain.
 struct FaultWindow {
     /// Tick (exclusive) at which the respawn completes or the stall ends.
     until: u64,
-    /// A crash, not a wedge: the index must be restored at the close.
-    crashed: bool,
+    /// A crash's history of the dead index, replayed at the close; `None`
+    /// for a wedge.
+    restore: Option<Vec<IndexChange>>,
 }
 
 /// A worker executor.
@@ -150,22 +174,16 @@ impl Worker {
         }
     }
 
-    /// Arms the supervised-recovery machinery: `faults` is this worker's
-    /// slice of the system fault plan, and the supervisor's shadow log + the
-    /// live routing table are the recovery sources. A respawn starts from
-    /// the index emptied in place (same grid, same shared term table).
-    pub fn with_supervision(
-        mut self,
-        supervisor: Arc<Supervisor>,
-        routing: Arc<RwLock<RoutingTable>>,
-        faults: WorkerFaults,
-    ) -> Self {
+    /// Arms fault injection: `faults` is this worker's slice of the system
+    /// fault plan. While a crash is scheduled the worker logs every change
+    /// it applies to its index, and the respawn replays that log onto the
+    /// index emptied in place (same grid, same shared term table).
+    pub fn with_faults(mut self, faults: WorkerFaults) -> Self {
         self.supervision = Some(Supervision {
-            supervisor,
-            routing,
             faults,
             records_seen: 0,
             window: None,
+            history: Vec::new(),
         });
         self
     }
@@ -213,6 +231,18 @@ impl Worker {
         }
     }
 
+    /// Appends one change to the index history while a crash is still
+    /// scheduled; the closure runs only then.
+    fn log_change(&mut self, change: impl FnOnce() -> IndexChange) {
+        if let Some(sup) = self
+            .supervision
+            .as_mut()
+            .filter(|s| s.faults.crash_at.is_some())
+        {
+            sup.history.push(change());
+        }
+    }
+
     /// True while routed records must park: a hand-off towards this worker
     /// is pending or a fault window is open.
     fn parking(&self) -> bool {
@@ -239,6 +269,7 @@ impl Worker {
                 match update {
                     QueryUpdate::Insert(q) => {
                         self.period_load.insertions += 1;
+                        self.log_change(|| IndexChange::Insert(q.clone()));
                         self.index.insert(q);
                     }
                     // a deletion reaches every worker: only one that held
@@ -246,6 +277,7 @@ impl Worker {
                     QueryUpdate::Delete(q) => {
                         if self.index.delete(&q) {
                             self.period_load.deletions += 1;
+                            self.log_change(|| IndexChange::Delete(q.id));
                         }
                     }
                 }
@@ -329,14 +361,15 @@ impl Worker {
         let tick = sup.records_seen;
         if sup.window.is_none() {
             if sup.faults.crash_at == Some(tick) {
-                // Fire the crash: the in-memory index dies here. Objects
-                // already admitted into the batched run but not yet matched
-                // die unprocessed with it; they arrived before every parked
+                // Fire the crash: the in-memory index dies here, and its
+                // history leaves the log for the respawn. Objects already
+                // admitted into the batched run but not yet matched die
+                // unprocessed with it; they arrived before every parked
                 // record, so they lead the park list.
                 sup.faults.crash_at = None;
                 sup.window = Some(FaultWindow {
                     until: tick.saturating_add(sup.faults.recovery_lag.max(1)),
-                    crashed: true,
+                    restore: Some(std::mem::take(&mut sup.history)),
                 });
                 let unmatched = std::mem::take(&mut self.object_run);
                 self.metrics
@@ -353,7 +386,7 @@ impl Worker {
                 sup.faults.wedge = None;
                 sup.window = Some(FaultWindow {
                     until: tick.saturating_add(duration.max(1)),
-                    crashed: false,
+                    restore: None,
                 });
             } else {
                 return false;
@@ -364,60 +397,35 @@ impl Worker {
             .is_some_and(|w| tick.saturating_add(1) >= w.until)
     }
 
-    /// Closes an open fault window (also called early at checkpoint /
-    /// shutdown / drain, so parked records are never lost): a crashed
-    /// worker first restores its index from the shadow log, then the park
-    /// list replays unless a hand-off still holds it.
+    /// Closes an open fault window (also called early at any control
+    /// message and at drain, so parked records are never lost): a crashed
+    /// worker first restores its index, then the park list replays unless a
+    /// hand-off still holds it.
     fn close_fault_window(&mut self) {
         let Some(window) = self.supervision.as_mut().and_then(|s| s.window.take()) else {
             return;
         };
-        if window.crashed {
-            // Every record ahead of the first parked one was applied and
-            // every record from it on is parked, so the shadow-log prefix
-            // strictly before it is exactly the update history the dead
-            // index had applied.
-            let cutoff = self.parked.first().map_or(u64::MAX, |e| e.sequence);
-            self.respawn(cutoff);
+        if let Some(history) = window.restore {
+            self.respawn(history);
         }
         self.release();
     }
 
-    /// Restores a crashed worker's index: replays the shadow-log prefix
-    /// below `cutoff` through the live routing table, re-applying exactly
-    /// the updates the dead index held (inserts routed to this worker, and
-    /// all deletions — deleting an absent query is a no-op, just as on the
-    /// dispatch path).
-    fn respawn(&mut self, cutoff: u64) {
-        let (updates, routing) = {
-            let Some(sup) = self.supervision.as_ref() else {
-                return;
-            };
-            (
-                sup.supervisor.updates_before(cutoff),
-                Arc::clone(&sup.routing),
-            )
-        };
-        let mut restored = 0u64;
-        {
-            let table = routing.read();
-            let mut destinations = Vec::new();
-            for (_, update) in updates {
-                match update {
-                    QueryUpdate::Insert(q) => {
-                        // the dispatch decision, looked up again: it is
-                        // deterministic for a fixed table and term table,
-                        // and registers nothing, since the dispatcher
-                        // counted this insertion in H2 already
-                        table.insert_destinations_into(&q, &mut destinations);
-                        if destinations.contains(&self.id) {
-                            self.index.insert(q);
-                            restored += 1;
-                        }
-                    }
-                    QueryUpdate::Delete(q) => {
-                        self.index.delete(&q);
-                    }
+    /// Restores a crashed worker's index: replays the changes the dead
+    /// index applied, in the order it applied them, onto the emptied index.
+    /// Every record the dead index saw was applied or parked, and every
+    /// control message it handled came before the crash, so this is exactly
+    /// the state it held, whatever the routing table says now.
+    fn respawn(&mut self, history: Vec<IndexChange>) {
+        let restored = history.len() as u64;
+        for change in history {
+            match change {
+                IndexChange::Insert(q) => self.index.insert(q),
+                IndexChange::Delete(id) => {
+                    self.index.delete_by_id(id);
+                }
+                IndexChange::Extract(cell) => {
+                    self.index.extract_cell(cell);
                 }
             }
         }
@@ -473,7 +481,7 @@ impl Worker {
                 if let Some(window) = self.supervision.as_ref().and_then(|s| s.window.as_ref()) {
                     let faults = &self.metrics.faults;
                     faults.replayed_records.fetch_add(1, Ordering::Relaxed);
-                    if !window.crashed {
+                    if window.restore.is_none() {
                         faults.wedge_parks.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -497,7 +505,10 @@ impl Worker {
         let queries = match &terms {
             // whole-cell hand-off: every object of the cell now routes to
             // the destination, so the queries truly move
-            None => self.index.extract_cell(cell),
+            None => {
+                self.log_change(|| IndexChange::Extract(cell));
+                self.index.extract_cell(cell)
+            }
             // text split: only the given terms' objects re-route; queries
             // touching them are *replicated* (a query whose representative
             // terms straddle both groups must keep matching on both sides —
@@ -530,9 +541,10 @@ impl Worker {
         clippy::disallowed_methods,
         reason = "migration timing metrics only; match results never depend on the clock"
     )]
-    fn handle_migrate_in(&mut self, queries: Vec<ps2stream_model::StsQuery>) {
+    fn handle_migrate_in(&mut self, queries: Vec<StsQuery>) {
         let start = Instant::now();
         for q in queries {
+            self.log_change(|| IndexChange::Insert(q.clone()));
             self.index.insert(q);
         }
         self.metrics
@@ -596,6 +608,14 @@ impl Worker {
     /// Handles one message of a run. Matches stay buffered until the run's
     /// end (or a full merger batch).
     fn handle(&mut self, message: WorkerMessage) {
+        if !matches!(message, WorkerMessage::Records(_)) {
+            // Any control message ends an open fault window first, as a
+            // respawned worker would handle its inbox: a `MigrateCell`
+            // extracts from the restored index, a `MigrateIn` lands after
+            // the restore, a checkpoint captures a live index, and parked
+            // records replay before a shutdown.
+            self.close_fault_window();
+        }
         match message {
             WorkerMessage::Records(records) => {
                 if let Some(records) = self.shed_overload(records) {
@@ -611,18 +631,12 @@ impl Worker {
                 let _ = reply.send(self.stats_report());
             }
             WorkerMessage::Checkpoint { reply } => {
-                // a checkpoint must capture a live index, not the empty
-                // stand-in of an open recovery window
-                self.close_fault_window();
                 let _ = reply.send(WorkerCheckpoint {
                     worker: self.id,
                     index_bytes: self.index.snapshot_bytes(),
                 });
             }
             WorkerMessage::Shutdown => {
-                // parked records of an open fault window replay before the
-                // worker terminates — no injected fault may lose a match
-                self.close_fault_window();
                 // Hand-offs still owed to this worker will complete (the
                 // source processes its MigrateCell before its own Shutdown),
                 // so defer termination until the parked records replay.
@@ -690,7 +704,8 @@ mod tests {
     use super::*;
     use ps2stream_geo::{Point, Rect};
     use ps2stream_index::Gi2Config;
-    use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId};
+    use ps2stream_model::{ObjectId, SpatioTextualObject, SubscriberId};
+    use ps2stream_partition::RoutingTable;
     use ps2stream_stream::{bounded, unbounded, Batch, Envelope};
     use ps2stream_text::BooleanExpr;
     use std::collections::{HashMap, HashSet};
@@ -979,16 +994,16 @@ mod tests {
     }
 
     /// A 1-worker routing table over the same bounds as [`gi2`].
-    fn routing_one_worker() -> Arc<RwLock<RoutingTable>> {
+    fn routing_one_worker() -> RoutingTable {
         let grid = ps2stream_geo::UniformGrid::new(Rect::from_coords(0.0, 0.0, 16.0, 16.0), 8, 8);
         let cells = vec![ps2stream_partition::CellRouting::Single(WorkerId(0)); grid.num_cells()];
-        Arc::new(RwLock::new(RoutingTable::new(
+        RoutingTable::new(
             grid,
             cells,
             1,
             Arc::new(ps2stream_text::TermStats::new()),
             "test",
-        )))
+        )
     }
 
     #[test]
@@ -996,7 +1011,6 @@ mod tests {
         let metrics = SystemMetrics::new(1);
         let (worker_tx, worker_rx) = unbounded::<WorkerMessage>();
         let (merger_tx, merger_rx) = bounded::<MergerMessage>(64);
-        let supervisor = Supervisor::new(1, true);
         let faults = WorkerFaults {
             crash_at: Some(3),
             wedge: None,
@@ -1010,12 +1024,9 @@ mod tests {
             Arc::clone(&metrics),
             16,
         )
-        .with_supervision(Arc::clone(&supervisor), routing_one_worker(), faults);
+        .with_faults(faults);
 
-        // the insert both travels to the worker and lands in the shadow log
-        // (exactly what `RunningSystem::send` does)
         let q = query(1, 7, Rect::from_coords(0.0, 0.0, 8.0, 8.0));
-        supervisor.observe_update(1, &QueryUpdate::Insert(q.clone()));
         let mut batch = Batch::new();
         batch.push(Envelope::now(
             1,
@@ -1058,15 +1069,14 @@ mod tests {
         assert_eq!(metrics.faults.replayed_records.load(Ordering::Relaxed), 3);
     }
 
-    /// Routes three updates through a shared one-worker table, as the
-    /// dispatcher does (insert q1, insert q2, delete q2), then five objects,
+    /// Routes three updates through a one-worker table, as the dispatcher
+    /// does (insert q1, insert q2, delete q2), then five objects,
     /// through one worker with `crash_at`; deletes q1 once the worker is
     /// done. Returns `H2` as every cell's registered terms.
     fn h2_after_a_run(crash_at: Option<u64>) -> Vec<HashSet<TermId>> {
         let metrics = SystemMetrics::new(1);
         let (worker_tx, worker_rx) = unbounded::<WorkerMessage>();
         let (merger_tx, _merger_rx) = bounded::<MergerMessage>(64);
-        let supervisor = Supervisor::new(1, true);
         let routing = routing_one_worker();
         let faults = WorkerFaults {
             crash_at,
@@ -1081,7 +1091,7 @@ mod tests {
             Arc::clone(&metrics),
             16,
         )
-        .with_supervision(Arc::clone(&supervisor), Arc::clone(&routing), faults);
+        .with_faults(faults);
         let region = Rect::from_coords(0.0, 0.0, 8.0, 8.0);
         let (q1, q2) = (query(1, 7, region), query(2, 8, region));
         let updates = [
@@ -1092,10 +1102,9 @@ mod tests {
         let mut batch = Batch::new();
         for (seq, update) in (1..).zip(updates) {
             match &update {
-                QueryUpdate::Insert(q) => routing.read().route_insert(q),
-                QueryUpdate::Delete(q) => routing.read().route_delete(q),
+                QueryUpdate::Insert(q) => routing.route_insert(q),
+                QueryUpdate::Delete(q) => routing.route_delete(q),
             };
-            supervisor.observe_update(seq, &update);
             batch.push(Envelope::now(seq, StreamRecord::Update(update)));
         }
         for seq in 4..=8u64 {
@@ -1113,12 +1122,11 @@ mod tests {
             metrics.faults.worker_respawns.load(Ordering::Relaxed),
             expected_respawns
         );
-        let table = routing.read();
-        table.route_delete(&q1);
-        table
+        routing.route_delete(&q1);
+        routing
             .grid()
             .all_cells()
-            .map(|cell| table.cell_query_terms(cell))
+            .map(|cell| routing.cell_query_terms(cell))
             .collect()
     }
 
@@ -1136,7 +1144,6 @@ mod tests {
         let metrics = SystemMetrics::new(1);
         let (worker_tx, worker_rx) = unbounded::<WorkerMessage>();
         let (merger_tx, merger_rx) = bounded::<MergerMessage>(64);
-        let supervisor = Supervisor::new(1, false);
         let faults = WorkerFaults {
             crash_at: None,
             wedge: Some((2, 2)),
@@ -1150,7 +1157,7 @@ mod tests {
             Arc::clone(&metrics),
             16,
         )
-        .with_supervision(supervisor, routing_one_worker(), faults);
+        .with_faults(faults);
 
         let mut batch = Batch::new();
         batch.push(Envelope::now(
@@ -1209,7 +1216,7 @@ mod tests {
             Arc::clone(&metrics),
             16,
         )
-        .with_supervision(Supervisor::new(1, false), routing_one_worker(), faults);
+        .with_faults(faults);
 
         let mut batch = Batch::new();
         for seq in 1..=5u64 {
@@ -1382,7 +1389,7 @@ mod tests {
     /// Records are routed through the table one at a time, and the
     /// controller's hand-off messages are sent by hand, in the order
     /// `AdjustmentController::apply_plan` sends them; each worker handles
-    /// its inbox only when told to.
+    /// its inbox only when told to, under its own fault schedule.
     struct Handoff {
         table: RoutingTable,
         peers: Vec<Sender<WorkerMessage>>,
@@ -1397,7 +1404,7 @@ mod tests {
     const C2: CellId = CellId::new(1, 0);
 
     impl Handoff {
-        fn new() -> Self {
+        fn new(faults: [WorkerFaults; 2]) -> Self {
             let grid =
                 ps2stream_geo::UniformGrid::new(Rect::from_coords(0.0, 0.0, 16.0, 16.0), 8, 8);
             let cells = grid
@@ -1415,7 +1422,8 @@ mod tests {
             let (merger_tx, merger) = unbounded::<MergerMessage>();
             let metrics = SystemMetrics::new(2);
             let workers = (0..2)
-                .map(|w| {
+                .zip(faults)
+                .map(|(w, faults)| {
                     Worker::new(
                         WorkerId(w),
                         gi2(),
@@ -1424,6 +1432,7 @@ mod tests {
                         Arc::clone(&metrics),
                         16,
                     )
+                    .with_faults(faults)
                 })
                 .collect();
             Self {
@@ -1507,9 +1516,102 @@ mod tests {
         StreamRecord::Update(QueryUpdate::Delete(q.clone()))
     }
 
+    fn at(id: u64, x: f64, y: f64) -> StreamRecord {
+        StreamRecord::Object(object(id, 7, x, y))
+    }
+
+    /// A crash at the worker's `tick`-th record, respawning 3 records later.
+    fn crash_at(tick: u64) -> WorkerFaults {
+        WorkerFaults {
+            crash_at: Some(tick),
+            wedge: None,
+            recovery_lag: 3,
+        }
+    }
+
+    #[test]
+    fn a_crashed_migration_source_hands_over_what_its_dead_index_held() {
+        let mut h = Handoff::new([crash_at(2), WorkerFaults::default()]);
+        let q = query(1, 7, Rect::from_coords(0.5, 0.5, 1.5, 1.5));
+        h.route(insert(&q));
+        // worker 0's 2nd record: the crash fires and the object parks
+        h.route(at(100, 1.0, 1.0));
+        h.settle();
+        // C1 moves inside the window: the MigrateCell must extract q from
+        // the restored index, after the parked object matched it there
+        h.start_move(C1, 0, 1);
+        h.settle();
+        h.route(at(101, 1.0, 1.0));
+        h.settle();
+        assert_eq!(h.delivered(), vec![(1, 100), (1, 101)]);
+    }
+
+    #[test]
+    fn a_crashed_migration_destination_restores_before_the_cell_lands() {
+        let mut h = Handoff::new([WorkerFaults::default(), crash_at(2)]);
+        let q = query(1, 7, Rect::from_coords(0.5, 0.5, 1.5, 1.5));
+        h.route(insert(&q));
+        h.settle();
+        // C1 visits worker 1 and leaves again, so worker 1's history ends
+        // with the extract of C1
+        h.start_move(C1, 0, 1);
+        h.settle();
+        h.start_move(C1, 1, 0);
+        h.settle();
+        // C1 comes back; worker 1 crashes at its 2nd record while the
+        // hand-off is pending
+        h.start_move(C1, 0, 1);
+        h.route(at(100, 1.0, 1.0));
+        h.route(at(101, 1.0, 1.0));
+        h.pump(1);
+        h.pump(0);
+        // the MigrateIn carrying q ends the window: the restore replays
+        // q's insert and C1's extract first, and q lands after them
+        h.pump(1);
+        h.route(at(102, 1.0, 1.0));
+        h.settle();
+        assert_eq!(h.delivered(), vec![(1, 100), (1, 101), (1, 102)]);
+        assert!(h.workers[1].index().contains_query(QueryId(1)));
+    }
+
+    #[test]
+    fn a_respawn_restores_an_insert_that_overtook_a_parked_object() {
+        // Behind a slower dispatcher, the object ingested at sequence 3
+        // reaches the worker after the insert ingested at sequence 5, and
+        // the crash fires at the object.
+        let metrics = SystemMetrics::new(1);
+        let (merger_tx, merger_rx) = bounded::<MergerMessage>(64);
+        let mut worker = Worker::new(
+            WorkerId(0),
+            gi2(),
+            Vec::new(),
+            vec![merger_tx],
+            Arc::clone(&metrics),
+            16,
+        )
+        .with_faults(WorkerFaults {
+            crash_at: Some(2),
+            wedge: None,
+            recovery_lag: 2,
+        });
+        let mut batch = Batch::of_one(Envelope::now(5, insert(&wedge_query())));
+        for seq in [3, 6, 7, 8] {
+            batch.push(Envelope::now(seq, at(seq, 2.0, 2.0)));
+        }
+        worker.process(WorkerMessage::Records(batch), &Emitter::sink());
+        assert_eq!(worker.index().num_queries(), 1, "the respawn lost q");
+        let mut sequences = Vec::new();
+        while let Ok(MergerMessage::Matches(batch)) = merger_rx.try_recv() {
+            sequences.extend(batch.records().iter().map(|r| r.sequence));
+        }
+        sequences.sort_unstable();
+        assert_eq!(sequences, vec![3, 6, 7, 8]);
+        assert_eq!(metrics.faults.worker_respawns.load(Ordering::Relaxed), 1);
+    }
+
     #[test]
     fn a_delete_reaches_the_stale_copy_a_later_move_makes_reachable() {
-        let mut h = Handoff::new();
+        let mut h = Handoff::new(Default::default());
         // q spans C1 (worker 0) and C2 (worker 1), so both index it
         let q = query(1, 7, Rect::from_coords(1.0, 0.5, 3.0, 1.5));
         h.route(insert(&q));
@@ -1530,7 +1632,7 @@ mod tests {
 
     #[test]
     fn a_delete_ahead_of_the_migrated_copy_still_wins() {
-        let mut h = Handoff::new();
+        let mut h = Handoff::new(Default::default());
         let q = query(1, 7, Rect::from_coords(0.5, 0.5, 1.5, 1.5));
         h.route(insert(&q));
         h.settle();
@@ -1552,7 +1654,7 @@ mod tests {
 
     #[test]
     fn an_object_parked_before_a_delete_still_matches_the_query() {
-        let mut h = Handoff::new();
+        let mut h = Handoff::new(Default::default());
         // q spans C1 (worker 0) and C2 (worker 1)
         let q = query(1, 7, Rect::from_coords(1.0, 0.5, 3.0, 1.5));
         h.route(insert(&q));

@@ -25,7 +25,7 @@
 use crate::registry::TermRegistry;
 use ps2stream_geo::{CellId, Rect, UniformGrid};
 use ps2stream_model::{SpatioTextualObject, StsQuery, WorkerId};
-use ps2stream_text::{IdMap, RepresentativeTerms, TermId, TermStats};
+use ps2stream_text::{IdMap, TermId, TermStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -323,48 +323,31 @@ impl RoutingTable {
 
     /// [`RoutingTable::route_insert`] into a caller-owned buffer, which is
     /// cleared first. Each conjunction's least frequent keyword is worked out
-    /// once per query, in place; the workers are looked up as
-    /// [`RoutingTable::insert_destinations_into`] does, and the query's block
-    /// of cells is registered under each posting term in one locked pass.
+    /// once per query, in place. A term's worker is looked up once per
+    /// distinct shared term map (a region's cells share one, so a query
+    /// meets one or two), once per `OwnedTerms` cell, and not at all in a
+    /// `Single` cell. The query's block of cells is then registered under
+    /// each posting term in one locked pass.
     /// With a recycled buffer, an insertion allocates nothing once the
     /// registry has a cell table with room for its cells for each of its
     /// posting terms (or a spare one) and room for its id.
     pub fn route_insert_into(&self, query: &StsQuery, workers: &mut Vec<WorkerId>) {
-        let terms = self.posting_terms(query);
-        self.add_insert_workers(query, &terms, workers);
-        let block = self
-            .grid
-            .cell_span(&query.region)
-            .map(|(lo, hi)| (self.grid.cell_index(lo), self.grid.cell_index(hi)));
-        self.query_terms.register(query.id, terms, block);
-    }
-
-    /// The workers an insertion of `query` is routed to, into a cleared
-    /// `workers`, **without** registering it in `H2`: a worker that replays
-    /// an insertion to decide whether the query is its own uses this.
-    /// A term's worker is looked up once per distinct shared term map (a
-    /// region's cells share one, so a query meets one or two), once per
-    /// `OwnedTerms` cell, and not at all in a `Single` cell.
-    pub fn insert_destinations_into(&self, query: &StsQuery, workers: &mut Vec<WorkerId>) {
-        let terms = self.posting_terms(query);
-        self.add_insert_workers(query, &terms, workers);
-    }
-
-    fn add_insert_workers(&self, query: &StsQuery, terms: &[TermId], workers: &mut Vec<WorkerId>) {
+        // the posting terms, as the workers pick them under the frozen term
+        // table
+        let terms = query
+            .keywords
+            .representative_terms(|t| self.object_stats.frequency(t));
         workers.clear();
         let mut visited = VisitedMaps::default();
         for cell in self.grid.cells_overlapping_iter(&query.region) {
             let idx = self.grid.cell_index(cell);
             self.cells[idx].add_workers(terms.iter(), &mut visited, workers);
         }
-    }
-
-    /// The query's posting terms: each conjunction's least frequent keyword
-    /// under the frozen term table, as the workers pick them.
-    fn posting_terms(&self, query: &StsQuery) -> RepresentativeTerms {
-        query
-            .keywords
-            .representative_terms(|t| self.object_stats.frequency(t))
+        let block = self
+            .grid
+            .cell_span(&query.region)
+            .map(|(lo, hi)| (self.grid.cell_index(lo), self.grid.cell_index(hi)));
+        self.query_terms.register(query.id, terms, block);
     }
 
     /// Routes an STS query deletion: every worker. A worker may hold a copy

@@ -1,8 +1,8 @@
 //! Chaos suite: deterministic fault injection over the full pipeline.
 //!
 //! Every fault the `PS2_FAULTS` grammar can schedule is loss-masking by
-//! design — a crashed worker respawns from the supervisor's shadow log and
-//! replays its parked records, a wedged worker replays its stall window, a
+//! design — a crashed worker respawns by replaying the changes its own index
+//! applied before the crash, then its parked records, a wedged worker replays its stall window, a
 //! dropped channel message is retransmitted a few sends later. The delivered
 //! match **set** of a faulted run must therefore equal the fault-free run's;
 //! only ordering and latency may change. This suite pins that contract:

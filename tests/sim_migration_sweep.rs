@@ -12,9 +12,14 @@
 //! reference model exactly and no pair is ever delivered twice. Before the
 //! barrier existed the first stream failed statistically; the simulator
 //! turns it into a hard assertion over many schedules.
+//!
+//! The same sweep runs again with every worker crashing mid-stream, so
+//! respawns meet hand-offs on both sides: a respawn replays the changes its
+//! own index applied, and a migration message first ends the crash window,
+//! so the sweep must stay exact.
 
 use ps2stream::prelude::*;
-use ps2stream_stream::{unbounded, RuntimeBackend};
+use ps2stream_stream::{unbounded, FaultPlan, FaultSpec, RuntimeBackend};
 use std::collections::HashSet;
 
 mod sim_support;
@@ -45,17 +50,21 @@ fn churn_stream(sample: &WorkloadSample) -> Vec<StreamRecord> {
     records
 }
 
+const WORKERS: usize = 4;
+
 /// Feeds `records` through a 4-worker grid deployment on the deterministic
-/// scheduler and returns the delivered pairs and the migration moves.
+/// scheduler under `faults` and returns the delivered pairs, the migration
+/// moves and the worker crashes.
 fn run(
     sample: &WorkloadSample,
     records: &[StreamRecord],
     seed: u64,
-) -> (Vec<(QueryId, ObjectId)>, u64) {
+    faults: FaultPlan,
+) -> (Vec<(QueryId, ObjectId)>, u64, u64) {
     let (delivery_tx, delivery_rx) = unbounded::<MatchResult>();
     let config = SystemConfig {
         num_dispatchers: 1,
-        num_workers: 4,
+        num_workers: WORKERS,
         num_mergers: 1,
         ..SystemConfig::default()
     }
@@ -65,7 +74,8 @@ fn run(
         period_batches: 8,
         ..AdjustmentConfig::default()
     })
-    .with_runtime(RuntimeBackend::deterministic(seed));
+    .with_runtime(RuntimeBackend::deterministic(seed))
+    .with_faults(Some(faults));
     let mut system = Ps2StreamBuilder::new(config)
         .with_partitioner(Box::new(GridPartitioner::default()))
         .with_calibration_sample(sample.clone())
@@ -79,23 +89,31 @@ fn run(
         .try_iter()
         .map(|m| (m.query_id, m.object_id))
         .collect();
-    (delivered, report.migration_moves)
+    (
+        delivered,
+        report.migration_moves,
+        report.faults.worker_crashes,
+    )
 }
 
-#[test]
-fn no_interleaving_loses_or_duplicates_matches_during_handoff() {
+/// Runs both streams for interleaving seeds 0..20, each under the fault
+/// plan `faults(seed)`, and checks every run against the reference model.
+/// Returns the crashes fired over the sweep.
+fn sweep(faults: impl Fn(u64) -> FaultPlan) -> u64 {
     let sample = skewed_sample(1_200, 220, 31);
     let streams = [
         ("inserts up front", inserts_then_objects(&sample)),
         ("churn", churn_stream(&sample)),
     ];
+    let mut total_crashes = 0u64;
     for (name, records) in &streams {
         let expected = owed(records);
         assert!(!expected.is_empty(), "{name}: vacuous oracle");
         let mut total_moves = 0u64;
         for seed in 0..20u64 {
-            let (delivered, moves) = run(&sample, records, seed);
+            let (delivered, moves, crashes) = run(&sample, records, seed, faults(seed));
             total_moves += moves;
+            total_crashes += crashes;
             let mut unique: HashSet<(QueryId, ObjectId)> = HashSet::new();
             for pair in &delivered {
                 assert!(
@@ -115,4 +133,26 @@ fn no_interleaving_loses_or_duplicates_matches_during_handoff() {
              exercising hand-offs at all"
         );
     }
+    total_crashes
+}
+
+#[test]
+fn no_interleaving_loses_or_duplicates_matches_during_handoff() {
+    assert_eq!(sweep(|_| FaultPlan::default()), 0);
+}
+
+#[test]
+fn no_interleaving_loses_matches_when_workers_crash_during_handoff() {
+    // every worker crashes at tick 40 + 17·seed, early for some seeds and
+    // among the hand-offs for others
+    let crashes = sweep(|seed| FaultPlan {
+        seed,
+        specs: (0..WORKERS)
+            .map(|index| FaultSpec::Crash {
+                index,
+                tick: 40 + 17 * seed,
+            })
+            .collect(),
+    });
+    assert!(crashes > 0, "no scheduled crash fired");
 }
