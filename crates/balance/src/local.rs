@@ -30,7 +30,12 @@ pub struct TermLoad {
     pub term: TermId,
     /// Number of queries posted under the term in this cell.
     pub queries: u64,
-    /// Number of recent objects in the cell containing the term.
+    /// Number of recent objects in the cell containing the term. A worker
+    /// reports 0 for the queries its GI² index files once under a cold
+    /// term (one that fewer than 1 in 1,000 calibration objects carry),
+    /// which keep no per-cell hit counter, so the split's LPT order puts
+    /// such a term last, by query count: its objects × queries load is
+    /// negligible by construction.
     pub objects: u64,
     /// Bytes of the queries posted under the term.
     pub size: u64,
@@ -305,7 +310,8 @@ fn text_split_gain(cell: &CellLoadInfo, min_gain: f64) -> Option<(Vec<TermId>, f
     if cell.term_loads.len() < 2 {
         return None;
     }
-    // balanced 2-way LPT split over per-term matching load (objects × queries)
+    // balanced 2-way LPT split over per-term matching load (objects × queries);
+    // a cold term reports no object hits (see `TermLoad::objects`)
     let mut terms: Vec<&TermLoad> = cell.term_loads.iter().collect();
     terms.sort_by(|a, b| {
         (b.objects * b.queries)

@@ -560,36 +560,38 @@ impl Worker {
     }
 
     fn stats_report(&mut self) -> WorkerStatsReport {
-        let cells: Vec<CellLoadInfo> = self
+        let mut cells: Vec<CellLoadInfo> = self
             .index
             .cell_loads()
             .into_iter()
-            .map(|c| {
-                // stream the per-term stats straight into the report (no
-                // intermediate CellTermStat collection)
-                let mut term_loads: Vec<TermLoad> = Vec::new();
-                self.index.cell_term_stats_with(c.cell, |t| {
-                    term_loads.push(TermLoad {
-                        term: t.term,
-                        queries: t.queries,
-                        objects: t.object_hits,
-                        size: if c.queries > 0 {
-                            (c.bytes as u64).saturating_mul(t.queries) / c.queries as u64
-                        } else {
-                            0
-                        },
-                    });
-                });
-                CellLoadInfo {
-                    cell: c.cell,
-                    objects: c.objects,
-                    queries: c.queries as u64,
-                    size: c.bytes as u64,
-                    text_split: false,
-                    term_loads,
-                }
+            .map(|c| CellLoadInfo {
+                cell: c.cell,
+                objects: c.objects,
+                queries: c.queries as u64,
+                size: c.bytes as u64,
+                text_split: false,
+                term_loads: Vec::new(),
             })
             .collect();
+        // both stream the cells in row-major order, and a cell with a term
+        // stat stores a query, so it has a load entry
+        let mut at = 0;
+        self.index.for_each_cell_term_stat(|cell, t| {
+            while cells[at].cell != cell {
+                at += 1;
+            }
+            let c = &mut cells[at];
+            c.term_loads.push(TermLoad {
+                term: t.term,
+                queries: t.queries,
+                objects: t.object_hits,
+                size: c
+                    .size
+                    .saturating_mul(t.queries)
+                    .checked_div(c.queries)
+                    .unwrap_or(0),
+            });
+        });
         let report = WorkerStatsReport {
             worker: self.id,
             load: self.period_load,

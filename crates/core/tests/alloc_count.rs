@@ -10,7 +10,10 @@
 //! * a list that spills costs one block;
 //! * matching a batch against the stored queries allocates nothing at all;
 //! * deleting a query, which unposts it from every (cell, term) list it is
-//!   in, allocates nothing either.
+//!   in, allocates nothing either;
+//! * a query filed once under a cold term (a term the shared table says
+//!   fewer than 1 in 1,000 objects carry) is deleted and re-inserted, and
+//!   matched, without allocating too.
 //!
 //! Most objects die at the dispatcher (no registered keyword in their cell),
 //! so with a recycled destination buffer `RoutingTable::route_object_into`
@@ -28,6 +31,7 @@
 //! | `Gi2Index::{match_batch, match_in_cell}`, `PostingEntry::{slots, note_object_hit}`, `CellIndex::traverse`, `MatchScratch::first_visit`, `BooleanExpr::{matches_sorted, conjunctions}`, `Conjunctions::next` | `matching_a_batch_allocates_nothing` |
 //! | `Gi2Index::insert`, `StoredQuery::{cells, bytes}`, `UniformGrid::{cells_overlapping_iter, cell_span}` | `a_reinsert_into_warm_tables_allocates_nothing` |
 //! | `Gi2Index::delete_by_id`, `CellIndex::unpost`, `PostingEntry::remove`, `PostingArena::release` | `a_delete_allocates_nothing` |
+//! | `ColdPostings::{is_cold, file, unfile, may_cover, postings}`, `CellBlock::contains` | `cold_filed_queries_cycle_and_match_without_allocating` |
 //! | `RoutingTable::route_object_into`, `TermRegistry::{cell_is_empty, probe_terms}` | `routing_an_object_allocates_nothing_once_the_buffer_is_warm` |
 //! | `RoutingTable::{route_insert_into, route_delete_into}`, `CellRouting::add_workers`, `add_worker`, `TermRegistry::{register, unregister}` | `routing_an_update_allocates_nothing_once_the_buffer_is_warm` |
 //! | `VisitedMaps::first_visit` | `routing_through_shared_term_maps_allocates_nothing` |
@@ -262,6 +266,70 @@ fn matching_a_batch_allocates_nothing() {
     });
     assert_eq!(singly, delivered);
     assert_eq!(allocations, 0, "a batch of one allocated in steady state");
+}
+
+/// A term table under which every term of the fixtures is cold: 1,000
+/// objects that carry only a term no query uses.
+fn all_cold() -> TermStats {
+    let mut stats = TermStats::new();
+    for _ in 0..1_000 {
+        stats.observe(&[TermId(50_000)]);
+    }
+    stats
+}
+
+#[test]
+fn cold_filed_queries_cycle_and_match_without_allocating() {
+    let mut idx = index();
+    idx.set_term_stats(all_cold());
+    // one query per cold term, filed in place, and four sharing term
+    // 5,000, whose list spills to the arena
+    const SHARED: u32 = 5_000;
+    let queries: Vec<StsQuery> = (0..QUERIES)
+        .map(|i| block_query(i, i as u32, 1_000 + i as u32))
+        .chain((0..4).map(|i| block_query(QUERIES + i, SHARED, 6_000 + i as u32)))
+        .collect();
+    for q in &queries {
+        idx.insert(q.clone());
+    }
+    assert_eq!(list_len(&idx, SHARED), 4);
+    let memory = idx.memory_usage();
+    // a warm delete and re-insert reuses the slot, the table bucket and,
+    // for the spilled list (4 → 3 → 4), its block
+    for q in &queries {
+        let q2 = q.clone();
+        let allocations = allocations_during(|| {
+            assert!(idx.delete_by_id(q2.id));
+            idx.insert(q2);
+        });
+        assert_eq!(allocations, 0, "delete and re-insert of {:?}", q.id);
+    }
+    assert_eq!(idx.memory_usage(), memory);
+    // objects carrying two cold posting terms, one query's second keyword
+    // and the shared term
+    let objects: Vec<SpatioTextualObject> = (0..256u64)
+        .map(|i| {
+            let mut terms = vec![
+                TermId(i as u32),
+                TermId(i as u32 + 1),
+                TermId(1_000 + i as u32),
+                TermId(SHARED),
+            ];
+            terms.sort_unstable();
+            let at = Point::new(1.0 + (i % 30) as f64, 1.0 + (i / 30) as f64);
+            SpatioTextualObject::new(ObjectId(i), terms, at)
+        })
+        .collect();
+    let mut scratch = MatchScratch::new();
+    let mut delivered = 0usize;
+    idx.match_batch(objects.iter(), &mut scratch, |_, _, r| delivered += r.len());
+    assert!(delivered > 0, "the batch must actually match something");
+    let mut again = 0usize;
+    let allocations = allocations_during(|| {
+        idx.match_batch(objects.iter(), &mut scratch, |_, _, r| again += r.len());
+    });
+    assert_eq!(again, delivered);
+    assert_eq!(allocations, 0, "matching cold postings allocated");
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Per-cell inverted index of the GI² structure.
+//! Per-cell inverted index of the GI² structure, and the cold postings that
+//! replace it for object-rare terms.
 //!
 //! GI² divides the space into uniform grid cells and, inside each cell,
 //! organizes the STS queries overlapping the cell in an inverted index keyed
@@ -14,9 +15,24 @@
 //! arena index. Every slot in a list is live: deleting a query unposts it
 //! from each of its entries with one probe apiece (`CellIndex::unpost`)
 //! before its slot is freed.
-
+//!
+//! # Cold postings
+//!
+//! A posting term that fewer than 1 in 1,000 objects of the shared term
+//! table carry is **cold** (see `ColdPostings::is_cold`). A query is filed
+//! under a cold term once per index, not once per cell: a `ColdPosting` holds
+//! the block of cells its region overlaps and its slot, 8 bytes, in the
+//! one-per-index `ColdPostings` (after FAST's frequency-aware split, which
+//! keeps infrequent keywords in a plain inverted list). As with the per-cell
+//! entries, a term's first posting sits in its table entry and a longer list
+//! spills to an arena. Before a cold list is read, an 8-bit mask per term
+//! says which coarse cells (an 8 × 8 grid over the cells, folded into 8
+//! bits) its postings cover, so an object whose cell misses the mask skips
+//! the table probe. The masks are one byte per term id, up to id 2²⁰; a
+//! larger id keeps no mask and is always probed.
 use crate::slab::SlotId;
-use ps2stream_text::{IdMap, TermId};
+use ps2stream_geo::{CellId, UniformGrid};
+use ps2stream_text::{IdMap, TermId, TermStats};
 use std::collections::hash_map::Entry;
 
 /// Slots a posting entry holds in place before its list spills to the arena.
@@ -46,17 +62,17 @@ impl PostingEntry {
 
     /// Appends a slot; a third one spills the list to the arena.
     #[inline]
-    fn push(&mut self, slot: SlotId, arena: &mut PostingArena) {
+    fn push(&mut self, slot: SlotId, arena: &mut PostingArena<SlotId>) {
         match self.slots {
             [SlotId::SPILLED, SlotId(i)] => arena.lists[i as usize].push(slot),
             [_, SlotId::EMPTY] => self.slots[1] = slot,
-            [a, b] => self.slots = [SlotId::SPILLED, SlotId(arena.spill([a, b, slot]))],
+            [a, b] => self.slots = [SlotId::SPILLED, SlotId(arena.spill(&[a, b, slot]))],
         }
     }
 
     /// The posted slots.
     #[inline]
-    pub(crate) fn slots<'a>(&'a self, arena: &'a PostingArena) -> &'a [SlotId] {
+    pub(crate) fn slots<'a>(&'a self, arena: &'a PostingArena<SlotId>) -> &'a [SlotId] {
         match self.slots {
             [SlotId::SPILLED, SlotId(i)] => &arena.lists[i as usize],
             [_, SlotId::EMPTY] => &self.slots[..1],
@@ -68,7 +84,7 @@ impl PostingEntry {
     /// fits in place again moves back and releases its block. Returns true
     /// if the list is now empty.
     #[inline]
-    fn remove(&mut self, slot: SlotId, arena: &mut PostingArena) -> bool {
+    fn remove(&mut self, slot: SlotId, arena: &mut PostingArena<SlotId>) -> bool {
         match self.slots {
             [SlotId::SPILLED, SlotId(i)] => {
                 let list = &mut arena.lists[i as usize];
@@ -111,18 +127,28 @@ impl PostingEntry {
     }
 }
 
-/// The posting lists of three or more slots of one index, one block each,
-/// indexed by the `u32` their entry holds. A list that shrinks back to two
-/// slots moves into its entry, and its block is freed and its index reused.
-#[derive(Debug, Default)]
-pub(crate) struct PostingArena {
-    lists: Vec<Vec<SlotId>>,
+/// The posting lists too long to sit in their entry, one block each,
+/// indexed by the `u32` their entry holds: per-cell lists of three or more
+/// slots, and cold lists of two or more postings. A list that shrinks back
+/// into its entry has its block freed and its index reused.
+#[derive(Debug)]
+pub(crate) struct PostingArena<T> {
+    lists: Vec<Vec<T>>,
     /// Indices of released lists. Its capacity covers every index, so a
     /// delete never allocates.
     free: Vec<u32>,
 }
 
-impl Clone for PostingArena {
+impl<T> Default for PostingArena<T> {
+    fn default() -> Self {
+        Self {
+            lists: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T: Clone> Clone for PostingArena<T> {
     fn clone(&self) -> Self {
         let mut free = Vec::with_capacity(self.lists.len());
         free.extend_from_slice(&self.free);
@@ -133,11 +159,11 @@ impl Clone for PostingArena {
     }
 }
 
-impl PostingArena {
+impl<T: Copy> PostingArena<T> {
     /// Stores a new list: one block, at a released index when there is one.
-    fn spill(&mut self, slots: [SlotId; INLINE_SLOTS + 1]) -> u32 {
+    fn spill(&mut self, items: &[T]) -> u32 {
         let mut list = Vec::with_capacity(2 * INLINE_SLOTS);
-        list.extend_from_slice(&slots);
+        list.extend_from_slice(items);
         if let Some(i) = self.free.pop() {
             self.lists[i as usize] = list;
             return i;
@@ -155,22 +181,23 @@ impl PostingArena {
     }
 
     /// Approximate memory footprint in bytes: a `Vec` header per index,
-    /// 4 bytes per released index and 4 per slot of a live list.
+    /// 4 bytes per released index and the items of every live list.
     pub(crate) fn memory_usage(&self) -> usize {
-        self.lists.len() * std::mem::size_of::<Vec<SlotId>>()
+        self.lists.len() * std::mem::size_of::<Vec<T>>()
             + std::mem::size_of_val::<[u32]>(&self.free)
             + self
                 .lists
                 .iter()
-                .map(|list| std::mem::size_of_val::<[SlotId]>(list))
+                .map(|list| std::mem::size_of_val::<[T]>(list))
                 .sum::<usize>()
     }
 
     /// Panics unless every live list is referenced by exactly one entry
     /// (`referenced` holds the index of every spilled entry) and holds at
-    /// least three slots, and every released list is empty and listed once.
+    /// least `min_len` items, and every released list is empty and listed
+    /// once.
     #[cfg(test)]
-    pub(crate) fn audit(&self, referenced: &[u32]) {
+    pub(crate) fn audit(&self, referenced: &[u32], min_len: usize) {
         let mut references = vec![0usize; self.lists.len()];
         for &i in referenced {
             references[i as usize] += 1;
@@ -180,7 +207,7 @@ impl PostingArena {
             let i = i as usize;
             assert!(!released[i], "list {i} released twice");
             released[i] = true;
-            assert!(self.lists[i].is_empty(), "released list {i} holds slots");
+            assert!(self.lists[i].is_empty(), "released list {i} holds items");
             assert_eq!(
                 self.lists[i].capacity(),
                 0,
@@ -195,11 +222,7 @@ impl PostingArena {
                     "list {i} referenced {} times",
                     references[i]
                 );
-                assert!(
-                    list.len() > INLINE_SLOTS,
-                    "list {i} holds {} slots",
-                    list.len()
-                );
+                assert!(list.len() >= min_len, "list {i} holds {} items", list.len());
             }
         }
         assert!(
@@ -229,9 +252,13 @@ pub struct CellIndex {
 pub struct CellTermStat {
     /// The posting term.
     pub term: TermId,
-    /// Number of queries posted under the term in this cell.
+    /// Number of queries posted under the term in this cell, cold-filed
+    /// ones included.
     pub queries: u64,
-    /// Number of recent objects in this cell containing the term.
+    /// Number of recent objects in this cell containing the term. A cold
+    /// term's cold-filed queries have no per-cell hit counter, so only its
+    /// per-cell entry (queries re-filed by a migration) counts hits: the
+    /// term is carried by fewer than 1 in 1,000 objects anyway.
     pub object_hits: u64,
 }
 
@@ -241,24 +268,21 @@ impl CellIndex {
         Self::default()
     }
 
-    /// Posts a query under the given terms. `query_bytes` is the approximate
-    /// in-memory size of the query, used for migration cost accounting.
-    pub(crate) fn post(
-        &mut self,
-        slot: SlotId,
-        terms: &[TermId],
-        query_bytes: usize,
-        arena: &mut PostingArena,
-    ) {
-        if terms.is_empty() {
-            return;
-        }
-        for &t in terms {
-            self.postings
-                .entry(t)
-                .and_modify(|e| e.push(slot, arena))
-                .or_insert_with(|| PostingEntry::new(slot));
-        }
+    /// Appends `slot` to the posting list of `term`. A query's postings in a
+    /// cell are counted apart, by [`CellIndex::note_added`].
+    #[inline]
+    pub(crate) fn post(&mut self, term: TermId, slot: SlotId, arena: &mut PostingArena<SlotId>) {
+        self.postings
+            .entry(term)
+            .and_modify(|e| e.push(slot, arena))
+            .or_insert_with(|| PostingEntry::new(slot));
+    }
+
+    /// Accounts for a query of `query_bytes` approximate in-memory bytes
+    /// stored in this cell, whether it is posted in the cell's entries or
+    /// filed cold (used for migration cost accounting).
+    #[inline]
+    pub fn note_added(&mut self, query_bytes: usize) {
         self.num_queries += 1;
         self.query_bytes += query_bytes;
     }
@@ -268,7 +292,7 @@ impl CellIndex {
     pub(crate) fn postings<'a>(
         &'a self,
         term: TermId,
-        arena: &'a PostingArena,
+        arena: &'a PostingArena<SlotId>,
     ) -> Option<&'a [SlotId]> {
         self.postings.get(&term).map(|entry| entry.slots(arena))
     }
@@ -284,7 +308,7 @@ impl CellIndex {
     /// Removes `slot` from the posting list of `term` with one probe,
     /// dropping the entry when its list empties. Allocation-free: a spilled
     /// list that shrinks back into the entry frees its block.
-    pub(crate) fn unpost(&mut self, term: TermId, slot: SlotId, arena: &mut PostingArena) {
+    pub(crate) fn unpost(&mut self, term: TermId, slot: SlotId, arena: &mut PostingArena<SlotId>) {
         let Entry::Occupied(mut entry) = self.postings.entry(term) else {
             debug_assert!(
                 false,
@@ -297,8 +321,8 @@ impl CellIndex {
         }
     }
 
-    /// Account for the removal of a query whose postings in this cell were
-    /// unposted. Removing more than was posted is a bookkeeping bug: it
+    /// Accounts for the removal of a query whose postings in this cell were
+    /// unposted (the reverse of [`CellIndex::note_added`]). Removing more than was posted is a bookkeeping bug: it
     /// fails a debug assertion (release builds clamp at zero).
     pub fn note_removed(&mut self, query_bytes: usize) {
         debug_assert!(
@@ -322,7 +346,7 @@ impl CellIndex {
     /// collection.
     pub(crate) fn for_each_term_stat<F: FnMut(CellTermStat)>(
         &self,
-        arena: &PostingArena,
+        arena: &PostingArena<SlotId>,
         mut f: F,
     ) {
         for (t, entry) in &self.postings {
@@ -361,7 +385,11 @@ impl CellIndex {
     /// Appends the distinct slots posted in this cell to `out` (sorted,
     /// deduplicated; the buffer is caller-provided so the migration paths
     /// can recycle it instead of flatten-collecting a fresh `Vec`).
-    pub(crate) fn distinct_queries_into(&self, arena: &PostingArena, out: &mut Vec<SlotId>) {
+    pub(crate) fn distinct_queries_into(
+        &self,
+        arena: &PostingArena<SlotId>,
+        out: &mut Vec<SlotId>,
+    ) {
         for entry in self.postings.values() {
             out.extend_from_slice(entry.slots(arena));
         }
@@ -369,9 +397,15 @@ impl CellIndex {
         out.dedup();
     }
 
-    /// Returns true if no query is posted in this cell.
+    /// Returns true if no query is posted in this cell's entries.
     pub fn is_empty(&self) -> bool {
         self.postings.is_empty()
+    }
+
+    /// Returns true if some query is posted under `term` in this cell's
+    /// entries.
+    pub(crate) fn has_term(&self, term: TermId) -> bool {
+        self.postings.contains_key(&term)
     }
 
     /// Calls `f` with every posting term, its list and, when the list is
@@ -379,7 +413,7 @@ impl CellIndex {
     #[cfg(test)]
     pub(crate) fn for_each_posting_list(
         &self,
-        arena: &PostingArena,
+        arena: &PostingArena<SlotId>,
         mut f: impl FnMut(TermId, &[SlotId], Option<u32>),
     ) {
         for (&t, entry) in &self.postings {
@@ -394,6 +428,259 @@ impl CellIndex {
     pub fn memory_usage(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.postings.len() * (std::mem::size_of::<(TermId, PostingEntry)>() + 16)
+    }
+}
+
+/// A posting term is cold when fewer than one in `COLD_RATIO` objects of the
+/// shared term table carry it.
+const COLD_RATIO: u64 = 1_000;
+
+/// Cold terms with ids below this keep a mask byte (at most 1 MiB of masks
+/// per index); a term past it has none and is always probed.
+const MASKED_TERMS: usize = 1 << 20;
+
+/// An inclusive block of grid cells, packed into 4 bytes: lowest column,
+/// lowest row, highest column, highest row (so cold filing needs a grid of
+/// at most 256 × 256 cells). In a spilled cold entry the word is instead the
+/// arena index of the term's list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CellBlock(u32);
+
+impl CellBlock {
+    /// The block from `lo` to `hi`, both included.
+    pub(crate) fn new(lo: CellId, hi: CellId) -> Self {
+        debug_assert!(lo.col.max(lo.row).max(hi.col).max(hi.row) <= u32::from(u8::MAX));
+        Self(lo.col | lo.row << 8 | hi.col << 16 | hi.row << 24)
+    }
+
+    /// The lowest and highest cell.
+    #[inline]
+    fn corners(self) -> (CellId, CellId) {
+        let b = self.0.to_le_bytes();
+        let c = |col: u8, row: u8| CellId::new(u32::from(col), u32::from(row));
+        (c(b[0], b[1]), c(b[2], b[3]))
+    }
+
+    /// Returns true if `cell` lies in the block.
+    #[inline]
+    pub(crate) fn contains(self, cell: CellId) -> bool {
+        let (lo, hi) = self.corners();
+        (lo.col..=hi.col).contains(&cell.col) && (lo.row..=hi.row).contains(&cell.row)
+    }
+
+    /// The cells of the block, in row-major order.
+    pub(crate) fn cells(self) -> impl Iterator<Item = CellId> {
+        let (lo, hi) = self.corners();
+        (lo.row..=hi.row)
+            .flat_map(move |row| (lo.col..=hi.col).map(move |col| CellId::new(col, row)))
+    }
+}
+
+/// A query filed under a cold term: the block of cells its region overlaps
+/// and its slot. In a term's table entry, a `SlotId::SPILLED` slot marks a
+/// list that lives in the arena, at the index the block word holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ColdPosting {
+    pub(crate) block: CellBlock,
+    pub(crate) slot: SlotId,
+}
+
+impl ColdPosting {
+    /// The postings of the term whose table entry this is.
+    #[inline]
+    fn list<'a>(&'a self, arena: &'a PostingArena<ColdPosting>) -> &'a [ColdPosting] {
+        if self.slot == SlotId::SPILLED {
+            &arena.lists[self.block.0 as usize]
+        } else {
+            std::slice::from_ref(self)
+        }
+    }
+}
+
+/// The cold postings of one index (see the module docs): per cold term, its
+/// queries in filing order, each with its block of cells.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColdPostings {
+    terms: IdMap<TermId, ColdPosting>,
+    /// The lists of two or more postings.
+    arena: PostingArena<ColdPosting>,
+    /// `masks[t]`: the coarse cells the postings of term `t` cover, folded
+    /// into 8 bits (0 for a term with none; a term past the end and below
+    /// `MASKED_TERMS` has none).
+    masks: Vec<u8>,
+    /// A cell's coarse cell is its column and row shifted right by this,
+    /// which leaves an 8 × 8 coarse grid.
+    shift: u32,
+    /// False on a grid too large for `CellBlock`: nothing is cold there.
+    enabled: bool,
+}
+
+impl ColdPostings {
+    /// An empty store for an index over `grid`.
+    pub(crate) fn new(grid: &UniformGrid) -> Self {
+        let side = grid.nx().max(grid.ny());
+        Self {
+            shift: side.next_power_of_two().trailing_zeros().saturating_sub(3),
+            enabled: side <= 256,
+            ..Self::default()
+        }
+    }
+
+    /// Whether `term` is cold under the frozen term table `stats`: carried
+    /// by fewer than 1 in 1,000 of its objects. Over an empty table (no
+    /// objects) nothing is cold.
+    #[inline]
+    pub(crate) fn is_cold(&self, stats: &TermStats, term: TermId) -> bool {
+        self.enabled && stats.frequency(term).saturating_mul(COLD_RATIO) < stats.num_docs()
+    }
+
+    /// The mask bit of coarse cell (`col`, `row`). Folding column plus
+    /// three times row gives neighbouring coarse cells different bits.
+    #[inline]
+    fn coarse_bit(col: u32, row: u32) -> u8 {
+        1 << ((col + 3 * row) & 7)
+    }
+
+    /// The mask bits of every coarse cell `block` touches, for coarse cells
+    /// of cells shifted right by `shift`.
+    fn block_mask(shift: u32, block: CellBlock) -> u8 {
+        let (lo, hi) = block.corners();
+        let mut mask = 0;
+        for row in (lo.row >> shift)..=(hi.row >> shift) {
+            for col in (lo.col >> shift)..=(hi.col >> shift) {
+                mask |= Self::coarse_bit(col, row);
+            }
+        }
+        mask
+    }
+
+    /// Appends a posting to `term`'s list; a second posting spills the list
+    /// to the arena.
+    pub(crate) fn file(&mut self, term: TermId, posting: ColdPosting) {
+        let i = term.index();
+        if i < MASKED_TERMS {
+            if i >= self.masks.len() {
+                self.masks.resize(i + 1, 0);
+            }
+            self.masks[i] |= Self::block_mask(self.shift, posting.block);
+        }
+        match self.terms.entry(term) {
+            Entry::Vacant(entry) => {
+                entry.insert(posting);
+            }
+            Entry::Occupied(mut entry) => {
+                let first = entry.get_mut();
+                if first.slot == SlotId::SPILLED {
+                    self.arena.lists[first.block.0 as usize].push(posting);
+                } else {
+                    let list = self.arena.spill(&[*first, posting]);
+                    *first = ColdPosting {
+                        block: CellBlock(list),
+                        slot: SlotId::SPILLED,
+                    };
+                }
+            }
+        }
+    }
+
+    /// Removes `slot` from `term`'s list, preserving the order of the rest,
+    /// and recomputes the term's mask. A list of one moves back into its
+    /// entry; an emptied one drops the entry. Allocation-free.
+    pub(crate) fn unfile(&mut self, term: TermId, slot: SlotId) {
+        let Entry::Occupied(mut entry) = self.terms.entry(term) else {
+            debug_assert!(false, "unfile of {slot:?} under unfiled {term:?}");
+            return;
+        };
+        let first = *entry.get();
+        let mut mask = 0;
+        if first.slot == SlotId::SPILLED {
+            let list = &mut self.arena.lists[first.block.0 as usize];
+            list.retain(|p| p.slot != slot);
+            let list = &self.arena.lists[first.block.0 as usize];
+            for p in list {
+                mask |= Self::block_mask(self.shift, p.block);
+            }
+            if let [only] = list[..] {
+                *entry.get_mut() = only;
+                self.arena.release(first.block.0);
+            }
+        } else {
+            debug_assert_eq!(first.slot, slot, "unfile of unfiled {slot:?}");
+            entry.remove();
+        }
+        if let Some(m) = self.masks.get_mut(term.index()) {
+            *m = mask;
+        }
+    }
+
+    /// The mask bit of `cell`'s coarse cell, for [`ColdPostings::may_cover`].
+    #[inline]
+    pub(crate) fn cell_bit(&self, cell: CellId) -> u8 {
+        Self::coarse_bit(cell.col >> self.shift, cell.row >> self.shift)
+    }
+
+    /// Returns false when no posting of `term` covers the coarse cell whose
+    /// [`ColdPostings::cell_bit`] is `bit` — the matching loop's cheap test
+    /// before [`ColdPostings::postings`].
+    #[inline]
+    pub(crate) fn may_cover(&self, term: TermId, bit: u8) -> bool {
+        match self.masks.get(term.index()) {
+            Some(&mask) => mask & bit != 0,
+            None => term.index() >= MASKED_TERMS,
+        }
+    }
+
+    /// The postings of `term`, in filing order.
+    #[inline]
+    pub(crate) fn postings(&self, term: TermId) -> &[ColdPosting] {
+        self.terms
+            .get(&term)
+            .map_or(&[], |first| first.list(&self.arena))
+    }
+
+    /// Calls `f` with every posting and its term.
+    pub(crate) fn for_each_posting(&self, mut f: impl FnMut(TermId, ColdPosting)) {
+        for (&term, first) in &self.terms {
+            for &p in first.list(&self.arena) {
+                f(term, p);
+            }
+        }
+    }
+
+    /// Approximate memory footprint in bytes, counted as the cells count
+    /// theirs: per cold term its table bucket (key, entry and 16 bytes of
+    /// overhead) and its mask byte, plus the spilled lists.
+    pub(crate) fn memory_usage(&self) -> usize {
+        self.terms.len() * (std::mem::size_of::<(TermId, ColdPosting)>() + 16)
+            + self.masks.len()
+            + self.arena.memory_usage()
+    }
+
+    /// Panics unless every list is non-empty, every mask equals the OR of
+    /// its term's postings' coarse cells (and a term without postings has
+    /// mask 0), and the arena holds exactly the spilled lists, each of two
+    /// or more postings.
+    #[cfg(test)]
+    pub(crate) fn audit(&self) {
+        let mut spilled = Vec::new();
+        for (&term, first) in &self.terms {
+            let list = first.list(&self.arena);
+            assert!(!list.is_empty(), "empty cold list under {term:?}");
+            let mask = list
+                .iter()
+                .fold(0, |m, p| m | Self::block_mask(self.shift, p.block));
+            if term.index() < MASKED_TERMS {
+                assert_eq!(self.masks[term.index()], mask, "mask of {term:?}");
+            }
+            if first.slot == SlotId::SPILLED {
+                spilled.push(first.block.0);
+            }
+        }
+        for (i, &mask) in self.masks.iter().enumerate() {
+            let filed = self.terms.contains_key(&TermId(i as u32));
+            assert!(filed || mask == 0, "mask {mask:#x} of unfiled term {i}");
+        }
+        self.arena.audit(&spilled, 2);
     }
 }
 
@@ -412,12 +699,18 @@ mod tests {
     #[derive(Default)]
     struct Cell {
         c: CellIndex,
-        arena: PostingArena,
+        arena: PostingArena<SlotId>,
     }
 
     impl Cell {
+        /// Posts a query under `terms`, counting it when it has any.
         fn post(&mut self, slot: SlotId, terms: &[TermId], bytes: usize) {
-            self.c.post(slot, terms, bytes, &mut self.arena);
+            for &term in terms {
+                self.c.post(term, slot, &mut self.arena);
+            }
+            if !terms.is_empty() {
+                self.c.note_added(bytes);
+            }
         }
         fn unpost(&mut self, term: TermId, slot: SlotId) {
             self.c.unpost(term, slot, &mut self.arena);
@@ -641,7 +934,7 @@ mod tests {
             c.unpost(t(2), s(i));
         }
         assert!(c.postings(t(2)).is_none());
-        c.arena.audit(&[]);
+        c.arena.audit(&[], INLINE_SLOTS + 1);
     }
 
     #[test]
@@ -671,5 +964,169 @@ mod tests {
         assert_eq!(c.memory_usage(), empty + 3 * bucket + header + 4);
         c.post(s(9), &[t(3)], 10);
         assert_eq!(c.memory_usage(), empty + 3 * bucket + spilled);
+    }
+
+    impl ColdPostings {
+        fn may_cover_cell(&self, term: TermId, cell: CellId) -> bool {
+            self.may_cover(term, self.cell_bit(cell))
+        }
+    }
+
+    fn grid64() -> UniformGrid {
+        let bounds = ps2stream_geo::Rect::from_coords(0.0, 0.0, 64.0, 64.0);
+        UniformGrid::with_power_of_two(bounds, 6)
+    }
+
+    fn block(lo: (u32, u32), hi: (u32, u32)) -> CellBlock {
+        CellBlock::new(CellId::new(lo.0, lo.1), CellId::new(hi.0, hi.1))
+    }
+
+    fn cold(block: CellBlock, slot: u32) -> ColdPosting {
+        ColdPosting {
+            block,
+            slot: s(slot),
+        }
+    }
+
+    #[test]
+    fn a_cell_block_holds_exactly_its_cells() {
+        let b = block((2, 3), (4, 3));
+        let cells: Vec<CellId> = b.cells().collect();
+        assert_eq!(cells, [2, 3, 4].map(|col| CellId::new(col, 3)));
+        assert!(cells.iter().all(|&c| b.contains(c)));
+        for outside in [(1, 3), (5, 3), (3, 2), (3, 4)] {
+            assert!(!b.contains(CellId::new(outside.0, outside.1)));
+        }
+        let corner = block((255, 255), (255, 255));
+        assert!(corner.contains(CellId::new(255, 255)));
+        assert!(!corner.contains(CellId::new(254, 255)));
+    }
+
+    #[test]
+    fn a_term_is_cold_below_one_in_a_thousand_objects() {
+        let grid = grid64();
+        let store = ColdPostings::new(&grid);
+        let mut stats = TermStats::new();
+        assert!(
+            !store.is_cold(&stats, t(1)),
+            "nothing is cold over an empty table"
+        );
+        // 2,000 objects: t(1) in one, t(4) in two, t(2) in the rest
+        stats.observe(&[t(1)]);
+        stats.observe(&[t(4)]);
+        stats.observe(&[t(4)]);
+        for _ in 0..1_997 {
+            stats.observe(&[t(2)]);
+        }
+        assert!(store.is_cold(&stats, t(1)));
+        assert!(store.is_cold(&stats, t(3)), "an unseen term is cold");
+        assert!(
+            !store.is_cold(&stats, t(4)),
+            "one in a thousand is not below it"
+        );
+        assert!(!store.is_cold(&stats, t(2)));
+        let huge = UniformGrid::with_power_of_two(grid.bounds(), 9);
+        assert!(
+            !ColdPostings::new(&huge).is_cold(&stats, t(1)),
+            "a grid of more than 256 × 256 cells files nothing cold"
+        );
+    }
+
+    #[test]
+    fn a_cold_list_keeps_filing_order_and_moves_back_in_place() {
+        let mut store = ColdPostings::new(&grid64());
+        let (a, b, c) = (
+            cold(block((0, 0), (1, 1)), 1),
+            cold(block((8, 8), (9, 9)), 2),
+            cold(block((0, 0), (0, 0)), 3),
+        );
+        store.file(t(7), a);
+        assert_eq!(store.postings(t(7)), [a]);
+        store.file(t(7), b);
+        store.file(t(7), c);
+        assert_eq!(store.postings(t(7)), [a, b, c]);
+        store.audit();
+        store.unfile(t(7), s(2));
+        assert_eq!(store.postings(t(7)), [a, c]);
+        store.unfile(t(7), s(1));
+        assert_eq!(store.postings(t(7)), [c]);
+        store.audit();
+        store.unfile(t(7), s(3));
+        assert!(store.postings(t(7)).is_empty());
+        store.audit();
+        // the next list to spill reuses the released arena index
+        store.file(t(8), a);
+        store.file(t(8), b);
+        assert_eq!(store.terms[&t(8)].block.0, 0);
+        store.audit();
+    }
+
+    #[test]
+    fn a_cold_mask_follows_its_postings_coarse_cells() {
+        // 64 × 64 cells: coarse cells of 8 × 8
+        let mut store = ColdPostings::new(&grid64());
+        store.file(t(1), cold(block((0, 0), (1, 1)), 1));
+        assert!(
+            store.may_cover_cell(t(1), CellId::new(7, 7)),
+            "same coarse cell"
+        );
+        assert!(
+            !store.may_cover_cell(t(1), CellId::new(8, 0)),
+            "next coarse column"
+        );
+        assert!(
+            !store.may_cover_cell(t(1), CellId::new(0, 8)),
+            "next coarse row"
+        );
+        assert!(
+            !store.may_cover_cell(t(2), CellId::new(0, 0)),
+            "a term with no posting"
+        );
+        assert!(
+            !store.may_cover_cell(t(1_000), CellId::new(0, 0)),
+            "a term past the masks"
+        );
+        // a term id past the masked range keeps no mask byte, and is probed
+        let far = t(MASKED_TERMS as u32);
+        assert!(store.may_cover_cell(far, CellId::new(0, 0)));
+        store.file(far, cold(block((0, 0), (0, 0)), 9));
+        assert!(store.masks.len() < MASKED_TERMS);
+        assert_eq!(store.postings(far).len(), 1);
+        store.audit();
+        store.unfile(far, s(9));
+        assert!(store.postings(far).is_empty());
+        store.file(t(1), cold(block((8, 0), (8, 0)), 2));
+        assert!(store.may_cover_cell(t(1), CellId::new(8, 0)));
+        store.unfile(t(1), s(2));
+        assert!(
+            !store.may_cover_cell(t(1), CellId::new(8, 0)),
+            "unfiling clears the bit"
+        );
+        assert!(store.may_cover_cell(t(1), CellId::new(0, 0)));
+        store.audit();
+        // a block nine coarse cells wide touches every bit
+        store.file(t(3), cold(block((0, 5), (63, 5)), 3));
+        assert_eq!(store.masks[3], u8::MAX);
+    }
+
+    #[test]
+    fn a_cold_posting_costs_less_than_one_cell_entry() {
+        let bucket = std::mem::size_of::<(TermId, ColdPosting)>() + 16;
+        assert_eq!(std::mem::size_of::<ColdPosting>(), 8);
+        assert!(bucket < std::mem::size_of::<(TermId, PostingEntry)>() + 16);
+        let mut store = ColdPostings::new(&grid64());
+        assert_eq!(store.memory_usage(), 0);
+        // one posting sits in its bucket; the masks cover terms 0 ..= 3
+        let a = cold(block((0, 0), (5, 5)), 1);
+        store.file(t(3), a);
+        assert_eq!(store.memory_usage(), bucket + 4);
+        // a second one spills: a `Vec` header plus 8 bytes per posting
+        store.file(t(3), cold(block((0, 0), (0, 0)), 2));
+        let header = std::mem::size_of::<Vec<ColdPosting>>();
+        assert_eq!(store.memory_usage(), bucket + 4 + header + 2 * 8);
+        // moving back in place returns the postings; the arena keeps the
+        // header and the released index
+        store.unfile(t(3), s(2));
+        assert_eq!(store.memory_usage(), bucket + 4 + header + 4);
     }
 }

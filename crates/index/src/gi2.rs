@@ -39,13 +39,30 @@
 //! worker's index: a worker posts a query under exactly the (cell, term)
 //! keys the dispatcher registered in `H2` for it. Matching never updates the
 //! table, and its bytes are counted once, on the routing side.
+//!
+//! The same table decides each posting term's **class**. A term carried by
+//! fewer than 1 in 1,000 of its objects is cold: a query is filed under it
+//! once, as a (cell block, slot) posting in the index's cold store (see
+//! [`crate::cell`]), instead of once in every cell its region overlaps.
+//! Other terms are hot and keep their per-cell entries. Matching an object
+//! in cell `c` walks, for a cold term, the postings whose block contains
+//! `c`: exactly the slots a per-cell list would hold, in the same order, so
+//! candidates, results and work counters do not depend on the class. Over
+//! an empty table nothing is cold. A term's class never changes under a
+//! live posting: the table is set while the index is empty.
+//!
+//! Cell migration keeps this exact. The first cell extracted from a
+//! cold-filed query re-files it per cell under all of its posting terms, so
+//! a cold posting always covers its whole block and matching never checks
+//! exclusions. The per-cell query counters of [`Gi2Index::cell_loads`]
+//! count every query in each of its cells, however it is filed.
 
-use crate::cell::{CellIndex, CellTermStat, PostingArena};
+use crate::cell::{CellBlock, CellIndex, CellTermStat, ColdPosting, ColdPostings, PostingArena};
 use crate::scratch::MatchScratch;
-use crate::slab::{QuerySlab, Slot, StoredQuery};
+use crate::slab::{QuerySlab, Slot, SlotId, StoredQuery};
 use ps2stream_geo::{CellId, Rect, UniformGrid};
 use ps2stream_model::{MatchResult, QueryId, SpatioTextualObject, StsQuery};
-use ps2stream_text::{terms_signature, TermStats};
+use ps2stream_text::{terms_signature, TermId, TermStats};
 use std::sync::Arc;
 
 /// Configuration of a GI² index.
@@ -101,11 +118,13 @@ pub struct Gi2Index {
     grid: UniformGrid,
     cells: Vec<CellIndex>,
     /// The posting lists too long to sit in their (cell, term) entry.
-    arena: PostingArena,
+    arena: PostingArena<SlotId>,
+    /// The queries filed once under their cold posting terms.
+    cold: ColdPostings,
     /// Slab of stored queries; posting lists reference its live slots.
     slab: QuerySlab,
     /// The shared term table used to pick the least frequent keyword at
-    /// insertion (see the module docs).
+    /// insertion and to class it hot or cold (see the module docs).
     stats: Arc<TermStats>,
     /// Counters for the matching work performed (used by the load model).
     matches_checked: u64,
@@ -124,6 +143,7 @@ impl Gi2Index {
     fn empty(grid: UniformGrid, stats: Arc<TermStats>) -> Self {
         let cells = vec![CellIndex::new(); grid.num_cells()];
         Self {
+            cold: ColdPostings::new(&grid),
             grid,
             cells,
             arena: PostingArena::default(),
@@ -137,8 +157,18 @@ impl Gi2Index {
 
     /// Sets the term table used for least-frequent-keyword selection: the
     /// routing table's, so that worker and dispatcher pick the same posting
-    /// terms.
+    /// terms. The table also classes each posting term hot or cold, so it
+    /// is set on an empty index.
+    ///
+    /// # Panics
+    ///
+    /// If the index holds a query.
     pub fn set_term_stats(&mut self, stats: impl Into<Arc<TermStats>>) {
+        assert_eq!(
+            self.num_queries(),
+            0,
+            "the term table classes posting terms: set it before the first insert"
+        );
         self.stats = stats.into();
     }
 
@@ -194,9 +224,11 @@ impl Gi2Index {
     }
 
     /// Inserts an STS query (Section IV-D posting rule): it is posted in
-    /// every cell its region overlaps. Re-inserting an existing id replaces
-    /// the previous version. Into warm tables (a free slot, entries and
-    /// arena indices to reuse) a paper-shaped query allocates nothing.
+    /// every cell its region overlaps under its hot posting terms, and filed
+    /// once with its block of cells under its cold ones. Re-inserting an
+    /// existing id replaces the previous version. Into warm tables (a free
+    /// slot, entries and arena indices to reuse) a paper-shaped query
+    /// allocates nothing.
     pub fn insert(&mut self, query: StsQuery) {
         self.delete_by_id(query.id);
         let posting_terms = query
@@ -210,13 +242,27 @@ impl Gi2Index {
             slab,
             cells,
             arena,
+            cold,
             grid,
+            stats,
             ..
         } = self;
         let sq = slab.get_live(slot).expect("slot was just filled");
+        let block = cold_block(grid, sq);
+        for &t in sq.posting_terms.iter() {
+            if let Some(block) = block.filter(|_| cold.is_cold(stats, t)) {
+                cold.file(t, ColdPosting { block, slot });
+            }
+        }
         let bytes = sq.bytes();
         for cell in sq.cells(grid) {
-            cells[grid.cell_index(cell)].post(slot, &sq.posting_terms, bytes, arena);
+            let cell = &mut cells[grid.cell_index(cell)];
+            for &t in sq.posting_terms.iter() {
+                if block.is_none() || !cold.is_cold(stats, t) {
+                    cell.post(t, slot, arena);
+                }
+            }
+            cell.note_added(bytes);
         }
     }
 
@@ -227,18 +273,35 @@ impl Gi2Index {
     }
 
     /// Deletes a query by id: unposts it from every (cell, posting term)
-    /// entry it was posted under — one probe per entry, no allocation — and
-    /// frees its slot. Returns false if the id was not stored.
+    /// entry and cold list it was filed in — one probe per entry or list,
+    /// no allocation — and frees its slot. Returns false if the id was not
+    /// stored.
     pub fn delete_by_id(&mut self, id: QueryId) -> bool {
         let Some(slot) = self.slab.find(id) else {
             return false;
         };
         let old = self.slab.free_live(slot);
+        let Gi2Index {
+            cells,
+            arena,
+            cold,
+            grid,
+            stats,
+            ..
+        } = self;
+        let block = cold_block(grid, &old);
+        for &t in old.posting_terms.iter() {
+            if block.is_some() && cold.is_cold(stats, t) {
+                cold.unfile(t, slot);
+            }
+        }
         let bytes = old.bytes();
-        for cell in old.cells(&self.grid) {
-            let cell = &mut self.cells[self.grid.cell_index(cell)];
+        for cell in old.cells(grid) {
+            let cell = &mut cells[grid.cell_index(cell)];
             for &t in old.posting_terms.iter() {
-                cell.unpost(t, slot, &mut self.arena);
+                if block.is_none() || !cold.is_cold(stats, t) {
+                    cell.unpost(t, slot, arena);
+                }
             }
             cell.note_removed(bytes);
         }
@@ -270,10 +333,11 @@ impl Gi2Index {
                 let osig = terms_signature(&object.terms);
                 scratch.next_epoch();
                 Self::match_in_cell(
-                    &mut self.cells,
+                    &mut self.cells[idx],
                     &self.arena,
+                    &self.cold,
                     &self.slab,
-                    idx,
+                    cell,
                     object,
                     osig,
                     scratch,
@@ -287,18 +351,20 @@ impl Gi2Index {
     }
 
     /// The candidate loop of one object in one cell: walks the posting lists
-    /// of the object's terms, prefiltering candidates by signature,
+    /// of the object's terms — the cell's entry, then the cold postings
+    /// whose block holds the cell — prefiltering candidates by signature,
     /// deduplicating via the scratch epoch and running the full check only
-    /// on survivors. Each list walked records one object hit.
+    /// on survivors. Each entry walked records one object hit.
     ///
     /// The caller must have prepared the scratch for this object (visit
     /// array sized to the slab, dedup epoch bumped).
     #[allow(clippy::too_many_arguments)]
     fn match_in_cell(
-        cells: &mut [CellIndex],
-        arena: &PostingArena,
+        cell_index: &mut CellIndex,
+        arena: &PostingArena<SlotId>,
+        cold: &ColdPostings,
         slab: &QuerySlab,
-        idx: usize,
+        cell: CellId,
         object: &SpatioTextualObject,
         osig: u64,
         scratch: &mut MatchScratch,
@@ -307,34 +373,43 @@ impl Gi2Index {
     ) {
         let sigs = slab.signatures();
         let slots = slab.slots();
-        let cell_index = &mut cells[idx];
-        for &term in &object.terms {
-            let Some(entry) = cell_index.traverse(term) else {
-                continue;
+        let mut candidate = |s: SlotId| {
+            let si = s.index();
+            if sigs[si] & !osig != 0 {
+                // The object provably misses a required keyword.
+                *signature_rejections += 1;
+                return;
+            }
+            if !scratch.first_visit(s) {
+                return;
+            }
+            *matches_checked += 1;
+            let Slot::Live(sq) = &slots[si] else {
+                unreachable!("posting of a free slot");
             };
-            for &s in entry.slots(arena) {
-                let si = s.index();
-                if sigs[si] & !osig != 0 {
-                    // The object provably misses a required keyword.
-                    *signature_rejections += 1;
-                    continue;
+            if sq.query.matches(object) {
+                scratch.results.push(MatchResult::new(
+                    sq.query.id,
+                    sq.query.subscriber,
+                    object.id,
+                ));
+            }
+        };
+        let cell_bit = cold.cell_bit(cell);
+        for &term in &object.terms {
+            if let Some(entry) = cell_index.traverse(term) {
+                for &s in entry.slots(arena) {
+                    candidate(s);
                 }
-                if !scratch.first_visit(s) {
-                    continue;
-                }
-                *matches_checked += 1;
-                let Slot::Live(sq) = &slots[si] else {
-                    unreachable!("posting of a free slot");
-                };
-                if sq.query.matches(object) {
-                    scratch.results.push(MatchResult::new(
-                        sq.query.id,
-                        sq.query.subscriber,
-                        object.id,
-                    ));
+                entry.note_object_hit();
+            }
+            if cold.may_cover(term, cell_bit) {
+                for p in cold.postings(term) {
+                    if p.block.contains(cell) {
+                        candidate(p.slot);
+                    }
                 }
             }
-            entry.note_object_hit();
         }
     }
 
@@ -360,18 +435,62 @@ impl Gi2Index {
 
     /// Per-term statistics of one cell (queries posted and recent object
     /// hits), consumed by the Phase-I text-split decision of the local load
-    /// adjustment.
+    /// adjustment. A cold term lists its cold-filed queries covering the
+    /// cell too, with no object hits for them (see [`CellTermStat`]).
     pub fn cell_term_stats(&self, cell: CellId) -> Vec<CellTermStat> {
         let mut out = Vec::new();
         self.cell_term_stats_with(cell, |s| out.push(s));
         out
     }
 
-    /// Streams one cell's per-term statistics to `f` without building an
-    /// intermediate collection (the controller-path variant of
-    /// [`Gi2Index::cell_term_stats`]).
-    pub fn cell_term_stats_with<F: FnMut(CellTermStat)>(&self, cell: CellId, f: F) {
-        self.cells[self.grid.cell_index(cell)].for_each_term_stat(&self.arena, f);
+    /// Streams one cell's per-term statistics to `f` (see
+    /// [`Gi2Index::cell_term_stats`]). It costs what a report of every cell
+    /// costs; to report many cells, use [`Gi2Index::for_each_cell_term_stat`].
+    pub fn cell_term_stats_with<F: FnMut(CellTermStat)>(&self, cell: CellId, mut f: F) {
+        self.for_each_cell_term_stat(|c, stat| {
+            if c == cell {
+                f(stat);
+            }
+        });
+    }
+
+    /// Streams the per-term statistics of every cell to `f`, cells in
+    /// row-major order, at the cost of one pass over the cold postings: per
+    /// cell, each entry's counts plus its term's cold postings covering the
+    /// cell, then the cold terms with no entry there.
+    pub fn for_each_cell_term_stat<F: FnMut(CellId, CellTermStat)>(&self, mut f: F) {
+        // (cell index, term) once per cell of each cold posting's block
+        let mut cold: Vec<(usize, TermId)> = Vec::new();
+        self.cold.for_each_posting(|term, p| {
+            cold.extend(p.block.cells().map(|c| (self.grid.cell_index(c), term)));
+        });
+        cold.sort_unstable();
+        let mut rest = &cold[..];
+        for (idx, entries) in self.cells.iter().enumerate() {
+            let (here, after) = rest.split_at(rest.partition_point(|&(i, _)| i == idx));
+            rest = after;
+            let cell = self.grid.cell_from_index(idx);
+            entries.for_each_term_stat(&self.arena, |mut stat| {
+                let lo = here.partition_point(|&(_, t)| t < stat.term);
+                let hi = here.partition_point(|&(_, t)| t <= stat.term);
+                stat.queries += (hi - lo) as u64;
+                f(cell, stat);
+            });
+            for run in here.chunk_by(|a, b| a == b) {
+                let term = run[0].1;
+                if !entries.has_term(term) {
+                    let queries = run.len() as u64;
+                    f(
+                        cell,
+                        CellTermStat {
+                            term,
+                            queries,
+                            object_hits: 0,
+                        },
+                    );
+                }
+            }
+        }
     }
 
     /// Resets the per-cell object counters (start of a new load period).
@@ -384,41 +503,67 @@ impl Gi2Index {
         self.signature_rejections = 0;
     }
 
-    /// Extracts every live query posted in `cell` that satisfies `filter`,
-    /// removing those postings from the cell. Queries that are still posted
-    /// in other cells of this index remain stored; queries whose last cell
-    /// was extracted are removed entirely; the others record the cell as
-    /// excluded. Returns clones of the extracted queries in id order — this
-    /// is the unit of migration of the dynamic load adjustment (queries are
-    /// migrated cell by cell).
+    /// The slots of the live queries stored in cell `idx` — posted in its
+    /// entries or filed cold with a block holding it — sorted, each once.
+    fn queries_in_cell(&self, idx: usize) -> Vec<SlotId> {
+        let cell = self.grid.cell_from_index(idx);
+        let mut slots = Vec::new();
+        self.cells[idx].distinct_queries_into(&self.arena, &mut slots);
+        self.cold.for_each_posting(|_, p| {
+            if p.block.contains(cell) {
+                slots.push(p.slot);
+            }
+        });
+        slots.sort_unstable();
+        slots.dedup();
+        slots
+    }
+
+    /// Extracts every live query stored in `cell` that satisfies `filter`,
+    /// removing its postings there. Queries that are still posted in other
+    /// cells of this index remain stored; queries whose last cell was
+    /// extracted are removed entirely; the others record the cell as
+    /// excluded, and a query's first excluded cell re-files it per cell
+    /// under its cold posting terms too. Returns clones of the extracted
+    /// queries in id order — this is the unit of migration of the dynamic
+    /// load adjustment (queries are migrated cell by cell).
     pub fn extract_cell_where<F: Fn(&StsQuery) -> bool>(
         &mut self,
         cell: CellId,
         filter: F,
     ) -> Vec<StsQuery> {
         let idx = self.grid.cell_index(cell);
-        let mut slots = Vec::new();
-        self.cells[idx].distinct_queries_into(&self.arena, &mut slots);
+        let slots = self.queries_in_cell(idx);
         let mut extracted = Vec::new();
         let Gi2Index {
             slab,
             cells,
             arena,
+            cold,
             grid,
+            stats,
             ..
         } = self;
-        let cell_index = &mut cells[idx];
         for &slot in &slots {
             let sq = slab.get_live_mut(slot).expect("posted slots are live");
             if !filter(&sq.query) {
                 continue;
             }
             extracted.push(sq.query.clone());
-            // Remove this cell's postings for the query.
+            // Remove this cell's postings for the query; cold ones move to
+            // the entries of its other cells.
+            let block = cold_block(grid, sq);
             for &t in sq.posting_terms.iter() {
-                cell_index.unpost(t, slot, arena);
+                if block.is_some() && cold.is_cold(stats, t) {
+                    cold.unfile(t, slot);
+                    for other in sq.cells(grid).filter(|&c| c != cell) {
+                        cells[grid.cell_index(other)].post(t, slot, arena);
+                    }
+                } else {
+                    cells[idx].unpost(t, slot, arena);
+                }
             }
-            cell_index.note_removed(sq.bytes());
+            cells[idx].note_removed(sq.bytes());
             if sq.cells(grid).any(|c| c != cell) {
                 sq.exclude(cell);
             } else {
@@ -435,7 +580,7 @@ impl Gi2Index {
         self.extract_cell_where(cell, |_| true)
     }
 
-    /// Clones every live query posted in `cell` that satisfies `filter`,
+    /// Clones every live query stored in `cell` that satisfies `filter`,
     /// leaving the cell untouched — the unit of **text-split** migration.
     /// A term split moves only some of a cell's terms to another worker;
     /// a query whose representative terms straddle the moved and remaining
@@ -447,10 +592,8 @@ impl Gi2Index {
         cell: CellId,
         filter: F,
     ) -> Vec<StsQuery> {
-        let idx = self.grid.cell_index(cell);
-        let mut slots = Vec::new();
-        self.cells[idx].distinct_queries_into(&self.arena, &mut slots);
-        let mut out: Vec<StsQuery> = slots
+        let mut out: Vec<StsQuery> = self
+            .queries_in_cell(self.grid.cell_index(cell))
             .into_iter()
             .filter_map(|slot| {
                 let sq = self.slab.get_live(slot)?;
@@ -462,11 +605,15 @@ impl Gi2Index {
     }
 
     /// Approximate memory footprint of the index in bytes (posting entries,
-    /// spilled lists and the query slab; the shared term table is counted
-    /// with the routing table).
+    /// spilled lists, cold postings and the query slab; the shared term
+    /// table is counted with the routing table).
     pub fn memory_usage(&self) -> usize {
         let cells: usize = self.cells.iter().map(CellIndex::memory_usage).sum();
-        cells + self.arena.memory_usage() + self.slab.memory_usage() + std::mem::size_of::<Self>()
+        cells
+            + self.arena.memory_usage()
+            + self.cold.memory_usage()
+            + self.slab.memory_usage()
+            + std::mem::size_of::<Self>()
     }
 
     /// Iterates over all live queries, in slab order (used by the snapshot
@@ -474,6 +621,18 @@ impl Gi2Index {
     pub fn queries(&self) -> impl Iterator<Item = &StsQuery> + '_ {
         self.slab.iter_live().map(|(_, sq)| &sq.query)
     }
+}
+
+/// The block of cells a stored query's cold posting terms are filed with:
+/// its region's, while no cell of it is excluded. `None` when the query is
+/// posted per cell under every posting term (an excluded cell re-filed it,
+/// or its region misses the grid).
+fn cold_block(grid: &UniformGrid, sq: &StoredQuery) -> Option<CellBlock> {
+    if !sq.excluded.is_empty() {
+        return None;
+    }
+    let (lo, hi) = grid.cell_span(&sq.query.region)?;
+    Some(CellBlock::new(lo, hi))
 }
 
 #[cfg(test)]
@@ -490,21 +649,45 @@ impl Gi2Index {
         results
     }
 
-    /// Panics unless the postings, the arena and the slab agree exactly:
+    /// Whether an extraction re-filed some query per cell under a cold
+    /// posting term: the one case in which an object's results can come in
+    /// another order than over an empty term table (a re-filed query sits
+    /// in the cell's entry, which is walked before the cold list).
+    pub(crate) fn holds_refiled_cold_postings(&self) -> bool {
+        self.slab.iter_live().any(|(_, sq)| {
+            !sq.excluded.is_empty()
+                && sq
+                    .posting_terms
+                    .iter()
+                    .any(|&t| self.cold.is_cold(&self.stats, t))
+        })
+    }
+
+    /// Panics unless the postings, the arena, the cold store and the slab
+    /// agree exactly:
     /// * every posted slot is live, and posted at most once per list;
     /// * every live query is posted in exactly its region's cells minus its
-    ///   exclusions, times its posting terms;
+    ///   exclusions, times its per-cell posting terms;
+    /// * a query with no excluded cell has one cold posting, with its
+    ///   region's block, under each cold posting term, and a query with an
+    ///   excluded cell has none;
+    /// * every cold posting is a live query's, and every cold term's mask
+    ///   is the OR of its postings' coarse cells;
     /// * each cell's `num_queries` and `query_bytes` equal a recount of the
-    ///   live queries posted there;
+    ///   live queries stored there, however they are filed;
     /// * every live arena list is referenced by exactly one entry and holds
-    ///   at least 3 slots, and every released list is empty and listed once;
+    ///   at least 3 slots (2 cold postings), and every released list is
+    ///   empty and listed once;
     /// * the slab's capacity is its live slots plus its free list.
     pub(crate) fn audit(&self) {
         self.slab.audit();
+        self.cold.audit();
         let mut queries = vec![0usize; self.cells.len()];
         let mut bytes = vec![0usize; self.cells.len()];
         let mut expected = 0usize;
+        let mut expected_cold = 0usize;
         for (slot, sq) in self.slab.iter_live() {
+            let id = sq.query.id;
             for (i, &cell) in sq.excluded.iter().enumerate() {
                 let mut overlaps = self.grid.cells_overlapping_iter(&sq.query.region);
                 assert!(
@@ -513,18 +696,48 @@ impl Gi2Index {
                 );
                 assert!(!sq.excluded[..i].contains(&cell), "{cell:?} excluded twice");
             }
+            let block = cold_block(&self.grid, sq);
+            let filed_cold = |t: TermId| block.is_some() && self.cold.is_cold(&self.stats, t);
+            for &t in sq.posting_terms.iter() {
+                let filed: Vec<ColdPosting> = self
+                    .cold
+                    .postings(t)
+                    .iter()
+                    .filter(|p| p.slot == slot)
+                    .copied()
+                    .collect();
+                if let Some(block) = block.filter(|_| filed_cold(t)) {
+                    assert_eq!(filed, [ColdPosting { block, slot }], "{id:?} under {t:?}");
+                    expected_cold += 1;
+                } else {
+                    assert!(filed.is_empty(), "{id:?} filed cold under {t:?}");
+                }
+            }
             for cell in sq.cells(&self.grid) {
                 let idx = self.grid.cell_index(cell);
                 queries[idx] += 1;
                 bytes[idx] += sq.bytes();
-                for &t in sq.posting_terms.iter() {
+                for &t in sq.posting_terms.iter().filter(|&&t| !filed_cold(t)) {
                     let list = self.cells[idx].postings(t, &self.arena).unwrap_or_default();
                     let n = list.iter().filter(|&&s| s == slot).count();
-                    assert_eq!(n, 1, "{:?} in {cell:?} under {t:?}", sq.query.id);
+                    assert_eq!(n, 1, "{id:?} in {cell:?} under {t:?}");
                     expected += 1;
                 }
             }
         }
+        let mut filed_cold = 0usize;
+        self.cold.for_each_posting(|term, p| {
+            assert!(
+                self.slab.get_live(p.slot).is_some(),
+                "free {:?} filed under {term:?}",
+                p.slot
+            );
+            filed_cold += 1;
+        });
+        assert_eq!(
+            filed_cold, expected_cold,
+            "cold postings beyond the live queries' own"
+        );
         let mut posted = 0usize;
         let mut spilled_lists = Vec::new();
         for cell in self.grid.all_cells() {
@@ -543,7 +756,7 @@ impl Gi2Index {
             assert_eq!(c.query_bytes(), bytes[idx], "query_bytes of {cell:?}");
         }
         assert_eq!(posted, expected, "postings beyond the live queries' own");
-        self.arena.audit(&spilled_lists);
+        self.arena.audit(&spilled_lists, 3);
     }
 }
 
@@ -1142,5 +1355,127 @@ mod tests {
         let _ = idx.match_one(&object(1, &[1], 5.0, 5.0));
         assert_eq!(idx.objects_processed(), 1);
         assert_eq!(idx.matches_checked(), 1);
+    }
+
+    /// A term table of 1,000 objects that each carry every term of `hot`:
+    /// every other term is cold.
+    fn calibrated(hot: &[u32]) -> TermStats {
+        let mut stats = TermStats::new();
+        let terms: Vec<ps2stream_text::TermId> =
+            hot.iter().map(|&t| ps2stream_text::TermId(t)).collect();
+        for _ in 0..1_000 {
+            stats.observe(&terms);
+        }
+        stats
+    }
+
+    /// An index over [`calibrated`]`(hot)`.
+    fn calibrated_index(hot: &[u32]) -> Gi2Index {
+        let mut idx = Gi2Index::new(config());
+        idx.set_term_stats(calibrated(hot));
+        idx
+    }
+
+    #[test]
+    fn a_cold_term_is_filed_once_and_matches_like_per_cell_postings() {
+        // term 1 is cold, term 2 hot; both queries span 3 × 3 cells
+        let mut plain = Gi2Index::new(config());
+        let mut cold = calibrated_index(&[2]);
+        let region = Rect::from_coords(1.0, 1.0, 9.0, 9.0);
+        for idx in [&mut plain, &mut cold] {
+            idx.insert(query(1, &[1], region));
+            idx.insert(query(2, &[2], region));
+            idx.insert(query(3, &[1, 2], Rect::from_coords(5.0, 5.0, 6.0, 6.0)));
+            idx.audit();
+        }
+        assert!(cold.memory_usage() < plain.memory_usage());
+        assert_eq!(cold.cell_loads(), plain.cell_loads());
+        for (i, (x, y)) in [(2.0, 2.0), (5.5, 5.5), (8.5, 1.5), (20.0, 20.0)]
+            .into_iter()
+            .enumerate()
+        {
+            let o = object(i as u64, &[1, 2], x, y);
+            assert_eq!(
+                cold.match_one(&o),
+                plain.match_one(&o),
+                "object at ({x}, {y})"
+            );
+        }
+        assert_eq!(work_done(&cold).0, work_done(&plain).0);
+        // the cold term lists its queries in every cell of the block, with
+        // no object hits
+        let cell = cold.grid().cell_of(&Point::new(5.5, 5.5)).unwrap();
+        let mut stats = cold.cell_term_stats(cell);
+        stats.sort_by_key(|s| s.term);
+        let t = ps2stream_text::TermId;
+        let stat = |term, queries, object_hits| CellTermStat {
+            term,
+            queries,
+            object_hits,
+        };
+        // query 3 is posted under its rarer term, 1
+        assert_eq!(stats, [stat(t(1), 2, 0), stat(t(2), 1, 1)]);
+        let mut all = Vec::new();
+        cold.for_each_cell_term_stat(|c, s| all.push((c, s)));
+        assert_eq!(all.iter().filter(|(_, s)| s.term == t(1)).count(), 9);
+        assert!(all.iter().any(|&(c, s)| c == cell && s == stats[0]));
+        // deleting gives everything back, for the re-inserts to reuse
+        let full = cold.memory_usage();
+        let queries: Vec<StsQuery> = cold.queries().cloned().collect();
+        for q in &queries {
+            assert!(cold.delete_by_id(q.id));
+        }
+        cold.audit();
+        assert!(cold.cell_term_stats(cell).is_empty());
+        assert!(cold.cell_loads().iter().all(|c| c.queries == 0));
+        for q in queries {
+            cold.insert(q);
+        }
+        assert_eq!(cold.memory_usage(), full);
+    }
+
+    #[test]
+    fn extracting_a_cell_refiles_a_cold_query_per_cell() {
+        let mut idx = calibrated_index(&[]);
+        // spans cells (0,0) and (1,0); term 1 is cold
+        idx.insert(query(1, &[1], Rect::from_coords(0.5, 0.5, 6.5, 1.5)));
+        idx.insert(query(2, &[1], Rect::from_coords(4.5, 0.5, 6.5, 1.5)));
+        let left = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
+        let right = idx.grid().cell_of(&Point::new(5.0, 1.0)).unwrap();
+        assert!(idx
+            .cell_term_stats(right)
+            .iter()
+            .all(|s| s.object_hits == 0));
+        let moved = idx.extract_cell(left);
+        assert_eq!(moved.len(), 1);
+        assert!(idx.holds_refiled_cold_postings());
+        idx.audit();
+        // query 1 now has an entry in the right cell, next to query 2's
+        // cold posting
+        let stats = idx.cell_term_stats(right);
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].queries, 2);
+        assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
+        let mut ids: Vec<QueryId> = idx
+            .match_one(&object(2, &[1], 5.0, 1.0))
+            .iter()
+            .map(|m| m.query_id)
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [QueryId(1), QueryId(2)]);
+        assert_eq!(idx.cell_term_stats(right)[0].object_hits, 1);
+        // extracting the right cell moves both, and leaves nothing
+        assert_eq!(idx.replicate_cell_where(right, |_| true).len(), 2);
+        assert_eq!(idx.extract_cell(right).len(), 2);
+        assert_eq!(idx.num_queries(), 0);
+        idx.audit();
+    }
+
+    #[test]
+    #[should_panic(expected = "set it before the first insert")]
+    fn the_term_table_of_a_non_empty_index_cannot_change() {
+        let mut idx = Gi2Index::new(config());
+        idx.insert(query(1, &[1], Rect::from_coords(0.0, 0.0, 3.0, 3.0)));
+        idx.set_term_stats(calibrated(&[1]));
     }
 }

@@ -57,7 +57,38 @@ mod proptests {
     use proptest::prelude::*;
     use ps2stream_geo::{Point, Rect};
     use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId};
-    use ps2stream_text::{BooleanExpr, TermId};
+    use ps2stream_text::{BooleanExpr, TermId, TermStats};
+    use std::sync::Arc;
+
+    /// The 16 × 16 grid of the generated workloads, over an empty term table.
+    fn index() -> Gi2Index {
+        let bounds = Rect::from_coords(0.0, 0.0, 64.0, 64.0);
+        Gi2Index::new(Gi2Config::new(bounds).with_granularity_exp(4))
+    }
+
+    /// A term table over which terms 0–11 of the 25 generated ones are cold
+    /// and 12–24 hot: term `t` is carried by `t + 8` of 20,000 objects.
+    /// Frequency grows with the id, so every query picks the posting terms
+    /// it picks over an empty table, where ties break towards the lower id.
+    fn half_cold_stats() -> Arc<TermStats> {
+        let mut stats = TermStats::new();
+        for t in 0..25u32 {
+            for _ in 0..t + 8 {
+                stats.observe(&[TermId(t)]);
+            }
+        }
+        while stats.num_docs() < 20_000 {
+            stats.observe(&[]);
+        }
+        Arc::new(stats)
+    }
+
+    /// [`index`] over [`half_cold_stats`].
+    fn half_cold_index(stats: &Arc<TermStats>) -> Gi2Index {
+        let mut index = index();
+        index.set_term_stats(Arc::clone(stats));
+        index
+    }
 
     #[derive(Debug, Clone)]
     struct GenQuery {
@@ -163,10 +194,11 @@ mod proptests {
         /// (the text-split hand-off; the merger would deduplicate).
         Replicate(u32, u32, u32),
         /// Register a run of single-keyword queries that share one keyword
-        /// and one region, so the (cell, term) posting lists they land in
-        /// grow past the two slots an entry holds in place and spill to the
-        /// arena; later deletes and migrations unpost them and shrink the
-        /// lists back into their entries.
+        /// and one region, so the posting lists they land in — per cell for
+        /// a hot keyword, the cold list for a cold one — grow past what an
+        /// entry holds in place and spill to the arena; later deletes and
+        /// migrations unpost them and shrink the lists back into their
+        /// entries.
         HotTerm(Vec<GenQuery>),
     }
 
@@ -269,8 +301,150 @@ mod proptests {
         Ok(())
     }
 
+    /// Applies one op to a pair of indexes as
+    /// `gi2_ops_sequence_matches_brute_force` does (inserts go to the first,
+    /// migrations by parity, replication from the first to the second) and
+    /// returns, in order, what the pair hands out: each matched object's
+    /// results in result order, from both indexes, and the ids each
+    /// migration or replication moves.
+    fn apply(
+        ix: &mut [Gi2Index; 2],
+        op: &Op,
+        scratch: &mut MatchScratch,
+        next_object: &mut u64,
+    ) -> Vec<Vec<QueryId>> {
+        fn flush(
+            ix: &mut [Gi2Index; 2],
+            run: &mut Vec<SpatioTextualObject>,
+            scratch: &mut MatchScratch,
+            out: &mut Vec<Vec<QueryId>>,
+        ) {
+            for index in ix.iter_mut() {
+                index.match_batch(run.iter(), scratch, |_, _, r| {
+                    out.push(r.iter().map(|m| m.query_id).collect());
+                });
+            }
+            run.clear();
+        }
+        fn insert(ix: &mut [Gi2Index; 2], g: &GenQuery) {
+            let q = build_query(g);
+            ix[0].delete_by_id(q.id);
+            ix[1].delete_by_id(q.id);
+            ix[0].insert(q);
+        }
+        fn delete(ix: &mut [Gi2Index; 2], id: u64) {
+            ix[0].delete_by_id(QueryId(id));
+            ix[1].delete_by_id(QueryId(id));
+        }
+        let mut object = |g: &GenObject| {
+            let mut o = build_object(g);
+            o.id = ObjectId(*next_object);
+            *next_object += 1;
+            o
+        };
+        let ids = |queries: &[StsQuery]| queries.iter().map(|q| q.id).collect();
+        let mut out = Vec::new();
+        let mut run = Vec::new();
+        match op {
+            Op::Insert(g) => insert(ix, g),
+            Op::HotTerm(queries) => queries.iter().for_each(|g| insert(ix, g)),
+            Op::Delete(id) => delete(ix, *id),
+            Op::Match(objects) => run.extend(objects.iter().map(object)),
+            Op::Interleaved(items) => {
+                for item in items {
+                    match item {
+                        BatchItem::Obj(g) => run.push(object(g)),
+                        BatchItem::Ins(g) => {
+                            flush(ix, &mut run, scratch, &mut out);
+                            insert(ix, g);
+                        }
+                        BatchItem::Del(id) => {
+                            flush(ix, &mut run, scratch, &mut out);
+                            delete(ix, *id);
+                        }
+                    }
+                }
+            }
+            &Op::Migrate(c, r) => {
+                let (from, to) = if (c + r) % 2 == 0 { (0, 1) } else { (1, 0) };
+                let moved = ix[from].extract_cell(ps2stream_geo::CellId::new(c, r));
+                out.push(ids(&moved));
+                moved.into_iter().for_each(|q| ix[to].insert(q));
+            }
+            &Op::Replicate(c, r, t) => {
+                let cell = ps2stream_geo::CellId::new(c, r);
+                let copies =
+                    ix[0].replicate_cell_where(cell, |q| q.keywords.contains_term(TermId(t)));
+                out.push(ids(&copies));
+                copies.into_iter().for_each(|q| ix[1].insert(q));
+            }
+        }
+        flush(ix, &mut run, scratch, &mut out);
+        out
+    }
+
+    /// Everything an index reports about its load and work: per-cell loads,
+    /// work counters, and per (cell, term) the queries and — for the hot
+    /// terms 12–24 of [`half_cold_stats`] — the object hits (a cold term's
+    /// cold-filed queries count none).
+    #[allow(clippy::type_complexity)]
+    fn loads(
+        index: &Gi2Index,
+    ) -> (
+        Vec<CellLoadStat>,
+        [u64; 3],
+        Vec<(u32, u32, TermId, u64, Option<u64>)>,
+    ) {
+        let mut terms = Vec::new();
+        index.for_each_cell_term_stat(|c, s| {
+            let hits = (s.term.0 >= 12).then_some(s.object_hits);
+            terms.push((c.col, c.row, s.term, s.queries, hits));
+        });
+        terms.sort_unstable();
+        let work = [
+            index.objects_processed(),
+            index.matches_checked(),
+            index.signature_rejections(),
+        ];
+        (index.cell_loads(), work, terms)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Cold filing changes nothing an index hands out. Over one op
+        /// stream, a pair of indexes over an empty table (every term posted
+        /// per cell) and a pair over [`half_cold_stats`] (terms 0–11 filed
+        /// cold) return the same results per object in the same order, move
+        /// the same queries, do the same matching work and report the same
+        /// loads. The one order that may differ is an object's results once
+        /// a migration has re-filed a cold-filed query per cell: the cell's
+        /// entry is walked before the cold list, so the re-filed query can
+        /// come first (see `Gi2Index::holds_refiled_cold_postings`). Those
+        /// results are compared as sets.
+        #[test]
+        fn cold_filing_changes_no_result_and_no_load(
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let stats = half_cold_stats();
+            let mut plain = [index(), index()];
+            let mut cold = [half_cold_index(&stats), half_cold_index(&stats)];
+            let mut scratch = MatchScratch::new();
+            let (mut plain_objects, mut cold_objects) = (0, 0);
+            for op in &ops {
+                let refiled = cold.iter().any(Gi2Index::holds_refiled_cold_postings);
+                let mut want = apply(&mut plain, op, &mut scratch, &mut plain_objects);
+                let mut got = apply(&mut cold, op, &mut scratch, &mut cold_objects);
+                if refiled {
+                    want.iter_mut().chain(&mut got).for_each(|ids| ids.sort_unstable());
+                }
+                prop_assert_eq!(got, want);
+                for (p, c) in plain.iter().zip(&cold) {
+                    prop_assert_eq!(loads(c), loads(p));
+                    c.audit();
+                }
+            }
+        }
 
         /// GI² must return exactly the same matches as a brute-force scan
         /// over all registered queries, for any workload.
@@ -349,9 +523,9 @@ mod proptests {
         ) {
             use ps2stream_geo::CellId;
             use std::collections::BTreeMap;
-            let bounds = Rect::from_coords(0.0, 0.0, 64.0, 64.0);
-            let mut a = Gi2Index::new(Gi2Config::new(bounds).with_granularity_exp(4));
-            let mut b = Gi2Index::new(Gi2Config::new(bounds).with_granularity_exp(4));
+            let stats = half_cold_stats();
+            let mut a = half_cold_index(&stats);
+            let mut b = half_cold_index(&stats);
             let mut model: BTreeMap<u64, StsQuery> = BTreeMap::new();
             let mut scratch = MatchScratch::new();
             let mut next_object = 0u64;
@@ -469,9 +643,9 @@ mod proptests {
             cell_row in 0u32..16,
         ) {
             use ps2stream_geo::CellId;
-            let bounds = Rect::from_coords(0.0, 0.0, 64.0, 64.0);
-            let mut a = Gi2Index::new(Gi2Config::new(bounds).with_granularity_exp(4));
-            let mut b = Gi2Index::new(Gi2Config::new(bounds).with_granularity_exp(4));
+            let stats = half_cold_stats();
+            let mut a = half_cold_index(&stats);
+            let mut b = half_cold_index(&stats);
             let mut reference: Vec<StsQuery> = Vec::new();
             for (i, gq) in queries.iter().enumerate() {
                 let mut q = build_query(gq);
@@ -482,6 +656,8 @@ mod proptests {
             for q in a.extract_cell(CellId::new(cell_col, cell_row)) {
                 b.insert(q);
             }
+            a.audit();
+            b.audit();
             for go in &objects {
                 let o = build_object(go);
                 let mut got: Vec<QueryId> = a

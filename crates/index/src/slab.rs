@@ -230,7 +230,9 @@ impl QuerySlab {
         })
     }
 
-    /// Approximate memory footprint in bytes.
+    /// Approximate memory footprint in bytes, every byte counted once: a
+    /// slot holds its query in place, so a live one adds only the heap
+    /// blocks of its query, exclusions and posting terms.
     pub(crate) fn memory_usage(&self) -> usize {
         let slots: usize = self
             .slots
@@ -240,7 +242,7 @@ impl QuerySlab {
                     + match s {
                         Slot::Free { .. } => 0,
                         Slot::Live(sq) => {
-                            sq.bytes()
+                            sq.bytes() - std::mem::size_of::<StsQuery>()
                                 + std::mem::size_of_val::<[CellId]>(&sq.excluded)
                                 + match &sq.posting_terms {
                                     RepresentativeTerms::Inline { .. } => 0,
@@ -311,6 +313,31 @@ mod tests {
         sq.exclude(all[4]);
         let kept: Vec<CellId> = sq.cells(&grid).collect();
         assert_eq!(kept, [all[0], all[2], all[3], all[5]]);
+    }
+
+    #[test]
+    fn memory_usage_counts_a_stored_query_once() {
+        let per_slot = std::mem::size_of::<Slot>()
+            + std::mem::size_of::<u64>()
+            + std::mem::size_of::<u32>()
+            + std::mem::size_of::<(QueryId, SlotId)>()
+            + 16;
+        let mut slab = QuerySlab::new();
+        // a one-keyword query keeps everything in its slot
+        let one = slab.insert(stored(1), 0);
+        assert!(std::mem::size_of::<Slot>() >= std::mem::size_of::<StsQuery>());
+        assert_eq!(slab.memory_usage(), per_slot);
+        // a longer expression adds its heap block, and nothing else
+        let mut long = stored(2);
+        long.query.keywords = BooleanExpr::and_of((1..=12).map(TermId));
+        let heap = long.query.memory_usage() - std::mem::size_of::<StsQuery>();
+        assert!(heap > 0);
+        slab.insert(long, 0);
+        assert_eq!(slab.memory_usage(), 2 * per_slot + heap);
+        // a freed slot keeps its slot and side arrays, not its id-map bucket
+        slab.free_live(one);
+        let bucket = std::mem::size_of::<(QueryId, SlotId)>() + 16;
+        assert_eq!(slab.memory_usage(), 2 * per_slot - bucket + heap);
     }
 
     #[test]
