@@ -102,10 +102,10 @@ pub struct SystemConfig {
     /// unaffected; only channel traffic is amortized. `1` reproduces the
     /// previous record-at-a-time behaviour. **Default: 16.**
     pub batch_size: usize,
-    /// Grid granularity exponent of the workers' GI² indexes (2⁶×2⁶ in the
-    /// paper). The dispatchers' gridt routing grid is the partitioner's own
-    /// `grid_exp`, which is at most
-    /// [`MAX_GRID_EXP`](ps2stream_partition::text::MAX_GRID_EXP).
+    /// Has no effect: every worker's GI² index uses the routing table's
+    /// grid, whose granularity is the partitioner's own `grid_exp` (at most
+    /// [`MAX_GRID_EXP`](ps2stream_partition::text::MAX_GRID_EXP)). Kept
+    /// only because the benchmark crate, whose sources are frozen, sets it.
     pub grid_exp: u32,
     /// Cost constants of the load model.
     pub costs: CostConstants,

@@ -25,7 +25,7 @@ use crate::metrics::SystemMetrics;
 use crate::supervisor::Supervisor;
 use parking_lot::RwLock;
 use ps2stream_balance::{
-    DpSelector, GreedySelector, LocalAdjuster, LocalAdjusterConfig, MigrationMove,
+    CellLoadInfo, DpSelector, GreedySelector, LocalAdjuster, LocalAdjusterConfig, MigrationMove,
     MigrationSelector, RandomSelector, SizeSelector, WorkerLoadInfo,
 };
 use ps2stream_geo::CellId;
@@ -209,13 +209,22 @@ impl AdjustmentController {
         let Some((hi, lo)) = self.adjuster.detect_imbalance(&loads) else {
             return false;
         };
-        let overloaded = WorkerLoadInfo {
-            worker: reports[hi].worker,
-            cells: reports[hi].cells.clone(),
-        };
-        let underloaded = WorkerLoadInfo {
-            worker: reports[lo].worker,
-            cells: reports[lo].cells.clone(),
+        // a worker cannot tell whether a cell is term-routed; the routing
+        // table can, and Phase I merges only such cells
+        let (overloaded, underloaded) = {
+            let routing = self.routing.read();
+            let load_info = |report: &WorkerStatsReport| WorkerLoadInfo {
+                worker: report.worker,
+                cells: report
+                    .cells
+                    .iter()
+                    .map(|c| CellLoadInfo {
+                        text_split: routing.cell_routing(c.cell).is_text_partitioned(),
+                        ..c.clone()
+                    })
+                    .collect(),
+            };
+            (load_info(&reports[hi]), load_info(&reports[lo]))
         };
         #[expect(
             clippy::disallowed_methods,
@@ -323,7 +332,6 @@ impl AdjustmentController {
 mod tests {
     use super::*;
     use crate::messages::WorkerStatsReport;
-    use ps2stream_balance::CellLoadInfo;
     use ps2stream_geo::Rect;
     use ps2stream_partition::WorkerLoad;
     use ps2stream_stream::unbounded;
@@ -619,6 +627,82 @@ mod tests {
         };
         assert_eq!(controller.apply_plan(&[split, whole]), 0);
         assert!(rxs.iter().all(|rx| rx.try_recv().is_err()));
+    }
+
+    #[test]
+    fn a_term_routed_cell_both_workers_hold_is_merged() {
+        let metrics = SystemMetrics::new(2);
+        let mut table = routing_two_workers();
+        let cell = CellId::new(0, 0);
+        // cell (0,0) routes term 1 to worker 1 and term 2 to worker 0
+        for term in [1, 2] {
+            table.route_insert(&ps2stream_model::StsQuery::new(
+                ps2stream_model::QueryId(term.into()),
+                ps2stream_model::SubscriberId(0),
+                ps2stream_text::BooleanExpr::single(TermId(term)),
+                Rect::from_coords(0.5, 0.5, 1.0, 1.0),
+            ));
+        }
+        table.split_cell_by_terms(cell, &HashSet::from([TermId(1)]), WorkerId(1));
+        let routing = Arc::new(RwLock::new(table));
+        let share = |objects, queries, size| CellLoadInfo {
+            cell,
+            objects,
+            queries,
+            size,
+            text_split: false,
+            term_loads: vec![],
+        };
+        // both shares see every object of the cell, so merging them pays;
+        // worker 0's other cell alone would balance the pair more cheaply
+        let heavy = WorkerStatsReport {
+            worker: WorkerId(0),
+            load: WorkerLoad::new(1_000, 100, 0),
+            cells: vec![
+                share(100, 10, 1_000),
+                CellLoadInfo {
+                    cell: CellId::new(1, 0),
+                    ..share(100, 50, 100)
+                },
+            ],
+            indexed_queries: 60,
+            memory_bytes: 1_100,
+        };
+        let light = WorkerStatsReport {
+            worker: WorkerId(1),
+            load: WorkerLoad::new(10, 1, 0),
+            cells: vec![share(100, 10, 1_000)],
+            indexed_queries: 10,
+            memory_bytes: 1_000,
+        };
+        let (tx0, h0) = fake_worker(heavy);
+        let (tx1, h1) = fake_worker(light);
+        let mut controller = controller(
+            Arc::clone(&routing),
+            vec![tx0.clone(), tx1.clone()],
+            &metrics,
+        );
+        assert!(run_round(&mut controller));
+        tx0.send(WorkerMessage::Shutdown).unwrap();
+        tx1.send(WorkerMessage::Shutdown).unwrap();
+        let to_w0 = h0.join().unwrap();
+        h1.join().unwrap();
+        // worker 0 hands its share of the cell, term 2, to worker 1
+        assert!(
+            to_w0.iter().any(|m| matches!(
+                m,
+                WorkerMessage::MigrateCell { cell: c, terms: Some(terms), to: WorkerId(1) }
+                    if *c == cell && *terms == [TermId(2)]
+            )),
+            "the term-routed cell was not merged: {to_w0:?}"
+        );
+        let routing = routing.read();
+        for term in [1, 2] {
+            assert_eq!(
+                routing.cell_routing(cell).worker_for(TermId(term)),
+                WorkerId(1)
+            );
+        }
     }
 
     #[test]

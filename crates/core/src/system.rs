@@ -16,6 +16,7 @@ use crate::metrics::{PersistenceReport, RunReport, SystemMetrics};
 use crate::supervisor::{Supervisor, WorkerFaults};
 use crate::worker::Worker;
 use parking_lot::RwLock;
+use ps2stream_geo::UniformGrid;
 use ps2stream_index::{Gi2Config, Gi2Index};
 use ps2stream_model::{MatchResult, StreamRecord};
 use ps2stream_partition::{HybridPartitioner, Partitioner, RoutingTable, WorkloadSample};
@@ -39,6 +40,9 @@ pub enum SystemError {
     /// was still drained and joined before this was returned, so the caller
     /// can inspect metrics or relaunch instead of unwinding.
     ExecutorPanicked(String),
+    /// The routing grid is not a `2^k × 2^k` grid, so the workers' GI²
+    /// indexes cannot use it. The payload is its columns and rows.
+    UnsupportedGrid(u32, u32),
 }
 
 impl std::fmt::Display for SystemError {
@@ -48,6 +52,10 @@ impl std::fmt::Display for SystemError {
                 "Ps2StreamBuilder::start requires a calibration sample or an explicit routing table",
             ),
             Self::ExecutorPanicked(name) => write!(f, "executor '{name}' panicked"),
+            Self::UnsupportedGrid(nx, ny) => write!(
+                f,
+                "a GI² index needs a 2^k x 2^k routing grid, got {nx} x {ny} cells"
+            ),
         }
     }
 }
@@ -122,7 +130,9 @@ impl Ps2StreamBuilder {
     }
 
     /// Like [`Ps2StreamBuilder::start`], but reports a missing calibration
-    /// source as [`SystemError::MissingCalibration`] instead of panicking.
+    /// source as [`SystemError::MissingCalibration`] and a routing grid the
+    /// workers cannot index on as [`SystemError::UnsupportedGrid`] instead
+    /// of panicking.
     pub fn try_start(self) -> Result<RunningSystem, SystemError> {
         let config = self.config;
         let routing = match (self.routing, self.sample) {
@@ -130,8 +140,19 @@ impl Ps2StreamBuilder {
             (None, Some(sample)) => self.partitioner.partition(&sample, config.num_workers),
             (None, None) => return Err(SystemError::MissingCalibration),
         };
-        Ok(RunningSystem::launch(config, routing, self.delivery))
+        let grid = routing.grid();
+        let gi2 = gi2_config(grid).ok_or(SystemError::UnsupportedGrid(grid.nx(), grid.ny()))?;
+        Ok(RunningSystem::launch(config, routing, gi2, self.delivery))
     }
+}
+
+/// The GI² configuration whose grid is `grid`, if GI² can build it: the
+/// workers index on the routing grid, so the cell ids they report are the
+/// ones the routing table and the adjustment controller address.
+fn gi2_config(grid: &UniformGrid) -> Option<Gi2Config> {
+    let exp = grid.nx().trailing_zeros();
+    let config = Gi2Config::new(grid.bounds()).with_granularity_exp(exp);
+    (UniformGrid::with_power_of_two(grid.bounds(), exp) == *grid).then_some(config)
 }
 
 /// A running PS2Stream deployment.
@@ -169,6 +190,7 @@ impl RunningSystem {
     fn launch(
         config: SystemConfig,
         routing: RoutingTable,
+        gi2: Gi2Config,
         delivery: Option<Sender<MatchResult>>,
     ) -> Self {
         assert!(config.num_workers > 0, "at least one worker is required");
@@ -179,7 +201,6 @@ impl RunningSystem {
         assert!(config.num_mergers > 0, "at least one merger is required");
         let mut runtime = Runtime::new(&config.runtime);
         let metrics = SystemMetrics::new(config.num_workers);
-        let bounds = routing.grid().bounds();
         // the one posting-term table: every worker's index shares it
         let stats = Arc::clone(routing.object_stats());
         let routing = Arc::new(RwLock::new(routing));
@@ -255,8 +276,7 @@ impl RunningSystem {
             .and_then(|plan| plan.edge_fault(FaultRole::Worker, FaultRole::Merger));
         let mut workers = Vec::with_capacity(config.num_workers);
         for (i, rx) in worker_rxs.into_iter().enumerate() {
-            let mut index =
-                Gi2Index::new(Gi2Config::new(bounds).with_granularity_exp(config.grid_exp));
+            let mut index = Gi2Index::new(gi2.clone());
             index.set_term_stats(Arc::clone(&stats));
             // worker → merger drop/delay faults ride a per-worker channel shim
             let merger_txs = match (worker_merger_fault, &faults) {
@@ -647,6 +667,17 @@ mod tests {
     #[should_panic(expected = "requires a calibration sample")]
     fn builder_requires_sample_or_table() {
         let _ = Ps2StreamBuilder::new(SystemConfig::default()).start();
+    }
+
+    #[test]
+    fn a_routing_grid_gi2_cannot_index_on_is_an_error() {
+        let grid = UniformGrid::new(ps2stream_geo::Rect::from_coords(0.0, 0.0, 8.0, 8.0), 4, 2);
+        let cells = vec![ps2stream_partition::CellRouting::Single(ps2stream_model::WorkerId(0)); 8];
+        let routing = RoutingTable::new(grid, cells, 1, Arc::default(), "test");
+        let started = Ps2StreamBuilder::new(SystemConfig::default())
+            .with_routing_table(routing)
+            .try_start();
+        assert_eq!(started.err(), Some(SystemError::UnsupportedGrid(4, 2)));
     }
 
     #[test]

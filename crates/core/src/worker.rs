@@ -569,6 +569,7 @@ impl Worker {
                 objects: c.objects,
                 queries: c.queries as u64,
                 size: c.bytes as u64,
+                // the controller reads this from the routing table
                 text_split: false,
                 term_loads: Vec::new(),
             })

@@ -16,13 +16,12 @@
 //!
 //! The per-object hot loop is allocation-free in steady state:
 //!
-//! * queries live in a generational `QuerySlab` (see [`crate::slab`]); posting
-//!   lists carry dense `u32` slot ids, so candidate **verification is an
-//!   array index** (no `HashMap<QueryId, _>` probe per candidate);
-//! * each stored query carries a 64-bit **term signature**
-//!   ([`BooleanExpr::signature`](ps2stream_text::BooleanExpr::signature));
-//!   most non-matching candidates are rejected by one `AND` against the
-//!   object's signature before the full boolean/spatial check runs;
+//! * queries live in a `QuerySlab` (see [`crate::slab`]); posting lists
+//!   carry dense `u32` slot ids, so fetching a candidate is an array index
+//!   (no `HashMap<QueryId, _>` probe per candidate);
+//! * a candidate is checked in one step: the first time an object reaches
+//!   its slot, the query itself is verified against the object
+//!   ([`StsQuery::matches`]);
 //! * per-object state (candidate dedup, result buffer) lives in a reusable
 //!   [`MatchScratch`] — dedup is an epoch-stamped visit array, cleared by
 //!   bumping an epoch counter;
@@ -62,7 +61,7 @@ use crate::scratch::MatchScratch;
 use crate::slab::{QuerySlab, Slot, SlotId, StoredQuery};
 use ps2stream_geo::{CellId, Rect, UniformGrid};
 use ps2stream_model::{MatchResult, QueryId, SpatioTextualObject, StsQuery};
-use ps2stream_text::{terms_signature, TermId, TermStats};
+use ps2stream_text::{TermId, TermStats};
 use std::sync::Arc;
 
 /// Configuration of a GI² index.
@@ -129,8 +128,6 @@ pub struct Gi2Index {
     /// Counters for the matching work performed (used by the load model).
     matches_checked: u64,
     objects_processed: u64,
-    /// Candidates rejected by the 64-bit signature prefilter alone.
-    signature_rejections: u64,
 }
 
 impl Gi2Index {
@@ -151,7 +148,6 @@ impl Gi2Index {
             stats,
             matches_checked: 0,
             objects_processed: 0,
-            signature_rejections: 0,
         }
     }
 
@@ -193,9 +189,8 @@ impl Gi2Index {
         self.slab.find(id).is_some()
     }
 
-    /// Total number of candidate query evaluations performed so far (full
-    /// boolean/spatial checks; signature-rejected candidates are not
-    /// counted — see [`Gi2Index::signature_rejections`]).
+    /// Total number of candidate query evaluations performed so far: one
+    /// full boolean/spatial check per distinct candidate of each object.
     pub fn matches_checked(&self) -> u64 {
         self.matches_checked
     }
@@ -205,22 +200,10 @@ impl Gi2Index {
         self.objects_processed
     }
 
-    /// Candidates rejected by the signature prefilter alone since the last
-    /// counter reset (diagnostics for the prefilter's selectivity).
+    /// Always 0: matching has no candidate prefilter. Kept only because the
+    /// benchmark crate, whose sources are frozen, reads it.
     pub fn signature_rejections(&self) -> u64 {
-        self.signature_rejections
-    }
-
-    /// Number of slab slots ever allocated (live + free) — exposed for tests
-    /// and memory diagnostics.
-    pub fn slab_capacity(&self) -> usize {
-        self.slab.capacity()
-    }
-
-    /// The slab slot currently backing a query id, with its reuse
-    /// generation — exposed for tests and diagnostics.
-    pub fn slot_of(&self, id: QueryId) -> Option<(u32, u32)> {
-        self.slab.find(id).map(|s| (s.0, self.slab.generation(s)))
+        0
     }
 
     /// Inserts an STS query (Section IV-D posting rule): it is posted in
@@ -234,10 +217,7 @@ impl Gi2Index {
         let posting_terms = query
             .keywords
             .representative_terms(|t| self.stats.frequency(t));
-        let sig = query.keywords.signature();
-        let slot = self
-            .slab
-            .insert(StoredQuery::new(query, posting_terms), sig);
+        let slot = self.slab.insert(StoredQuery::new(query, posting_terms));
         let Gi2Index {
             slab,
             cells,
@@ -330,7 +310,6 @@ impl Gi2Index {
             if let Some(cell) = self.grid.cell_of(&object.location) {
                 let idx = self.grid.cell_index(cell);
                 self.cells[idx].record_object();
-                let osig = terms_signature(&object.terms);
                 scratch.next_epoch();
                 Self::match_in_cell(
                     &mut self.cells[idx],
@@ -339,10 +318,8 @@ impl Gi2Index {
                     &self.slab,
                     cell,
                     object,
-                    osig,
                     scratch,
                     &mut self.matches_checked,
-                    &mut self.signature_rejections,
                 );
             }
             sink(i, object, &scratch.results);
@@ -352,9 +329,9 @@ impl Gi2Index {
 
     /// The candidate loop of one object in one cell: walks the posting lists
     /// of the object's terms — the cell's entry, then the cold postings
-    /// whose block holds the cell — prefiltering candidates by signature,
-    /// deduplicating via the scratch epoch and running the full check only
-    /// on survivors. Each entry walked records one object hit.
+    /// whose block holds the cell — deduplicating candidates via the scratch
+    /// epoch and checking each distinct one against the object. Each entry
+    /// walked records one object hit.
     ///
     /// The caller must have prepared the scratch for this object (visit
     /// array sized to the slab, dedup epoch bumped).
@@ -366,25 +343,16 @@ impl Gi2Index {
         slab: &QuerySlab,
         cell: CellId,
         object: &SpatioTextualObject,
-        osig: u64,
         scratch: &mut MatchScratch,
         matches_checked: &mut u64,
-        signature_rejections: &mut u64,
     ) {
-        let sigs = slab.signatures();
         let slots = slab.slots();
         let mut candidate = |s: SlotId| {
-            let si = s.index();
-            if sigs[si] & !osig != 0 {
-                // The object provably misses a required keyword.
-                *signature_rejections += 1;
-                return;
-            }
             if !scratch.first_visit(s) {
                 return;
             }
             *matches_checked += 1;
-            let Slot::Live(sq) = &slots[si] else {
+            let Slot::Live(sq) = &slots[s.index()] else {
                 unreachable!("posting of a free slot");
             };
             if sq.query.matches(object) {
@@ -437,21 +405,17 @@ impl Gi2Index {
     /// hits), consumed by the Phase-I text-split decision of the local load
     /// adjustment. A cold term lists its cold-filed queries covering the
     /// cell too, with no object hits for them (see [`CellTermStat`]).
+    ///
+    /// It costs what a report of every cell costs; to report many cells, use
+    /// [`Gi2Index::for_each_cell_term_stat`].
     pub fn cell_term_stats(&self, cell: CellId) -> Vec<CellTermStat> {
         let mut out = Vec::new();
-        self.cell_term_stats_with(cell, |s| out.push(s));
-        out
-    }
-
-    /// Streams one cell's per-term statistics to `f` (see
-    /// [`Gi2Index::cell_term_stats`]). It costs what a report of every cell
-    /// costs; to report many cells, use [`Gi2Index::for_each_cell_term_stat`].
-    pub fn cell_term_stats_with<F: FnMut(CellTermStat)>(&self, cell: CellId, mut f: F) {
         self.for_each_cell_term_stat(|c, stat| {
             if c == cell {
-                f(stat);
+                out.push(stat);
             }
         });
+        out
     }
 
     /// Streams the per-term statistics of every cell to `f`, cells in
@@ -500,7 +464,6 @@ impl Gi2Index {
         }
         self.matches_checked = 0;
         self.objects_processed = 0;
-        self.signature_rejections = 0;
     }
 
     /// The slots of the live queries stored in cell `idx` — posted in its
@@ -842,14 +805,10 @@ mod tests {
 
     /// Everything matching leaves behind in the index, for comparing two
     /// indexes that must have done bit-identical work.
-    fn work_done(idx: &Gi2Index) -> ([u64; 3], usize, usize) {
+    fn work_done(idx: &Gi2Index) -> ([u64; 2], usize, usize) {
         (
-            [
-                idx.objects_processed(),
-                idx.matches_checked(),
-                idx.signature_rejections(),
-            ],
-            idx.slab_capacity(),
+            [idx.objects_processed(), idx.matches_checked()],
+            idx.slab.capacity(),
             idx.memory_usage(),
         )
     }
@@ -1004,7 +963,7 @@ mod tests {
         idx.delete(&q);
         // gone before any object walks the list
         assert!(idx.cell_term_stats(cell).is_empty());
-        assert!(idx.slot_of(QueryId(1)).is_none());
+        assert!(idx.slab.find(QueryId(1)).is_none());
         idx.audit();
         assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
         assert_eq!(idx.matches_checked(), 0);
@@ -1036,19 +995,16 @@ mod tests {
         // q1 lives in one cell, posted under term 1
         let q1 = query(1, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5));
         idx.insert(q1.clone());
-        let (slot1, gen1) = idx.slot_of(QueryId(1)).unwrap();
+        let slot1 = idx.slab.find(QueryId(1)).unwrap();
         idx.delete(&q1);
         assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
-        assert!(idx.slot_of(QueryId(1)).is_none());
+        assert!(idx.slab.find(QueryId(1)).is_none());
 
-        // a different query reuses the freed slot (LIFO free list) with a
-        // bumped generation
+        // a different query reuses the freed slot (LIFO free list)
         let q2 = query(2, &[2], Rect::from_coords(40.0, 40.0, 50.0, 50.0));
         idx.insert(q2);
-        let (slot2, gen2) = idx.slot_of(QueryId(2)).unwrap();
-        assert_eq!(slot2, slot1, "freed slot is reused");
-        assert_eq!(gen2, gen1 + 1, "reuse bumps the generation");
-        assert_eq!(idx.slab_capacity(), 1, "no slab growth on reuse");
+        assert_eq!(idx.slab.find(QueryId(2)), Some(slot1));
+        assert_eq!(idx.slab.capacity(), 1, "no slab growth on reuse");
 
         // an object that matched q1 must not match the reused slot's query
         assert!(idx.match_one(&object(2, &[1], 1.0, 1.0)).is_empty());
@@ -1061,43 +1017,17 @@ mod tests {
         let mut idx = Gi2Index::new(config());
         let q1 = query(1, &[1], Rect::from_coords(0.5, 0.5, 1.5, 1.5));
         idx.insert(q1.clone());
-        let (slot1, gen1) = idx.slot_of(QueryId(1)).unwrap();
+        let slot1 = idx.slab.find(QueryId(1)).unwrap();
         idx.delete(&q1);
-        // no matching traffic: the delete alone freed the slot
+        // no matching traffic: the delete alone freed the slot for reuse
         idx.insert(query(2, &[2], Rect::from_coords(2.5, 2.5, 3.5, 3.5)));
-        let (slot2, gen2) = idx.slot_of(QueryId(2)).unwrap();
-        assert_eq!(slot2, slot1, "the freed slot is reused");
-        assert_eq!(gen2, gen1 + 1, "reuse bumps the generation");
-        assert_eq!(idx.slab_capacity(), 1);
+        assert_eq!(idx.slab.find(QueryId(2)), Some(slot1));
+        assert_eq!(idx.slab.capacity(), 1);
         idx.audit();
         // the old query never matches, and is not even a candidate
         assert!(idx.match_one(&object(1, &[1], 1.0, 1.0)).is_empty());
         assert_eq!(idx.matches_checked(), 0);
         assert_eq!(idx.match_one(&object(2, &[2], 3.0, 3.0)).len(), 1);
-    }
-
-    #[test]
-    fn signature_prefilter_skips_full_checks() {
-        let mut idx = Gi2Index::new(config());
-        // 32 AND queries sharing keyword 1 (their posting term under empty
-        // stats: frequency ties break towards the lowest id) but each
-        // requiring a distinct second keyword.
-        for i in 0..32u64 {
-            idx.insert(query(
-                i,
-                &[1, 100 + i as u32],
-                Rect::from_coords(0.0, 0.0, 3.0, 3.0),
-            ));
-        }
-        // the object carries term 1 plus one of the pair terms: every query
-        // is a candidate via term 1's posting list, but the signature
-        // prefilter rejects (almost) all of the 31 non-matching ones.
-        let _ = idx.match_one(&object(1, &[1, 100], 1.0, 1.0));
-        assert!(
-            idx.signature_rejections() > 0,
-            "prefilter never fired on disjoint conjunctions"
-        );
-        assert!(idx.matches_checked() < 32);
     }
 
     #[test]
@@ -1114,20 +1044,6 @@ mod tests {
         assert!(loads[0].load() > 0.0);
         idx.reset_load_counters();
         assert_eq!(idx.cell_loads()[0].objects, 0);
-    }
-
-    #[test]
-    fn cell_term_stats_with_streams_the_same_stats() {
-        let mut idx = Gi2Index::new(config());
-        idx.insert(query(1, &[1], Rect::from_coords(0.0, 0.0, 3.0, 3.0)));
-        idx.insert(query(2, &[1], Rect::from_coords(0.0, 0.0, 3.0, 3.0)));
-        let cell = idx.grid().cell_of(&Point::new(1.0, 1.0)).unwrap();
-        let collected = idx.cell_term_stats(cell);
-        let mut streamed = Vec::new();
-        idx.cell_term_stats_with(cell, |s| streamed.push(s));
-        assert_eq!(collected, streamed);
-        assert_eq!(collected.len(), 1);
-        assert_eq!(collected[0].queries, 2);
     }
 
     #[test]
@@ -1313,7 +1229,7 @@ mod tests {
             idx.insert(rare_multi_cell_query(i));
         }
         idx.audit();
-        assert_eq!(idx.slab_capacity(), 100, "deleted slots are reused");
+        assert_eq!(idx.slab.capacity(), 100, "deleted slots are reused");
         let mut fresh = Gi2Index::new(config());
         for i in 100..200 {
             fresh.insert(rare_multi_cell_query(i));

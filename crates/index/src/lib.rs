@@ -264,7 +264,6 @@ mod proptests {
         prop_assert_eq!(&batched, &singles);
         prop_assert_eq!(whole.objects_processed(), index.objects_processed());
         prop_assert_eq!(whole.matches_checked(), index.matches_checked());
-        prop_assert_eq!(whole.signature_rejections(), index.signature_rejections());
         prop_assert_eq!(whole.memory_usage(), index.memory_usage());
         whole.audit();
         index.audit();
@@ -392,7 +391,7 @@ mod proptests {
         index: &Gi2Index,
     ) -> (
         Vec<CellLoadStat>,
-        [u64; 3],
+        [u64; 2],
         Vec<(u32, u32, TermId, u64, Option<u64>)>,
     ) {
         let mut terms = Vec::new();
@@ -401,11 +400,7 @@ mod proptests {
             terms.push((c.col, c.row, s.term, s.queries, hits));
         });
         terms.sort_unstable();
-        let work = [
-            index.objects_processed(),
-            index.matches_checked(),
-            index.signature_rejections(),
-        ];
+        let work = [index.objects_processed(), index.matches_checked()];
         (index.cell_loads(), work, terms)
     }
 
@@ -511,7 +506,7 @@ mod proptests {
             }
         }
 
-        /// The full kernel (slab slots + signature prefilter + epoch dedup +
+        /// The full kernel (slab slots + epoch dedup + one full check +
         /// batched matching) must agree exactly with a brute-force scan over
         /// the live query set, under an arbitrary interleaving of inserts,
         /// deletes, cell migrations and replications **mid-stream** —

@@ -1,19 +1,15 @@
-//! Generational slab storage for the queries of one GI² index.
+//! Slab storage for the queries of one GI² index.
 //!
 //! The matching hot loop of [`crate::Gi2Index`] verifies candidates by
 //! **array index** instead of a `HashMap<QueryId, _>` probe: every stored
 //! query lives in a slot of a `QuerySlab` (`Vec<Slot>` plus an intrusive
-//! free list), posting lists carry dense `u32` [`SlotId`]s, and a parallel
-//! side array keeps the per-slot datum the hot loop touches most — the
-//! query's 64-bit term signature — densely packed.
+//! free list), and posting lists carry dense `u32` [`SlotId`]s.
 //!
 //! Slot lifecycle (the invariant that makes bare slot ids in posting lists
 //! safe): a slot is **live** while its query is registered, and deleting
 //! the query unposts it from every (cell, term) entry *before* the slot is
-//! **freed** (its generation bumped). Every slot a posting list references
-//! is therefore live, and a freed slot can be reused without any posting
-//! resurrecting the old query. The generation counter is kept as an
-//! explicit witness of reuse (and is asserted on in tests).
+//! **freed**. Every slot a posting list references is therefore live, and a
+//! freed slot can be reused without any posting resurrecting the old query.
 
 use ps2stream_geo::{CellId, UniformGrid};
 use ps2stream_model::{QueryId, StsQuery};
@@ -97,16 +93,10 @@ pub(crate) enum Slot {
 
 const FREE_END: u32 = u32::MAX;
 
-/// The generational slab of one GI² index.
+/// The query slab of one GI² index.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct QuerySlab {
     slots: Vec<Slot>,
-    /// Parallel array: the live query's boolean-expression signature
-    /// ([`ps2stream_text::BooleanExpr::signature`]); unspecified for
-    /// free slots.
-    sigs: Vec<u64>,
-    /// Parallel array: bumped every time a slot is freed; witnesses reuse.
-    generations: Vec<u32>,
     /// Head of the free list (`FREE_END` when empty).
     free_head: u32,
     /// Id → slot of every live query.
@@ -141,22 +131,10 @@ impl QuerySlab {
         self.id_map.get(&id).copied()
     }
 
-    /// The signature array (hot loop).
-    #[inline]
-    pub(crate) fn signatures(&self) -> &[u64] {
-        &self.sigs
-    }
-
     /// The raw slots (hot loop — candidate verification by array index).
     #[inline]
     pub(crate) fn slots(&self) -> &[Slot] {
         &self.slots
-    }
-
-    /// The generation of a slot (bumped on every free; test witness).
-    #[inline]
-    pub(crate) fn generation(&self, slot: SlotId) -> u32 {
-        self.generations[slot.index()]
     }
 
     pub(crate) fn get_live(&self, slot: SlotId) -> Option<&StoredQuery> {
@@ -174,11 +152,11 @@ impl QuerySlab {
     }
 
     /// Inserts a live query, reusing a free slot when one exists.
-    pub(crate) fn insert(&mut self, stored: StoredQuery, sig: u64) -> SlotId {
+    pub(crate) fn insert(&mut self, stored: StoredQuery) -> SlotId {
         let id = stored.query.id;
         debug_assert!(
             !self.id_map.contains_key(&id),
-            "insert over a live id must delete the old generation first"
+            "insert over a live id must delete the old query first"
         );
         let slot = if self.free_head != FREE_END {
             let idx = self.free_head as usize;
@@ -194,19 +172,16 @@ impl QuerySlab {
                 "slab full: the top slot ids mark posting entries"
             );
             self.slots.push(Slot::Live(stored));
-            self.sigs.push(0);
-            self.generations.push(0);
             SlotId((self.slots.len() - 1) as u32)
         };
-        self.sigs[slot.index()] = sig;
         self.id_map.insert(id, slot);
         self.num_live += 1;
         slot
     }
 
     /// Frees a live slot (deletion, replacement, extraction of a query's
-    /// last cell), bumping its generation. The caller removes every posting
-    /// referencing the slot before it lets go of the returned query.
+    /// last cell). The caller removes every posting referencing the slot
+    /// before it lets go of the returned query.
     pub(crate) fn free_live(&mut self, slot: SlotId) -> StoredQuery {
         let idx = slot.index();
         let free = Slot::Free {
@@ -216,7 +191,6 @@ impl QuerySlab {
             panic!("free_live of a non-live slot");
         };
         self.free_head = slot.0;
-        self.generations[idx] = self.generations[idx].wrapping_add(1);
         self.num_live -= 1;
         self.id_map.remove(&sq.query.id);
         sq
@@ -254,15 +228,12 @@ impl QuerySlab {
                     }
             })
             .sum();
-        slots
-            + self.sigs.len() * std::mem::size_of::<u64>()
-            + self.generations.len() * std::mem::size_of::<u32>()
-            + self.id_map.len() * (std::mem::size_of::<(QueryId, SlotId)>() + 16)
+        slots + self.id_map.len() * (std::mem::size_of::<(QueryId, SlotId)>() + 16)
     }
 
     /// Panics unless the slab is self-consistent: every slot is either live
-    /// or on the free list, the side arrays cover every slot, and the id map
-    /// maps exactly the live queries to their slots.
+    /// or on the free list, and the id map maps exactly the live queries to
+    /// their slots.
     #[cfg(test)]
     pub(crate) fn audit(&self) {
         let mut free = 0usize;
@@ -276,8 +247,6 @@ impl QuerySlab {
             next = after;
         }
         assert_eq!(self.capacity(), self.num_live + free, "live + free slots");
-        assert_eq!(self.sigs.len(), self.slots.len());
-        assert_eq!(self.generations.len(), self.slots.len());
         assert_eq!(self.iter_live().count(), self.num_live);
         assert_eq!(self.id_map.len(), self.num_live);
         for (slot, sq) in self.iter_live() {
@@ -317,14 +286,10 @@ mod tests {
 
     #[test]
     fn memory_usage_counts_a_stored_query_once() {
-        let per_slot = std::mem::size_of::<Slot>()
-            + std::mem::size_of::<u64>()
-            + std::mem::size_of::<u32>()
-            + std::mem::size_of::<(QueryId, SlotId)>()
-            + 16;
+        let per_slot = std::mem::size_of::<Slot>() + std::mem::size_of::<(QueryId, SlotId)>() + 16;
         let mut slab = QuerySlab::new();
         // a one-keyword query keeps everything in its slot
-        let one = slab.insert(stored(1), 0);
+        let one = slab.insert(stored(1));
         assert!(std::mem::size_of::<Slot>() >= std::mem::size_of::<StsQuery>());
         assert_eq!(slab.memory_usage(), per_slot);
         // a longer expression adds its heap block, and nothing else
@@ -332,9 +297,9 @@ mod tests {
         long.query.keywords = BooleanExpr::and_of((1..=12).map(TermId));
         let heap = long.query.memory_usage() - std::mem::size_of::<StsQuery>();
         assert!(heap > 0);
-        slab.insert(long, 0);
+        slab.insert(long);
         assert_eq!(slab.memory_usage(), 2 * per_slot + heap);
-        // a freed slot keeps its slot and side arrays, not its id-map bucket
+        // a freed slot keeps its slot, not its id-map bucket
         slab.free_live(one);
         let bucket = std::mem::size_of::<(QueryId, SlotId)>() + 16;
         assert_eq!(slab.memory_usage(), 2 * per_slot - bucket + heap);
@@ -343,14 +308,12 @@ mod tests {
     #[test]
     fn insert_find_free_roundtrip() {
         let mut slab = QuerySlab::new();
-        let a = slab.insert(stored(1), 7);
-        let b = slab.insert(stored(2), 9);
+        let a = slab.insert(stored(1));
+        let b = slab.insert(stored(2));
         assert_ne!(a, b);
         assert_eq!(slab.num_live(), 2);
         assert_eq!(slab.find(QueryId(1)), Some(a));
         assert!(slab.get_live(a).is_some());
-        assert_eq!(slab.signatures()[a.index()], 7);
-        let gen_before = slab.generation(a);
         let sq = slab.free_live(a);
         // the caller gets back what it needs to unpost the query
         assert_eq!(sq.query.id, QueryId(1));
@@ -358,10 +321,9 @@ mod tests {
         assert_eq!(slab.num_live(), 1);
         assert_eq!(slab.find(QueryId(1)), None);
         assert!(slab.get_live(a).is_none());
-        // the freed slot is reused, with a bumped generation
-        let c = slab.insert(stored(3), 0);
+        // the freed slot is reused
+        let c = slab.insert(stored(3));
         assert_eq!(c, a);
-        assert_eq!(slab.generation(c), gen_before + 1);
         assert_eq!(slab.capacity(), 2);
         slab.audit();
     }

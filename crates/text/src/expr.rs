@@ -370,25 +370,6 @@ impl BooleanExpr {
         }
     }
 
-    /// The 64-bit match signature of the expression: the bitwise AND over
-    /// conjunctions of each conjunction's term-set signature
-    /// ([`crate::terms_signature`]).
-    ///
-    /// Soundness: an object matches the expression only via *some*
-    /// conjunction `c` with `c ⊆ object`, hence `sig(c) ⊆ sig(object)`; the
-    /// AND across all conjunctions is a subset of `sig(c)`, so
-    /// `self.signature() & !sig(object) == 0` is a necessary condition for
-    /// any match. For single-conjunction (AND-only) queries — the common
-    /// case — this is the full conjunction signature and rejects most
-    /// non-matching candidates with one AND+compare; for OR-heavy queries it
-    /// degrades gracefully towards 0 (accept-all), never rejecting a true
-    /// match.
-    pub fn signature(&self) -> u64 {
-        self.conjunctions()
-            .map(crate::terms_signature)
-            .fold(!0u64, |acc, s| acc & s)
-    }
-
     /// Approximate size of the expression in bytes: the value itself plus,
     /// for an expression too long to be stored in place, its boxed words. A
     /// containing struct's `size_of` already covers the first part.
@@ -542,46 +523,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn signature_is_necessary_for_matching() {
-        use crate::terms_signature;
-        // exhaustive-ish sweep: random-ish expressions vs. object term sets
-        let exprs = [
-            BooleanExpr::single(t(3)),
-            BooleanExpr::and_of([t(1), t(2), t(3)]),
-            BooleanExpr::or_of([t(4), t(5)]),
-            BooleanExpr::from_dnf([vec![t(1), t(6)], vec![t(7), t(8)]]),
-            BooleanExpr::and_of((0..12).map(t)),
-        ];
-        let objects: Vec<Vec<TermId>> = (0u32..64)
-            .map(|i| (0..10).filter(|k| (i >> (k % 6)) & 1 == 1).map(t).collect())
-            .collect();
-        for e in &exprs {
-            let sig = e.signature();
-            for obj in &objects {
-                if e.matches_sorted(obj) {
-                    assert_eq!(
-                        sig & !terms_signature(obj),
-                        0,
-                        "signature rejected a matching object: {e:?} vs {obj:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn and_signature_is_conjunction_signature() {
-        use crate::terms_signature;
-        let e = BooleanExpr::and_of([t(1), t(2), t(3)]);
-        assert_eq!(e.signature(), terms_signature(&[t(1), t(2), t(3)]));
-        // a disjoint object signature is rejected: with the fixed hash,
-        // terms 1/2/3 map to bits {39, 15, 54} and terms 20/21 to {23, 62},
-        // so no query bit is covered by the object
-        let obj_sig = terms_signature(&[t(20), t(21)]);
-        assert_ne!(e.signature() & !obj_sig, 0);
     }
 
     #[test]

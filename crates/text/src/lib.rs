@@ -24,7 +24,7 @@ pub use hash::{IdHasher, IdMap, IdSet};
 pub use similarity::TermDistribution;
 pub use stats::TermStats;
 pub use token::{Tokenizer, STOP_WORDS};
-pub use vocab::{terms_signature, TermId, Vocabulary};
+pub use vocab::{TermId, Vocabulary};
 
 #[cfg(test)]
 mod proptests {
@@ -93,10 +93,6 @@ mod proptests {
             out
         }
 
-        fn signature(&self) -> u64 {
-            self.0.iter().fold(!0u64, |acc, c| acc & terms_signature(c))
-        }
-
         fn all_terms(&self) -> Vec<TermId> {
             let mut out: Vec<TermId> = self.0.iter().flatten().copied().collect();
             out.sort_unstable();
@@ -122,7 +118,6 @@ mod proptests {
             prop_assert_eq!(expr.matches_sorted(&object), model.matches_sorted(&object));
             let freq = |t: TermId| (t.0 * 7 + 3) as u64 % 11;
             prop_assert_eq!(&*expr.representative_terms(freq), &model.representative_terms(freq)[..]);
-            prop_assert_eq!(expr.signature(), model.signature());
             prop_assert_eq!(expr.all_terms(), model.all_terms());
             prop_assert_eq!(expr.num_keywords(), model.all_terms().len());
             for probe in (0..30).map(TermId) {
@@ -174,18 +169,6 @@ mod proptests {
             bigger.sort_unstable();
             bigger.dedup();
             prop_assert!(expr.matches_sorted(&bigger));
-        }
-
-        #[test]
-        fn expr_signature_never_rejects_a_match(
-            expr in arb_expr(200),
-            object in arb_terms(200, 24),
-        ) {
-            // The 64-bit prefilter must be a *necessary* condition: whenever
-            // the expression matches the object, the signature test passes.
-            if expr.matches_sorted(&object) {
-                prop_assert_eq!(expr.signature() & !terms_signature(&object), 0);
-            }
         }
 
         #[test]

@@ -18,25 +18,6 @@ impl TermId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// The term's bit in a 64-bit term signature: a single bit chosen by a
-    /// multiplicative hash of the id. Signatures of term *sets* are the OR of
-    /// their members' bits, giving a one-instruction necessary condition for
-    /// set containment (see [`terms_signature`]).
-    #[inline]
-    pub fn signature_bit(self) -> u64 {
-        1u64 << ((self.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
-    }
-}
-
-/// The 64-bit signature of a term set: the OR of every member's
-/// [`TermId::signature_bit`]. If set `A ⊆ B` then
-/// `terms_signature(A) & !terms_signature(B) == 0`; the converse may not
-/// hold (hash collisions), so the test is a *necessary* condition — a cheap
-/// prefilter that never rejects a true containment.
-#[inline]
-pub fn terms_signature(terms: &[TermId]) -> u64 {
-    terms.iter().fold(0u64, |sig, t| sig | t.signature_bit())
 }
 
 impl From<u32> for TermId {

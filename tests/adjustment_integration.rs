@@ -22,6 +22,14 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 #[test]
 fn adjustment_migrates_cells_and_keeps_results_correct() {
+    // the workers' GI² grid is the routing grid, whatever its granularity:
+    // the cells they report are the ones the controller moves
+    for grid_exp in [6, 5, 7] {
+        migrate_cells_and_check_results(grid_exp);
+    }
+}
+
+fn migrate_cells_and_check_results(grid_exp: u32) {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let sample = skewed_sample(4_000, 200, 31);
     let once = owed(&inserts_then_objects(&sample));
@@ -54,7 +62,7 @@ fn adjustment_migrates_cells_and_keeps_results_correct() {
     let calibration =
         ps2stream_workload::build_sample(DatasetSpec::tweets_us(), QueryClass::Q1, 4_000, 800, 43);
     let mut system = Ps2StreamBuilder::new(config)
-        .with_partitioner(Box::new(GridPartitioner::default()))
+        .with_partitioner(Box::new(GridPartitioner { grid_exp }))
         .with_calibration_sample(calibration)
         .with_delivery(delivery_tx)
         .start();
@@ -72,7 +80,7 @@ fn adjustment_migrates_cells_and_keeps_results_correct() {
     let report = system.finish();
     assert!(
         report.migration_moves > 0,
-        "the skewed workload must make the controller migrate a cell"
+        "grid 2^{grid_exp}: the skewed workload must make the controller migrate a cell"
     );
 
     let mut delivered: HashSet<(QueryId, ObjectId)> = HashSet::new();
@@ -84,7 +92,7 @@ fn adjustment_migrates_cells_and_keeps_results_correct() {
     }
     assert_eq!(
         delivered, expected,
-        "migration lost or invented matches relative to brute force"
+        "grid 2^{grid_exp}: migration lost or invented matches relative to brute force"
     );
 }
 
