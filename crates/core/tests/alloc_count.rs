@@ -28,14 +28,18 @@
 //!
 //! | function | case |
 //! |---|---|
-//! | `Gi2Index::{match_batch, match_in_cell}`, `PostingEntry::{slots, note_object_hit}`, `CellIndex::traverse`, `MatchScratch::first_visit`, `BooleanExpr::{matches_sorted, conjunctions}`, `Conjunctions::next` | `matching_a_batch_allocates_nothing` |
+//! | `Gi2Index::{match_batch, match_in_cell}`, `PostingEntry::{slots, note_object_hit}`, `HotPostings::traverse`, `MatchScratch::first_visit`, `BooleanExpr::{matches_sorted, conjunctions}`, `Conjunctions::next` | `matching_a_batch_allocates_nothing` |
 //! | `Gi2Index::insert`, `StoredQuery::{cells, bytes}`, `UniformGrid::{cells_overlapping_iter, cell_span}` | `a_reinsert_into_warm_tables_allocates_nothing` |
-//! | `Gi2Index::delete_by_id`, `CellIndex::unpost`, `PostingEntry::remove`, `PostingArena::release` | `a_delete_allocates_nothing` |
+//! | `Gi2Index::delete_by_id`, `HotPostings::unpost`, `PostingEntry::remove`, `PostingArena::release` | `a_delete_allocates_nothing` |
 //! | `ColdPostings::{is_cold, file, unfile, may_cover, postings}`, `CellBlock::contains` | `cold_filed_queries_cycle_and_match_without_allocating` |
 //! | `RoutingTable::route_object_into`, `TermRegistry::{cell_is_empty, probe_terms}` | `routing_an_object_allocates_nothing_once_the_buffer_is_warm` |
 //! | `RoutingTable::{route_insert_into, route_delete_into}`, `CellRouting::add_workers`, `add_worker`, `TermRegistry::{register, unregister}` | `routing_an_update_allocates_nothing_once_the_buffer_is_warm` |
 //! | `VisitedMaps::first_visit` | `routing_through_shared_term_maps_allocates_nothing` |
 //! | `TermRegistry::contains` | `registry_probes_allocate_nothing` |
+//!
+//! The allocator also keeps the bytes this thread holds, so a case can
+//! measure what a structure holds against its own `memory_usage()`:
+//! `an_empty_index_holds_no_per_cell_structure`.
 //!
 //! Own test binary: the counting `#[global_allocator]` must not leak into
 //! other tests. Counts are per thread, so the tests do not see each other
@@ -58,21 +62,25 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Blocks this thread freed (a reallocation counts as one too).
     static DEALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus those it freed: negative when it
+    /// frees blocks another thread allocated.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a bump of one of two
-// const-initialized, destructor-free thread-local `Cell`s, which neither
-// allocates nor unwinds (`try_with` declines instead of panicking once the
-// thread's locals are gone).
+// the `GlobalAlloc` contract; the only addition is an update of two of
+// three const-initialized, destructor-free thread-local `Cell`s (a count
+// and the live bytes), which neither allocates nor unwinds (`try_with`
+// declines instead of panicking once the thread's locals are gone).
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: the caller's `layout` obligations are exactly `System.alloc`'s.
     // (`alloc_zeroed` and `realloc` use the trait's defaults, which come
     // through here, so a growing `Vec` is counted too.)
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + layout.size() as i64));
         System.alloc(layout)
     }
 
@@ -80,6 +88,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // with the same `layout`, as `System.dealloc` requires.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         let _ = DEALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = LIVE_BYTES.try_with(|n| n.set(n.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -100,6 +109,14 @@ fn allocations_and_frees_during(f: impl FnOnce()) -> (u64, u64) {
         ALLOCATIONS.with(Cell::get) - before.0,
         DEALLOCATIONS.with(Cell::get) - before.1,
     )
+}
+
+/// What `make` returns, and the bytes this thread holds after it that it
+/// did not hold before.
+fn live_bytes_of<T>(make: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let value = make();
+    (value, LIVE_BYTES.with(Cell::get) - before)
 }
 
 // --- GI² index --------------------------------------------------------------
@@ -141,6 +158,19 @@ fn list_len(idx: &Gi2Index, term: u32) -> u64 {
         .iter()
         .find(|s| s.term == TermId(term))
         .map_or(0, |s| s.queries)
+}
+
+#[test]
+fn an_empty_index_holds_no_per_cell_structure() {
+    // the paper's 2^6 x 2^6 grid: each cell costs its object counter only
+    let bounds = Rect::from_coords(0.0, 0.0, 64.0, 64.0);
+    let (idx, live) = live_bytes_of(|| Gi2Index::new(Gi2Config::new(bounds)));
+    assert!(live < 20_000, "an empty index holds {live} bytes");
+    let reported = idx.memory_usage() as f64;
+    assert!(
+        (reported / live as f64 - 1.0).abs() <= 0.05,
+        "memory_usage() reports {reported} bytes of {live} held"
+    );
 }
 
 #[test]

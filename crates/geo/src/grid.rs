@@ -9,6 +9,10 @@
 use crate::point::Point;
 use crate::rect::Rect;
 
+/// The finest grid the system routes and indexes on has `2^MAX_GRID_EXP`
+/// columns and rows, so a column fits a byte and a cell index a `u16`.
+pub const MAX_GRID_EXP: u32 = 8;
+
 /// Identifier of a grid cell: `(column, row)` with the origin in the
 /// lower-left corner of the grid's bounding rectangle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -22,7 +22,7 @@ pub mod point;
 pub mod rect;
 pub mod rtree;
 
-pub use grid::{CellId, UniformGrid};
+pub use grid::{CellId, UniformGrid, MAX_GRID_EXP};
 pub use kdtree::{KdNode, KdTree, LeafRegion, SplitAxis, WeightedPoint};
 pub use point::{km_to_degrees, Point, KM_PER_DEGREE_LAT};
 pub use rect::Rect;

@@ -53,13 +53,14 @@
 //! Cell migration keeps this exact. The first cell extracted from a
 //! cold-filed query re-files it per cell under all of its posting terms, so
 //! a cold posting always covers its whole block and matching never checks
-//! exclusions. The per-cell query counters of [`Gi2Index::cell_loads`]
-//! count every query in each of its cells, however it is filed.
+//! exclusions. The one per-cell array is the count of objects seen:
+//! [`Gi2Index::cell_loads`] recounts each cell's queries from the stored
+//! queries when asked, so the write path keeps no per-cell counter.
 
-use crate::cell::{CellBlock, CellIndex, CellTermStat, ColdPosting, ColdPostings, PostingArena};
+use crate::cell::{CellBlock, CellKey, CellTermStat, ColdPosting, ColdPostings, HotPostings};
 use crate::scratch::MatchScratch;
 use crate::slab::{QuerySlab, Slot, SlotId, StoredQuery};
-use ps2stream_geo::{CellId, Rect, UniformGrid};
+use ps2stream_geo::{CellId, Rect, UniformGrid, MAX_GRID_EXP};
 use ps2stream_model::{MatchResult, QueryId, SpatioTextualObject, StsQuery};
 use ps2stream_text::{TermId, TermStats};
 use std::sync::Arc;
@@ -69,8 +70,8 @@ use std::sync::Arc;
 pub struct Gi2Config {
     /// Bounding rectangle of the indexed space.
     pub bounds: Rect,
-    /// The grid has `2^granularity_exp × 2^granularity_exp` cells.
-    /// The paper's evaluation uses 6 (a 64×64 grid).
+    /// The grid has `2^granularity_exp × 2^granularity_exp` cells, at
+    /// most [`MAX_GRID_EXP`]. The paper's evaluation uses 6 (a 64×64 grid).
     pub granularity_exp: u32,
 }
 
@@ -115,11 +116,13 @@ impl CellLoadStat {
 #[derive(Debug, Clone)]
 pub struct Gi2Index {
     grid: UniformGrid,
-    cells: Vec<CellIndex>,
-    /// The posting lists too long to sit in their (cell, term) entry.
-    arena: PostingArena<SlotId>,
+    /// The queries posted per cell under their hot posting terms.
+    hot: HotPostings,
     /// The queries filed once under their cold posting terms.
     cold: ColdPostings,
+    /// Per cell (row-major), the objects that fell into it since the last
+    /// counter reset (the `n_o` quantity of Definition 3).
+    objects_seen: Vec<u32>,
     /// Slab of stored queries; posting lists reference its live slots.
     slab: QuerySlab,
     /// The shared term table used to pick the least frequent keyword at
@@ -132,18 +135,26 @@ pub struct Gi2Index {
 
 impl Gi2Index {
     /// Creates an empty index over an empty term table.
+    ///
+    /// # Panics
+    ///
+    /// If `config.granularity_exp` exceeds [`MAX_GRID_EXP`].
     pub fn new(config: Gi2Config) -> Self {
-        let grid = UniformGrid::with_power_of_two(config.bounds, config.granularity_exp);
+        let exp = config.granularity_exp;
+        assert!(
+            exp <= MAX_GRID_EXP,
+            "Gi2Index: grid exponent {exp} > {MAX_GRID_EXP}"
+        );
+        let grid = UniformGrid::with_power_of_two(config.bounds, exp);
         Self::empty(grid, Arc::default())
     }
 
     fn empty(grid: UniformGrid, stats: Arc<TermStats>) -> Self {
-        let cells = vec![CellIndex::new(); grid.num_cells()];
         Self {
             cold: ColdPostings::new(&grid),
+            objects_seen: vec![0; grid.num_cells()],
             grid,
-            cells,
-            arena: PostingArena::default(),
+            hot: HotPostings::default(),
             slab: QuerySlab::new(),
             stats,
             matches_checked: 0,
@@ -220,29 +231,25 @@ impl Gi2Index {
         let slot = self.slab.insert(StoredQuery::new(query, posting_terms));
         let Gi2Index {
             slab,
-            cells,
-            arena,
+            hot,
             cold,
             grid,
             stats,
             ..
         } = self;
         let sq = slab.get_live(slot).expect("slot was just filled");
+        // nothing is excluded yet: the query's cells are its block's
         let block = cold_block(grid, sq);
         for &t in sq.posting_terms.iter() {
-            if let Some(block) = block.filter(|_| cold.is_cold(stats, t)) {
-                cold.file(t, ColdPosting { block, slot });
+            match block {
+                Some(block) if cold.is_cold(stats, t) => cold.file(t, ColdPosting { block, slot }),
+                _ => hot.post(
+                    t,
+                    slot,
+                    cell_keys(grid, sq),
+                    block.map_or(0, CellBlock::num_cells),
+                ),
             }
-        }
-        let bytes = sq.bytes();
-        for cell in sq.cells(grid) {
-            let cell = &mut cells[grid.cell_index(cell)];
-            for &t in sq.posting_terms.iter() {
-                if block.is_none() || !cold.is_cold(stats, t) {
-                    cell.post(t, slot, arena);
-                }
-            }
-            cell.note_added(bytes);
         }
     }
 
@@ -253,8 +260,8 @@ impl Gi2Index {
     }
 
     /// Deletes a query by id: unposts it from every (cell, posting term)
-    /// entry and cold list it was filed in — one probe per entry or list,
-    /// no allocation — and frees its slot. Returns false if the id was not
+    /// entry and cold list it was filed in — one probe per term, entry or
+    /// list, no allocation — and frees its slot. Returns false if the id was not
     /// stored.
     pub fn delete_by_id(&mut self, id: QueryId) -> bool {
         let Some(slot) = self.slab.find(id) else {
@@ -262,8 +269,7 @@ impl Gi2Index {
         };
         let old = self.slab.free_live(slot);
         let Gi2Index {
-            cells,
-            arena,
+            hot,
             cold,
             grid,
             stats,
@@ -273,17 +279,9 @@ impl Gi2Index {
         for &t in old.posting_terms.iter() {
             if block.is_some() && cold.is_cold(stats, t) {
                 cold.unfile(t, slot);
+            } else {
+                hot.unpost(t, slot, cell_keys(grid, &old));
             }
-        }
-        let bytes = old.bytes();
-        for cell in old.cells(grid) {
-            let cell = &mut cells[grid.cell_index(cell)];
-            for &t in old.posting_terms.iter() {
-                if block.is_none() || !cold.is_cold(stats, t) {
-                    cell.unpost(t, slot, arena);
-                }
-            }
-            cell.note_removed(bytes);
         }
         true
     }
@@ -309,14 +307,14 @@ impl Gi2Index {
             scratch.results.clear();
             if let Some(cell) = self.grid.cell_of(&object.location) {
                 let idx = self.grid.cell_index(cell);
-                self.cells[idx].record_object();
+                self.objects_seen[idx] = self.objects_seen[idx].saturating_add(1);
                 scratch.next_epoch();
                 Self::match_in_cell(
-                    &mut self.cells[idx],
-                    &self.arena,
+                    &mut self.hot,
                     &self.cold,
                     &self.slab,
                     cell,
+                    idx as CellKey,
                     object,
                     scratch,
                     &mut self.matches_checked,
@@ -328,8 +326,8 @@ impl Gi2Index {
     }
 
     /// The candidate loop of one object in one cell: walks the posting lists
-    /// of the object's terms — the cell's entry, then the cold postings
-    /// whose block holds the cell — deduplicating candidates via the scratch
+    /// of the object's terms — the term's entry in the cell, then its cold
+    /// postings whose block holds the cell — deduplicating candidates via the scratch
     /// epoch and checking each distinct one against the object. Each entry
     /// walked records one object hit.
     ///
@@ -337,11 +335,11 @@ impl Gi2Index {
     /// array sized to the slab, dedup epoch bumped).
     #[allow(clippy::too_many_arguments)]
     fn match_in_cell(
-        cell_index: &mut CellIndex,
-        arena: &PostingArena<SlotId>,
+        hot: &mut HotPostings,
         cold: &ColdPostings,
         slab: &QuerySlab,
         cell: CellId,
+        key: CellKey,
         object: &SpatioTextualObject,
         scratch: &mut MatchScratch,
         matches_checked: &mut u64,
@@ -365,7 +363,7 @@ impl Gi2Index {
         };
         let cell_bit = cold.cell_bit(cell);
         for &term in &object.terms {
-            if let Some(entry) = cell_index.traverse(term) {
+            if let Some((entry, arena)) = hot.traverse(term, key) {
                 for &s in entry.slots(arena) {
                     candidate(s);
                 }
@@ -381,24 +379,28 @@ impl Gi2Index {
         }
     }
 
-    /// Per-cell load statistics for every non-empty cell, used by the dynamic
-    /// load adjustment algorithms.
+    /// Per-cell load statistics for every cell that stores a query or saw an
+    /// object, in row-major order, used by the dynamic load adjustment
+    /// algorithms. The queries and bytes are recounted from the stored
+    /// queries: one pass over the cells of each.
     pub fn cell_loads(&self) -> Vec<CellLoadStat> {
-        self.grid
-            .all_cells()
-            .filter_map(|cell| {
-                let c = &self.cells[self.grid.cell_index(cell)];
-                if c.num_queries() == 0 && c.objects_seen() == 0 {
-                    return None;
-                }
-                Some(CellLoadStat {
-                    cell,
-                    objects: c.objects_seen(),
-                    queries: c.num_queries(),
-                    bytes: c.query_bytes(),
-                })
+        let mut loads: Vec<CellLoadStat> = (self.objects_seen.iter().enumerate())
+            .map(|(idx, &objects)| CellLoadStat {
+                cell: self.grid.cell_from_index(idx),
+                objects: u64::from(objects),
+                queries: 0,
+                bytes: 0,
             })
-            .collect()
+            .collect();
+        for (_, sq) in self.slab.iter_live() {
+            for cell in sq.cells(&self.grid) {
+                let load = &mut loads[self.grid.cell_index(cell)];
+                load.queries += 1;
+                load.bytes += sq.bytes();
+            }
+        }
+        loads.retain(|l| l.objects > 0 || l.queries > 0);
+        loads
     }
 
     /// Per-term statistics of one cell (queries posted and recent object
@@ -419,66 +421,51 @@ impl Gi2Index {
     }
 
     /// Streams the per-term statistics of every cell to `f`, cells in
-    /// row-major order, at the cost of one pass over the cold postings: per
-    /// cell, each entry's counts plus its term's cold postings covering the
-    /// cell, then the cold terms with no entry there.
+    /// row-major order and terms ascending within a cell: per (cell, term),
+    /// its entry's counts plus the term's cold postings covering the cell.
     pub fn for_each_cell_term_stat<F: FnMut(CellId, CellTermStat)>(&self, mut f: F) {
-        // (cell index, term) once per cell of each cold posting's block
-        let mut cold: Vec<(usize, TermId)> = Vec::new();
+        // (cell, term, queries, object hits): one row per hot entry, and
+        // one per cell of each cold posting's block
+        let mut rows: Vec<(CellKey, TermId, u64, u64)> = Vec::new();
+        self.hot
+            .for_each_entry(|cell, s| rows.push((cell, s.term, s.queries, s.object_hits)));
         self.cold.for_each_posting(|term, p| {
-            cold.extend(p.block.cells().map(|c| (self.grid.cell_index(c), term)));
+            rows.extend(
+                p.block
+                    .cells()
+                    .map(|c| (self.grid.cell_index(c) as CellKey, term, 1, 0)),
+            );
         });
-        cold.sort_unstable();
-        let mut rest = &cold[..];
-        for (idx, entries) in self.cells.iter().enumerate() {
-            let (here, after) = rest.split_at(rest.partition_point(|&(i, _)| i == idx));
-            rest = after;
-            let cell = self.grid.cell_from_index(idx);
-            entries.for_each_term_stat(&self.arena, |mut stat| {
-                let lo = here.partition_point(|&(_, t)| t < stat.term);
-                let hi = here.partition_point(|&(_, t)| t <= stat.term);
-                stat.queries += (hi - lo) as u64;
-                f(cell, stat);
-            });
-            for run in here.chunk_by(|a, b| a == b) {
-                let term = run[0].1;
-                if !entries.has_term(term) {
-                    let queries = run.len() as u64;
-                    f(
-                        cell,
-                        CellTermStat {
-                            term,
-                            queries,
-                            object_hits: 0,
-                        },
-                    );
-                }
-            }
+        rows.sort_unstable();
+        for run in rows.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let stat = CellTermStat {
+                term: run[0].1,
+                queries: run.iter().map(|r| r.2).sum(),
+                object_hits: run.iter().map(|r| r.3).sum(),
+            };
+            f(self.grid.cell_from_index(usize::from(run[0].0)), stat);
         }
     }
 
     /// Resets the per-cell object counters (start of a new load period).
     pub fn reset_load_counters(&mut self) {
-        for c in &mut self.cells {
-            c.reset_object_counter();
-        }
+        self.objects_seen.fill(0);
+        self.hot.reset_hits();
         self.matches_checked = 0;
         self.objects_processed = 0;
     }
 
-    /// The slots of the live queries stored in cell `idx` — posted in its
+    /// The slots of the live queries stored in `cell` — posted in its
     /// entries or filed cold with a block holding it — sorted, each once.
-    fn queries_in_cell(&self, idx: usize) -> Vec<SlotId> {
-        let cell = self.grid.cell_from_index(idx);
+    fn queries_in_cell(&self, cell: CellId) -> Vec<SlotId> {
         let mut slots = Vec::new();
-        self.cells[idx].distinct_queries_into(&self.arena, &mut slots);
         self.cold.for_each_posting(|_, p| {
             if p.block.contains(cell) {
                 slots.push(p.slot);
             }
         });
-        slots.sort_unstable();
-        slots.dedup();
+        self.hot
+            .slots_in(self.grid.cell_index(cell) as CellKey, &mut slots);
         slots
     }
 
@@ -495,18 +482,17 @@ impl Gi2Index {
         cell: CellId,
         filter: F,
     ) -> Vec<StsQuery> {
-        let idx = self.grid.cell_index(cell);
-        let slots = self.queries_in_cell(idx);
+        let slots = self.queries_in_cell(cell);
         let mut extracted = Vec::new();
         let Gi2Index {
             slab,
-            cells,
-            arena,
+            hot,
             cold,
             grid,
             stats,
             ..
         } = self;
+        let key = grid.cell_index(cell) as CellKey;
         for &slot in &slots {
             let sq = slab.get_live_mut(slot).expect("posted slots are live");
             if !filter(&sq.query) {
@@ -517,16 +503,15 @@ impl Gi2Index {
             // the entries of its other cells.
             let block = cold_block(grid, sq);
             for &t in sq.posting_terms.iter() {
-                if block.is_some() && cold.is_cold(stats, t) {
-                    cold.unfile(t, slot);
-                    for other in sq.cells(grid).filter(|&c| c != cell) {
-                        cells[grid.cell_index(other)].post(t, slot, arena);
+                match block {
+                    Some(block) if cold.is_cold(stats, t) => {
+                        cold.unfile(t, slot);
+                        let others = cell_keys(grid, sq).filter(|&k| k != key);
+                        hot.post(t, slot, others, block.num_cells() - 1);
                     }
-                } else {
-                    cells[idx].unpost(t, slot, arena);
+                    _ => hot.unpost(t, slot, std::iter::once(key)),
                 }
             }
-            cells[idx].note_removed(sq.bytes());
             if sq.cells(grid).any(|c| c != cell) {
                 sq.exclude(cell);
             } else {
@@ -556,7 +541,7 @@ impl Gi2Index {
         filter: F,
     ) -> Vec<StsQuery> {
         let mut out: Vec<StsQuery> = self
-            .queries_in_cell(self.grid.cell_index(cell))
+            .queries_in_cell(cell)
             .into_iter()
             .filter_map(|slot| {
                 let sq = self.slab.get_live(slot)?;
@@ -568,13 +553,12 @@ impl Gi2Index {
     }
 
     /// Approximate memory footprint of the index in bytes (posting entries,
-    /// spilled lists, cold postings and the query slab; the shared term
-    /// table is counted with the routing table).
+    /// spilled lists, cold postings, the per-cell object counters and the
+    /// query slab; the shared term table is counted with the routing table).
     pub fn memory_usage(&self) -> usize {
-        let cells: usize = self.cells.iter().map(CellIndex::memory_usage).sum();
-        cells
-            + self.arena.memory_usage()
+        self.hot.memory_usage()
             + self.cold.memory_usage()
+            + std::mem::size_of_val::<[u32]>(&self.objects_seen)
             + self.slab.memory_usage()
             + std::mem::size_of::<Self>()
     }
@@ -584,6 +568,12 @@ impl Gi2Index {
     pub fn queries(&self) -> impl Iterator<Item = &StsQuery> + '_ {
         self.slab.iter_live().map(|(_, sq)| &sq.query)
     }
+}
+
+/// The keys (row-major indices) of the cells a stored query is posted in.
+#[inline]
+fn cell_keys<'a>(grid: &'a UniformGrid, sq: &'a StoredQuery) -> impl Iterator<Item = CellKey> + 'a {
+    sq.cells(grid).map(|c| grid.cell_index(c) as CellKey)
 }
 
 /// The block of cells a stored query's cold posting terms are filed with:
@@ -636,8 +626,6 @@ impl Gi2Index {
     ///   excluded cell has none;
     /// * every cold posting is a live query's, and every cold term's mask
     ///   is the OR of its postings' coarse cells;
-    /// * each cell's `num_queries` and `query_bytes` equal a recount of the
-    ///   live queries stored there, however they are filed;
     /// * every live arena list is referenced by exactly one entry and holds
     ///   at least 3 slots (2 cold postings), and every released list is
     ///   empty and listed once;
@@ -645,8 +633,7 @@ impl Gi2Index {
     pub(crate) fn audit(&self) {
         self.slab.audit();
         self.cold.audit();
-        let mut queries = vec![0usize; self.cells.len()];
-        let mut bytes = vec![0usize; self.cells.len()];
+        assert_eq!(self.objects_seen.len(), self.grid.num_cells());
         let mut expected = 0usize;
         let mut expected_cold = 0usize;
         for (slot, sq) in self.slab.iter_live() {
@@ -677,11 +664,9 @@ impl Gi2Index {
                 }
             }
             for cell in sq.cells(&self.grid) {
-                let idx = self.grid.cell_index(cell);
-                queries[idx] += 1;
-                bytes[idx] += sq.bytes();
+                let key = self.grid.cell_index(cell) as CellKey;
                 for &t in sq.posting_terms.iter().filter(|&&t| !filed_cold(t)) {
-                    let list = self.cells[idx].postings(t, &self.arena).unwrap_or_default();
+                    let list = self.hot.postings(t, key).unwrap_or_default();
                     let n = list.iter().filter(|&&s| s == slot).count();
                     assert_eq!(n, 1, "{id:?} in {cell:?} under {t:?}");
                     expected += 1;
@@ -702,24 +687,19 @@ impl Gi2Index {
             "cold postings beyond the live queries' own"
         );
         let mut posted = 0usize;
-        let mut spilled_lists = Vec::new();
-        for cell in self.grid.all_cells() {
-            let idx = self.grid.cell_index(cell);
-            let c = &self.cells[idx];
-            c.for_each_posting_list(&self.arena, |term, list, spilled| {
-                assert!(!list.is_empty(), "empty list under {term:?} in {cell:?}");
-                for &slot in list {
-                    let live = self.slab.get_live(slot).is_some();
-                    assert!(live, "free {slot:?} posted in {cell:?}");
-                }
-                spilled_lists.extend(spilled);
-                posted += list.len();
-            });
-            assert_eq!(c.num_queries(), queries[idx], "num_queries of {cell:?}");
-            assert_eq!(c.query_bytes(), bytes[idx], "query_bytes of {cell:?}");
-        }
+        self.hot.audit(|term, cell, list| {
+            assert!(
+                usize::from(cell) < self.grid.num_cells(),
+                "cell {cell} off the grid"
+            );
+            assert!(!list.is_empty(), "empty list under {term:?} in cell {cell}");
+            for &slot in list {
+                let live = self.slab.get_live(slot).is_some();
+                assert!(live, "free {slot:?} posted in cell {cell}");
+            }
+            posted += list.len();
+        });
         assert_eq!(posted, expected, "postings beyond the live queries' own");
-        self.arena.audit(&spilled_lists, 3);
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! The central structure is [`Gi2Index`], the Grid-Inverted-Index each worker
 //! maintains over its registered STS queries (Section IV-D of the paper):
-//! a uniform grid whose cells each hold an inverted index keyed by the
-//! queries' least frequent keywords, with eager deletion and per-cell load
-//! statistics that feed the dynamic load adjustment algorithms.
+//! a uniform grid over which the queries are posted per (cell, term) under
+//! their least frequent keywords, stored term-major, with eager deletion
+//! and per-cell load statistics that feed the dynamic load adjustment
+//! algorithms.
 //!
 //! # Example
 //!
@@ -45,7 +46,7 @@ pub mod scratch;
 pub mod slab;
 pub mod snapshot;
 
-pub use cell::{CellIndex, CellTermStat};
+pub use cell::CellTermStat;
 pub use gi2::{CellLoadStat, Gi2Config, Gi2Index};
 pub use scratch::MatchScratch;
 pub use slab::SlotId;
@@ -55,9 +56,10 @@ pub use snapshot::{decode_snapshot, SnapshotParts};
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use ps2stream_geo::{Point, Rect};
+    use ps2stream_geo::{CellId, Point, Rect};
     use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId};
     use ps2stream_text::{BooleanExpr, TermId, TermStats};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     /// The 16 × 16 grid of the generated workloads, over an empty term table.
@@ -271,115 +273,206 @@ mod proptests {
         Ok(())
     }
 
-    /// Matches `objects` against both indexes at either batch size (see
-    /// [`match_any_batch_size`]) and pins the combined, deduplicated result
-    /// to a brute-force scan of the model.
-    fn check_batch(
-        a: &mut Gi2Index,
-        b: &mut Gi2Index,
-        model: &std::collections::BTreeMap<u64, StsQuery>,
-        scratch: &mut MatchScratch,
-        objects: &[SpatioTextualObject],
-    ) -> Result<(), TestCaseError> {
-        let mut got: Vec<(u64, QueryId)> = Vec::new();
-        match_any_batch_size(a, scratch, objects, &mut got)?;
-        match_any_batch_size(b, scratch, objects, &mut got)?;
-        got.sort_unstable();
-        got.dedup(); // replicas match on both sides (merger dedups)
-        let mut expected: Vec<(u64, QueryId)> = Vec::new();
-        for o in objects {
-            expected.extend(
-                model
-                    .values()
-                    .filter(|q| q.matches(o))
-                    .map(|q| (o.id.0, q.id)),
-            );
-        }
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-        Ok(())
+    /// What one index of a pair holds, by query id: the query and the cells
+    /// extraction moved out of it.
+    type Held = BTreeMap<u64, (StsQuery, Vec<CellId>)>;
+
+    /// Two indexes driven by one op stream as two workers are (inserts go
+    /// to the first, migrations by parity, replication from the first to the
+    /// second), with a model of the live queries and of what each index
+    /// holds.
+    struct Pair {
+        ix: [Gi2Index; 2],
+        model: BTreeMap<u64, StsQuery>,
+        held: [Held; 2],
+        next_object: u64,
     }
 
-    /// Applies one op to a pair of indexes as
-    /// `gi2_ops_sequence_matches_brute_force` does (inserts go to the first,
-    /// migrations by parity, replication from the first to the second) and
-    /// returns, in order, what the pair hands out: each matched object's
-    /// results in result order, from both indexes, and the ids each
-    /// migration or replication moves.
-    fn apply(
-        ix: &mut [Gi2Index; 2],
-        op: &Op,
-        scratch: &mut MatchScratch,
-        next_object: &mut u64,
-    ) -> Vec<Vec<QueryId>> {
+    /// What a pair hands out, in order: per matched run, each index's
+    /// `(object, query)` matches in result order, and per migration or
+    /// replication, the ids it moves (under object 0).
+    type Handed = Vec<Vec<(u64, QueryId)>>;
+
+    impl Pair {
+        fn new(ix: [Gi2Index; 2]) -> Self {
+            Self {
+                ix,
+                model: BTreeMap::new(),
+                held: Default::default(),
+                next_object: 0,
+            }
+        }
+
+        /// Updates are routed as delete + insert, so a replaced query cannot
+        /// linger in the peer index.
+        fn insert(&mut self, g: &GenQuery) {
+            let q = build_query(g);
+            self.delete(q.id.0);
+            self.model.insert(q.id.0, q.clone());
+            self.held[0].insert(q.id.0, (q.clone(), Vec::new()));
+            self.ix[0].insert(q);
+        }
+
+        fn delete(&mut self, id: u64) {
+            self.model.remove(&id);
+            for (index, held) in self.ix.iter_mut().zip(&mut self.held) {
+                index.delete_by_id(QueryId(id));
+                held.remove(&id);
+            }
+        }
+
+        fn object(&mut self, g: &GenObject) -> SpatioTextualObject {
+            let mut o = build_object(g);
+            o.id = ObjectId(self.next_object);
+            self.next_object += 1;
+            o
+        }
+
+        /// Matches `run` against both indexes at either batch size (see
+        /// [`match_any_batch_size`]), pins the combined, deduplicated result
+        /// to a brute-force scan of the model, and empties the run.
         fn flush(
-            ix: &mut [Gi2Index; 2],
+            &mut self,
             run: &mut Vec<SpatioTextualObject>,
             scratch: &mut MatchScratch,
-            out: &mut Vec<Vec<QueryId>>,
-        ) {
-            for index in ix.iter_mut() {
-                index.match_batch(run.iter(), scratch, |_, _, r| {
-                    out.push(r.iter().map(|m| m.query_id).collect());
-                });
+            out: &mut Handed,
+        ) -> Result<(), TestCaseError> {
+            let mut got = Vec::new();
+            for index in &mut self.ix {
+                let mut matched = Vec::new();
+                match_any_batch_size(index, scratch, run, &mut matched)?;
+                got.extend_from_slice(&matched);
+                out.push(matched);
             }
-            run.clear();
+            got.sort_unstable();
+            got.dedup(); // replicas match on both sides (merger dedups)
+            let mut expected: Vec<(u64, QueryId)> = Vec::new();
+            for o in run.drain(..) {
+                let matching = self.model.values().filter(|q| q.matches(&o));
+                expected.extend(matching.map(|q| (o.id.0, q.id)));
+            }
+            expected.sort_unstable();
+            prop_assert_eq!(got, expected);
+            Ok(())
         }
-        fn insert(ix: &mut [Gi2Index; 2], g: &GenQuery) {
-            let q = build_query(g);
-            ix[0].delete_by_id(q.id);
-            ix[1].delete_by_id(q.id);
-            ix[0].insert(q);
+
+        /// Moves `cell` out of index `from` into the other one, checking the
+        /// moved ids against the model: the held queries posted in the cell.
+        /// One with no other cell left goes from the source entirely.
+        fn migrate(&mut self, cell: CellId, from: usize) -> Result<Vec<u64>, TestCaseError> {
+            let moved = self.ix[from].extract_cell(cell);
+            let grid = self.ix[from].grid();
+            let mut expected = Vec::new();
+            self.held[from].retain(|&id, (q, extracted)| {
+                let cells: Vec<CellId> = grid
+                    .cells_overlapping_iter(&q.region)
+                    .filter(|c| !extracted.contains(c))
+                    .collect();
+                if !cells.contains(&cell) {
+                    return true;
+                }
+                expected.push(id);
+                extracted.push(cell);
+                cells.len() > 1
+            });
+            let ids: Vec<u64> = moved.iter().map(|q| q.id.0).collect();
+            prop_assert_eq!(&ids, &expected);
+            for q in moved {
+                self.held[1 - from].insert(q.id.0, (q.clone(), Vec::new()));
+                self.ix[1 - from].insert(q);
+            }
+            Ok(ids)
         }
-        fn delete(ix: &mut [Gi2Index; 2], id: u64) {
-            ix[0].delete_by_id(QueryId(id));
-            ix[1].delete_by_id(QueryId(id));
-        }
-        let mut object = |g: &GenObject| {
-            let mut o = build_object(g);
-            o.id = ObjectId(*next_object);
-            *next_object += 1;
-            o
-        };
-        let ids = |queries: &[StsQuery]| queries.iter().map(|q| q.id).collect();
-        let mut out = Vec::new();
-        let mut run = Vec::new();
-        match op {
-            Op::Insert(g) => insert(ix, g),
-            Op::HotTerm(queries) => queries.iter().for_each(|g| insert(ix, g)),
-            Op::Delete(id) => delete(ix, *id),
-            Op::Match(objects) => run.extend(objects.iter().map(object)),
-            Op::Interleaved(items) => {
-                for item in items {
-                    match item {
-                        BatchItem::Obj(g) => run.push(object(g)),
-                        BatchItem::Ins(g) => {
-                            flush(ix, &mut run, scratch, &mut out);
-                            insert(ix, g);
-                        }
-                        BatchItem::Del(id) => {
-                            flush(ix, &mut run, scratch, &mut out);
-                            delete(ix, *id);
+
+        /// Applies one op, checking every matched run against brute force,
+        /// and then both indexes' audits and loads against the model.
+        fn apply(&mut self, op: &Op, scratch: &mut MatchScratch) -> Result<Handed, TestCaseError> {
+            let mut out = Vec::new();
+            let mut run = Vec::new();
+            let moved = |ids: Vec<u64>| ids.into_iter().map(|id| (0, QueryId(id))).collect();
+            match op {
+                Op::Insert(g) => self.insert(g),
+                Op::HotTerm(queries) => queries.iter().for_each(|g| self.insert(g)),
+                Op::Delete(id) => self.delete(*id),
+                Op::Match(objects) => {
+                    for g in objects {
+                        run.push(self.object(g));
+                    }
+                }
+                // mirrors `Worker::admit`: consecutive objects accumulate
+                // into a run matched as one batch; an insert or delete
+                // flushes the run first, so the update cannot affect
+                // objects that arrived before it in the same batch
+                Op::Interleaved(items) => {
+                    for item in items {
+                        match item {
+                            BatchItem::Obj(g) => run.push(self.object(g)),
+                            BatchItem::Ins(g) => {
+                                self.flush(&mut run, scratch, &mut out)?;
+                                self.insert(g);
+                            }
+                            BatchItem::Del(id) => {
+                                self.flush(&mut run, scratch, &mut out)?;
+                                self.delete(*id);
+                            }
                         }
                     }
                 }
+                &Op::Migrate(c, r) => {
+                    let from = usize::from((c + r) % 2 == 1);
+                    out.push(moved(self.migrate(CellId::new(c, r), from)?));
+                }
+                &Op::Replicate(c, r, t) => {
+                    let cell = CellId::new(c, r);
+                    let copies = self.ix[0]
+                        .replicate_cell_where(cell, |q| q.keywords.contains_term(TermId(t)));
+                    out.push(moved(copies.iter().map(|q| q.id.0).collect()));
+                    for q in copies {
+                        self.held[1].insert(q.id.0, (q.clone(), Vec::new()));
+                        self.ix[1].insert(q);
+                    }
+                }
             }
-            &Op::Migrate(c, r) => {
-                let (from, to) = if (c + r) % 2 == 0 { (0, 1) } else { (1, 0) };
-                let moved = ix[from].extract_cell(ps2stream_geo::CellId::new(c, r));
-                out.push(ids(&moved));
-                moved.into_iter().for_each(|q| ix[to].insert(q));
+            self.flush(&mut run, scratch, &mut out)?;
+            for (index, held) in self.ix.iter().zip(&self.held) {
+                index.audit();
+                check_loads(index, held)?;
             }
-            &Op::Replicate(c, r, t) => {
-                let cell = ps2stream_geo::CellId::new(c, r);
-                let copies =
-                    ix[0].replicate_cell_where(cell, |q| q.keywords.contains_term(TermId(t)));
-                out.push(ids(&copies));
-                copies.into_iter().for_each(|q| ix[1].insert(q));
+            Ok(out)
+        }
+    }
+
+    /// Pins the queries `index` stores to `held`, and each cell it reports
+    /// to the count and bytes of the held queries whose region overlaps the
+    /// cell and whose extracted cells do not include it.
+    fn check_loads(index: &Gi2Index, held: &Held) -> Result<(), TestCaseError> {
+        let mut stored: Vec<u64> = index.queries().map(|q| q.id.0).collect();
+        stored.sort_unstable();
+        prop_assert_eq!(stored, held.keys().copied().collect::<Vec<_>>());
+        let grid = index.grid();
+        let mut expected = vec![(0usize, 0usize); grid.num_cells()];
+        for (q, extracted) in held.values() {
+            for cell in grid.cells_overlapping_iter(&q.region) {
+                if !extracted.contains(&cell) {
+                    let e = &mut expected[grid.cell_index(cell)];
+                    e.0 += 1;
+                    e.1 += q.memory_usage();
+                }
             }
         }
-        flush(ix, &mut run, scratch, &mut out);
-        out
+        let loads = index.cell_loads();
+        for load in &loads {
+            let (queries, bytes) = expected[grid.cell_index(load.cell)];
+            prop_assert_eq!(
+                (load.queries, load.bytes),
+                (queries, bytes),
+                "{:?}",
+                load.cell
+            );
+        }
+        let reported = loads.iter().filter(|l| l.queries > 0).count();
+        prop_assert_eq!(reported, expected.iter().filter(|e| e.0 > 0).count());
+        Ok(())
     }
 
     /// Everything an index reports about its load and work: per-cell loads,
@@ -422,21 +515,19 @@ mod proptests {
             ops in proptest::collection::vec(arb_op(), 1..40),
         ) {
             let stats = half_cold_stats();
-            let mut plain = [index(), index()];
-            let mut cold = [half_cold_index(&stats), half_cold_index(&stats)];
+            let mut plain = Pair::new([index(), index()]);
+            let mut cold = Pair::new([half_cold_index(&stats), half_cold_index(&stats)]);
             let mut scratch = MatchScratch::new();
-            let (mut plain_objects, mut cold_objects) = (0, 0);
             for op in &ops {
-                let refiled = cold.iter().any(Gi2Index::holds_refiled_cold_postings);
-                let mut want = apply(&mut plain, op, &mut scratch, &mut plain_objects);
-                let mut got = apply(&mut cold, op, &mut scratch, &mut cold_objects);
+                let refiled = cold.ix.iter().any(Gi2Index::holds_refiled_cold_postings);
+                let mut want = plain.apply(op, &mut scratch)?;
+                let mut got = cold.apply(op, &mut scratch)?;
                 if refiled {
                     want.iter_mut().chain(&mut got).for_each(|ids| ids.sort_unstable());
                 }
                 prop_assert_eq!(got, want);
-                for (p, c) in plain.iter().zip(&cold) {
+                for (p, c) in plain.ix.iter().zip(&cold.ix) {
                     prop_assert_eq!(loads(c), loads(p));
-                    c.audit();
                 }
             }
         }
@@ -511,121 +602,25 @@ mod proptests {
         /// the live query set, under an arbitrary interleaving of inserts,
         /// deletes, cell migrations and replications **mid-stream** —
         /// including updates arriving *inside* a worker input batch, which
-        /// exercise the run-splitting flush of `Worker::admit`.
+        /// exercise the run-splitting flush of `Worker::admit`. Each index's
+        /// cell loads must count exactly the queries a model of what it
+        /// holds places in each cell.
         #[test]
         fn gi2_ops_sequence_matches_brute_force(
             ops in proptest::collection::vec(arb_op(), 1..40),
         ) {
-            use ps2stream_geo::CellId;
-            use std::collections::BTreeMap;
             let stats = half_cold_stats();
-            let mut a = half_cold_index(&stats);
-            let mut b = half_cold_index(&stats);
-            let mut model: BTreeMap<u64, StsQuery> = BTreeMap::new();
+            let mut pair = Pair::new([half_cold_index(&stats), half_cold_index(&stats)]);
             let mut scratch = MatchScratch::new();
-            let mut next_object = 0u64;
-            for op in ops {
-                match op {
-                    Op::Insert(gq) => {
-                        let q = build_query(&gq);
-                        // updates are routed as delete + insert, so a replaced
-                        // query cannot linger in the peer index
-                        a.delete_by_id(q.id);
-                        b.delete_by_id(q.id);
-                        model.insert(q.id.0, q.clone());
-                        a.insert(q);
-                    }
-                    Op::HotTerm(run) => {
-                        for gq in &run {
-                            let q = build_query(gq);
-                            a.delete_by_id(q.id);
-                            b.delete_by_id(q.id);
-                            model.insert(q.id.0, q.clone());
-                            a.insert(q);
-                        }
-                    }
-                    Op::Delete(id) => {
-                        a.delete_by_id(QueryId(id));
-                        b.delete_by_id(QueryId(id));
-                        model.remove(&id);
-                    }
-                    Op::Match(gen_objects) => {
-                        let objects: Vec<SpatioTextualObject> = gen_objects
-                            .iter()
-                            .map(|g| {
-                                let mut o = build_object(g);
-                                o.id = ObjectId(next_object);
-                                next_object += 1;
-                                o
-                            })
-                            .collect();
-                        check_batch(&mut a, &mut b, &model, &mut scratch, &objects)?;
-                    }
-                    Op::Interleaved(items) => {
-                        // mirrors `Worker::admit`: consecutive objects
-                        // accumulate into a run matched as one batch; an
-                        // insert/delete flushes the run
-                        // first, so the update cannot affect objects that
-                        // arrived before it in the same batch
-                        let mut run: Vec<SpatioTextualObject> = Vec::new();
-                        for item in items {
-                            match item {
-                                BatchItem::Obj(g) => {
-                                    let mut o = build_object(&g);
-                                    o.id = ObjectId(next_object);
-                                    next_object += 1;
-                                    run.push(o);
-                                }
-                                BatchItem::Ins(gq) => {
-                                    check_batch(&mut a, &mut b, &model, &mut scratch, &run)?;
-                                    run.clear();
-                                    let q = build_query(&gq);
-                                    a.delete_by_id(q.id);
-                                    b.delete_by_id(q.id);
-                                    model.insert(q.id.0, q.clone());
-                                    a.insert(q);
-                                }
-                                BatchItem::Del(id) => {
-                                    check_batch(&mut a, &mut b, &model, &mut scratch, &run)?;
-                                    run.clear();
-                                    a.delete_by_id(QueryId(id));
-                                    b.delete_by_id(QueryId(id));
-                                    model.remove(&id);
-                                }
-                            }
-                        }
-                        check_batch(&mut a, &mut b, &model, &mut scratch, &run)?;
-                    }
-                    Op::Migrate(c, r) => {
-                        let cell = CellId::new(c, r);
-                        if (c + r) % 2 == 0 {
-                            for q in a.extract_cell(cell) {
-                                b.insert(q);
-                            }
-                        } else {
-                            for q in b.extract_cell(cell) {
-                                a.insert(q);
-                            }
-                        }
-                    }
-                    Op::Replicate(c, r, t) => {
-                        let cell = CellId::new(c, r);
-                        for q in
-                            a.replicate_cell_where(cell, |q| q.keywords.contains_term(TermId(t)))
-                        {
-                            b.insert(q);
-                        }
-                    }
-                }
-                a.audit();
-                b.audit();
+            for op in &ops {
+                pair.apply(op, &mut scratch)?;
             }
             // end state: the union of live queries equals the model
-            let mut live: Vec<u64> = a.queries().chain(b.queries()).map(|q| q.id.0).collect();
+            let mut live: Vec<u64> =
+                pair.ix.iter().flat_map(Gi2Index::queries).map(|q| q.id.0).collect();
             live.sort_unstable();
             live.dedup();
-            let expected_ids: Vec<u64> = model.keys().copied().collect();
-            prop_assert_eq!(live, expected_ids);
+            prop_assert!(live.into_iter().eq(pair.model.keys().copied()));
         }
 
         /// Migrating an arbitrary cell from one index to another never loses
@@ -637,7 +632,6 @@ mod proptests {
             cell_col in 0u32..16,
             cell_row in 0u32..16,
         ) {
-            use ps2stream_geo::CellId;
             let stats = half_cold_stats();
             let mut a = half_cold_index(&stats);
             let mut b = half_cold_index(&stats);

@@ -9,6 +9,7 @@
 //! index's state (it is the routing table's, shared), so it is not stored.
 
 use crate::gi2::{Gi2Config, Gi2Index};
+use ps2stream_geo::MAX_GRID_EXP;
 use ps2stream_model::wire::{self, WireError, WireReader};
 use ps2stream_model::StsQuery;
 
@@ -37,6 +38,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotParts, WireError> {
     let mut r = WireReader::new(bytes);
     let bounds = wire::decode_rect(&mut r)?;
     let granularity_exp = r.u32()?;
+    if granularity_exp > MAX_GRID_EXP {
+        return Err(WireError::Oversize(granularity_exp));
+    }
     let nqueries = r.count()?;
     let mut queries = Vec::with_capacity(nqueries as usize);
     for _ in 0..nqueries {
@@ -184,6 +188,21 @@ mod tests {
             );
         }
         assert!(Gi2Index::from_snapshot_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    fn an_out_of_range_grid_exponent_errors_instead_of_panicking() {
+        let mut bytes = Gi2Index::new(config()).snapshot_bytes();
+        // the exponent word follows the bounds' four coordinates
+        for exp in [MAX_GRID_EXP + 1, 40, u32::MAX] {
+            bytes[32..36].copy_from_slice(&exp.to_le_bytes());
+            assert_eq!(decode_snapshot(&bytes), Err(WireError::Oversize(exp)));
+        }
+        bytes[32..36].copy_from_slice(&MAX_GRID_EXP.to_le_bytes());
+        assert_eq!(
+            decode_snapshot(&bytes).unwrap().build_index().grid().nx(),
+            256
+        );
     }
 
     #[test]

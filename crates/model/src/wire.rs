@@ -37,7 +37,8 @@ pub enum WireError {
     Truncated,
     /// An enum tag byte holds no known variant.
     BadTag(u8),
-    /// A length field exceeds [`MAX_COUNT`] (torn-write garbage).
+    /// A length field exceeds [`MAX_COUNT`], or a size field the largest
+    /// size its structure takes (torn-write garbage).
     Oversize(u32),
     /// Decoding finished with unconsumed bytes left over.
     TrailingBytes(usize),
@@ -48,7 +49,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "record truncated"),
             WireError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
-            WireError::Oversize(n) => write!(f, "implausible element count {n}"),
+            WireError::Oversize(n) => write!(f, "implausible count or size {n}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after record"),
         }
     }

@@ -40,6 +40,7 @@
 //! allocate nothing while the tables held stay those of live terms.
 
 use parking_lot::RwLock;
+use ps2stream_geo::MAX_GRID_EXP;
 use ps2stream_model::QueryId;
 use ps2stream_text::{IdMap, RepresentativeTerms, TermId};
 use std::collections::hash_map::Entry;
@@ -48,8 +49,9 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The most cells a registry (and so a routing grid) can have: a pair
-/// stores its cell as a `u16`. A 2^8 × 2^8 grid is the finest that fits.
-pub const MAX_CELLS: usize = 1 << 16;
+/// stores its cell as a `u16`, which holds the cell index of the finest
+/// grid, 2^[`MAX_GRID_EXP`] × 2^[`MAX_GRID_EXP`].
+pub const MAX_CELLS: usize = 1 << (2 * MAX_GRID_EXP);
 
 /// At most this many emptied tables are kept for reuse.
 const SPARE_TABLES: usize = 64;
@@ -132,7 +134,7 @@ impl TermRegistry {
         let num_cells = cols * rows;
         assert!(
             (1..=MAX_CELLS).contains(&num_cells),
-            "TermRegistry: a grid has 1 to {MAX_CELLS} cells (2^8 x 2^8 at most), got {cols} x {rows}"
+            "TermRegistry: a grid has 1 to {MAX_CELLS} cells (2^{MAX_GRID_EXP} x 2^{MAX_GRID_EXP} at most), got {cols} x {rows}"
         );
         let mut cell_terms = Vec::with_capacity(num_cells);
         cell_terms.resize_with(num_cells, AtomicU32::default);

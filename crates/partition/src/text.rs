@@ -28,9 +28,8 @@ use std::sync::Arc;
 /// Default routing-grid granularity exponent (a 2⁶×2⁶ grid, as in the paper).
 pub const DEFAULT_GRID_EXP: u32 = 6;
 
-/// The finest routing grid, 2⁸×2⁸: an `H2` pair stores its cell as a `u16`,
-/// so a routing table has at most 2^16 cells.
-pub const MAX_GRID_EXP: u32 = 8;
+/// The finest routing grid: an `H2` pair stores its cell as a `u16`.
+pub use ps2stream_geo::MAX_GRID_EXP;
 
 /// Gathers the lexicon of a sample: every term appearing in objects or query
 /// keywords, together with its object and query document frequencies.
